@@ -155,7 +155,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--mean-photons", type=float, dest="mean_photons")
         p.add_argument("--window-duration", type=float, dest="window_duration")
         p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
+        p.add_argument("--workers", type=int,
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--noise", choices=["none", "lab"],
                        help="noise preset; individual flags override fields")
         p.add_argument("--dark-rate", type=float, dest="dark_rate")

@@ -8,6 +8,7 @@ coincidence fringes across the ramp.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -33,6 +34,13 @@ DEFAULT_CYCLES_PER_RAMP = 10.5
 
 class ConfigError(ValueError):
     """A configuration value or combination of values is invalid."""
+
+
+def _require_finite(config, names) -> None:
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,7 @@ class SourceModel:
     mode: SourceMode = SourceMode.PHOTON_COUNTING
 
     def __post_init__(self):
+        _require_finite(self, ("mean_photons_per_window", "window_duration"))
         if self.mode is SourceMode.PHOTON_COUNTING and self.mean_photons_per_window <= 0:
             raise ConfigError("mean_photons_per_window must be positive in photon-counting mode")
         if self.window_duration <= 0:
@@ -110,9 +119,12 @@ class NoiseModel:
     detector_efficiency: float = 1.0
 
     def __post_init__(self):
-        if min(self.phase_jitter_sigma, self.phase_jitter_correlation,
-               self.intensity_drift_fraction, self.dark_rate) < 0:
+        _require_finite(self, ("phase_jitter_sigma", "phase_jitter_correlation",
+                               "intensity_drift_fraction", "dark_rate"))
+        if min(self.phase_jitter_sigma, self.intensity_drift_fraction, self.dark_rate) < 0:
             raise ConfigError("noise magnitudes must be >= 0")
+        if self.phase_jitter_correlation <= 0:
+            raise ConfigError("phase_jitter_correlation must be positive")
         if not (0.0 <= self.detector_efficiency <= 1.0):
             raise ConfigError("detector_efficiency must lie in [0, 1]")
 

@@ -87,7 +87,8 @@ def run_scan(
 
     Builds the cascade (``config.circuit`` overrides ``config.modules`` /
     ``config.phi``), maps bin voltages to phase through the calibration,
-    and dispatches on the source mode.
+    and dispatches on the source mode.  ``workers`` is accepted for
+    compatibility and has no effect.
     """
     if config.circuit is not None:
         chain = config.circuit
@@ -95,7 +96,7 @@ def run_scan(
         chain = circuit_mod.build_cbw_chain(config.modules, phi=config.phi)
     if source.mode is SourceMode.PHOTON_COUNTING:
         return montecarlo.simulate_scan_counts(chain, config, source, noise, seed, workers=workers)
-    return montecarlo.simulate_classical_trace(chain, config, source, noise, seed, workers=workers)
+    return montecarlo.simulate_classical_trace(chain, config, source, noise, seed)
 
 
 def find_extrema(values, prominence: float = 0.2):

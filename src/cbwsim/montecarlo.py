@@ -11,20 +11,24 @@ it inside the window; a coincidence is both detectors firing in the same
 window.
 
 :func:`sample_window` and :func:`route_photons` define that per-window
-model one draw at a time.  The scan simulator draws the identical
-distributions through numpy's vectorised exact samplers (Poisson plus
-binomial thinning), which is what makes 1e7-window runs take seconds.
+model one draw at a time; they are the test oracle.  The scan simulator
+draws bin totals directly.  By Poisson thinning the two detectors'
+photon numbers are independent, ``n_i ~ Poisson(lam*eff*p_i + p_dark)``,
+so detector ``i`` fires with ``q_i = 1 - exp(-(lam*eff*p_i + p_dark))``
+independently of the other.  Within a bin the windows are iid, so the
+counts of the four window outcomes (both, d1 only, d2 only, neither) are
+exactly ``Multinomial(windows, [q1*q2, q1*(1-q2), (1-q1)*q2,
+(1-q1)*(1-q2)])``; one vectorised draw covers every bin of a scan, at a
+cost independent of the number of windows.
 
 Reproducibility: the master seed feeds a ``numpy.random.SeedSequence``
-whose spawned children are assigned, in order, to the phase-jitter walk,
-the intensity-drift walk, and then one child per acquisition bin.  Bins
-therefore have independent streams and can be simulated on any number of
-worker threads with bit-identical results.
+whose three spawned children are assigned, in order, to the phase-jitter
+walk, the intensity-drift walk and the counts.  There are no per-bin
+streams and no threads, so a seed fixes the whole trace.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +44,6 @@ __all__ = [
     "simulate_classical_trace",
     "simulate_scan_counts",
 ]
-
-_WINDOW_CHUNK = 1 << 20
-
 
 @dataclass
 class CountTrace:
@@ -171,30 +172,6 @@ def _born_probabilities(ast, psi_actual, phi, drift):
     return np.clip(p_upper, 0.0, 1.0), i_upper, i_lower
 
 
-def _count_bin(bin_ss, windows: int, lam: float, p_upper: float, efficiency: float, p_dark: float):
-    """Counts for one acquisition bin, drawn from that bin's own stream."""
-    rng = np.random.Generator(np.random.PCG64(bin_ss))
-    s1 = s2 = c = 0
-    remaining = windows
-    while remaining > 0:
-        n = min(_WINDOW_CHUNK, remaining)
-        remaining -= n
-        k = rng.poisson(lam, n)
-        if efficiency < 1.0:
-            k = rng.binomial(k, efficiency)
-        n1 = rng.binomial(k, p_upper)
-        n2 = k - n1
-        if p_dark > 0.0:
-            n1 = n1 + rng.poisson(p_dark, n)
-            n2 = n2 + rng.poisson(p_dark, n)
-        fired1 = n1 > 0
-        fired2 = n2 > 0
-        s1 += int(np.count_nonzero(fired1))
-        s2 += int(np.count_nonzero(fired2))
-        c += int(np.count_nonzero(fired1 & fired2))
-    return s1, s2, c
-
-
 def simulate_scan_counts(
     ast: circuit_mod.CircuitAst,
     scan: ScanConfig,
@@ -206,41 +183,31 @@ def simulate_scan_counts(
     """Simulate a full photon-counting scan of ``ast`` over the PZT ramp.
 
     Per bin: the PZT model (plus the accumulated phase-jitter walk) sets
-    the phase, the chain sets the Born routing probability, and
-    ``bin_duration / window_duration`` coincidence windows are sampled.
-    Deterministic for a given seed, independent of ``workers``.
+    the phase, the chain sets the Born routing probability, and the bin's
+    ``bin_duration / window_duration`` coincidence windows are drawn as
+    one multinomial over the four window outcomes.  Deterministic for a
+    given seed.  ``workers`` is accepted for compatibility and has no
+    effect.
     """
     if source.mode is not SourceMode.PHOTON_COUNTING:
         raise ConfigError("simulate_scan_counts requires a photon-counting source")
     windows = _windows_per_bin(scan, source) if scan.points else 0
-    chain = ast
     points = scan.points
 
-    children = np.random.SeedSequence(seed).spawn(points + 2)
-    jitter, drift = _noise_walks(noise, scan, children[0], children[1], points)
+    jitter_ss, drift_ss, counts_ss = np.random.SeedSequence(seed).spawn(3)
+    jitter, drift = _noise_walks(noise, scan, jitter_ss, drift_ss, points)
 
     psi_nominal = scan.psi_values()
-    p_upper, _, _ = _born_probabilities(chain, psi_nominal + jitter, scan.phi, drift)
-    lam_per_bin = source.mean_photons_per_window * drift
+    p_upper, _, _ = _born_probabilities(ast, psi_nominal + jitter, scan.phi, drift)
+    detected = source.mean_photons_per_window * drift * noise.detector_efficiency
     p_dark = noise.dark_rate * source.window_duration
-
-    singles_d1 = np.zeros(points, dtype=np.int64)
-    singles_d2 = np.zeros(points, dtype=np.int64)
-    coincidences = np.zeros(points, dtype=np.int64)
-
-    def run_bin(b: int):
-        return b, _count_bin(children[2 + b], windows, lam_per_bin[b], p_upper[b],
-                             noise.detector_efficiency, p_dark)
-
-    if workers > 1 and points > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(run_bin, range(points))
-    else:
-        results = map(run_bin, range(points))
-    for b, (s1, s2, c) in results:
-        singles_d1[b] = s1
-        singles_d2[b] = s2
-        coincidences[b] = c
+    q1 = -np.expm1(-(detected * p_upper + p_dark))
+    q2 = -np.expm1(-(detected * (1.0 - p_upper) + p_dark))
+    pvals = np.stack([q1 * q2, q1 * (1.0 - q2), (1.0 - q1) * q2, (1.0 - q1) * (1.0 - q2)], axis=1)
+    outcomes = np.random.Generator(np.random.PCG64(counts_ss)).multinomial(windows, pvals)
+    coincidences = outcomes[:, 0]
+    singles_d1 = coincidences + outcomes[:, 1]
+    singles_d2 = coincidences + outcomes[:, 2]
 
     trace = CountTrace(
         mode=SourceMode.PHOTON_COUNTING,
@@ -264,7 +231,6 @@ def simulate_classical_trace(
     source: SourceModel,
     noise: NoiseModel,
     seed: int,
-    workers: int = 1,
 ) -> CountTrace:
     """Record continuous output powers over the scan (cw laser input).
 
@@ -275,14 +241,12 @@ def simulate_classical_trace(
     """
     if source.mode is not SourceMode.CLASSICAL_INTENSITY:
         raise ConfigError("simulate_classical_trace requires a classical-intensity source")
-    del workers  # per-bin work is one vectorised evaluation; kept for API symmetry
-    chain = ast
     points = scan.points
 
-    children = np.random.SeedSequence(seed).spawn(points + 2)
-    jitter, drift = _noise_walks(noise, scan, children[0], children[1], points)
+    jitter_ss, drift_ss = np.random.SeedSequence(seed).spawn(2)
+    jitter, drift = _noise_walks(noise, scan, jitter_ss, drift_ss, points)
     psi_nominal = scan.psi_values()
-    _, i_upper, i_lower = _born_probabilities(chain, psi_nominal + jitter, scan.phi, drift)
+    _, i_upper, i_lower = _born_probabilities(ast, psi_nominal + jitter, scan.phi, drift)
 
     trace = CountTrace(
         mode=SourceMode.CLASSICAL_INTENSITY,

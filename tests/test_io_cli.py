@@ -249,6 +249,19 @@ class TestDispatch:
         expected = (1.0 - np.cos(trace.psi)) / 2.0
         assert np.max(np.abs(trace.singles_d1 - expected)) < 1e-12
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--dark-rate", "nan"], "dark_rate"),
+        (["--noise", "lab", "--phase-jitter-correlation", "0"], "phase_jitter_correlation"),
+        (["--mean-photons", "nan"], "mean_photons_per_window"),
+    ])
+    def test_non_physical_source_or_noise_exits_one(self, tmp_path, capsys, flags, field):
+        code = cli.dispatch(["scan", "--points", "20", "--bin-duration", "1e-6",
+                             "--scan-duration", "2e-5", *flags, "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cbwsim: error: ") and err.count("\n") == 1
+        assert field in err
+
     def test_unknown_subcommand_exits_one(self, capsys):
         assert cli.dispatch(["frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err

@@ -175,6 +175,84 @@ class TestSimulateScanCounts:
             simulate_scan_counts(chain, scan, classical_source(), QUIET, seed=0)
 
 
+# Upper 0.1% point of the chi-square distribution with 3 degrees of freedom
+# (four window outcomes).
+CHI2_3DOF_P001 = 16.266
+
+
+def chi_square(observed, expected):
+    return float(np.sum((observed - expected) ** 2 / expected))
+
+
+class TestSamplerMatchesOracle:
+    """Bin totals from the scan sampler against the per-window scalar model.
+
+    Efficiency below 1 and dark counts on, so photon loss and dark counts
+    both enter the four window outcomes (both, d1 only, d2 only, neither).
+    """
+
+    LAM, P_UPPER, EFFICIENCY = 0.8, 0.3, 0.7
+    WINDOW, DARK_RATE = 1e-6, 5e4  # p_dark = 0.05 per window and detector
+
+    def sampled(self, points, windows, seed):
+        scan = fixed_scan(fixed_probability_circuit(self.P_UPPER), points=points,
+                          bin_duration=windows * self.WINDOW)
+        noise = NoiseModel(dark_rate=self.DARK_RATE, detector_efficiency=self.EFFICIENCY)
+        return simulate_scan_counts(scan.circuit, scan, photon_source(self.LAM, self.WINDOW),
+                                    noise, seed=seed)
+
+    def firing_probabilities(self):
+        p_dark = self.DARK_RATE * self.WINDOW
+        detected = self.LAM * self.EFFICIENCY
+        q1 = 1.0 - np.exp(-(detected * self.P_UPPER + p_dark))
+        q2 = 1.0 - np.exp(-(detected * (1.0 - self.P_UPPER) + p_dark))
+        return q1, q2
+
+    def oracle_outcomes(self, windows, rng):
+        p_dark = self.DARK_RATE * self.WINDOW
+        counts = np.zeros(4, dtype=np.int64)
+        for _ in range(windows):
+            d1, d2 = route_photons(sample_window(self.LAM, rng), self.P_UPPER, self.EFFICIENCY, rng)
+            dark1, dark2 = sample_window(p_dark, rng), sample_window(p_dark, rng)
+            d1, d2 = d1 or dark1 > 0, d2 or dark2 > 0
+            counts[2 * (not d1) + (not d2)] += 1
+        return counts
+
+    def test_window_outcomes_match_scalar_oracle(self):
+        oracle = self.oracle_outcomes(200_000, np.random.default_rng(2024))
+        windows = 250_000
+        trace = self.sampled(points=4, windows=windows, seed=31)
+        c, d1, d2 = trace.coincidences.sum(), trace.singles_d1.sum(), trace.singles_d2.sum()
+        sampled = np.array([c, d1 - c, d2 - c, 4 * windows - d1 - d2 + c])
+
+        # The oracle follows the closed-form outcome probabilities ...
+        q1, q2 = self.firing_probabilities()
+        pvals = np.array([q1 * q2, q1 * (1 - q2), (1 - q1) * q2, (1 - q1) * (1 - q2)])
+        assert chi_square(oracle, oracle.sum() * pvals) < CHI2_3DOF_P001
+
+        # ... and the sampler's outcome frequencies are homogeneous with it.
+        table = np.array([oracle, sampled], dtype=float)
+        expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+        assert chi_square(table, expected) < CHI2_3DOF_P001
+
+    def test_bin_moments_match_multinomial_closed_form(self):
+        bins, windows = 20_000, 2_000
+        trace = self.sampled(points=bins, windows=windows, seed=47)
+        q1, q2 = self.firing_probabilities()
+        c = q1 * q2
+        d1 = trace.singles_d1.astype(float)
+        coinc = trace.coincidences.astype(float)
+        for observed, p in ((d1, q1), (trace.singles_d2.astype(float), q2), (coinc, c)):
+            mean, var = windows * p, windows * p * (1.0 - p)
+            assert abs(observed.mean() - mean) < 5.0 * np.sqrt(var / bins)
+            assert abs(observed.var(ddof=1) - var) < 5.0 * var * np.sqrt(2.0 / (bins - 1))
+        # cov(d1, coinc) = var(both) + cov(d1 only, both) = W c (1 - c) - W q1 (1 - q2) c
+        cov = windows * c * (1.0 - q1)
+        var_d1, var_c = windows * q1 * (1.0 - q1), windows * c * (1.0 - c)
+        observed_cov = np.cov(d1, coinc)[0, 1]
+        assert abs(observed_cov - cov) < 5.0 * np.sqrt((var_d1 * var_c + cov**2) / bins)
+
+
 class TestSimulateClassical:
     def test_noiseless_matches_closed_form_exactly(self):
         chain = build_cbw_chain(2, 0.0)
