@@ -328,10 +328,20 @@ def evaluate_chain(ast: CircuitAst, bindings: Mapping[str, float] | None = None)
     Binding values may be scalars or broadcastable arrays, in which case a
     matrix stack of shape ``(..., 2, 2)`` is returned.  Raises
     :class:`UnboundParameterError` if the chain references a parameter that
-    is missing from ``bindings``.
+    is missing from ``bindings``.  Repeated elements share one matrix, so
+    an m-stage cascade builds two MZI stacks, not m.
     """
     bindings = {} if bindings is None else bindings
-    return optics.compose([_element_matrix(e, bindings) for e in ast.elements])
+    # Each distinct (kind, arm, phase) is built once: phase is a literal or
+    # a parameter name, and the bindings are fixed for this call.
+    matrices: dict = {}
+    chain = []
+    for element in ast.elements:
+        key = (element.kind, element.arm, element.phase)
+        if key not in matrices:
+            matrices[key] = _element_matrix(element, bindings)
+        chain.append(matrices[key])
+    return optics.compose(chain)
 
 
 def output_intensities(ast: CircuitAst, bindings: Mapping[str, float] | None = None):

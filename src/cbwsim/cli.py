@@ -65,6 +65,8 @@ def parse_phase(text) -> float:
         else:
             coeff = float(coeff_s)
         divisor = float(div_s) if div_s else 1.0
+        if divisor == 0.0:
+            raise ConfigError(f"invalid phase value {text!r}: division by zero")
         return coeff * math.pi / divisor
     try:
         return float(s)
@@ -141,7 +143,8 @@ def _build_parser() -> _Parser:
     def add_common(p):
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--modules", type=int, help="number of cascaded MZI stages")
-        p.add_argument("--phi", type=parse_phase, help="control phase (radians, pi forms, deg:<x>)")
+        # Parsed in _scan_config, so a bad value is a one-line ConfigError.
+        p.add_argument("--phi", help="control phase (radians, pi forms, deg:<x>)")
         p.add_argument("--points", type=int, help="acquisition bins across the ramp")
         p.add_argument("--ramp-start", type=float, dest="ramp_start")
         p.add_argument("--ramp-end", type=float, dest="ramp_end")
@@ -229,7 +232,7 @@ def _scan_config(s: _Settings) -> ScanConfig:
         points=s.get("points", 5000),
         bin_duration=s.get("bin_duration", 0.1),
         calibration=PztCalibration(s.get("cycles_per_ramp", PztCalibration().cycles_per_full_ramp)),
-        phi=s.get("phi", 0.0),
+        phi=parse_phase(s.get("phi", 0.0)),
         modules=s.get("modules", 2),
         circuit=ast,
     )
@@ -353,8 +356,11 @@ def _cmd_sensitivity(args) -> int:
     grid = s.get("grid", 100_000)
     if max_m < 1:
         raise ConfigError("max_m must be >= 1")
-    reports = [dataclasses.asdict(experiment.estimate_sensitivity(m, grid))
-               for m in range(1, max_m + 1)]
+    baseline = experiment.estimate_sensitivity(1, grid)
+    reports = [dataclasses.asdict(baseline)] + [
+        dataclasses.asdict(experiment.estimate_sensitivity(m, grid, eta_classical=baseline.eta))
+        for m in range(2, max_m + 1)
+    ]
     payload = {"grid_points": grid, "reports": reports}
     if args.out:
         trace_io.write_json_report(payload, args.out)

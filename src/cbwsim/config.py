@@ -50,6 +50,7 @@ class PztCalibration:
     cycles_per_full_ramp: float = DEFAULT_CYCLES_PER_RAMP
 
     def __post_init__(self):
+        _require_finite(self, ("cycles_per_full_ramp",))
         if self.cycles_per_full_ramp <= 0:
             raise ConfigError("cycles_per_full_ramp must be positive")
 
@@ -171,6 +172,7 @@ class ScanConfig:
     circuit: CircuitAst | None = None
 
     def __post_init__(self):
+        _require_finite(self, ("ramp_start", "ramp_end", "scan_duration", "bin_duration", "phi"))
         if self.points == 0 and self.scan_duration == 0:
             return
         if self.points < 2:

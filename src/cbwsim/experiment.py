@@ -8,6 +8,7 @@ fringe period, and the phase-sensitivity scaling of the cascade order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,10 @@ __all__ = [
     "run_scan",
     "visibility",
 ]
+
+
+# Relative tolerance under which two slope peaks count as equally high.
+_PEAK_TIE_RTOL = 1e-9
 
 
 class InsufficientFringesError(ValueError):
@@ -229,7 +234,9 @@ def fringe_stats(values, psi, prominence: float = 0.2) -> FringeStats:
     )
 
 
-def estimate_sensitivity(m: int, grid_points: int = 100_000) -> SensitivityReport:
+def estimate_sensitivity(
+    m: int, grid_points: int = 100_000, *, eta_classical: float | None = None,
+) -> SensitivityReport:
     """Phase-sensitivity scaling of the m-stage cascade at control phase 0.
 
     Evaluates the noiseless normalised intensity difference
@@ -237,24 +244,34 @@ def estimate_sensitivity(m: int, grid_points: int = 100_000) -> SensitivityRepor
     over one full fringe period of the classical baseline, takes the
     maximum central-difference slope ``eta = max |d(dI)/dpsi|``, and
     reports ``delta_phi = 1/eta`` plus its ratio to the ``m=1`` baseline.
-    The maximum-slope location is reported rather than assumed.
+    The maximum-slope location is reported rather than assumed: it is the
+    first grid point whose ``|slope|`` reaches ``(1 - 1e-9) * eta``, so
+    peaks of equal height are not told apart by rounding noise.
+
+    ``eta_classical`` is the ``m=1`` baseline's ``eta`` at the same
+    ``grid_points``; pass it to skip recomputing the baseline when
+    reporting several orders.  The result is identical either way.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     if grid_points < 10_000 * m:
         raise ValueError("grid must resolve >= 10000 points per fringe period")
+    if eta_classical is not None and not (math.isfinite(eta_classical) and eta_classical > 0):
+        raise ValueError("eta_classical must be a positive finite number")
 
     def max_slope(order: int):
         ast = circuit_mod.build_cbw_chain(order, phi=0.0)
         psi = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
         upper, lower = circuit_mod.output_intensities(ast, {"psi": psi})
         diff = upper - lower
-        slope = np.gradient(diff, psi)
-        idx = int(np.argmax(np.abs(slope)))
-        return float(np.abs(slope[idx])), float(psi[idx])
+        slope = np.abs(np.gradient(diff, psi))
+        peak = float(np.max(slope))
+        idx = int(np.argmax(slope >= (1.0 - _PEAK_TIE_RTOL) * peak))
+        return peak, float(psi[idx])
 
     eta, argmax_psi = max_slope(m)
-    eta_classical, _ = (eta, argmax_psi) if m == 1 else max_slope(1)
+    if eta_classical is None:
+        eta_classical = eta if m == 1 else max_slope(1)[0]
     delta_phi = 1.0 / eta
     return SensitivityReport(
         m=m,

@@ -243,6 +243,41 @@ class TestEvaluate:
             assert optics.is_unitary(evaluate_chain(ast, {}))
 
 
+    def test_repeated_elements_and_two_parameters_match_elementwise_product(self):
+        rng = np.random.default_rng(10)
+        psi, theta = rng.uniform(-6, 6, 50), rng.uniform(-6, 6, 50)
+        bindings = {"psi": psi, "theta": theta}
+        for _ in range(40):
+            elements, matrices = [], []
+            for i in range(int(rng.integers(1, 13))):
+                arm = Arm.UPPER if rng.random() < 0.5 else Arm.LOWER
+                phase = ["psi", "theta", 0.7][int(rng.integers(3))]
+                value = bindings.get(phase, phase)
+                if rng.random() < 0.5:
+                    elements.append(ElementNode(ElementKind.MZI, arm, phase, f"s{i}"))
+                    matrices.append(optics.mzi(arm, value))
+                else:
+                    elements.append(ElementNode(ElementKind.PHASE, arm, phase))
+                    matrices.append(optics.phase_element(arm, value))
+            ast = CircuitAst(1.0, tuple(elements), ("a", "b"))
+            expected = matrices[0]
+            for matrix in matrices[1:]:
+                expected = matrix @ expected
+            got = evaluate_chain(ast, bindings)
+            assert got.shape == expected.shape
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_same_arm_different_parameters_are_not_merged(self):
+        ast = CircuitAst(1.0, (ElementNode(ElementKind.MZI, Arm.LOWER, "psi", "A"),
+                               ElementNode(ElementKind.MZI, Arm.LOWER, "theta", "B")), ("a", "b"))
+        expected = optics.mzi(Arm.LOWER, 0.9) @ optics.mzi(Arm.LOWER, 0.2)
+        np.testing.assert_allclose(evaluate_chain(ast, {"psi": 0.2, "theta": 0.9}), expected,
+                                   rtol=0, atol=1e-12)
+        with pytest.raises(UnboundParameterError) as info:
+            evaluate_chain(ast, {"psi": 0.2})
+        assert info.value.name == "theta"
+
+
 class TestChainProperties:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_period_is_two_pi_over_m(self, m):

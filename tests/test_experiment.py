@@ -251,6 +251,21 @@ class TestSensitivity:
         distance = np.min(np.abs(report.max_slope_psi - np.arange(1, 8, 2) * np.pi / 4))
         assert distance < 1e-3
 
+    def test_slope_location_is_the_first_peak(self):
+        step = 2 * np.pi / 100_000
+        for m, expected in zip(range(1, 6), [np.pi / 2, np.pi / 4, np.pi / 2, np.pi / 8, np.pi / 10]):
+            assert abs(estimate_sensitivity(m, 100_000).max_slope_psi - expected) <= step
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_passed_baseline_gives_the_same_report(self, m):
+        baseline = estimate_sensitivity(1, 50_000).eta
+        assert estimate_sensitivity(m, 50_000, eta_classical=baseline) == estimate_sensitivity(m, 50_000)
+
+    def test_baseline_must_be_positive_and_finite(self):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                estimate_sensitivity(2, 50_000, eta_classical=bad)
+
     def test_grid_must_resolve_each_period(self):
         with pytest.raises(ValueError):
             estimate_sensitivity(5, 20_000)

@@ -127,6 +127,8 @@ class TestParsePhase:
 
     def test_garbage_rejected(self):
         with pytest.raises(ConfigError):
+            cli.parse_phase("pi/0")
+        with pytest.raises(ConfigError):
             cli.parse_phase("one half pi")
         with pytest.raises(ConfigError):
             cli.parse_phase("deg:ninety")
@@ -261,6 +263,32 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("cbwsim: error: ") and err.count("\n") == 1
         assert field in err
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--phi", "pi/0"], "division by zero"),
+        (["--phi", "nan"], "phi"),
+        (["--ramp-start=-inf"], "ramp_start"),
+        (["--ramp-end", "nan"], "ramp_end"),
+        (["--scan-duration", "nan"], "scan_duration"),
+        (["--bin-duration", "inf"], "bin_duration"),
+        (["--cycles-per-ramp", "nan"], "cycles_per_full_ramp"),
+    ])
+    @pytest.mark.parametrize("command", ["analytic", "scan"])
+    def test_non_finite_scan_settings_exit_one(self, tmp_path, capsys, command, flags, field):
+        out = tmp_path / "x"
+        mode = ["--mode", "classical"] if command == "scan" else []
+        assert cli.dispatch([command, "--points", "10", *mode, *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cbwsim: error: ") and err.count("\n") == 1
+        assert field in err
+        assert not out.exists()
+
+    def test_phase_in_config_file_checked_too(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("phi=3pi/0\n")
+        assert cli.dispatch(["analytic", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cbwsim: error: ") and err.count("\n") == 1
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert cli.dispatch(["frobnicate"]) == 1

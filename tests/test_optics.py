@@ -182,3 +182,67 @@ class TestInvariants:
             base = intensities(apply(m, [1.0, 0.0]))
             shifted = intensities(apply(np.exp(1j * theta) * m, [1.0, 0.0]))
             assert max(abs(base[0] - shifted[0]), abs(base[1] - shifted[1])) < 1e-12
+
+
+SHAPES = [(), (7,), (3, 4)]
+
+
+def random_element(rng, shape):
+    """A random mzi or phase element over phases of ``shape``."""
+    arm = Arm.UPPER if rng.random() < 0.5 else Arm.LOWER
+    phase = rng.uniform(-2 * np.pi, 2 * np.pi, shape)
+    return mzi(arm, phase) if rng.random() < 0.5 else phase_element(arm, phase)
+
+
+class TestKernelsMatchNumpy:
+    """The entrywise kernels against numpy's ``@`` and ``einsum`` as the oracle."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("arm", [Arm.UPPER, Arm.LOWER])
+    def test_mzi_is_bs_phase_bs(self, shape, arm):
+        phase = np.random.default_rng(31).uniform(-10, 10, shape)
+        bs = beam_splitter()
+        got = mzi(arm, phase)
+        assert got.shape == shape + (2, 2)
+        np.testing.assert_allclose(got, bs @ phase_element(arm, phase) @ bs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_compose_mixing_single_matrices_and_stacks(self, shape):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            chain = [random_element(rng, shape if rng.random() < 0.5 else ())
+                     for _ in range(rng.integers(1, 9))]
+            expected = chain[0]
+            for element in chain[1:]:
+                expected = element @ expected
+            got = compose(chain)
+            assert got.shape == expected.shape
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_compose_broadcasts_stacks_of_different_shapes(self):
+        rng = np.random.default_rng(33)
+        a, b = random_element(rng, (3, 1)), random_element(rng, (4,))
+        np.testing.assert_allclose(compose([a, b]), b @ a, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_apply_matches_einsum(self, shape):
+        rng = np.random.default_rng(34)
+        matrix = compose([random_element(rng, shape) for _ in range(3)])
+        for field_shape in [(2,), shape + (2,)]:
+            field = rng.normal(size=field_shape) + 1j * rng.normal(size=field_shape)
+            expected = np.einsum("...ij,...j->...i", matrix, field)
+            got = apply(matrix, field)
+            assert got.shape == expected.shape
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_mzi_validates_phase_and_arm(self):
+        with pytest.raises(ValueError):
+            mzi(Arm.LOWER, [0.0, np.nan])
+        with pytest.raises(TypeError):
+            mzi("lower", 0.0)
+
+    def test_non_2x2_operands_rejected(self):
+        with pytest.raises(ValueError):
+            compose([np.eye(2), np.eye(3)])
+        with pytest.raises(ValueError):
+            apply(np.eye(2), [1.0, 0.0, 0.0])
