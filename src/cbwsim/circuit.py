@@ -73,11 +73,21 @@ class CircuitParseError(ValueError):
 
 
 class UnboundParameterError(KeyError):
-    """A circuit parameter was referenced but not bound at evaluation time."""
+    """Circuit parameters were referenced but not bound at evaluation time.
 
-    def __init__(self, name: str):
+    ``name`` is the first unbound name and ``names`` all of them.  ``str()``
+    is the plain message, not ``KeyError``'s quoted repr of it.
+    """
+
+    def __init__(self, name: str, *more: str):
         self.name = name
-        super().__init__(f"unbound circuit parameter {name!r}")
+        self.names = (name, *more)
+        plural = "s" if more else ""
+        self.message = f"unbound circuit parameter{plural} " + ", ".join(map(repr, self.names))
+        super().__init__(self.message)
+
+    def __str__(self) -> str:
+        return self.message
 
 
 @dataclass(frozen=True)

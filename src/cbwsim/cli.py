@@ -262,8 +262,11 @@ def _cmd_analytic(args) -> int:
     scan = _scan_config(s)
     if scan.circuit is not None:
         raise ConfigError("analytic sweeps are defined by --modules/--phi, not a circuit file")
+    i0 = s.get("i0", 1.0)
+    if not (math.isfinite(i0) and i0 >= 0):
+        raise ConfigError(f"i0 must be a finite number >= 0, got {i0!r}")
     psi = scan.psi_values()
-    prediction = analytic.cbw_intensities(psi, scan.phi, scan.modules, s.get("i0", 1.0))
+    prediction = analytic.cbw_intensities(psi, scan.phi, scan.modules, i0)
     trace = montecarlo.CountTrace(
         mode=SourceMode.CLASSICAL_INTENSITY,
         bin_index=np.arange(scan.points, dtype=np.int64),
@@ -328,18 +331,16 @@ def _cmd_analyze(args) -> int:
     values = getattr(trace, columns[column])
     prominence = s.get("prominence", 0.2)
 
-    maxima, minima = experiment.find_extrema(values, prominence)
-    vis_mean, vis_std = experiment.visibility(values, prominence)
-    period = experiment.dominant_period(values, trace.psi)
+    stats = experiment.fringe_stats(values, trace.psi, prominence)
     payload = {
         "column": column,
         "source": str(args.input),
-        "maxima": [[int(i), float(v)] for i, v in maxima],
-        "minima": [[int(i), float(v)] for i, v in minima],
-        "visibility_mean": vis_mean,
-        "visibility_std": vis_std,
-        "dominant_period_rad": period,
-        "fringe_count": (len(maxima) + len(minima) + 1) / 2.0,
+        "maxima": [[int(i), float(v)] for i, v in stats.maxima],
+        "minima": [[int(i), float(v)] for i, v in stats.minima],
+        "visibility_mean": stats.visibility_mean,
+        "visibility_std": stats.visibility_std,
+        "dominant_period_rad": stats.dominant_period,
+        "fringe_count": stats.fringe_count,
     }
     if args.out:
         trace_io.write_json_report(payload, args.out)

@@ -50,13 +50,14 @@ class AmbiguousPeriodError(ValueError):
 
 @dataclass(frozen=True)
 class FringeStats:
-    """Extrema, visibility and dominant period of one fringe trace."""
+    """Extrema, visibility, dominant period and fringe count of one trace."""
 
     maxima: tuple
     minima: tuple
     visibility_mean: float
     visibility_std: float
     dominant_period: float
+    fringe_count: float
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,10 @@ def count_fringes(values, prominence: float = 0.2) -> float:
     ``n_max + n_min + 1`` half-periods, i.e. ``(n_max + n_min + 1) / 2``
     full fringes.
     """
-    maxima, minima = find_extrema(values, prominence)
+    return _fringe_count(*find_extrema(values, prominence))
+
+
+def _fringe_count(maxima, minima) -> float:
     return (len(maxima) + len(minima) + 1) / 2.0
 
 
@@ -174,7 +178,11 @@ def visibility(values, prominence: float = 0.2):
     Adjacent extrema (one maximum, one minimum, in bin order) each yield
     ``V = (max - min) / (max + min)``; single-pair traces report std 0.
     """
-    maxima, minima = find_extrema(values, prominence)
+    return _visibility(*find_extrema(values, prominence))
+
+
+def _visibility(maxima, minima):
+    """Per-fringe visibility mean and std from :func:`find_extrema` output."""
     extrema = sorted([(i, v, +1) for i, v in maxima] + [(i, v, -1) for i, v in minima])
     pairs = []
     for (_, v1, k1), (_, v2, k2) in zip(extrema, extrema[1:]):
@@ -221,9 +229,13 @@ def dominant_period(values, psi) -> float:
 
 
 def fringe_stats(values, psi, prominence: float = 0.2) -> FringeStats:
-    """Full fringe summary of one trace: extrema, visibility, period."""
+    """Full fringe summary of one trace: extrema, visibility, period, count.
+
+    The extrema are found once and shared by the visibility and the
+    fringe count.
+    """
     maxima, minima = find_extrema(values, prominence)
-    vis_mean, vis_std = visibility(values, prominence)
+    vis_mean, vis_std = _visibility(maxima, minima)
     period = dominant_period(values, psi)
     return FringeStats(
         maxima=tuple(maxima),
@@ -231,6 +243,7 @@ def fringe_stats(values, psi, prominence: float = 0.2) -> FringeStats:
         visibility_mean=vis_mean,
         visibility_std=vis_std,
         dominant_period=period,
+        fringe_count=_fringe_count(maxima, minima),
     )
 
 

@@ -137,6 +137,18 @@ def _windows_per_bin(scan: ScanConfig, source: SourceModel) -> int:
     return windows
 
 
+# The only circuit parameters a scan can bind: the scanned and the control phase.
+_SCAN_PARAMETERS = frozenset({"psi", "phi"})
+
+
+def _require_scan_parameters(ast: circuit_mod.CircuitAst) -> None:
+    """Raise :class:`~cbwsim.circuit.UnboundParameterError` naming every
+    parameter of ``ast`` other than ``psi``/``phi``; called before sampling."""
+    unbound = ast.parameters - _SCAN_PARAMETERS
+    if unbound:
+        raise circuit_mod.UnboundParameterError(*sorted(unbound))
+
+
 def _bindings(ast: circuit_mod.CircuitAst, psi, phi: float) -> dict:
     names = ast.parameters
     bindings: dict = {}
@@ -191,6 +203,7 @@ def simulate_scan_counts(
     """
     if source.mode is not SourceMode.PHOTON_COUNTING:
         raise ConfigError("simulate_scan_counts requires a photon-counting source")
+    _require_scan_parameters(ast)
     windows = _windows_per_bin(scan, source) if scan.points else 0
     points = scan.points
 
@@ -241,6 +254,7 @@ def simulate_classical_trace(
     """
     if source.mode is not SourceMode.CLASSICAL_INTENSITY:
         raise ConfigError("simulate_classical_trace requires a classical-intensity source")
+    _require_scan_parameters(ast)
     points = scan.points
 
     jitter_ss, drift_ss = np.random.SeedSequence(seed).spawn(2)

@@ -69,10 +69,10 @@ def emit_plot_svg(x, series, path, *, xlabel: str = "", ylabel: str = "", title:
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def px(value: float) -> float:
+    def px(value):
         return _MARGIN_L + (value - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(value: float) -> float:
+    def py(value):
         return _MARGIN_T + (y_hi - value) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -108,9 +108,12 @@ def emit_plot_svg(x, series, path, *, xlabel: str = "", ylabel: str = "", title:
         parts.append(f'<text x="18" y="{cy:.0f}" {font} font-size="13" text-anchor="middle" '
                      f'transform="rotate(-90 18 {cy:.0f})">{_esc(ylabel)}</text>')
 
+    # px/py apply the same IEEE operations, in the same order, to a whole
+    # array as to one value, so the batched points match per-point output.
+    xs = px(x).tolist()
     for idx, (label, y) in enumerate(zip(labels, arrays)):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(x, y))
+        points = " ".join(map("{:.2f},{:.2f}".format, xs, py(y).tolist()))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.3" '
                      f'points="{points}"/>')
 

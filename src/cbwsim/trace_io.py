@@ -1,7 +1,11 @@
 """CSV serialization of count traces and JSON report writing.
 
 Floats are written with 17 significant digits, which round-trips IEEE
-doubles exactly, so a written trace reads back bit-identical.
+doubles exactly, so a written trace reads back bit-identical.  Each
+column is converted to Python numbers once and every row is formatted by
+one call of a preformatted row template, giving the same bytes as
+formatting each value on its own; the reader parses the body with
+numpy's C parser (``np.loadtxt``) into integer and float columns.
 """
 
 from __future__ import annotations
@@ -26,8 +30,26 @@ PHOTON_HEADER = ("bin", "time_s", "voltage_V", "psi_rad", "d1", "d2", "coinc")
 CLASSICAL_HEADER = ("bin", "time_s", "voltage_V", "psi_rad", "i_gamma", "i_delta")
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+# Columns that hold integers; every other column is a float written with
+# 17 significant digits.
+_INTEGER_COLUMNS = frozenset({"bin", "d1", "d2", "coinc"})
+
+
+def _row_format(header):
+    """One ``str.format`` call per row.
+
+    ``{:d}`` of a Python int and ``{:.17g}`` of a Python float give the
+    same text as ``str(int(v))`` and ``format(float(v), ".17g")`` of each
+    element, so a row formats exactly as its values would one by one.
+    """
+    fields = ("{:d}" if name in _INTEGER_COLUMNS else "{:.17g}" for name in header)
+    return (",".join(fields) + "\n").format
+
+
+def _column(name: str, values) -> list:
+    if name in _INTEGER_COLUMNS:
+        return np.asarray(values).astype(np.int64).tolist()
+    return np.asarray(values, dtype=float).tolist()
 
 
 def write_trace_csv(trace: CountTrace, path) -> None:
@@ -35,25 +57,16 @@ def write_trace_csv(trace: CountTrace, path) -> None:
 
     Photon mode uses the 7-column schema ``bin,time_s,voltage_V,psi_rad,
     d1,d2,coinc`` (integer counts); classical mode the 6-column schema
-    ``bin,time_s,voltage_V,psi_rad,i_gamma,i_delta``.
+    ``bin,time_s,voltage_V,psi_rad,i_gamma,i_delta``.  The trace is
+    validated first, so a trace that would not read back is never written.
     """
-    photon = trace.mode is SourceMode.PHOTON_COUNTING
-    header = PHOTON_HEADER if photon else CLASSICAL_HEADER
-    lines = [",".join(header)]
-    for i in range(len(trace)):
-        row = [
-            str(int(trace.bin_index[i])),
-            _fmt(trace.time[i]),
-            _fmt(trace.voltage[i]),
-            _fmt(trace.psi[i]),
-        ]
-        if photon:
-            row += [str(int(trace.singles_d1[i])), str(int(trace.singles_d2[i])),
-                    str(int(trace.coincidences[i]))]
-        else:
-            row += [_fmt(trace.singles_d1[i]), _fmt(trace.singles_d2[i])]
-        lines.append(",".join(row))
-    data = "\n".join(lines) + "\n"
+    trace.validate()
+    header = PHOTON_HEADER if trace.mode is SourceMode.PHOTON_COUNTING else CLASSICAL_HEADER
+    arrays = (trace.bin_index, trace.time, trace.voltage, trace.psi,
+              trace.singles_d1, trace.singles_d2, trace.coincidences)
+    # zip stops at the header, so a classical trace drops its zero coincidences.
+    columns = [_column(name, values) for name, values in zip(header, arrays)]
+    data = ",".join(header) + "\n" + "".join(map(_row_format(header), *columns))
     try:
         Path(path).write_text(data, encoding="utf-8", newline="\n")
     except OSError as exc:
@@ -61,7 +74,13 @@ def write_trace_csv(trace: CountTrace, path) -> None:
 
 
 def read_trace_csv(path) -> CountTrace:
-    """Read a trace CSV written by :func:`write_trace_csv`."""
+    """Read a trace CSV written by :func:`write_trace_csv`.
+
+    Blank lines are skipped.  Every row must have the header's column
+    count, and the ``bin``/``d1``/``d2``/``coinc`` columns must hold
+    integer literals; a malformed row raises ``ValueError`` naming the
+    file.  A header-only file reads as an empty trace.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -77,25 +96,27 @@ def read_trace_csv(path) -> CountTrace:
     else:
         raise ValueError(f"{path}: unrecognised trace header {lines[0]!r}")
 
-    columns = [[] for _ in header]
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(fields)}")
-        for col, value in zip(columns, fields):
-            col.append(value)
+    dtype = np.dtype([(name, np.int64 if name in _INTEGER_COLUMNS else float) for name in header])
+    if len(lines) > 1:
+        try:
+            table = np.loadtxt(lines[1:], delimiter=",", dtype=dtype, comments=None, ndmin=1)
+        except ValueError as exc:
+            # numpy's message counts data rows and may append advice on ``usecols``.
+            reason = str(exc).split("; use `usecols`")[0]
+            raise ValueError(f"{path}: malformed trace data: {reason}") from None
+    else:
+        table = np.zeros(0, dtype=dtype)
+    columns = [np.array(table[name]) for name in header]
 
-    counts = np.int64 if photon else float
     trace = CountTrace(
         mode=SourceMode.PHOTON_COUNTING if photon else SourceMode.CLASSICAL_INTENSITY,
-        bin_index=np.array(columns[0], dtype=np.int64),
-        time=np.array(columns[1], dtype=float),
-        voltage=np.array(columns[2], dtype=float),
-        psi=np.array(columns[3], dtype=float),
-        singles_d1=np.array(columns[4], dtype=counts),
-        singles_d2=np.array(columns[5], dtype=counts),
-        coincidences=(np.array(columns[6], dtype=np.int64) if photon
-                      else np.zeros(len(columns[0]))),
+        bin_index=columns[0],
+        time=columns[1],
+        voltage=columns[2],
+        psi=columns[3],
+        singles_d1=columns[4],
+        singles_d2=columns[5],
+        coincidences=columns[6] if photon else np.zeros(len(table)),
     )
     trace.validate()
     return trace

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cbwsim import experiment
 from cbwsim.circuit import parse_circuit
 from cbwsim.config import NoiseModel, PztCalibration, ScanConfig, SourceMode, SourceModel, pzt_phase
 from cbwsim.experiment import (
@@ -230,6 +231,23 @@ class TestFringeStats:
         assert 0.0 <= stats.visibility_std < 0.01
         assert abs(stats.dominant_period - np.pi) < 0.01
         assert len(stats.maxima) >= 19 and len(stats.minima) >= 19
+
+    def test_single_pass_matches_the_separate_functions(self, monkeypatch):
+        trace = classical_scan(4096, modules=2, cycles=10.0)
+        values = trace.singles_d1
+        expected_vis = visibility(values, 0.2)
+        expected_count = count_fringes(values, 0.2)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return find_extrema(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "find_extrema", counting)
+        stats = fringe_stats(values, trace.psi, 0.2)
+        assert len(calls) == 1
+        assert (stats.visibility_mean, stats.visibility_std) == expected_vis
+        assert stats.fringe_count == expected_count == 20.0
 
 
 class TestSensitivity:

@@ -1,17 +1,19 @@
 import json
 import math
+import re
+import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from cbwsim import cli
-from cbwsim.circuit import build_cbw_chain
+from cbwsim import cli, experiment, svgplot
+from cbwsim.circuit import UnboundParameterError, build_cbw_chain
 from cbwsim.config import ConfigError, NoiseModel, ScanConfig, SourceMode, SourceModel
-from cbwsim.montecarlo import simulate_classical_trace, simulate_scan_counts
+from cbwsim.montecarlo import CountTrace, simulate_classical_trace, simulate_scan_counts
 from cbwsim.svgplot import emit_plot_svg
-from cbwsim.trace_io import read_trace_csv, write_trace_csv
+from cbwsim.trace_io import CLASSICAL_HEADER, PHOTON_HEADER, read_trace_csv, write_trace_csv
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "cbwsim" / "schemas"
 
@@ -81,6 +83,176 @@ class TestTraceCsv:
             read_trace_csv(path)
 
 
+def oracle_csv(trace) -> bytes:
+    """Per-row, per-value CSV formatting: the oracle of the batched writer."""
+    def fmt(value):
+        return format(float(value), ".17g")
+
+    photon = trace.mode is SourceMode.PHOTON_COUNTING
+    lines = [",".join(PHOTON_HEADER if photon else CLASSICAL_HEADER)]
+    for i in range(len(trace)):
+        row = [str(int(trace.bin_index[i])), fmt(trace.time[i]), fmt(trace.voltage[i]),
+               fmt(trace.psi[i])]
+        if photon:
+            row += [str(int(trace.singles_d1[i])), str(int(trace.singles_d2[i])),
+                    str(int(trace.coincidences[i]))]
+        else:
+            row += [fmt(trace.singles_d1[i]), fmt(trace.singles_d2[i])]
+        lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def oracle_points(x, arrays) -> list:
+    """Per-point polyline formatting: the oracle of the batched SVG points."""
+    x_lo, x_hi = float(np.min(x)), float(np.max(x))
+    y_lo = min(float(np.min(y)) for y in arrays)
+    y_hi = max(float(np.max(y)) for y in arrays)
+    if x_hi == x_lo:
+        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    pad = 0.04 * (y_hi - y_lo)
+    y_lo -= pad
+    y_hi += pad
+    plot_w = svgplot._WIDTH - svgplot._MARGIN_L - svgplot._MARGIN_R
+    plot_h = svgplot._HEIGHT - svgplot._MARGIN_T - svgplot._MARGIN_B
+
+    def px(value):
+        return svgplot._MARGIN_L + (value - x_lo) / (x_hi - x_lo) * plot_w
+
+    def py(value):
+        return svgplot._MARGIN_T + (y_hi - value) / (y_hi - y_lo) * plot_h
+
+    return [" ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(x, y)) for y in arrays]
+
+
+def random_doubles(rng, n):
+    """Finite doubles from random bit patterns: every exponent, sign and subnormals."""
+    values = np.frombuffer(rng.bytes(8 * n), dtype=float).copy()
+    values[~np.isfinite(values)] = 0.0
+    return values
+
+
+def make_trace(mode, time, voltage, psi, d1, d2, coinc=None):
+    n = len(time)
+    return CountTrace(
+        mode=mode, bin_index=np.arange(n, dtype=np.int64), time=np.asarray(time, dtype=float),
+        voltage=np.asarray(voltage, dtype=float), psi=np.asarray(psi, dtype=float),
+        singles_d1=np.asarray(d1), singles_d2=np.asarray(d2),
+        coincidences=np.zeros(n) if coinc is None else np.asarray(coinc),
+    )
+
+
+def assert_bits_equal(a, b):
+    """Equal values and dtypes, with -0.0 told apart from 0.0."""
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300,
+               1.7976931348623157e308, 0.1, 1 / 3, -2.5, 2.0 ** 53]
+NEAR_2_53 = [2**53 - 1, 2**53, 2**53 + 1, 0, 1, 2**62]
+
+
+class TestBatchedWriterMatchesOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_photon_trace(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n = 300
+        d1 = rng.integers(0, 2**62, n)
+        d2 = rng.integers(0, 2**62, n)
+        coinc = np.minimum(d1, d2) // rng.integers(1, 5, n)
+        trace = make_trace(SourceMode.PHOTON_COUNTING, random_doubles(rng, n),
+                           random_doubles(rng, n), random_doubles(rng, n), d1, d2, coinc)
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == oracle_csv(trace)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_classical_trace(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n = 300
+        trace = make_trace(SourceMode.CLASSICAL_INTENSITY, random_doubles(rng, n),
+                           random_doubles(rng, n), random_doubles(rng, n),
+                           np.abs(random_doubles(rng, n)), np.abs(random_doubles(rng, n)))
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == oracle_csv(trace)
+
+    def test_simulated_traces(self, tmp_path):
+        for trace in (photon_trace(points=200), classical_trace(points=200)):
+            path = tmp_path / "t.csv"
+            write_trace_csv(trace, path)
+            assert path.read_bytes() == oracle_csv(trace)
+
+    def test_edge_values_round_trip_bit_identical(self, tmp_path):
+        n = len(NEAR_2_53)
+        floats = np.resize(np.array(EDGE_FLOATS), n)
+        for trace in (
+            make_trace(SourceMode.PHOTON_COUNTING, floats, floats[::-1], -floats,
+                       np.array(NEAR_2_53, dtype=np.int64), np.array(NEAR_2_53, dtype=np.int64),
+                       np.array(NEAR_2_53, dtype=np.int64)),
+            make_trace(SourceMode.CLASSICAL_INTENSITY, EDGE_FLOATS, EDGE_FLOATS[::-1],
+                       EDGE_FLOATS, np.abs(EDGE_FLOATS), np.abs(EDGE_FLOATS[::-1])),
+        ):
+            path = tmp_path / "t.csv"
+            write_trace_csv(trace, path)
+            assert path.read_bytes() == oracle_csv(trace)
+            back = read_trace_csv(path)
+            for field in ("bin_index", "time", "voltage", "psi", "singles_d1", "singles_d2"):
+                assert_bits_equal(getattr(back, field), getattr(trace, field))
+
+    @pytest.mark.parametrize("mode", list(SourceMode))
+    def test_one_row_trace(self, tmp_path, mode):
+        trace = make_trace(mode, [-0.0], [5e-324], [1e300], np.array([3]), np.array([4]),
+                           np.array([2]) if mode is SourceMode.PHOTON_COUNTING else None)
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == oracle_csv(trace)
+        assert len(read_trace_csv(path)) == 1
+
+    def test_invalid_trace_is_not_written(self, tmp_path):
+        trace = photon_trace(points=4)
+        trace.time[2] = np.nan
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_trace_csv(trace, path)
+        assert not path.exists()
+
+
+class TestReaderRejects:
+    GOOD = "0,0,0,0,5,4,2"
+
+    @pytest.mark.parametrize("row", [
+        "1,0.1,0.2,0.3,5,4",          # short row
+        "1,0.1,0.2,0.3,5,4,2,9",      # long row
+        "1,0.1,volts,0.3,5,4,2",      # non-numeric field
+        "1,0.1,0.2,0.3,3.5,4,2",      # non-integer count
+    ])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_malformed_row_names_the_file(self, tmp_path, row, first):
+        path = tmp_path / "bad.csv"
+        rows = [row, self.GOOD] if first else [self.GOOD, row]
+        path.write_text("\n".join([",".join(PHOTON_HEADER), *rows]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("header", [PHOTON_HEADER, CLASSICAL_HEADER])
+    def test_header_only_is_an_empty_trace_without_warnings(self, tmp_path, header):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(header) + "\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = read_trace_csv(path)
+        assert len(trace) == 0 and len(trace.coincidences) == 0
+        assert (trace.mode is SourceMode.PHOTON_COUNTING) == (header == PHOTON_HEADER)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text(",".join(PHOTON_HEADER) + "\n\n" + self.GOOD + "\n  \n1,1,1,1,3,3,1\n")
+        trace = read_trace_csv(path)
+        np.testing.assert_array_equal(trace.singles_d1, [5, 3])
+
+
 class TestSvg:
     def test_three_series_three_polylines_three_legend_entries(self, tmp_path):
         x = np.linspace(0, 1, 50)
@@ -108,6 +280,28 @@ class TestSvg:
         emit_plot_svg(x, series, p1, title="run")
         emit_plot_svg(x, series, p2, title="run")
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_points_match_per_point_formatting(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(-3.0, 50.0, 500))
+        series = [("a", rng.normal(0.0, 1e3, 500)), ("b", np.sin(x)), ("c", np.full(500, 7.0))]
+        path = tmp_path / "p.svg"
+        emit_plot_svg(x, series, path)
+        got = re.findall(r'points="([^"]*)"', path.read_text())
+        assert got == oracle_points(x, [y for _, y in series])
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.0, 1.0], [2.0, 3.0]),                 # two points
+        ([0.0, 1.0], [1e-310, -0.0]),             # subnormal values
+        ([-1e300, 1e300], [1e300, -1e300]),       # huge spans
+        ([4.0, 4.0], [1.0, 1.0]),                 # degenerate axes
+    ])
+    def test_two_point_edge_plots(self, tmp_path, x, y):
+        x, y = np.array(x), np.array(y)
+        path = tmp_path / "p.svg"
+        emit_plot_svg(x, [("y", y)], path)
+        assert re.findall(r'points="([^"]*)"', path.read_text()) == oracle_points(x, [y])
 
 
 class TestParsePhase:
@@ -289,6 +483,51 @@ class TestDispatch:
         assert cli.dispatch(["analytic", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("cbwsim: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_i0_exits_one(self, tmp_path, capsys, value):
+        out = tmp_path / "x.csv"
+        assert cli.dispatch(["analytic", "--points", "10", f"--i0={value}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cbwsim: error: i0 ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["photon", "classical"])
+    def test_unbound_circuit_parameters_exit_one_unquoted(self, tmp_path, capsys, mode):
+        mzi_file = tmp_path / "theta.mzi"
+        mzi_file.write_text("mzi C arm=lower phase=psi\nphase arm=upper value=theta\n"
+                            "mzi W arm=upper phase=alpha\ndetect a b\n")
+        out = tmp_path / "x"
+        code = cli.dispatch(["scan", "--mode", mode, "--points", "20", "--circuit", str(mzi_file),
+                             "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "cbwsim: error: unbound circuit parameters 'alpha', 'theta'\n"
+        assert not out.exists()
+
+    def test_unbound_parameter_error_str_is_the_plain_message(self):
+        assert str(UnboundParameterError("theta")) == "unbound circuit parameter 'theta'"
+
+    def test_analyze_finds_extrema_once(self, tmp_path, monkeypatch):
+        trace_csv = tmp_path / "trace.csv"
+        cli.dispatch(["analytic", "--points", "2000", "--out", str(trace_csv)])
+        calls = []
+        find_extrema = experiment.find_extrema
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return find_extrema(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "find_extrema", counting)
+        report = tmp_path / "stats.json"
+        assert cli.dispatch(["analyze", "--in", str(trace_csv), "--out", str(report)]) == 0
+        assert len(calls) == 1
+        payload = json.loads(report.read_text())
+        trace = read_trace_csv(trace_csv)
+        stats = experiment.fringe_stats(trace.singles_d1, trace.psi)
+        assert payload["fringe_count"] == stats.fringe_count
+        assert payload["visibility_mean"] == stats.visibility_mean
+        assert payload["maxima"] == [list(m) for m in stats.maxima]
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert cli.dispatch(["frobnicate"]) == 1

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from cbwsim import montecarlo
 from cbwsim.analytic import expected_coincidence_fraction
-from cbwsim.circuit import CircuitAst, ElementKind, ElementNode, build_cbw_chain
+from cbwsim.circuit import CircuitAst, ElementKind, ElementNode, UnboundParameterError, build_cbw_chain
 from cbwsim.config import ConfigError, NoiseModel, PztCalibration, ScanConfig, SourceMode, SourceModel
 from cbwsim.montecarlo import (
     CountTrace,
@@ -290,6 +291,28 @@ class TestSimulateClassical:
         scan = ScanConfig(points=4, bin_duration=0.001, scan_duration=0.004)
         with pytest.raises(ConfigError):
             simulate_classical_trace(chain, scan, photon_source(0.1), QUIET, seed=0)
+
+
+class TestUnboundParameters:
+    @pytest.mark.parametrize("simulate, source", [
+        (simulate_scan_counts, photon_source(0.1, 1e-6)),
+        (simulate_classical_trace, classical_source()),
+    ])
+    def test_every_unbound_name_raised_before_sampling(self, monkeypatch, simulate, source):
+        ast = CircuitAst(1.0, (ElementNode(ElementKind.MZI, Arm.LOWER, "psi", "A"),
+                               ElementNode(ElementKind.PHASE, Arm.UPPER, "theta"),
+                               ElementNode(ElementKind.PHASE, Arm.UPPER, "phi"),
+                               ElementNode(ElementKind.MZI, Arm.UPPER, "alpha", "B")), ("a", "b"))
+        scan = ScanConfig(points=4, bin_duration=0.001, scan_duration=0.004)
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the parameter check")
+
+        monkeypatch.setattr(montecarlo, "_noise_walks", no_sampling)
+        with pytest.raises(UnboundParameterError) as info:
+            simulate(ast, scan, source, QUIET, seed=0)
+        assert info.value.names == ("alpha", "theta")
+        assert str(info.value) == "unbound circuit parameters 'alpha', 'theta'"
 
 
 class TestCoincidenceDoubling:
