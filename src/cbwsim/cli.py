@@ -301,9 +301,6 @@ def _cmd_scan(args) -> int:
     s = _Settings(args)
     mode = SourceMode.CLASSICAL_INTENSITY if s.get("mode", "photon") == "classical" else SourceMode.PHOTON_COUNTING
     trace = _run_configured_scan(s, mode)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace_io.write_trace_csv(trace, out_dir / "trace.csv")
     if mode is SourceMode.PHOTON_COUNTING:
         series = [("d1", trace.singles_d1), ("d2", trace.singles_d2),
                   ("coinc", trace.coincidences)]
@@ -311,8 +308,21 @@ def _cmd_scan(args) -> int:
     else:
         series = [("i_gamma", trace.singles_d1), ("i_delta", trace.singles_d2)]
         ylabel = "output power"
-    emit_plot_svg(trace.time, series, out_dir / "trace.svg",
-                  xlabel="time (s)", ylabel=ylabel, title="PZT scan")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # Both files are written under staging names and renamed into place only
+    # once both succeeded, so a failed scan leaves neither output behind.
+    names = ("trace.csv", "trace.svg")
+    staged = [out_dir / f".{name}.partial" for name in names]
+    try:
+        trace_io.write_trace_csv(trace, staged[0])
+        emit_plot_svg(trace.time, series, staged[1],
+                      xlabel="time (s)", ylabel=ylabel, title="PZT scan")
+        for path, name in zip(staged, names):
+            path.replace(out_dir / name)
+    finally:
+        for path in staged:
+            path.unlink(missing_ok=True)
     return 0
 
 

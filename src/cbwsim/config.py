@@ -20,6 +20,7 @@ __all__ = [
     "ConfigError",
     "DEFAULT_CYCLES_PER_RAMP",
     "LAB_NOISE",
+    "MAX_POINTS",
     "NoiseModel",
     "PztCalibration",
     "ScanConfig",
@@ -30,6 +31,10 @@ __all__ = [
 
 # 21 coincidence fringes across the full ramp = 10.5 singles cycles.
 DEFAULT_CYCLES_PER_RAMP = 10.5
+
+# Largest number of acquisition bins in one scan.  Ten million bins is
+# about 1 GB of trace CSV; the cap keeps a typo from allocating far more.
+MAX_POINTS = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -158,7 +163,8 @@ class ScanConfig:
     ``circuit`` override is given.
 
     The degenerate empty scan (``points=0`` with ``scan_duration=0``) is
-    accepted and produces an empty trace.
+    accepted and produces an empty trace; ``points`` may not exceed
+    :data:`MAX_POINTS`.
     """
 
     ramp_start: float = 0.0
@@ -173,6 +179,8 @@ class ScanConfig:
 
     def __post_init__(self):
         _require_finite(self, ("ramp_start", "ramp_end", "scan_duration", "bin_duration", "phi"))
+        if self.points > MAX_POINTS:
+            raise ConfigError(f"points must be at most {MAX_POINTS}, got {self.points}")
         if self.points == 0 and self.scan_duration == 0:
             return
         if self.points < 2:

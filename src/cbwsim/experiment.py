@@ -22,6 +22,7 @@ __all__ = [
     "AmbiguousPeriodError",
     "FringeStats",
     "InsufficientFringesError",
+    "MAX_GRID_POINTS",
     "PztCalibration",
     "ScanConfig",
     "SensitivityReport",
@@ -38,6 +39,10 @@ __all__ = [
 
 # Relative tolerance under which two slope peaks count as equally high.
 _PEAK_TIE_RTOL = 1e-9
+
+# Largest sensitivity grid: ten times the default, a few hundred MB of
+# transfer-matrix stacks at peak.
+MAX_GRID_POINTS = 1_000_000
 
 
 class InsufficientFringesError(ValueError):
@@ -264,11 +269,14 @@ def estimate_sensitivity(
     ``eta_classical`` is the ``m=1`` baseline's ``eta`` at the same
     ``grid_points``; pass it to skip recomputing the baseline when
     reporting several orders.  The result is identical either way.
+    ``grid_points`` may not exceed :data:`MAX_GRID_POINTS`.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     if grid_points < 10_000 * m:
         raise ValueError("grid must resolve >= 10000 points per fringe period")
+    if grid_points > MAX_GRID_POINTS:
+        raise ValueError(f"grid must have at most {MAX_GRID_POINTS} points, got {grid_points}")
     if eta_classical is not None and not (math.isfinite(eta_classical) and eta_classical > 0):
         raise ValueError("eta_classical must be a positive finite number")
 

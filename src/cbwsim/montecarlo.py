@@ -19,7 +19,9 @@ independently of the other.  Within a bin the windows are iid, so the
 counts of the four window outcomes (both, d1 only, d2 only, neither) are
 exactly ``Multinomial(windows, [q1*q2, q1*(1-q2), (1-q1)*q2,
 (1-q1)*(1-q2)])``; one vectorised draw covers every bin of a scan, at a
-cost independent of the number of windows.
+cost independent of the number of windows.  A bin may hold at most
+:data:`MAX_WINDOWS_PER_BIN` (2**53) windows; larger
+``bin_duration / window_duration`` ratios are a :class:`ConfigError`.
 
 Reproducibility: the master seed feeds a ``numpy.random.SeedSequence``
 whose three spawned children are assigned, in order, to the phase-jitter
@@ -37,6 +39,7 @@ from . import circuit as circuit_mod
 from .config import ConfigError, NoiseModel, ScanConfig, SourceMode, SourceModel
 
 __all__ = [
+    "MAX_WINDOWS_PER_BIN",
     "CountTrace",
     "coincidence_fraction",
     "route_photons",
@@ -126,8 +129,18 @@ def route_photons(k: int, p_upper: float, efficiency: float, rng: np.random.Gene
     return d1, d2
 
 
+# Largest number of coincidence windows per bin: 2**53, below which every
+# count is exact as a float64 and fits the int64 the multinomial draw takes.
+MAX_WINDOWS_PER_BIN = 2**53
+
+
 def _windows_per_bin(scan: ScanConfig, source: SourceModel) -> int:
     ratio = scan.bin_duration / source.window_duration
+    if not ratio <= MAX_WINDOWS_PER_BIN:
+        raise ConfigError(
+            f"bin_duration / window_duration = {ratio:g} windows per bin; "
+            f"at most 2**53 = {MAX_WINDOWS_PER_BIN} are supported"
+        )
     windows = int(round(ratio))
     if windows < 1 or abs(ratio - windows) > 1e-6 * max(windows, 1):
         raise ConfigError(

@@ -22,6 +22,19 @@ spell the 2x2 products out as ``a_i0*b_0j + a_i1*b_1j`` on broadcast
 ``(...)``-shaped entry arrays.  That avoids numpy's batched ``@``, whose
 per-matrix overhead dominates on large stacks of 2x2 matrices.  The tests
 keep ``@``/``einsum`` as the independent oracle for these kernels.
+
+Stacks are stored entry-major: a ``shape + (2, 2)`` stack is a view of a
+``(2, 2) + shape`` buffer, and a ``shape + (2,)`` field one of a
+``(2,) + shape`` buffer.  Shape, dtype and broadcasting are those of an
+ordinary stack, but each entry ``m[..., i, j]`` and each field component
+``f[..., k]`` is one contiguous array, so the entrywise kernels never
+stride through memory.  :func:`mzi` and :func:`compose` write their
+entries into the result in place instead of allocating a temporary per
+arithmetic step.  :func:`compose` also drops every element that is
+an exact single ``(2, 2)`` identity (a zero phase shifter, say) before it
+multiplies; that can only change the sign of a zero entry, so intensities
+are unchanged bit for bit.  Identity stacks with batch axes are kept, as
+they may broadcast the result's shape.
 """
 
 from __future__ import annotations
@@ -71,7 +84,8 @@ def phase_element(arm: Arm, phase) -> np.ndarray:
     phase = np.asarray(phase, dtype=float)
     if not np.all(np.isfinite(phase)):
         raise ValueError("phase must be finite")
-    out = np.zeros(phase.shape + (2, 2), dtype=complex)
+    out = _empty_stack(phase.shape)
+    out[..., 0, 1] = out[..., 1, 0] = 0.0
     factor = np.exp(1j * phase)
     if arm is Arm.UPPER:
         out[..., 0, 0] = factor
@@ -100,17 +114,25 @@ def mzi(arm: Arm, phase) -> np.ndarray:
         raise ValueError("phase must be finite")
     if not isinstance(arm, Arm):
         raise TypeError(f"arm must be an Arm, got {arm!r}")
-    e = np.exp(1j * phase)
-    bar = 0.5 * (1.0 - e)  # the lower-arm (0, 0) entry
-    out = np.empty(phase.shape + (2, 2), dtype=complex)
-    out[..., 0, 1] = out[..., 1, 0] = 0.5j * (1.0 + e)
-    if arm is Arm.LOWER:
-        out[..., 0, 0] = bar
-        out[..., 1, 1] = -bar
-    else:
-        out[..., 0, 0] = -bar
-        out[..., 1, 1] = bar
+    out = _empty_stack(phase.shape)
+    m00, m01, m10, m11 = _entries(out)
+    bar, minus_bar = (m00, m11) if arm is Arm.LOWER else (m11, m00)
+    # The entries are computed in place, so ``1j * phase`` is the only other
+    # phase-shaped array; each ufunc takes the closed form's operands in
+    # its order, which keeps the values bit-identical to ``0.5 * (1 - e)``.
+    e = np.exp(1j * phase, out=m01)
+    np.subtract(1.0, e, out=bar)
+    np.multiply(0.5, bar, out=bar)  # bar = (1 - e)/2, the lower-arm (0, 0) entry
+    np.negative(bar, out=minus_bar)
+    np.add(1.0, e, out=m01)
+    np.multiply(0.5j, m01, out=m01)
+    m10[...] = m01
     return out
+
+
+def _empty_stack(shape: tuple) -> np.ndarray:
+    """An uninitialised complex ``shape + (2, 2)`` stack with contiguous entries."""
+    return np.moveaxis(np.empty((2, 2) + shape, dtype=complex), (0, 1), (-2, -1))
 
 
 def _as_matrix(matrix) -> np.ndarray:
@@ -126,19 +148,20 @@ def _entries(matrix) -> tuple:
     return matrix[..., 0, 0], matrix[..., 0, 1], matrix[..., 1, 0], matrix[..., 1, 1]
 
 
-def _product(a: tuple, b: tuple) -> tuple:
-    """Entries of ``A @ B`` from the entries of ``A`` and ``B``; shapes broadcast."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+def _product(a: tuple, b: tuple, out: np.ndarray) -> np.ndarray:
+    """Write ``A @ B`` into the stack ``out`` from the entries of ``A`` and ``B``.
 
-
-def _stack(entries: tuple) -> np.ndarray:
-    """Inverse of :func:`_entries`: assemble a ``(..., 2, 2)`` stack."""
-    shape = np.broadcast_shapes(*(np.shape(x) for x in entries))
-    out = np.empty(shape + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = entries
+    Entry ``(i, j)`` is ``a_i0*b_0j + a_i1*b_1j``, computed in place through
+    one scratch array.  ``out`` has the broadcast shape and shares no memory
+    with ``A`` or ``B``.
+    """
+    scratch = np.empty(out.shape[:-2], dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            entry = out[..., i, j]
+            np.multiply(a[2 * i], b[j], out=entry)
+            np.multiply(a[2 * i + 1], b[2 + j], out=scratch)
+            entry += scratch
     return out
 
 
@@ -147,15 +170,24 @@ def compose(elements: Sequence[np.ndarray]) -> np.ndarray:
 
     The first element acts on the field first, i.e. the result is
     ``elements[-1] @ ... @ elements[0]``.  Entries may be single matrices
-    or broadcast-compatible stacks of shape ``(..., 2, 2)``.  The running
-    product is kept as four entry arrays and stacked once at the end.
+    or broadcast-compatible stacks of shape ``(..., 2, 2)``.  Single exact
+    identities are skipped; if every element is one, the result is the
+    identity.  The running product alternates between two stacks of the
+    broadcast shape, so the chain allocates nothing else but one scratch
+    entry per product.
     """
     if len(elements) == 0:
         raise ValueError("cannot compose an empty element chain")
-    result = _entries(elements[0])
-    for element in elements[1:]:
-        result = _product(_entries(element), result)
-    return _stack(result)
+    matrices = [_as_matrix(element) for element in elements]
+    matrices = [m for m in matrices if m.shape != (2, 2) or not np.array_equal(m, _IDENTITY)]
+    if not matrices:
+        return _IDENTITY.copy()
+    shape = np.broadcast_shapes(*(m.shape[:-2] for m in matrices))
+    product, spare = _empty_stack(shape), _empty_stack(shape)
+    product[...] = matrices[0]
+    for matrix in matrices[1:]:
+        product, spare = _product(_entries(matrix), _entries(product), spare), product
+    return product
 
 
 def apply(matrix: np.ndarray, field) -> np.ndarray:
@@ -165,7 +197,10 @@ def apply(matrix: np.ndarray, field) -> np.ndarray:
     if field.shape[-1:] != (2,):
         raise ValueError(f"expected a (..., 2) field, got shape {field.shape}")
     upper, lower = field[..., 0], field[..., 1]
-    return np.stack(np.broadcast_arrays(m00 * upper + m01 * lower, m10 * upper + m11 * lower), axis=-1)
+    out = np.empty((2,) + np.broadcast_shapes(m00.shape, upper.shape), dtype=complex)
+    out[0] = m00 * upper + m01 * lower
+    out[1] = m10 * upper + m11 * lower
+    return np.moveaxis(out, 0, -1)
 
 
 def intensities(field) -> tuple:
@@ -183,5 +218,6 @@ def is_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     if tol <= 0:
         raise ValueError("tol must be positive")
     matrix = _as_matrix(matrix)
-    gram = _stack(_product(_entries(np.swapaxes(matrix.conj(), -1, -2)), _entries(matrix)))
+    gram = _product(_entries(np.swapaxes(matrix.conj(), -1, -2)), _entries(matrix),
+                    _empty_stack(matrix.shape[:-2]))
     return bool(np.max(np.abs(gram - _IDENTITY)) <= tol)

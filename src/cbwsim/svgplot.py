@@ -18,14 +18,19 @@ _PALETTE = ("#000000", "#c62828", "#1565c0", "#2e7d32", "#ef6c00", "#6a1b9a")
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> np.ndarray:
-    if hi <= lo:
-        return np.array([lo])
+    """Round-number ticks across ``[lo, hi]``; just ``lo`` when the span is
+    empty or when the tick step underflows to 0 or is not finite (a
+    subnormal or overflowing span)."""
     raw = (hi - lo) / max(n - 1, 1)
+    if not 0.0 < raw < np.inf:
+        return np.array([lo])
     magnitude = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * magnitude
         if step >= raw:
             break
+    if not 0.0 < step < np.inf:
+        return np.array([lo])
     first = np.ceil(lo / step) * step
     ticks = np.arange(first, hi + step * 1e-9, step)
     return ticks[(ticks >= lo - step * 1e-9) & (ticks <= hi + step * 1e-9)]

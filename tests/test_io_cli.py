@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from cbwsim import cli, experiment, svgplot
+from cbwsim import cli, config, experiment, svgplot
 from cbwsim.circuit import UnboundParameterError, build_cbw_chain
 from cbwsim.config import ConfigError, NoiseModel, ScanConfig, SourceMode, SourceModel
 from cbwsim.montecarlo import CountTrace, simulate_classical_trace, simulate_scan_counts
@@ -304,6 +304,31 @@ class TestSvg:
         assert re.findall(r'points="([^"]*)"', path.read_text()) == oracle_points(x, [y])
 
 
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, 5e-324),            # the step underflows to 0
+        (0.0, 1e-323),
+        (-1e308, 1e308),          # the span overflows to inf
+        (0.0, np.inf),
+        (1.0, 1.0),               # empty span
+    ])
+    def test_ticks_fall_back_to_one_tick(self, lo, hi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ticks = svgplot._ticks(lo, hi)
+        assert ticks.tolist() == [lo]
+
+    def test_tiny_spans_with_a_positive_step_keep_several_ticks(self):
+        np.testing.assert_allclose(svgplot._ticks(0.0, 1e-310), np.arange(6) * 2e-311, rtol=1e-12)
+        assert len(svgplot._ticks(0.0, 3e-322)) > 1
+
+    def test_subnormal_x_span_plots_without_warnings(self, tmp_path):
+        path = tmp_path / "p.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emit_plot_svg([0.0, 5e-324], [("y", [1.0, 2.0])], path)
+        assert path.read_text().count("<polyline") == 1
+
+
 class TestParsePhase:
     @pytest.mark.parametrize("text,value", [
         ("pi", math.pi),
@@ -528,6 +553,82 @@ class TestDispatch:
         assert payload["fringe_count"] == stats.fringe_count
         assert payload["visibility_mean"] == stats.visibility_mean
         assert payload["maxima"] == [list(m) for m in stats.maxima]
+
+    def test_subnormal_scan_writes_both_outputs_without_warnings(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.dispatch(["scan", "--mode", "classical", "--noise", "none", "--points", "3",
+                                 "--bin-duration", "5e-324", "--scan-duration", "1.5e-323",
+                                 "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in out.iterdir()) == ["trace.csv", "trace.svg"]
+        assert len(read_trace_csv(out / "trace.csv")) == 3
+
+    @pytest.mark.parametrize("mode", ["photon", "classical"])
+    def test_failed_plot_leaves_no_partial_output(self, tmp_path, capsys, monkeypatch, mode):
+        def failing_plot(*args, **kwargs):
+            raise ValueError("plot failed")
+
+        monkeypatch.setattr(cli, "emit_plot_svg", failing_plot)
+        out = tmp_path / "x"
+        code = cli.dispatch(["scan", "--mode", mode, "--points", "20", "--bin-duration", "1e-6",
+                             "--scan-duration", "2e-5", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "cbwsim: error: plot failed\n"
+        assert list(out.iterdir()) == []
+
+    def test_failed_scan_keeps_earlier_outputs(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "x"
+        flags = ["scan", "--points", "20", "--bin-duration", "1e-6", "--scan-duration", "2e-5",
+                 "--out", str(out)]
+        assert cli.dispatch(flags) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def failing_plot(*args, **kwargs):
+            raise ValueError("plot failed")
+
+        monkeypatch.setattr(cli, "emit_plot_svg", failing_plot)
+        assert cli.dispatch([*flags, "--seed", "2"]) == 1
+        capsys.readouterr()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("command", ["scan", "simulate"])
+    @pytest.mark.parametrize("flags", [
+        ["--window-duration", "1e-300", "--points", "10", "--scan-duration", "1e-3",
+         "--bin-duration", "1e-4"],
+        ["--points", "10", "--scan-duration", "1e308", "--bin-duration", "1e300"],
+        ["--window-duration", "1e-300", "--points", "10", "--scan-duration", "1e308",
+         "--bin-duration", "1e300"],
+    ])
+    def test_too_many_windows_per_bin_exits_one(self, tmp_path, capsys, command, flags):
+        out = tmp_path / ("x" if command == "scan" else "x.csv")
+        assert cli.dispatch([command, *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cbwsim: error: bin_duration / window_duration") and err.count("\n") == 1
+        assert "2**53" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analytic", "simulate", "scan"])
+    @pytest.mark.parametrize("points", [config.MAX_POINTS + 1, 10**12, 10**30])
+    def test_points_above_the_cap_exit_one(self, tmp_path, capsys, command, points):
+        out = tmp_path / "x"
+        # The scan duration fits the points, so only the cap rejects them.
+        flags = ["--points", str(points), "--scan-duration", repr(points * 0.1)]
+        assert cli.dispatch([command, *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"cbwsim: error: points must be at most {config.MAX_POINTS}, got {points}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [experiment.MAX_GRID_POINTS + 1, 10**12, 10**30])
+    def test_grid_above_the_cap_exits_one(self, tmp_path, capsys, grid):
+        out = tmp_path / "s.json"
+        assert cli.dispatch(["sensitivity", "--grid", str(grid), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"cbwsim: error: grid must have at most {experiment.MAX_GRID_POINTS} "
+                       f"points, got {grid}\n")
+        assert not out.exists()
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert cli.dispatch(["frobnicate"]) == 1

@@ -106,6 +106,24 @@ class TestSimulateScanCounts:
         assert np.all(trace.coincidences <= np.minimum(trace.singles_d1, trace.singles_d2))
         assert trace.mode is SourceMode.PHOTON_COUNTING
 
+    def test_windows_per_bin_cap(self):
+        # window_duration 1 s makes bin_duration the exact window count.
+        source = photon_source(0.04, 1.0)
+        cap = montecarlo.MAX_WINDOWS_PER_BIN
+        assert cap == 2**53
+        trace = simulate_scan_counts(
+            build_cbw_chain(2, 0.0), ScanConfig(points=2, bin_duration=float(cap),
+                                                scan_duration=2.0 * cap),
+            source, QUIET, seed=1)
+        assert trace.meta["windows_per_bin"] == cap
+        assert np.all(trace.singles_d1 + trace.singles_d2 - trace.coincidences <= cap)
+        above = float(cap) + 2.0  # the next double after 2**53
+        with pytest.raises(ConfigError, match=r"2\*\*53"):
+            simulate_scan_counts(
+                build_cbw_chain(2, 0.0), ScanConfig(points=2, bin_duration=above,
+                                                    scan_duration=2.0 * above),
+                source, QUIET, seed=1)
+
     def test_seed_determinism_and_worker_independence(self):
         scan = ScanConfig(points=40, bin_duration=0.001, scan_duration=0.04)
         chain = build_cbw_chain(2, 0.0)

@@ -246,3 +246,81 @@ class TestKernelsMatchNumpy:
             compose([np.eye(2), np.eye(3)])
         with pytest.raises(ValueError):
             apply(np.eye(2), [1.0, 0.0, 0.0])
+
+
+def matmul_chain(chain):
+    """``chain[-1] @ ... @ chain[0]`` with numpy's ``@`` (the oracle)."""
+    expected = chain[0]
+    for element in chain[1:]:
+        expected = element @ expected
+    return expected
+
+
+class TestEntryMajorStacks:
+    """Every entry of a returned stack, and every field component, is one contiguous array."""
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 4)])
+    def test_entries_and_field_components_are_contiguous(self, shape):
+        rng = np.random.default_rng(41)
+        phase = rng.uniform(-2 * np.pi, 2 * np.pi, shape)
+        stacks = {
+            "mzi lower": mzi(Arm.LOWER, phase),
+            "mzi upper": mzi(Arm.UPPER, phase),
+            "phase upper": phase_element(Arm.UPPER, phase),
+            "phase lower": phase_element(Arm.LOWER, phase),
+            "compose one": compose([mzi(Arm.LOWER, phase)]),
+            "compose chain": compose([mzi(Arm.LOWER, phase), phase_element(Arm.UPPER, 0.0),
+                                      beam_splitter(), mzi(Arm.UPPER, phase)]),
+        }
+        for name, stack in stacks.items():
+            assert stack.shape == shape + (2, 2), name
+            for i in range(2):
+                for j in range(2):
+                    assert stack[..., i, j].flags.c_contiguous, (name, i, j)
+        for field in (apply(stacks["compose chain"], [1.0, 0.0]),
+                      apply(beam_splitter(), rng.normal(size=shape + (2,)))):
+            assert field.shape == shape + (2,)
+            for k in range(2):
+                assert field[..., k].flags.c_contiguous, k
+
+
+IDENTITIES = [np.eye(2), phase_element(Arm.UPPER, 0.0), phase_element(Arm.LOWER, 0.0)]
+
+
+class TestComposeSkipsExactIdentities:
+    @pytest.mark.parametrize("identity", IDENTITIES, ids=["eye", "upper0", "lower0"])
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_identities_anywhere_match_the_oracle(self, shape, position, identity):
+        rng = np.random.default_rng(42)
+        a, b = random_element(rng, shape), random_element(rng, shape)
+        chain = {"first": [identity, a, b], "middle": [a, identity, identity, b],
+                 "last": [a, b, identity]}[position]
+        got, expected = compose(chain), matmul_chain(chain)
+        assert got.shape == expected.shape
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_only_identities_give_the_identity(self, count):
+        chain = [IDENTITIES[k % len(IDENTITIES)] for k in range(count)]
+        got = compose(chain)
+        assert got.shape == (2, 2)
+        np.testing.assert_array_equal(got, matmul_chain(chain))
+
+    def test_batched_identity_still_broadcasts(self):
+        identity = phase_element(Arm.UPPER, np.zeros(1))
+        assert identity.shape == (1, 2, 2)
+        a = mzi(Arm.LOWER, 0.3)
+        for chain in ([identity], [identity, identity], [a, identity], [identity, a, IDENTITIES[0]]):
+            got = compose(chain)
+            assert got.shape == (1, 2, 2)
+            np.testing.assert_allclose(got, matmul_chain(chain), rtol=0, atol=1e-12)
+        column = phase_element(Arm.LOWER, np.zeros((3, 1)))
+        row = random_element(np.random.default_rng(43), (4,))
+        assert compose([column, row]).shape == (3, 4, 2, 2)
+
+    def test_diagonal_non_identity_is_kept(self):
+        diagonal = phase_element(Arm.UPPER, 0.3)
+        a = mzi(Arm.LOWER, 0.7)
+        for chain in ([diagonal], [diagonal, diagonal], [a, diagonal], [diagonal, a, IDENTITIES[1]]):
+            np.testing.assert_allclose(compose(chain), matmul_chain(chain), rtol=0, atol=1e-12)
