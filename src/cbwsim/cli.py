@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import math
 import re
 import sys
@@ -286,8 +287,7 @@ def _run_configured_scan(s: _Settings, mode: SourceMode) -> montecarlo.CountTrac
     source = _source_model(s, mode)
     noise = _noise_model(s)
     seed = s.get("seed", 0)
-    workers = s.get("workers", 1)
-    return experiment.run_scan(scan, source, noise, seed, workers=workers)
+    return experiment.run_scan(scan, source, noise, seed)
 
 
 def _cmd_simulate(args) -> int:
@@ -352,13 +352,16 @@ def _cmd_analyze(args) -> int:
         "dominant_period_rad": stats.dominant_period,
         "fringe_count": stats.fringe_count,
     }
-    if args.out:
-        trace_io.write_json_report(payload, args.out)
-    else:
-        import json
-
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit_json(payload, args.out)
     return 0
+
+
+def _emit_json(payload: dict, out) -> None:
+    """Write ``payload`` as a JSON report to ``out``, or to stdout without one."""
+    if out:
+        trace_io.write_json_report(payload, out)
+    else:
+        print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _cmd_sensitivity(args) -> int:
@@ -373,12 +376,7 @@ def _cmd_sensitivity(args) -> int:
         for m in range(2, max_m + 1)
     ]
     payload = {"grid_points": grid, "reports": reports}
-    if args.out:
-        trace_io.write_json_report(payload, args.out)
-    else:
-        import json
-
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit_json(payload, args.out)
     return 0
 
 

@@ -64,11 +64,15 @@ def pzt_phase(voltage, cal: PztCalibration, ramp_span: float):
     """Map PZT voltage to interferometer phase (radians), linear model.
 
     ``psi = 2*pi * cycles_per_full_ramp * voltage / ramp_span``.
-    ``voltage`` may be a scalar or array.
+    ``voltage`` may be a scalar or array.  The phase per volt must be
+    finite: a subnormal ``ramp_span`` overflows it.
     """
     if ramp_span <= 0:
         raise ConfigError("ramp_span must be positive")
     scale = 2.0 * np.pi * cal.cycles_per_full_ramp / ramp_span
+    if not math.isfinite(scale):
+        raise ConfigError(f"phase per volt 2*pi*{cal.cycles_per_full_ramp!r}/{ramp_span!r} "
+                          "is not finite")
     return np.asarray(voltage, dtype=float) * scale if np.ndim(voltage) else float(voltage) * scale
 
 
@@ -191,6 +195,8 @@ class ScanConfig:
             raise ConfigError("points * bin_duration exceeds scan_duration by more than one bin")
         if self.ramp_end <= self.ramp_start:
             raise ConfigError("ramp_end must exceed ramp_start")
+        if not math.isfinite(self.ramp_span):
+            raise ConfigError("ramp_end - ramp_start overflows a double")
         if self.circuit is None and self.modules < 1:
             raise ConfigError("modules must be a positive integer")
 

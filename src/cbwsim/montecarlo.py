@@ -203,7 +203,6 @@ def simulate_scan_counts(
     source: SourceModel,
     noise: NoiseModel,
     seed: int,
-    workers: int = 1,
 ) -> CountTrace:
     """Simulate a full photon-counting scan of ``ast`` over the PZT ramp.
 
@@ -211,8 +210,7 @@ def simulate_scan_counts(
     the phase, the chain sets the Born routing probability, and the bin's
     ``bin_duration / window_duration`` coincidence windows are drawn as
     one multinomial over the four window outcomes.  Deterministic for a
-    given seed.  ``workers`` is accepted for compatibility and has no
-    effect.
+    given seed.
     """
     if source.mode is not SourceMode.PHOTON_COUNTING:
         raise ConfigError("simulate_scan_counts requires a photon-counting source")

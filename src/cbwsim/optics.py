@@ -28,13 +28,25 @@ Stacks are stored entry-major: a ``shape + (2, 2)`` stack is a view of a
 ``(2,) + shape`` buffer.  Shape, dtype and broadcasting are those of an
 ordinary stack, but each entry ``m[..., i, j]`` and each field component
 ``f[..., k]`` is one contiguous array, so the entrywise kernels never
-stride through memory.  :func:`mzi` and :func:`compose` write their
-entries into the result in place instead of allocating a temporary per
-arithmetic step.  :func:`compose` also drops every element that is
-an exact single ``(2, 2)`` identity (a zero phase shifter, say) before it
-multiplies; that can only change the sign of a zero entry, so intensities
-are unchanged bit for bit.  Identity stacks with batch axes are kept, as
-they may broadcast the result's shape.
+stride through memory.  The kernels write into their result in place
+instead of allocating a temporary per arithmetic step:
+
+* :func:`mzi` writes ``cos(phase)`` and ``sin(phase)`` straight into the
+  real and imaginary parts of one entry as ``e = exp(1j*phase)``, with
+  no complex ``exp`` and no ``1j*phase`` temporary, then derives the
+  other entries from it.
+* :func:`compose` writes the first product into the one result stack and
+  folds each further element into it column by column, through two
+  scratch entries.  It also drops every element that is an exact single
+  ``(2, 2)`` identity (a zero phase shifter, say) before it multiplies.
+  Identity stacks with batch axes are kept, as they may broadcast the
+  result's shape.
+* :func:`apply` writes each output component with ``out=`` and skips an
+  input component that is an exact scalar zero, such as the lower arm of
+  the canonical input ``(E0, 0)``.
+
+Both skips can only change the sign of a zero entry of a finite result,
+so intensities are unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -117,10 +129,14 @@ def mzi(arm: Arm, phase) -> np.ndarray:
     out = _empty_stack(phase.shape)
     m00, m01, m10, m11 = _entries(out)
     bar, minus_bar = (m00, m11) if arm is Arm.LOWER else (m11, m00)
-    # The entries are computed in place, so ``1j * phase`` is the only other
-    # phase-shaped array; each ufunc takes the closed form's operands in
+    # The entries are computed in place, so no other phase-shaped array is
+    # allocated.  cos + i*sin of the real phase has the bits of
+    # ``exp(1j*phase)`` but for the sign of sin(-0.0), which ``1 - e`` and
+    # ``1 + e`` below erase.  Each ufunc takes the closed form's operands in
     # its order, which keeps the values bit-identical to ``0.5 * (1 - e)``.
-    e = np.exp(1j * phase, out=m01)
+    e = m01
+    np.cos(phase, out=e.real)
+    np.sin(phase, out=e.imag)
     np.subtract(1.0, e, out=bar)
     np.multiply(0.5, bar, out=bar)  # bar = (1 - e)/2, the lower-arm (0, 0) entry
     np.negative(bar, out=minus_bar)
@@ -172,9 +188,9 @@ def compose(elements: Sequence[np.ndarray]) -> np.ndarray:
     ``elements[-1] @ ... @ elements[0]``.  Entries may be single matrices
     or broadcast-compatible stacks of shape ``(..., 2, 2)``.  Single exact
     identities are skipped; if every element is one, the result is the
-    identity.  The running product alternates between two stacks of the
-    broadcast shape, so the chain allocates nothing else but one scratch
-    entry per product.
+    identity.  The first product is written straight into one stack of the
+    broadcast shape, and every further element is folded into that stack
+    in place, so the chain allocates nothing else but two scratch entries.
     """
     if len(elements) == 0:
         raise ValueError("cannot compose an empty element chain")
@@ -183,23 +199,47 @@ def compose(elements: Sequence[np.ndarray]) -> np.ndarray:
     if not matrices:
         return _IDENTITY.copy()
     shape = np.broadcast_shapes(*(m.shape[:-2] for m in matrices))
-    product, spare = _empty_stack(shape), _empty_stack(shape)
-    product[...] = matrices[0]
-    for matrix in matrices[1:]:
-        product, spare = _product(_entries(matrix), _entries(product), spare), product
+    product = _empty_stack(shape)
+    if len(matrices) == 1:
+        product[...] = matrices[0]
+        return product
+    _product(_entries(matrices[1]), _entries(matrices[0]), product)
+    p00, p01, p10, p11 = _entries(product)
+    upper_term, lower_term = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    for matrix in matrices[2:]:
+        m00, m01, m10, m11 = _entries(matrix)
+        # Column j of M @ P from the old column (p0j, p1j), with the operands
+        # of each multiply and add in the order _product uses.
+        for p0j, p1j in ((p00, p10), (p01, p11)):
+            np.multiply(m01, p1j, out=upper_term)
+            np.multiply(m10, p0j, out=lower_term)
+            np.multiply(m00, p0j, out=p0j)
+            p0j += upper_term
+            np.multiply(m11, p1j, out=p1j)
+            np.add(lower_term, p1j, out=p1j)
     return product
 
 
 def apply(matrix: np.ndarray, field) -> np.ndarray:
-    """Propagate a two-path field through ``matrix`` (plain matrix-vector product)."""
+    """Propagate a two-path field through ``matrix`` (plain matrix-vector product).
+
+    A lower component that is an exact scalar zero, as in the canonical
+    input ``(E0, 0)``, is skipped; with a finite ``matrix`` its terms are
+    signed zeros.
+    """
     m00, m01, m10, m11 = _entries(matrix)
     field = np.asarray(field, dtype=complex)
     if field.shape[-1:] != (2,):
         raise ValueError(f"expected a (..., 2) field, got shape {field.shape}")
     upper, lower = field[..., 0], field[..., 1]
     out = np.empty((2,) + np.broadcast_shapes(m00.shape, upper.shape), dtype=complex)
-    out[0] = m00 * upper + m01 * lower
-    out[1] = m10 * upper + m11 * lower
+    skip_lower = field.ndim == 1 and lower == 0
+    scratch = None if skip_lower else np.empty(out.shape[1:], dtype=complex)
+    for row, m_upper, m_lower in ((out[0, ...], m00, m01), (out[1, ...], m10, m11)):
+        np.multiply(m_upper, upper, out=row)
+        if not skip_lower:
+            np.multiply(m_lower, lower, out=scratch)
+            row += scratch
     return np.moveaxis(out, 0, -1)
 
 

@@ -6,6 +6,7 @@ produces byte-identical output, so rendered scans can be diffed in CI.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +45,9 @@ def emit_plot_svg(x, series, path, *, xlabel: str = "", ylabel: str = "", title:
     """Render ``series`` (sequence of ``(label, values)``) against ``x``.
 
     Produces a self-contained SVG with one polyline per series, tick-labelled
-    axes, and a legend naming every series.  Requires at least one series and
-    equal lengths throughout.
+    axes, and a legend naming every series.  Requires at least one series,
+    equal lengths throughout, finite data and axis spans (the y span with
+    its 4% pad) that do not overflow a double.
     """
     x = np.asarray(x, dtype=float)
     if len(series) == 0:
@@ -70,6 +72,8 @@ def emit_plot_svg(x, series, path, *, xlabel: str = "", ylabel: str = "", title:
     pad = 0.04 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
+    if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
+        raise ValueError("plot axis span overflows a double")
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B

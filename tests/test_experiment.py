@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cbwsim import experiment
-from cbwsim.circuit import parse_circuit
+from cbwsim.circuit import build_cbw_chain, output_intensities, parse_circuit
 from cbwsim.config import NoiseModel, PztCalibration, ScanConfig, SourceMode, SourceModel, pzt_phase
 from cbwsim.experiment import (
     AmbiguousPeriodError,
@@ -289,3 +289,64 @@ class TestSensitivity:
             estimate_sensitivity(5, 20_000)
         with pytest.raises(ValueError):
             estimate_sensitivity(0, 50_000)
+
+
+def same_bits(a, b) -> bool:
+    """Bit-for-bit equality of two float arrays, sign of zero included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def reference_slope(m, grid_points):
+    """Peak slope and its first location through a fresh grid and ``np.gradient``."""
+    psi = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
+    upper, lower = output_intensities(build_cbw_chain(m, phi=0.0), {"psi": psi})
+    slope = np.abs(np.gradient(upper - lower, psi))
+    peak = float(np.max(slope))
+    return peak, float(psi[int(np.argmax(slope >= (1.0 - 1e-9) * peak))])
+
+
+class TestSlopeKernel:
+    """``_gradient`` on a cached stencil against ``np.gradient`` as the oracle."""
+
+    # 111590 points over 2*pi are exactly uniform, so numpy takes its
+    # uniform-spacing formula there; the other sizes are not.
+    @pytest.mark.parametrize("grid_points", [10_000, 100_000, 111_590, 123_457])
+    def test_gradient_matches_numpy_on_the_sensitivity_grid(self, grid_points):
+        psi, stencil = experiment._slope_grid(grid_points)
+        assert same_bits(psi, np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False))
+        f = np.random.default_rng(grid_points).normal(size=grid_points)
+        assert same_bits(experiment._gradient(f, stencil), np.gradient(f, psi))
+        upper, lower = output_intensities(build_cbw_chain(3, phi=0.0), {"psi": psi})
+        diff = upper - lower
+        assert same_bits(experiment._gradient(diff, stencil), np.gradient(diff, psi))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 17, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gradient_matches_numpy_on_random_grids(self, n, seed):
+        rng = np.random.default_rng(seed)
+        f = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), n)
+        uniform = 0.25 * np.arange(n) - float(rng.integers(1, 100))
+        assert experiment._stencil(uniform)[0] is None
+        for x in (np.cumsum(rng.uniform(1e-3, 2.0, n)), uniform):
+            assert same_bits(experiment._gradient(f, experiment._stencil(x)), np.gradient(f, x))
+
+    def test_cached_grid_and_coefficients_are_read_only(self):
+        psi, (coefficients, dx_first, dx_last) = experiment._slope_grid(50_000)
+        assert experiment._slope_grid(50_000)[0] is psi
+        assert isinstance(dx_first, float) and isinstance(dx_last, float)
+        for array in (psi, *coefficients):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        estimate_sensitivity(2, 50_000)
+        assert same_bits(psi, np.linspace(0.0, 2.0 * np.pi, 50_000, endpoint=False))
+
+    @pytest.mark.parametrize("grid_points", [50_000, 111_590])
+    def test_reports_equal_the_unoptimised_route(self, grid_points):
+        eta_1, _ = reference_slope(1, grid_points)
+        for m in range(1, 6):
+            eta, psi_at_peak = reference_slope(m, grid_points)
+            report = estimate_sensitivity(m, grid_points)
+            assert (report.eta, report.max_slope_psi) == (eta, psi_at_peak)
+            assert report.delta_phi == 1.0 / eta
+            assert report.ratio_to_classical == (1.0 / eta) / (1.0 / eta_1)

@@ -321,6 +321,19 @@ class TestSvg:
         np.testing.assert_allclose(svgplot._ticks(0.0, 1e-310), np.arange(6) * 2e-311, rtol=1e-12)
         assert len(svgplot._ticks(0.0, 3e-322)) > 1
 
+    @pytest.mark.parametrize("x, y", [
+        ([-1e308, 1e308], [1.0, 2.0]),      # the x span overflows
+        ([0.0, 1.0], [-1e308, 1e308]),      # the y span overflows
+        ([0.0, 1.0], [0.0, 1.75e308]),      # the y span fits, its 4% pad does not
+    ])
+    def test_overflowing_axis_span_is_refused_before_writing(self, tmp_path, x, y):
+        path = tmp_path / "p.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="axis span overflows"):
+                emit_plot_svg(x, [("y", y)], path)
+        assert not path.exists()
+
     def test_subnormal_x_span_plots_without_warnings(self, tmp_path):
         path = tmp_path / "p.svg"
         with warnings.catch_warnings():
@@ -628,6 +641,21 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err == (f"cbwsim: error: grid must have at most {experiment.MAX_GRID_POINTS} "
                        f"points, got {grid}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--ramp-end", "1e-320"], "phase per volt 2*pi*10.5/1e-320 is not finite"),
+        (["--ramp-start=-1e308", "--ramp-end", "1e308"], "ramp_end - ramp_start overflows a double"),
+    ])
+    @pytest.mark.parametrize("command", ["analytic", "simulate", "scan"])
+    def test_ramp_span_out_of_range_exits_one_on_one_line(self, tmp_path, capsys, command,
+                                                          flags, message):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.dispatch([command, *flags, "--points", "10", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"cbwsim: error: {message}\n"
         assert not out.exists()
 
     def test_unknown_subcommand_exits_one(self, capsys):

@@ -131,7 +131,7 @@ class TestSimulateScanCounts:
         kwargs = dict(scan=scan, source=photon_source(0.3, 1e-6), noise=noise, seed=77)
         a = simulate_scan_counts(chain, **kwargs)
         b = simulate_scan_counts(chain, **kwargs)
-        c = simulate_scan_counts(chain, workers=4, **kwargs)
+        c = simulate_scan_counts(chain, **kwargs)
         for field in ("singles_d1", "singles_d2", "coincidences", "psi", "voltage", "time"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
             np.testing.assert_array_equal(getattr(a, field), getattr(c, field))

@@ -324,3 +324,60 @@ class TestComposeSkipsExactIdentities:
         a = mzi(Arm.LOWER, 0.7)
         for chain in ([diagonal], [diagonal, diagonal], [a, diagonal], [diagonal, a, IDENTITIES[1]]):
             np.testing.assert_allclose(compose(chain), matmul_chain(chain), rtol=0, atol=1e-12)
+
+
+class TestInPlaceKernels:
+    """``mzi``'s cos/sin entries, the in-place ``compose`` fold and ``apply``'s zero skip."""
+
+    @pytest.mark.parametrize("arm", [Arm.UPPER, Arm.LOWER])
+    def test_mzi_has_the_bits_of_the_exp_closed_form(self, arm):
+        phase = np.concatenate([[0.0, -0.0, np.pi, -np.pi, 5e-324, -1e-310, 1e300, -1e300],
+                                np.random.default_rng(51).uniform(-1e4, 1e4, 1000)])
+        e = np.exp(1j * phase)
+        bar, cross = 0.5 * (1 - e), 0.5j * (1 + e)
+        rows = [[bar, cross], [cross, -bar]] if arm is Arm.LOWER else [[-bar, cross], [cross, bar]]
+        expected = np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+        got = np.ascontiguousarray(mzi(arm, phase))
+        assert np.array_equal(got.view(np.uint64), np.ascontiguousarray(expected).view(np.uint64))
+
+    @pytest.mark.parametrize("length", [3, 4, 5, 6])
+    @pytest.mark.parametrize("shape", [(7,), (3, 4)])
+    def test_chains_match_the_oracle(self, length, shape):
+        rng = np.random.default_rng(52 + length)
+        a, b = random_element(rng, shape), random_element(rng, shape)
+        single = [random_element(rng, ()) for _ in range(length)]
+        chains = [
+            single[:2] + [a] + single[2:length - 1],            # a stack after two single matrices
+            [a, b] * (length // 2) + [a] * (length % 2),       # repeated stack objects
+            [a] * length,
+            [b] + [random_element(rng, shape if rng.random() < 0.5 else ())
+                   for _ in range(length - 1)],
+        ]
+        for chain in chains:
+            assert len(chain) == length
+            before = [element.copy() for element in chain]
+            got, expected = compose(chain), matmul_chain(chain)
+            assert got.shape == expected.shape == shape + (2, 2)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            for element, copy in zip(chain, before):
+                np.testing.assert_array_equal(element, copy)
+
+    def test_chain_broadcasts_after_two_single_matrices(self):
+        rng = np.random.default_rng(56)
+        chain = [random_element(rng, ()), random_element(rng, ()),
+                 random_element(rng, (3, 1)), random_element(rng, (4,)), random_element(rng, ())]
+        got = compose(chain)
+        assert got.shape == (3, 4, 2, 2)
+        np.testing.assert_allclose(got, matmul_chain(chain), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_apply_with_a_zero_lower_component_matches_einsum(self, shape):
+        rng = np.random.default_rng(57)
+        matrix = compose([random_element(rng, shape) for _ in range(3)])
+        stack_field = np.zeros(shape + (2,), dtype=complex)
+        stack_field[..., 0] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for field in ([0.8, 0.0], [0.3 - 0.4j, -0.0], [0.0, 0.0], stack_field):
+            expected = np.einsum("...ij,...j->...i", matrix, np.asarray(field, dtype=complex))
+            got = apply(matrix, field)
+            assert got.shape == expected.shape
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
