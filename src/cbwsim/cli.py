@@ -75,6 +75,20 @@ def parse_phase(text) -> float:
         raise ConfigError(f"invalid phase value {text!r}") from None
 
 
+# Allowed values of the --noise and --mode flags and of their config keys.
+_NOISE_CHOICES = ("none", "lab")
+_MODE_CHOICES = ("photon", "classical")
+
+
+def _choice(choices: tuple):
+    """Config caster accepting only one of ``choices``, as the flag does."""
+    def cast(value: str) -> str:
+        if value not in choices:
+            raise ValueError(f"invalid choice {value!r} (choose from {', '.join(choices)})")
+        return value
+    return cast
+
+
 # Config-file keys and the caster applied when merging them in.
 _KEY_CASTS = {
     "modules": int,
@@ -90,13 +104,13 @@ _KEY_CASTS = {
     "i0": float,
     "seed": int,
     "workers": int,
-    "noise": str,
+    "noise": _choice(_NOISE_CHOICES),
     "dark_rate": float,
     "detector_efficiency": float,
     "phase_jitter_sigma": float,
     "phase_jitter_correlation": float,
     "intensity_drift_fraction": float,
-    "mode": str,
+    "mode": _choice(_MODE_CHOICES),
     "circuit": str,
     "column": str,
     "prominence": float,
@@ -161,7 +175,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int)
         p.add_argument("--workers", type=int,
                        help="accepted for compatibility; has no effect")
-        p.add_argument("--noise", choices=["none", "lab"],
+        p.add_argument("--noise", choices=_NOISE_CHOICES,
                        help="noise preset; individual flags override fields")
         p.add_argument("--dark-rate", type=float, dest="dark_rate")
         p.add_argument("--detector-efficiency", type=float, dest="detector_efficiency")
@@ -182,7 +196,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("scan", help="full experiment run to CSV + SVG")
     add_common(p)
     add_source_noise(p)
-    p.add_argument("--mode", choices=["photon", "classical"])
+    p.add_argument("--mode", choices=_MODE_CHOICES)
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("analyze", help="fringe statistics of a trace CSV")

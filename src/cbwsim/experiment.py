@@ -8,7 +8,6 @@ fringe period, and the phase-sensitivity scaling of the cascade order.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -265,10 +264,9 @@ def estimate_sensitivity(
     ``eta_classical`` is the ``m=1`` baseline's ``eta`` at the same
     ``grid_points``; pass it to skip recomputing the baseline when
     reporting several orders.  The result is identical either way.
-    ``grid_points`` may not exceed :data:`MAX_GRID_POINTS`.  The phase grid
-    and ``np.gradient``'s coefficients on it are built once and cached,
-    read-only, for the most recent ``grid_points``; the slope is numpy's,
-    bit for bit.
+    ``grid_points`` may not exceed :data:`MAX_GRID_POINTS`.  The grid is
+    uniform by construction, so the slope is ``np.gradient`` with the
+    scalar spacing ``2*pi/grid_points``, the step ``linspace`` computes.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -279,14 +277,13 @@ def estimate_sensitivity(
     if eta_classical is not None and not (math.isfinite(eta_classical) and eta_classical > 0):
         raise ValueError("eta_classical must be a positive finite number")
 
-    psi, stencil = _slope_grid(grid_points)
+    psi = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
 
     def max_slope(order: int):
         ast = circuit_mod.build_cbw_chain(order, phi=0.0)
         upper, lower = circuit_mod.output_intensities(ast, {"psi": psi})
         diff = np.subtract(upper, lower, out=upper)
-        slope = _gradient(diff, stencil)
-        np.abs(slope, out=slope)
+        slope = np.abs(np.gradient(diff, 2.0 * np.pi / grid_points))
         peak = float(np.max(slope))
         idx = int(np.argmax(slope >= (1.0 - _PEAK_TIE_RTOL) * peak))
         return peak, float(psi[idx])
@@ -303,60 +300,3 @@ def estimate_sensitivity(
         max_slope_psi=argmax_psi,
     )
 
-
-@functools.lru_cache(maxsize=1)
-def _slope_grid(grid_points: int) -> tuple:
-    """The sensitivity phase grid and its :func:`_stencil`, both read-only.
-
-    Every cascade order of one report is evaluated on the same grid, so the
-    grid and its gradient coefficients are built once per grid size.
-    """
-    psi = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
-    stencil = _stencil(psi)
-    coefficients = stencil[0] or ()
-    for array in (psi, *coefficients):
-        array.flags.writeable = False
-    return psi, stencil
-
-
-def _stencil(x) -> tuple:
-    """``np.gradient``'s first-order-edge stencil on the 1-D sample points ``x``.
-
-    Returns ``(coefficients, dx_first, dx_last)``.  ``coefficients`` holds
-    numpy's non-uniform central-difference weights ``(a, b, c)`` for the
-    interior points, or is ``None`` when every spacing is exactly equal,
-    where numpy uses the uniform formula instead (``linspace`` grids of some
-    sizes, 111590 points over 2*pi say, are exactly uniform).
-    """
-    dx = np.diff(np.asarray(x, dtype=float))
-    coefficients = None
-    if not (dx == dx[0]).all():
-        dx1, dx2 = dx[:-1], dx[1:]
-        coefficients = (-dx2 / (dx1 * (dx1 + dx2)),
-                        (dx2 - dx1) / (dx1 * dx2),
-                        dx1 / (dx2 * (dx1 + dx2)))
-    return coefficients, float(dx[0]), float(dx[-1])
-
-
-def _gradient(f: np.ndarray, stencil: tuple) -> np.ndarray:
-    """``np.gradient(f, x)`` for the ``stencil`` of ``x``, bit for bit.
-
-    Applies numpy's formula with its operands in numpy's order, writing the
-    interior into the result through one scratch array.
-    """
-    coefficients, dx_first, dx_last = stencil
-    out = np.empty_like(f)
-    interior = out[1:-1]
-    if coefficients is None:
-        np.subtract(f[2:], f[:-2], out=interior)
-        interior /= 2.0 * dx_first
-    else:
-        a, b, c = coefficients
-        np.multiply(a, f[:-2], out=interior)
-        scratch = b * f[1:-1]
-        interior += scratch
-        np.multiply(c, f[2:], out=scratch)
-        interior += scratch
-    out[0] = (f[1] - f[0]) / dx_first
-    out[-1] = (f[-1] - f[-2]) / dx_last
-    return out

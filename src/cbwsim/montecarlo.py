@@ -162,16 +162,6 @@ def _require_scan_parameters(ast: circuit_mod.CircuitAst) -> None:
         raise circuit_mod.UnboundParameterError(*sorted(unbound))
 
 
-def _bindings(ast: circuit_mod.CircuitAst, psi, phi: float) -> dict:
-    names = ast.parameters
-    bindings: dict = {}
-    if "psi" in names:
-        bindings["psi"] = psi
-    if "phi" in names:
-        bindings["phi"] = phi
-    return bindings
-
-
 def _noise_walks(noise: NoiseModel, scan: ScanConfig, jitter_ss, drift_ss, points: int):
     """Pre-generate the sequential phase-jitter and intensity-drift walks."""
     if noise.phase_jitter_sigma > 0 and points:
@@ -189,7 +179,7 @@ def _noise_walks(noise: NoiseModel, scan: ScanConfig, jitter_ss, drift_ss, point
 
 
 def _born_probabilities(ast, psi_actual, phi, drift):
-    i_upper, i_lower = circuit_mod.output_intensities(ast, _bindings(ast, psi_actual, phi))
+    i_upper, i_lower = circuit_mod.output_intensities(ast, {"psi": psi_actual, "phi": phi})
     i_upper = np.atleast_1d(np.asarray(i_upper, dtype=float)) * drift
     i_lower = np.atleast_1d(np.asarray(i_lower, dtype=float)) * drift
     total = i_upper + i_lower

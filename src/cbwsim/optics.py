@@ -17,8 +17,8 @@ Conventions used throughout the package:
 All constructors broadcast over array-valued phases and return stacks of
 matrices with shape ``(..., 2, 2)``, which keeps dense parameter sweeps in
 numpy instead of Python loops.  The kernels work entrywise: :func:`mzi` is
-its closed form, and :func:`compose`, :func:`apply` and :func:`is_unitary`
-spell the 2x2 products out as ``a_i0*b_0j + a_i1*b_1j`` on broadcast
+its closed form, and :func:`compose` and :func:`apply` spell the 2x2
+products out as ``a_i0*b_0j + a_i1*b_1j`` on broadcast
 ``(...)``-shaped entry arrays.  That avoids numpy's batched ``@``, whose
 per-matrix overhead dominates on large stacks of 2x2 matrices.  The tests
 keep ``@``/``einsum`` as the independent oracle for these kernels.
@@ -35,12 +35,13 @@ instead of allocating a temporary per arithmetic step:
   real and imaginary parts of one entry as ``e = exp(1j*phase)``, with
   no complex ``exp`` and no ``1j*phase`` temporary, then derives the
   other entries from it.
-* :func:`compose` writes the first product into the one result stack and
+* :func:`compose` copies the first element into the one result stack and
   folds each further element into it column by column, through two
-  scratch entries.  It also drops every element that is an exact single
-  ``(2, 2)`` identity (a zero phase shifter, say) before it multiplies.
-  Identity stacks with batch axes are kept, as they may broadcast the
-  result's shape.
+  scratch entries; :func:`is_unitary` builds its Gram matrix with it.
+  It also drops every element that is an exact single ``(2, 2)``
+  identity (a zero phase shifter, say) before it multiplies.  Identity
+  stacks with batch axes are kept, as they may broadcast the result's
+  shape.
 * :func:`apply` writes each output component with ``out=`` and skips an
   input component that is an exact scalar zero, such as the lower arm of
   the canonical input ``(E0, 0)``.
@@ -164,23 +165,6 @@ def _entries(matrix) -> tuple:
     return matrix[..., 0, 0], matrix[..., 0, 1], matrix[..., 1, 0], matrix[..., 1, 1]
 
 
-def _product(a: tuple, b: tuple, out: np.ndarray) -> np.ndarray:
-    """Write ``A @ B`` into the stack ``out`` from the entries of ``A`` and ``B``.
-
-    Entry ``(i, j)`` is ``a_i0*b_0j + a_i1*b_1j``, computed in place through
-    one scratch array.  ``out`` has the broadcast shape and shares no memory
-    with ``A`` or ``B``.
-    """
-    scratch = np.empty(out.shape[:-2], dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            entry = out[..., i, j]
-            np.multiply(a[2 * i], b[j], out=entry)
-            np.multiply(a[2 * i + 1], b[2 + j], out=scratch)
-            entry += scratch
-    return out
-
-
 def compose(elements: Sequence[np.ndarray]) -> np.ndarray:
     """Multiply a chain of elements given in physical order.
 
@@ -188,9 +172,9 @@ def compose(elements: Sequence[np.ndarray]) -> np.ndarray:
     ``elements[-1] @ ... @ elements[0]``.  Entries may be single matrices
     or broadcast-compatible stacks of shape ``(..., 2, 2)``.  Single exact
     identities are skipped; if every element is one, the result is the
-    identity.  The first product is written straight into one stack of the
-    broadcast shape, and every further element is folded into that stack
-    in place, so the chain allocates nothing else but two scratch entries.
+    identity.  The first element is copied into one stack of the broadcast
+    shape, and every further element is folded into that stack in place,
+    so the chain allocates nothing else but two scratch entries.
     """
     if len(elements) == 0:
         raise ValueError("cannot compose an empty element chain")
@@ -200,16 +184,14 @@ def compose(elements: Sequence[np.ndarray]) -> np.ndarray:
         return _IDENTITY.copy()
     shape = np.broadcast_shapes(*(m.shape[:-2] for m in matrices))
     product = _empty_stack(shape)
-    if len(matrices) == 1:
-        product[...] = matrices[0]
-        return product
-    _product(_entries(matrices[1]), _entries(matrices[0]), product)
+    product[...] = matrices[0]
     p00, p01, p10, p11 = _entries(product)
     upper_term, lower_term = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    for matrix in matrices[2:]:
+    for matrix in matrices[1:]:
         m00, m01, m10, m11 = _entries(matrix)
-        # Column j of M @ P from the old column (p0j, p1j), with the operands
-        # of each multiply and add in the order _product uses.
+        # Column j of M @ P from the old column (p0j, p1j): entry (i, j) is
+        # m_i0*p_0j + m_i1*p_1j, with the operands of every multiply and add
+        # in that order.
         for p0j, p1j in ((p00, p10), (p01, p11)):
             np.multiply(m01, p1j, out=upper_term)
             np.multiply(m10, p0j, out=lower_term)
@@ -258,6 +240,5 @@ def is_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     if tol <= 0:
         raise ValueError("tol must be positive")
     matrix = _as_matrix(matrix)
-    gram = _product(_entries(np.swapaxes(matrix.conj(), -1, -2)), _entries(matrix),
-                    _empty_stack(matrix.shape[:-2]))
+    gram = compose([matrix, np.swapaxes(matrix.conj(), -1, -2)])
     return bool(np.max(np.abs(gram - _IDENTITY)) <= tol)

@@ -291,56 +291,56 @@ class TestSensitivity:
             estimate_sensitivity(0, 50_000)
 
 
-def same_bits(a, b) -> bool:
-    """Bit-for-bit equality of two float arrays, sign of zero included."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+def reference_slope(m, grid_points, uniform=True):
+    """Peak slope and its first location through a fresh grid and ``np.gradient``.
 
-
-def reference_slope(m, grid_points):
-    """Peak slope and its first location through a fresh grid and ``np.gradient``."""
+    With ``uniform`` the gradient takes the grid's scalar step
+    ``2*pi/grid_points``; without it, the sample points themselves.
+    """
     psi = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
     upper, lower = output_intensities(build_cbw_chain(m, phi=0.0), {"psi": psi})
-    slope = np.abs(np.gradient(upper - lower, psi))
+    spacing = 2.0 * np.pi / grid_points if uniform else psi
+    slope = np.abs(np.gradient(upper - lower, spacing))
     peak = float(np.max(slope))
     return peak, float(psi[int(np.argmax(slope >= (1.0 - 1e-9) * peak))])
 
 
 class TestSlopeKernel:
-    """``_gradient`` on a cached stencil against ``np.gradient`` as the oracle."""
+    """The sensitivity slope against fresh ``np.gradient`` routes as the oracle."""
 
-    # 111590 points over 2*pi are exactly uniform, so numpy takes its
-    # uniform-spacing formula there; the other sizes are not.
+    # The slope takes ``2*pi/grid_points`` as its spacing; that must be the
+    # very float ``linspace`` steps the grid by, and the scalar-step gradient
+    # must stay within rounding of the one on the sample points.  111590
+    # points over 2*pi are exactly uniform, so there the two are bit-equal.
     @pytest.mark.parametrize("grid_points", [10_000, 100_000, 111_590, 123_457])
     def test_gradient_matches_numpy_on_the_sensitivity_grid(self, grid_points):
-        psi, stencil = experiment._slope_grid(grid_points)
-        assert same_bits(psi, np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False))
-        f = np.random.default_rng(grid_points).normal(size=grid_points)
-        assert same_bits(experiment._gradient(f, stencil), np.gradient(f, psi))
+        psi, step = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False, retstep=True)
+        assert step == 2.0 * np.pi / grid_points
         upper, lower = output_intensities(build_cbw_chain(3, phi=0.0), {"psi": psi})
         diff = upper - lower
-        assert same_bits(experiment._gradient(diff, stencil), np.gradient(diff, psi))
+        by_step, by_points = np.gradient(diff, step), np.gradient(diff, psi)
+        if grid_points == 111_590:
+            assert np.array_equal(by_step, by_points)
+        np.testing.assert_allclose(by_step, by_points, rtol=0.0, atol=1e-10 * np.max(np.abs(by_points)))
+        assert estimate_sensitivity(1, grid_points).eta == reference_slope(1, grid_points)[0]
 
+    # Each case draws a cascade order and a sensitivity grid size from
+    # (seed, n), and checks the step premise on an n-point grid as well.
     @pytest.mark.parametrize("n", [2, 3, 4, 17, 1000])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradient_matches_numpy_on_random_grids(self, n, seed):
-        rng = np.random.default_rng(seed)
-        f = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), n)
-        uniform = 0.25 * np.arange(n) - float(rng.integers(1, 100))
-        assert experiment._stencil(uniform)[0] is None
-        for x in (np.cumsum(rng.uniform(1e-3, 2.0, n)), uniform):
-            assert same_bits(experiment._gradient(f, experiment._stencil(x)), np.gradient(f, x))
+        assert np.linspace(0.0, 2.0 * np.pi, n, endpoint=False, retstep=True)[1] == 2.0 * np.pi / n
+        rng = np.random.default_rng([seed, n])
+        m = int(rng.integers(1, 6))
+        grid_points = int(rng.integers(10_000 * m, 120_000))
+        report = estimate_sensitivity(m, grid_points)
+        assert (report.eta, report.max_slope_psi) == reference_slope(m, grid_points)
+        eta, psi_at_peak = reference_slope(m, grid_points, uniform=False)
+        assert report.max_slope_psi == psi_at_peak
+        assert abs(report.eta - eta) <= 1e-10 * eta
 
-    def test_cached_grid_and_coefficients_are_read_only(self):
-        psi, (coefficients, dx_first, dx_last) = experiment._slope_grid(50_000)
-        assert experiment._slope_grid(50_000)[0] is psi
-        assert isinstance(dx_first, float) and isinstance(dx_last, float)
-        for array in (psi, *coefficients):
-            with pytest.raises(ValueError):
-                array[0] = 1.0
-        estimate_sensitivity(2, 50_000)
-        assert same_bits(psi, np.linspace(0.0, 2.0 * np.pi, 50_000, endpoint=False))
-
+    # 111590 points over 2*pi are exactly uniform, so there the sample-point
+    # gradient equals the scalar-step one; the other sizes are not.
     @pytest.mark.parametrize("grid_points", [50_000, 111_590])
     def test_reports_equal_the_unoptimised_route(self, grid_points):
         eta_1, _ = reference_slope(1, grid_points)
@@ -350,3 +350,16 @@ class TestSlopeKernel:
             assert (report.eta, report.max_slope_psi) == (eta, psi_at_peak)
             assert report.delta_phi == 1.0 / eta
             assert report.ratio_to_classical == (1.0 / eta) / (1.0 / eta_1)
+        if grid_points == 111_590:
+            assert reference_slope(3, grid_points, uniform=False) == reference_slope(3, grid_points)
+
+    @pytest.mark.parametrize("grid_points", [50_000, 100_000, 123_457])
+    def test_within_1e_10_of_the_sample_point_gradient(self, grid_points):
+        eta_1, _ = reference_slope(1, grid_points, uniform=False)
+        for m in range(1, 6):
+            eta, psi_at_peak = reference_slope(m, grid_points, uniform=False)
+            report = estimate_sensitivity(m, grid_points)
+            assert report.max_slope_psi == psi_at_peak
+            assert abs(report.eta - eta) <= 1e-10 * eta
+            assert abs(report.delta_phi - 1.0 / eta) <= 1e-10 / eta
+            assert abs(report.ratio_to_classical - eta_1 / eta) <= 1e-10 * eta_1 / eta

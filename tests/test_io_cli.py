@@ -522,6 +522,17 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("cbwsim: error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, key", [("simulate", "noise"), ("scan", "noise"),
+                                              ("scan", "mode")])
+    def test_config_choices_checked_like_the_flags(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key}=bogus\npoints=100\nscan_duration=10\n")
+        out = tmp_path / ("o.csv" if command == "simulate" else "out")
+        assert cli.dispatch([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cbwsim: error: config key '{key}': ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_non_finite_or_negative_i0_exits_one(self, tmp_path, capsys, value):
         out = tmp_path / "x.csv"

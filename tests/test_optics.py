@@ -159,6 +159,20 @@ class TestIsUnitary:
         with pytest.raises(ValueError):
             is_unitary(np.eye(2), 0.0)
 
+    def test_exact_identity_yes(self):
+        assert is_unitary(np.eye(2), 1e-12)
+
+    def test_mzi_stack_yes(self):
+        phases = np.random.default_rng(14).uniform(-2 * np.pi, 2 * np.pi, 1000)
+        assert is_unitary(mzi(Arm.UPPER, phases), 1e-12)
+        assert is_unitary(mzi(Arm.LOWER, phases), 1e-12)
+
+    def test_stack_with_one_scaled_member_no(self):
+        stack = np.stack([beam_splitter(), mzi(Arm.LOWER, 0.4), beam_splitter()])
+        assert is_unitary(stack, 1e-12)
+        stack[1] *= 1.001
+        assert not is_unitary(stack, 1e-12)
+
 
 class TestInvariants:
     def test_energy_conservation_random_chains(self):
