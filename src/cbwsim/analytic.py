@@ -86,8 +86,8 @@ def single_mzi_intensities(psi, i0: float = 1.0) -> AnalyticPrediction:
         raise ValueError("i0 must be >= 0")
     psi = np.asarray(psi, dtype=float)
     c = np.cos(psi)
-    upper = i0 * (1.0 - c) / 2.0
-    lower = i0 * (1.0 + c) / 2.0
+    upper = i0 * ((1.0 - c) / 2.0)
+    lower = i0 * ((1.0 + c) / 2.0)
     if upper.ndim == 0:
         return AnalyticPrediction(float(upper), float(lower), "single-mzi")
     return AnalyticPrediction(upper, lower, "single-mzi")
@@ -104,8 +104,8 @@ def cbw_intensities(psi, phi: float, m: int, i0: float = 1.0) -> AnalyticPredict
     the bare MZI has no control phase; m=2 at phi = 0 or pi mod 2pi) and to
     numeric matrix composition everywhere else.  ``psi`` may be an array.
     """
-    if i0 < 0:
-        raise ValueError("i0 must be >= 0")
+    if not (math.isfinite(i0) and i0 >= 0):
+        raise ValueError(f"i0 must be a finite number >= 0, got {i0!r}")
     if m < 1:
         raise ValueError("m must be a positive integer")
     psi_arr = np.asarray(psi, dtype=float)
@@ -117,8 +117,8 @@ def cbw_intensities(psi, phi: float, m: int, i0: float = 1.0) -> AnalyticPredict
     residue = _phi_residue(phi)
     if m == 2 and abs(residue) <= _BRANCH_TOL:
         c2 = np.cos(2.0 * psi_arr)
-        upper = i0 * (1.0 + c2) / 2.0
-        lower = i0 * (1.0 - c2) / 2.0
+        upper = i0 * ((1.0 + c2) / 2.0)
+        lower = i0 * ((1.0 - c2) / 2.0)
         branch = "asymmetric-closed-form"
     elif m == 2 and abs(abs(residue) - math.pi) <= _BRANCH_TOL:
         upper = np.full_like(psi_arr, i0)

@@ -8,10 +8,14 @@ Subcommands:
 * ``analyze``     -- fringe statistics of a trace CSV, to JSON.
 * ``sensitivity`` -- phase-sensitivity scaling report, to JSON.
 
-Every subcommand accepts ``--config FILE`` with flat ``key=value`` lines
-(same token conventions as the circuit language); explicit command-line
-flags override file values.  Phase-valued flags accept plain radians,
-``pi`` fractions such as ``pi/2`` or ``3pi/4``, or ``deg:<x>``.
+Every option is declared once, in ``_OPTIONS``.  Every subcommand accepts
+``--config FILE`` with flat ``key=value`` lines (same token conventions as
+the circuit language): a key is its flag's name with underscores
+(``ramp_start=5`` for ``--ramp-start 5``), a value is cast and checked as
+the flag's would be, keys of other subcommands are ignored, and explicit
+command-line flags override file values.  An option set by neither takes
+the library default.  Phase-valued flags accept plain radians, ``pi``
+fractions such as ``pi/2`` or ``3pi/4``, or ``deg:<x>``.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 analysis error
 (e.g. no fringes in the trace).
@@ -75,48 +79,48 @@ def parse_phase(text) -> float:
         raise ConfigError(f"invalid phase value {text!r}") from None
 
 
-# Allowed values of the --noise and --mode flags and of their config keys.
-_NOISE_CHOICES = ("none", "lab")
-_MODE_CHOICES = ("photon", "classical")
-
-
-def _choice(choices: tuple):
-    """Config caster accepting only one of ``choices``, as the flag does."""
-    def cast(value: str) -> str:
-        if value not in choices:
-            raise ValueError(f"invalid choice {value!r} (choose from {', '.join(choices)})")
-        return value
-    return cast
-
-
-# Config-file keys and the caster applied when merging them in.
-_KEY_CASTS = {
-    "modules": int,
-    "phi": parse_phase,
-    "points": int,
-    "ramp_start": float,
-    "ramp_end": float,
-    "scan_duration": float,
-    "bin_duration": float,
-    "cycles_per_ramp": float,
-    "mean_photons": float,
-    "window_duration": float,
-    "i0": float,
-    "seed": int,
-    "workers": int,
-    "noise": _choice(_NOISE_CHOICES),
-    "dark_rate": float,
-    "detector_efficiency": float,
-    "phase_jitter_sigma": float,
-    "phase_jitter_correlation": float,
-    "intensity_drift_fraction": float,
-    "mode": _choice(_MODE_CHOICES),
-    "circuit": str,
-    "column": str,
-    "prominence": float,
-    "grid": int,
-    "max_m": int,
+# Every option of every subcommand, declared once as its argparse keywords.
+# The config-file key is the dict key, the flag is "--" plus the key with
+# dashes for underscores, and a file value is cast and checked as the flag's
+# value.  A default appears only where the CLI has one of its own, or (grid)
+# echoes it in its report; any other unset option is left out of the
+# constructors, so the library default applies.
+_OPTIONS = {
+    "modules": dict(type=int, help="number of cascaded MZI stages"),
+    # Parsed in _scan_config, so a bad value is a one-line ConfigError.
+    "phi": dict(help="control phase (radians, pi forms, deg:<x>)"),
+    "points": dict(type=int, help="acquisition bins across the ramp"),
+    "ramp_start": dict(type=float),
+    "ramp_end": dict(type=float),
+    "scan_duration": dict(type=float),
+    "bin_duration": dict(type=float),
+    "cycles_per_ramp": dict(type=float, help="singles fringe cycles across the full ramp"),
+    "circuit": dict(help="path to a .mzi circuit file overriding --modules/--phi"),
+    "i0": dict(type=float, help="source intensity"),
+    "mean_photons": dict(type=float),
+    "window_duration": dict(type=float),
+    "seed": dict(type=int, default=0),
+    "workers": dict(type=int, help="accepted for compatibility; has no effect"),
+    "noise": dict(choices=("none", "lab"), default="lab",
+                  help="noise preset (default %(default)s); individual flags override fields"),
+    "dark_rate": dict(type=float),
+    "detector_efficiency": dict(type=float),
+    "phase_jitter_sigma": dict(type=float),
+    "phase_jitter_correlation": dict(type=float),
+    "intensity_drift_fraction": dict(type=float),
+    "mode": dict(choices=("photon", "classical"), default="photon"),
+    "column": dict(help="trace column to analyse (default: coinc / i_gamma)"),
+    "prominence": dict(type=float),
+    "grid": dict(type=int, default=experiment.DEFAULT_GRID_POINTS,
+                 help="phase grid points (default %(default)s)"),
+    "max_m": dict(type=int, default=5, help="largest cascade order (default %(default)s)"),
 }
+
+_SCAN_KEYS = ("modules", "phi", "points", "ramp_start", "ramp_end", "scan_duration",
+              "bin_duration", "cycles_per_ramp", "circuit")
+_SOURCE_NOISE_KEYS = ("mean_photons", "window_duration", "seed", "workers", "noise",
+                      "dark_rate", "detector_efficiency", "phase_jitter_sigma",
+                      "phase_jitter_correlation", "intensity_drift_fraction")
 
 
 def load_config(path) -> dict:
@@ -134,12 +138,24 @@ def load_config(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEY_CASTS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for key {key!r}")
         values[key] = value
     return values
+
+
+def _cast(key: str, text: str):
+    """A config-file value cast and checked as its flag's value would be."""
+    option = _OPTIONS[key]
+    try:
+        value = option.get("type", str)(text)
+        if value not in option.get("choices", (value,)):
+            raise ValueError(f"invalid choice {value!r} (choose from {', '.join(option['choices'])})")
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
+    return value
 
 
 class _UsageError(Exception):
@@ -151,137 +167,56 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The ``cbwsim`` parser and its subcommand parsers by name."""
     parser = _Parser(prog="cbwsim", description="Cascaded-MZI interference lab")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def add_common(p):
+    commands = {}
+    for name, (_, help_text, keys, out_help) in _COMMANDS.items():
+        p = commands[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--modules", type=int, help="number of cascaded MZI stages")
-        # Parsed in _scan_config, so a bad value is a one-line ConfigError.
-        p.add_argument("--phi", help="control phase (radians, pi forms, deg:<x>)")
-        p.add_argument("--points", type=int, help="acquisition bins across the ramp")
-        p.add_argument("--ramp-start", type=float, dest="ramp_start")
-        p.add_argument("--ramp-end", type=float, dest="ramp_end")
-        p.add_argument("--scan-duration", type=float, dest="scan_duration")
-        p.add_argument("--bin-duration", type=float, dest="bin_duration")
-        p.add_argument("--cycles-per-ramp", type=float, dest="cycles_per_ramp",
-                       help="singles fringe cycles across the full ramp")
-        p.add_argument("--circuit", help="path to a .mzi circuit file overriding --modules/--phi")
-
-    def add_source_noise(p):
-        p.add_argument("--mean-photons", type=float, dest="mean_photons")
-        p.add_argument("--window-duration", type=float, dest="window_duration")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int,
-                       help="accepted for compatibility; has no effect")
-        p.add_argument("--noise", choices=_NOISE_CHOICES,
-                       help="noise preset; individual flags override fields")
-        p.add_argument("--dark-rate", type=float, dest="dark_rate")
-        p.add_argument("--detector-efficiency", type=float, dest="detector_efficiency")
-        p.add_argument("--phase-jitter-sigma", type=float, dest="phase_jitter_sigma")
-        p.add_argument("--phase-jitter-correlation", type=float, dest="phase_jitter_correlation")
-        p.add_argument("--intensity-drift-fraction", type=float, dest="intensity_drift_fraction")
-
-    p = sub.add_parser("analytic", help="closed-form intensity sweep to CSV")
-    add_common(p)
-    p.add_argument("--i0", type=float, help="source intensity")
-    p.add_argument("--out", required=True, help="output CSV path")
-
-    p = sub.add_parser("simulate", help="Monte Carlo photon-counting scan to CSV")
-    add_common(p)
-    add_source_noise(p)
-    p.add_argument("--out", required=True, help="output CSV path")
-
-    p = sub.add_parser("scan", help="full experiment run to CSV + SVG")
-    add_common(p)
-    add_source_noise(p)
-    p.add_argument("--mode", choices=_MODE_CHOICES)
-    p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("analyze", help="fringe statistics of a trace CSV")
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--in", dest="input", required=True, help="input trace CSV")
-    p.add_argument("--column", help="trace column to analyse (default: coinc / i_gamma)")
-    p.add_argument("--prominence", type=float)
-    p.add_argument("--out", help="output JSON path (default: stdout)")
-
-    p = sub.add_parser("sensitivity", help="phase-sensitivity scaling report")
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--max-m", type=int, dest="max_m", help="largest cascade order (default 5)")
-    p.add_argument("--grid", type=int, help="phase grid points (default 100000)")
-    p.add_argument("--out", help="output JSON path (default: stdout)")
-
-    return parser
+        if name == "analyze":
+            p.add_argument("--in", dest="input", required=True, help="input trace CSV")
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_OPTIONS[key])
+        p.add_argument("--out", required=out_help is not _JSON_OUT, help=out_help)
+    return parser, commands
 
 
-class _Settings:
-    """Flag values backed by config-file values backed by defaults."""
+def _given(args, *keys, **renamed) -> dict:
+    """Keyword arguments for the options that a flag or the config file set.
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_values = load_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key: str, default=None):
-        value = getattr(self.args, key, None)
-        if value is not None:
-            return value
-        if key in self.file_values:
-            caster = _KEY_CASTS[key]
-            try:
-                return caster(self.file_values[key])
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-        return default
+    ``keys`` pass under their own name; ``renamed`` maps a keyword to its
+    option key.  Unset options are left out, so the callee's default applies.
+    """
+    pairs = [(key, key) for key in keys] + list(renamed.items())
+    return {name: getattr(args, key) for name, key in pairs if getattr(args, key) is not None}
 
 
-def _scan_config(s: _Settings) -> ScanConfig:
-    circuit_path = s.get("circuit")
-    ast = None
-    if circuit_path:
-        ast = circuit.parse_circuit(Path(circuit_path).read_text(encoding="utf-8"))
-    return ScanConfig(
-        ramp_start=s.get("ramp_start", 0.0),
-        ramp_end=s.get("ramp_end", 100.0),
-        scan_duration=s.get("scan_duration", 500.0),
-        points=s.get("points", 5000),
-        bin_duration=s.get("bin_duration", 0.1),
-        calibration=PztCalibration(s.get("cycles_per_ramp", PztCalibration().cycles_per_full_ramp)),
-        phi=parse_phase(s.get("phi", 0.0)),
-        modules=s.get("modules", 2),
-        circuit=ast,
-    )
+def _scan_config(args) -> ScanConfig:
+    fields = _given(args, "ramp_start", "ramp_end", "scan_duration", "points", "bin_duration",
+                    "modules")
+    if args.circuit:
+        fields["circuit"] = circuit.parse_circuit(Path(args.circuit).read_text(encoding="utf-8"))
+    if args.cycles_per_ramp is not None:
+        fields["calibration"] = PztCalibration(args.cycles_per_ramp)
+    if args.phi is not None:
+        fields["phi"] = parse_phase(args.phi)
+    return ScanConfig(**fields)
 
 
-def _noise_model(s: _Settings) -> NoiseModel:
-    base = LAB_NOISE if s.get("noise", "lab") == "lab" else NoiseModel.quiet()
-    overrides = {}
-    for field in ("dark_rate", "detector_efficiency", "phase_jitter_sigma",
-                  "phase_jitter_correlation", "intensity_drift_fraction"):
-        value = s.get(field)
-        if value is not None:
-            overrides[field] = value
-    return dataclasses.replace(base, **overrides) if overrides else base
-
-
-def _source_model(s: _Settings, mode: SourceMode) -> SourceModel:
-    return SourceModel(
-        mean_photons_per_window=s.get("mean_photons", 0.04),
-        window_duration=s.get("window_duration", 1e-8),
-        mode=mode,
-    )
+def _noise_model(args) -> NoiseModel:
+    base = LAB_NOISE if args.noise == "lab" else NoiseModel.quiet()
+    # Each NoiseModel field has an option of the same name.
+    return dataclasses.replace(base, **_given(args, *(f.name for f in dataclasses.fields(NoiseModel))))
 
 
 def _cmd_analytic(args) -> int:
-    s = _Settings(args)
-    scan = _scan_config(s)
+    scan = _scan_config(args)
     if scan.circuit is not None:
         raise ConfigError("analytic sweeps are defined by --modules/--phi, not a circuit file")
-    i0 = s.get("i0", 1.0)
-    if not (math.isfinite(i0) and i0 >= 0):
-        raise ConfigError(f"i0 must be a finite number >= 0, got {i0!r}")
     psi = scan.psi_values()
-    prediction = analytic.cbw_intensities(psi, scan.phi, scan.modules, i0)
+    prediction = analytic.cbw_intensities(psi, scan.phi, scan.modules, **_given(args, "i0"))
     trace = montecarlo.CountTrace(
         mode=SourceMode.CLASSICAL_INTENSITY,
         bin_index=np.arange(scan.points, dtype=np.int64),
@@ -296,25 +231,23 @@ def _cmd_analytic(args) -> int:
     return 0
 
 
-def _run_configured_scan(s: _Settings, mode: SourceMode) -> montecarlo.CountTrace:
-    scan = _scan_config(s)
-    source = _source_model(s, mode)
-    noise = _noise_model(s)
-    seed = s.get("seed", 0)
-    return experiment.run_scan(scan, source, noise, seed)
+def _run_configured_scan(args, mode: SourceMode) -> montecarlo.CountTrace:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {args.seed}")
+    source = SourceModel(mode=mode, **_given(args, "window_duration",
+                                             mean_photons_per_window="mean_photons"))
+    return experiment.run_scan(_scan_config(args), source, _noise_model(args), args.seed)
 
 
 def _cmd_simulate(args) -> int:
-    s = _Settings(args)
-    trace = _run_configured_scan(s, SourceMode.PHOTON_COUNTING)
+    trace = _run_configured_scan(args, SourceMode.PHOTON_COUNTING)
     trace_io.write_trace_csv(trace, args.out)
     return 0
 
 
 def _cmd_scan(args) -> int:
-    s = _Settings(args)
-    mode = SourceMode.CLASSICAL_INTENSITY if s.get("mode", "photon") == "classical" else SourceMode.PHOTON_COUNTING
-    trace = _run_configured_scan(s, mode)
+    mode = SourceMode(args.mode)
+    trace = _run_configured_scan(args, mode)
     if mode is SourceMode.PHOTON_COUNTING:
         series = [("d1", trace.singles_d1), ("d2", trace.singles_d2),
                   ("coinc", trace.coincidences)]
@@ -345,17 +278,14 @@ _CLASSICAL_COLUMNS = {"i_gamma": "singles_d1", "i_delta": "singles_d2"}
 
 
 def _cmd_analyze(args) -> int:
-    s = _Settings(args)
     trace = trace_io.read_trace_csv(args.input)
     photon = trace.mode is SourceMode.PHOTON_COUNTING
     columns = _PHOTON_COLUMNS if photon else _CLASSICAL_COLUMNS
-    column = s.get("column", "coinc" if photon else "i_gamma")
+    column = args.column if args.column is not None else ("coinc" if photon else "i_gamma")
     if column not in columns:
         raise ConfigError(f"unknown column {column!r}; choose from {sorted(columns)}")
     values = getattr(trace, columns[column])
-    prominence = s.get("prominence", 0.2)
-
-    stats = experiment.fringe_stats(values, trace.psi, prominence)
+    stats = experiment.fringe_stats(values, trace.psi, **_given(args, "prominence"))
     payload = {
         "column": column,
         "source": str(args.input),
@@ -379,33 +309,39 @@ def _emit_json(payload: dict, out) -> None:
 
 
 def _cmd_sensitivity(args) -> int:
-    s = _Settings(args)
-    max_m = s.get("max_m", 5)
-    grid = s.get("grid", 100_000)
-    if max_m < 1:
+    if args.max_m < 1:
         raise ConfigError("max_m must be >= 1")
-    baseline = experiment.estimate_sensitivity(1, grid)
+    baseline = experiment.estimate_sensitivity(1, args.grid)
     reports = [dataclasses.asdict(baseline)] + [
-        dataclasses.asdict(experiment.estimate_sensitivity(m, grid, eta_classical=baseline.eta))
-        for m in range(2, max_m + 1)
+        dataclasses.asdict(experiment.estimate_sensitivity(m, args.grid, eta_classical=baseline.eta))
+        for m in range(2, args.max_m + 1)
     ]
-    payload = {"grid_points": grid, "reports": reports}
+    payload = {"grid_points": args.grid, "reports": reports}
     _emit_json(payload, args.out)
     return 0
 
 
+_JSON_OUT = "output JSON path (default: stdout)"
+
+# Subcommand -> (handler, help, option keys, help of --out).  --out is
+# required except for JSON reports, which go to stdout without it.
 _COMMANDS = {
-    "analytic": _cmd_analytic,
-    "simulate": _cmd_simulate,
-    "scan": _cmd_scan,
-    "analyze": _cmd_analyze,
-    "sensitivity": _cmd_sensitivity,
+    "analytic": (_cmd_analytic, "closed-form intensity sweep to CSV",
+                 _SCAN_KEYS + ("i0",), "output CSV path"),
+    "simulate": (_cmd_simulate, "Monte Carlo photon-counting scan to CSV",
+                 _SCAN_KEYS + _SOURCE_NOISE_KEYS, "output CSV path"),
+    "scan": (_cmd_scan, "full experiment run to CSV + SVG",
+             _SCAN_KEYS + _SOURCE_NOISE_KEYS + ("mode",), "output directory"),
+    "analyze": (_cmd_analyze, "fringe statistics of a trace CSV",
+                ("column", "prominence"), _JSON_OUT),
+    "sensitivity": (_cmd_sensitivity, "phase-sensitivity scaling report",
+                    ("max_m", "grid"), _JSON_OUT),
 }
 
 
 def dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
@@ -417,7 +353,14 @@ def dispatch(argv) -> int:
         print("cbwsim: error: a subcommand is required", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        if args.config:
+            # File values become the subcommand's defaults, so every flag
+            # still beats them; keys of other subcommands are ignored.
+            values = load_config(args.config)
+            commands[args.command].set_defaults(
+                **{key: _cast(key, text) for key, text in values.items() if key in vars(args)})
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command][0](args)
     except (experiment.InsufficientFringesError, experiment.AmbiguousPeriodError) as exc:
         print(f"cbwsim: analysis error: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ __all__ = [
     "ConfigError",
     "DEFAULT_CYCLES_PER_RAMP",
     "LAB_NOISE",
+    "MAX_MODULES",
     "MAX_POINTS",
     "NoiseModel",
     "PztCalibration",
@@ -35,6 +36,9 @@ DEFAULT_CYCLES_PER_RAMP = 10.5
 # Largest number of acquisition bins in one scan.  Ten million bins is
 # about 1 GB of trace CSV; the cap keeps a typo from allocating far more.
 MAX_POINTS = 10_000_000
+
+# Largest cascade a scan builds: chain evaluation grows linearly with it.
+MAX_MODULES = 1000
 
 
 class ConfigError(ValueError):
@@ -168,7 +172,7 @@ class ScanConfig:
 
     The degenerate empty scan (``points=0`` with ``scan_duration=0``) is
     accepted and produces an empty trace; ``points`` may not exceed
-    :data:`MAX_POINTS`.
+    :data:`MAX_POINTS`, nor ``modules`` :data:`MAX_MODULES`.
     """
 
     ramp_start: float = 0.0
@@ -185,12 +189,16 @@ class ScanConfig:
         _require_finite(self, ("ramp_start", "ramp_end", "scan_duration", "bin_duration", "phi"))
         if self.points > MAX_POINTS:
             raise ConfigError(f"points must be at most {MAX_POINTS}, got {self.points}")
+        if self.modules > MAX_MODULES:
+            raise ConfigError(f"modules must be at most {MAX_MODULES}, got {self.modules}")
         if self.points == 0 and self.scan_duration == 0:
             return
         if self.points < 2:
             raise ConfigError("a scan needs at least 2 points")
         if self.bin_duration <= 0:
             raise ConfigError("bin_duration must be positive")
+        if not math.isfinite(self.points * self.bin_duration):
+            raise ConfigError("points * bin_duration overflows a double")
         if self.points * self.bin_duration > self.scan_duration + self.bin_duration:
             raise ConfigError("points * bin_duration exceeds scan_duration by more than one bin")
         if self.ramp_end <= self.ramp_start:

@@ -20,6 +20,7 @@ from .montecarlo import CountTrace
 
 __all__ = [
     "AmbiguousPeriodError",
+    "DEFAULT_GRID_POINTS",
     "FringeStats",
     "InsufficientFringesError",
     "MAX_GRID_POINTS",
@@ -37,8 +38,9 @@ __all__ = [
 # Relative tolerance under which two slope peaks count as equally high.
 _PEAK_TIE_RTOL = 1e-9
 
-# Largest sensitivity grid: ten times the default, a few hundred MB of
-# transfer-matrix stacks at peak.
+# Default sensitivity grid, and the largest: ten times the default, a few
+# hundred MB of transfer-matrix stacks at peak.
+DEFAULT_GRID_POINTS = 100_000
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -248,7 +250,7 @@ def fringe_stats(values, psi, prominence: float = 0.2) -> FringeStats:
 
 
 def estimate_sensitivity(
-    m: int, grid_points: int = 100_000, *, eta_classical: float | None = None,
+    m: int, grid_points: int = DEFAULT_GRID_POINTS, *, eta_classical: float | None = None,
 ) -> SensitivityReport:
     """Phase-sensitivity scaling of the m-stage cascade at control phase 0.
 

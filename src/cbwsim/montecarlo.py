@@ -25,7 +25,8 @@ cost independent of the number of windows.  A bin may hold at most
 
 Reproducibility: the master seed feeds a ``numpy.random.SeedSequence``
 whose three spawned children are assigned, in order, to the phase-jitter
-walk, the intensity-drift walk and the counts.  There are no per-bin
+walk, the intensity-drift walk and the counts (a classical trace draws no
+counts and leaves the third unused).  There are no per-bin
 streams and no threads, so a seed fixes the whole trace.
 """
 
@@ -163,19 +164,29 @@ def _require_scan_parameters(ast: circuit_mod.CircuitAst) -> None:
 
 
 def _noise_walks(noise: NoiseModel, scan: ScanConfig, jitter_ss, drift_ss, points: int):
-    """Pre-generate the sequential phase-jitter and intensity-drift walks."""
-    if noise.phase_jitter_sigma > 0 and points:
-        step = noise.phase_jitter_sigma * np.sqrt(scan.bin_duration / noise.phase_jitter_correlation)
-        jitter = np.cumsum(np.random.Generator(np.random.PCG64(jitter_ss)).normal(0.0, step, points))
-    else:
-        jitter = np.zeros(points)
-    if noise.intensity_drift_fraction > 0 and points:
-        steps = np.random.Generator(np.random.PCG64(drift_ss)).normal(0.0, 1.0, points)
-        drift = 1.0 + np.cumsum(steps) * (noise.intensity_drift_fraction / np.sqrt(points))
-        drift = np.clip(drift, 0.0, None)
-    else:
-        drift = np.ones(points)
-    return jitter, drift
+    """Pre-generate the sequential phase-jitter and intensity-drift walks.
+
+    A walk that overflows a double is a :class:`ConfigError` naming the
+    noise field that drives it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if noise.phase_jitter_sigma > 0 and points:
+            step = noise.phase_jitter_sigma * np.sqrt(scan.bin_duration / noise.phase_jitter_correlation)
+            jitter = np.cumsum(np.random.Generator(np.random.PCG64(jitter_ss)).normal(0.0, step, points))
+        else:
+            jitter = np.zeros(points)
+        if noise.intensity_drift_fraction > 0 and points:
+            steps = np.random.Generator(np.random.PCG64(drift_ss)).normal(0.0, 1.0, points)
+            drift = 1.0 + np.cumsum(steps) * (noise.intensity_drift_fraction / np.sqrt(points))
+        else:
+            drift = np.ones(points)
+    if not np.all(np.isfinite(jitter)):
+        raise ConfigError(f"phase_jitter_sigma {noise.phase_jitter_sigma!r} with phase_jitter_correlation "
+                          f"{noise.phase_jitter_correlation!r} overflows the phase-jitter walk")
+    if not np.all(np.isfinite(drift)):
+        raise ConfigError(f"intensity_drift_fraction {noise.intensity_drift_fraction!r} "
+                          "overflows the intensity-drift walk")
+    return jitter, np.clip(drift, 0.0, None)
 
 
 def _born_probabilities(ast, psi_actual, phi, drift):
@@ -185,6 +196,32 @@ def _born_probabilities(ast, psi_actual, phi, drift):
     total = i_upper + i_lower
     p_upper = np.divide(i_upper, total, out=np.full_like(total, 0.5), where=total > 0)
     return np.clip(p_upper, 0.0, 1.0), i_upper, i_lower
+
+
+def _scan_chain(ast, scan: ScanConfig, source: SourceModel, noise: NoiseModel, seed: int,
+                mode: SourceMode, wrong_mode: str):
+    """What both simulators share: check the source mode and the circuit, draw
+    the noise walks and evaluate the chain at the jittered phases.  Returns
+    ``(psi_nominal, drift, (p_upper, i_upper, i_lower), counts_ss)``.
+    """
+    if source.mode is not mode:
+        raise ConfigError(wrong_mode)
+    _require_scan_parameters(ast)
+    jitter_ss, drift_ss, counts_ss = np.random.SeedSequence(seed).spawn(3)
+    jitter, drift = _noise_walks(noise, scan, jitter_ss, drift_ss, scan.points)
+    psi_nominal = scan.psi_values()
+    probabilities = _born_probabilities(ast, psi_nominal + jitter, scan.phi, drift)
+    return psi_nominal, drift, probabilities, counts_ss
+
+
+def _trace(scan: ScanConfig, source: SourceModel, noise: NoiseModel, seed: int, psi,
+           singles_d1, singles_d2, coincidences, **meta) -> CountTrace:
+    trace = CountTrace(mode=source.mode, bin_index=np.arange(scan.points, dtype=np.int64),
+                       time=scan.times(), voltage=scan.voltages(), psi=psi,
+                       singles_d1=singles_d1, singles_d2=singles_d2, coincidences=coincidences,
+                       seed=seed, meta={"scan": scan, "source": source, "noise": noise, **meta})
+    trace.validate()
+    return trace
 
 
 def simulate_scan_counts(
@@ -202,17 +239,10 @@ def simulate_scan_counts(
     one multinomial over the four window outcomes.  Deterministic for a
     given seed.
     """
-    if source.mode is not SourceMode.PHOTON_COUNTING:
-        raise ConfigError("simulate_scan_counts requires a photon-counting source")
-    _require_scan_parameters(ast)
+    psi, drift, (p_upper, _, _), counts_ss = _scan_chain(
+        ast, scan, source, noise, seed, SourceMode.PHOTON_COUNTING,
+        "simulate_scan_counts requires a photon-counting source")
     windows = _windows_per_bin(scan, source) if scan.points else 0
-    points = scan.points
-
-    jitter_ss, drift_ss, counts_ss = np.random.SeedSequence(seed).spawn(3)
-    jitter, drift = _noise_walks(noise, scan, jitter_ss, drift_ss, points)
-
-    psi_nominal = scan.psi_values()
-    p_upper, _, _ = _born_probabilities(ast, psi_nominal + jitter, scan.phi, drift)
     detected = source.mean_photons_per_window * drift * noise.detector_efficiency
     p_dark = noise.dark_rate * source.window_duration
     q1 = -np.expm1(-(detected * p_upper + p_dark))
@@ -220,23 +250,8 @@ def simulate_scan_counts(
     pvals = np.stack([q1 * q2, q1 * (1.0 - q2), (1.0 - q1) * q2, (1.0 - q1) * (1.0 - q2)], axis=1)
     outcomes = np.random.Generator(np.random.PCG64(counts_ss)).multinomial(windows, pvals)
     coincidences = outcomes[:, 0]
-    singles_d1 = coincidences + outcomes[:, 1]
-    singles_d2 = coincidences + outcomes[:, 2]
-
-    trace = CountTrace(
-        mode=SourceMode.PHOTON_COUNTING,
-        bin_index=np.arange(points, dtype=np.int64),
-        time=scan.times(),
-        voltage=scan.voltages(),
-        psi=psi_nominal,
-        singles_d1=singles_d1,
-        singles_d2=singles_d2,
-        coincidences=coincidences,
-        seed=seed,
-        meta={"scan": scan, "source": source, "noise": noise, "windows_per_bin": windows},
-    )
-    trace.validate()
-    return trace
+    return _trace(scan, source, noise, seed, psi, coincidences + outcomes[:, 1],
+                  coincidences + outcomes[:, 2], coincidences, windows_per_bin=windows)
 
 
 def simulate_classical_trace(
@@ -253,30 +268,10 @@ def simulate_classical_trace(
     zero.  Phase jitter and intensity drift apply; detector efficiency and
     dark counts are photon-counting concepts and do not.
     """
-    if source.mode is not SourceMode.CLASSICAL_INTENSITY:
-        raise ConfigError("simulate_classical_trace requires a classical-intensity source")
-    _require_scan_parameters(ast)
-    points = scan.points
-
-    jitter_ss, drift_ss = np.random.SeedSequence(seed).spawn(2)
-    jitter, drift = _noise_walks(noise, scan, jitter_ss, drift_ss, points)
-    psi_nominal = scan.psi_values()
-    _, i_upper, i_lower = _born_probabilities(ast, psi_nominal + jitter, scan.phi, drift)
-
-    trace = CountTrace(
-        mode=SourceMode.CLASSICAL_INTENSITY,
-        bin_index=np.arange(points, dtype=np.int64),
-        time=scan.times(),
-        voltage=scan.voltages(),
-        psi=psi_nominal,
-        singles_d1=i_upper,
-        singles_d2=i_lower,
-        coincidences=np.zeros(points),
-        seed=seed,
-        meta={"scan": scan, "source": source, "noise": noise},
-    )
-    trace.validate()
-    return trace
+    psi, _, (_, i_upper, i_lower), _ = _scan_chain(
+        ast, scan, source, noise, seed, SourceMode.CLASSICAL_INTENSITY,
+        "simulate_classical_trace requires a classical-intensity source")
+    return _trace(scan, source, noise, seed, psi, i_upper, i_lower, np.zeros(scan.points))
 
 
 def coincidence_fraction(trace: CountTrace) -> float:

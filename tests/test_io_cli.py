@@ -408,6 +408,81 @@ class TestLoadConfig:
         assert read_trace_csv(bright).singles_d1.sum() > 20 * read_trace_csv(dim).singles_d1.sum()
 
 
+SCAN_FLAGS = {"--modules", "--phi", "--points", "--ramp-start", "--ramp-end", "--scan-duration",
+              "--bin-duration", "--cycles-per-ramp", "--circuit"}
+SOURCE_NOISE_FLAGS = {"--mean-photons", "--window-duration", "--seed", "--workers", "--noise",
+                      "--dark-rate", "--detector-efficiency", "--phase-jitter-sigma",
+                      "--phase-jitter-correlation", "--intensity-drift-fraction"}
+COMMON_FLAGS = {"-h", "--help", "--config", "--out"}
+
+# Every value a run of each subcommand can take from a flag or from its config key.
+EVERY_OPTION = {
+    "analytic": {"modules": "3", "phi": "pi/3", "points": "50", "ramp_start": "5",
+                 "ramp_end": "80", "scan_duration": "10", "bin_duration": "0.2",
+                 "cycles_per_ramp": "7", "i0": "2.5"},
+    "simulate": {"modules": "3", "phi": "pi/3", "points": "50", "ramp_start": "5",
+                 "ramp_end": "80", "scan_duration": "10", "bin_duration": "0.2",
+                 "cycles_per_ramp": "7", "mean_photons": "0.3", "window_duration": "1e-6",
+                 "seed": "4", "workers": "3", "noise": "none", "dark_rate": "50",
+                 "detector_efficiency": "0.9", "phase_jitter_sigma": "0.02",
+                 "phase_jitter_correlation": "2", "intensity_drift_fraction": "0.02"},
+    "sensitivity": {"max_m": "2", "grid": "30000"},
+}
+
+
+class TestOptionTable:
+    def test_each_subcommand_keeps_its_option_strings(self):
+        _, commands = cli._build_parser()
+        expected = {
+            "analytic": COMMON_FLAGS | SCAN_FLAGS | {"--i0"},
+            "simulate": COMMON_FLAGS | SCAN_FLAGS | SOURCE_NOISE_FLAGS,
+            "scan": COMMON_FLAGS | SCAN_FLAGS | SOURCE_NOISE_FLAGS | {"--mode"},
+            "analyze": COMMON_FLAGS | {"--in", "--column", "--prominence"},
+            "sensitivity": COMMON_FLAGS | {"--max-m", "--grid"},
+        }
+        got = {name: {s for action in p._actions for s in action.option_strings}
+               for name, p in commands.items()}
+        assert got == expected
+
+    def test_config_keys_are_the_flag_names(self):
+        flags = SCAN_FLAGS | SOURCE_NOISE_FLAGS | {"--i0", "--mode", "--column", "--prominence",
+                                                   "--max-m", "--grid"}
+        assert len(cli._OPTIONS) == 25
+        assert {"--" + key.replace("_", "-") for key in cli._OPTIONS} == flags
+
+    @pytest.mark.parametrize("command", sorted(EVERY_OPTION))
+    def test_config_file_and_flags_give_the_same_run(self, tmp_path, command):
+        options = EVERY_OPTION[command]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in options.items()))
+        by_file, by_flags = tmp_path / "file.out", tmp_path / "flags.out"
+        assert cli.dispatch([command, "--config", str(cfg), "--out", str(by_file)]) == 0
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in options.items()]
+        assert cli.dispatch([command, *flags, "--out", str(by_flags)]) == 0
+        assert by_file.read_bytes() == by_flags.read_bytes()
+        assert cli.dispatch([command, "--out", str(tmp_path / "default.out")]) == 0
+        assert (tmp_path / "default.out").read_bytes() != by_file.read_bytes()
+
+    def test_keys_of_other_subcommands_are_ignored_unchecked(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("points=20\nscan_duration=2\nmode=bogus\ngrid=abc\nmax_m=x\n"
+                       "column=nope\nprominence=nan\ni0=-1\n")
+        out = tmp_path / "o.csv"
+        assert cli.dispatch(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(read_trace_csv(out)) == 20
+
+    @pytest.mark.parametrize("command", ["simulate", "scan"])
+    def test_unread_option_in_config_is_checked_like_its_flag(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("points=20\nscan_duration=2\nworkers=abc\n")
+        out = tmp_path / "out"
+        assert cli.dispatch([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cbwsim: error: config key 'workers': ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestDispatch:
     def test_analytic_symmetric_is_constant(self, tmp_path):
         out = tmp_path / "flat.csv"
@@ -668,6 +743,59 @@ class TestDispatch:
         assert code == 1
         assert capsys.readouterr().err == f"cbwsim: error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--points", "10", "--scan-duration", "1", "--seed", "1",
+          "--phase-jitter-sigma", "1", "--phase-jitter-correlation", "1e-320"],
+         "overflows the phase-jitter walk"),
+        (["simulate", "--points", "1000", "--scan-duration", "100", "--phase-jitter-sigma", "1e308"],
+         "overflows the phase-jitter walk"),
+        (["scan", "--mode", "classical", "--points", "5000", "--seed", "2",
+          "--intensity-drift-fraction", "1.7e308"],
+         "intensity_drift_fraction 1.7e+308 overflows the intensity-drift walk"),
+        (["analytic", "--modules", "20000", "--points", "10"],
+         f"modules must be at most {config.MAX_MODULES}, got 20000"),
+        (["scan", "--modules", "100000000"],
+         f"modules must be at most {config.MAX_MODULES}, got 100000000"),
+        (["simulate", f"--modules={config.MAX_MODULES + 1}", "--points", "10"],
+         f"modules must be at most {config.MAX_MODULES}, got {config.MAX_MODULES + 1}"),
+        (["scan", "--seed=-1", "--points", "10"], "seed must be a non-negative integer, got -1"),
+        (["simulate", "--seed=-7", "--points", "10"], "seed must be a non-negative integer, got -7"),
+        (["analytic", "--scan-duration", "1e308", "--bin-duration", "1e308"],
+         "points * bin_duration overflows a double"),
+    ], ids=["jitter-subnormal-correlation", "jitter-huge-sigma", "drift-huge-fraction",
+            "modules-20000", "modules-1e8", "modules-cap-plus-one", "seed-negative-scan",
+            "seed-negative-simulate", "bin-times-overflow"])
+    def test_out_of_range_noise_modules_seed_exit_one(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.dispatch([*argv, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cbwsim: error: ") and err.count("\n") == 1
+        assert message in err
+        if "walk" in message:
+            assert ("phase_jitter_sigma" if "phase" in message else "intensity_drift_fraction") in err
+        assert not out.exists()
+
+    def test_negative_seed_in_config_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-3\npoints=10\n")
+        out = tmp_path / "o.csv"
+        assert cli.dispatch(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "cbwsim: error: seed must be a non-negative integer, got -3\n"
+        assert not out.exists()
+
+    def test_huge_i0_sweeps_without_overflow(self, tmp_path):
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for modules in ("1", "2"):
+                assert cli.dispatch(["analytic", "--modules", modules, "--points", "100",
+                                     "--i0", "1e308", "--out", str(out)]) == 0
+                trace = read_trace_csv(out)
+                assert np.max(trace.singles_d1 + trace.singles_d2) <= 1e308 * (1 + 1e-15)
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert cli.dispatch(["frobnicate"]) == 1
