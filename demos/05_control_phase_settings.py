@@ -25,7 +25,7 @@ OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
 cw = SourceModel(mode=SourceMode.CLASSICAL_INTENSITY)
-quiet = NoiseModel.quiet()
+quiet = NoiseModel()
 
 series = []
 for phi, label in [(0.0, "phi = 0 (doubled fringe)"),

@@ -17,8 +17,7 @@ from cbwsim import (
 )
 
 print(f"{'m':>3} {'eta':>8} {'delta_phi':>10} {'ratio':>8} {'slope at psi':>13}")
-for m in range(1, 6):
-    rep = estimate_sensitivity(m, 100_000)
+for rep in estimate_sensitivity(5, 100_000):
     print(f"{rep.m:3d} {rep.eta:8.4f} {rep.delta_phi:10.4f} "
           f"{rep.ratio_to_classical:8.4f} {rep.max_slope_psi:13.4f}")
 

@@ -206,7 +206,7 @@ def _scan_config(args) -> ScanConfig:
 
 
 def _noise_model(args) -> NoiseModel:
-    base = LAB_NOISE if args.noise == "lab" else NoiseModel.quiet()
+    base = LAB_NOISE if args.noise == "lab" else NoiseModel()
     # Each NoiseModel field has an option of the same name.
     return dataclasses.replace(base, **_given(args, *(f.name for f in dataclasses.fields(NoiseModel))))
 
@@ -309,14 +309,8 @@ def _emit_json(payload: dict, out) -> None:
 
 
 def _cmd_sensitivity(args) -> int:
-    if args.max_m < 1:
-        raise ConfigError("max_m must be >= 1")
-    baseline = experiment.estimate_sensitivity(1, args.grid)
-    reports = [dataclasses.asdict(baseline)] + [
-        dataclasses.asdict(experiment.estimate_sensitivity(m, args.grid, eta_classical=baseline.eta))
-        for m in range(2, args.max_m + 1)
-    ]
-    payload = {"grid_points": args.grid, "reports": reports}
+    reports = experiment.estimate_sensitivity(args.max_m, args.grid)
+    payload = {"grid_points": args.grid, "reports": [dataclasses.asdict(r) for r in reports]}
     _emit_json(payload, args.out)
     return 0
 

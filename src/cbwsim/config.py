@@ -142,11 +142,6 @@ class NoiseModel:
         if not (0.0 <= self.detector_efficiency <= 1.0):
             raise ConfigError("detector_efficiency must lie in [0, 1]")
 
-    @classmethod
-    def quiet(cls) -> "NoiseModel":
-        """Noise-free, unit-efficiency detectors."""
-        return cls()
-
 
 # Fitted at: two-stage chain, control phase 0, mean photons 0.3,
 # window 1e-6 s, 0.1 s bins, full default ramp.  Gives coincidence

@@ -3,12 +3,12 @@
 Ties the pieces together the way the bench does: the PZT calibration maps
 the voltage ramp to phase, the chosen cascade is simulated (photon counting
 or cw), and the recorded trace is reduced to extrema, visibility, dominant
-fringe period, and the phase-sensitivity scaling of the cascade order.
+fringe period, and the phase-sensitivity scaling of the cascade order
+(one :func:`estimate_sensitivity` call reports every order from 1 to M).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,55 +250,50 @@ def fringe_stats(values, psi, prominence: float = 0.2) -> FringeStats:
 
 
 def estimate_sensitivity(
-    m: int, grid_points: int = DEFAULT_GRID_POINTS, *, eta_classical: float | None = None,
-) -> SensitivityReport:
-    """Phase-sensitivity scaling of the m-stage cascade at control phase 0.
+    max_m: int, grid_points: int = DEFAULT_GRID_POINTS,
+) -> tuple[SensitivityReport, ...]:
+    """Phase-sensitivity scaling of the 1..``max_m``-stage cascades at control phase 0.
 
-    Evaluates the noiseless normalised intensity difference
-    ``dI(psi) = I_upper - I_lower`` by matrix composition on a dense grid
-    over one full fringe period of the classical baseline, takes the
-    maximum central-difference slope ``eta = max |d(dI)/dpsi|``, and
-    reports ``delta_phi = 1/eta`` plus its ratio to the ``m=1`` baseline.
-    The maximum-slope location is reported rather than assumed: it is the
-    first grid point whose ``|slope|`` reaches ``(1 - 1e-9) * eta``, so
-    peaks of equal height are not told apart by rounding noise.
+    Returns one :class:`SensitivityReport` per order ``m = 1 .. max_m``;
+    ``reports[0]`` is the single-MZI baseline that every ``ratio_to_classical``
+    compares with.  Each order evaluates the noiseless normalised intensity
+    difference ``dI(psi) = I_upper - I_lower`` by matrix composition on one
+    shared dense grid over a full fringe period of the baseline, takes the
+    maximum central-difference slope ``eta = max |d(dI)/dpsi|`` and reports
+    ``delta_phi = 1/eta``.  The maximum-slope location is reported rather
+    than assumed: it is the first grid point whose ``|slope|`` reaches
+    ``(1 - 1e-9) * eta``, so peaks of equal height are not told apart by
+    rounding noise.  The grid is uniform by construction, so the slope is
+    ``np.gradient`` with the scalar spacing ``2*pi/grid_points``, the step
+    ``linspace`` computes.
 
-    ``eta_classical`` is the ``m=1`` baseline's ``eta`` at the same
-    ``grid_points``; pass it to skip recomputing the baseline when
-    reporting several orders.  The result is identical either way.
-    ``grid_points`` may not exceed :data:`MAX_GRID_POINTS`.  The grid is
-    uniform by construction, so the slope is ``np.gradient`` with the
-    scalar spacing ``2*pi/grid_points``, the step ``linspace`` computes.
+    Every bound is checked before any order is evaluated: ``max_m >= 1``,
+    ``grid_points <= MAX_GRID_POINTS`` and ``grid_points >= 10000 * max_m``
+    (at least 10000 points per fringe period of the highest order).
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if grid_points < 10_000 * m:
-        raise ValueError("grid must resolve >= 10000 points per fringe period")
+    if max_m < 1:
+        raise ValueError("max_m must be >= 1")
     if grid_points > MAX_GRID_POINTS:
         raise ValueError(f"grid must have at most {MAX_GRID_POINTS} points, got {grid_points}")
-    if eta_classical is not None and not (math.isfinite(eta_classical) and eta_classical > 0):
-        raise ValueError("eta_classical must be a positive finite number")
+    if grid_points < 10_000 * max_m:
+        raise ValueError("grid must resolve >= 10000 points per fringe period")
 
     psi = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
-
-    def max_slope(order: int):
-        ast = circuit_mod.build_cbw_chain(order, phi=0.0)
-        upper, lower = circuit_mod.output_intensities(ast, {"psi": psi})
-        diff = np.subtract(upper, lower, out=upper)
-        slope = np.abs(np.gradient(diff, 2.0 * np.pi / grid_points))
-        peak = float(np.max(slope))
-        idx = int(np.argmax(slope >= (1.0 - _PEAK_TIE_RTOL) * peak))
-        return peak, float(psi[idx])
-
-    eta, argmax_psi = max_slope(m)
-    if eta_classical is None:
-        eta_classical = eta if m == 1 else max_slope(1)[0]
-    delta_phi = 1.0 / eta
-    return SensitivityReport(
-        m=m,
-        eta=eta,
-        delta_phi=delta_phi,
-        ratio_to_classical=delta_phi / (1.0 / eta_classical),
-        max_slope_psi=argmax_psi,
-    )
-
+    reports: list = []
+    for m in range(1, max_m + 1):
+        upper, lower = circuit_mod.output_intensities(
+            circuit_mod.build_cbw_chain(m, phi=0.0), {"psi": psi})
+        slope = np.abs(np.gradient(np.subtract(upper, lower, out=upper), 2.0 * np.pi / grid_points))
+        eta = float(np.max(slope))
+        idx = int(np.argmax(slope >= (1.0 - _PEAK_TIE_RTOL) * eta))
+        # Free this order's arrays before the next order's stacks are built.
+        del upper, lower, slope
+        delta_phi = 1.0 / eta
+        reports.append(SensitivityReport(
+            m=m,
+            eta=eta,
+            delta_phi=delta_phi,
+            ratio_to_classical=delta_phi / (reports[0].delta_phi if reports else delta_phi),
+            max_slope_psi=float(psi[idx]),
+        ))
+    return tuple(reports)

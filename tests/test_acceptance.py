@@ -33,7 +33,7 @@ from cbwsim.experiment import count_fringes, dominant_period, estimate_sensitivi
 from cbwsim.montecarlo import coincidence_fraction, simulate_scan_counts
 from cbwsim.optics import Arm
 
-QUIET = NoiseModel.quiet()
+QUIET = NoiseModel()
 CLASSICAL = SourceModel(mode=SourceMode.CLASSICAL_INTENSITY)
 
 
@@ -153,7 +153,7 @@ def test_criterion_7_visibility_bands():
 
 
 def test_criterion_8_sensitivity_scaling():
-    ratios = [estimate_sensitivity(m, 100_000).ratio_to_classical for m in range(1, 6)]
+    ratios = [r.ratio_to_classical for r in estimate_sensitivity(5, 100_000)]
     errs = [abs(r - 1.0 / m) * m for m, r in zip(range(1, 6), ratios)]
     report(8, "phase sensitivity scales as 1/m within 1% for m = 1..5",
            max(errs) < 0.01, "ratios = " + ", ".join(f"{r:.4f}" for r in ratios))

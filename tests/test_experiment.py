@@ -16,7 +16,7 @@ from cbwsim.experiment import (
     visibility,
 )
 
-QUIET = NoiseModel.quiet()
+QUIET = NoiseModel()
 CLASSICAL = SourceModel(mode=SourceMode.CLASSICAL_INTENSITY)
 
 
@@ -250,45 +250,46 @@ class TestFringeStats:
         assert stats.fringe_count == expected_count == 20.0
 
 
+@pytest.fixture(scope="module")
+def reports_1_to_5():
+    return estimate_sensitivity(5, 100_000)
+
+
 class TestSensitivity:
     def test_classical_baseline(self):
-        report = estimate_sensitivity(1, 50_000)
+        (report,) = estimate_sensitivity(1, 50_000)
         assert abs(report.eta - 1.0) < 0.01
         assert abs(report.delta_phi - 1.0) < 0.01
         assert report.ratio_to_classical == 1.0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-    def test_scaling_law(self, m):
-        report = estimate_sensitivity(m, 100_000)
+    def test_scaling_law(self, reports_1_to_5, m):
+        report = reports_1_to_5[m - 1]
         assert abs(report.ratio_to_classical - 1.0 / m) < 0.01 / m
         assert abs(report.eta - m) < 0.01 * m
 
     def test_slope_location_reported(self):
-        report = estimate_sensitivity(2, 40_000)
+        report = estimate_sensitivity(2, 40_000)[1]
         # steepest point of cos(2 psi) difference sits at odd multiples of pi/4
         distance = np.min(np.abs(report.max_slope_psi - np.arange(1, 8, 2) * np.pi / 4))
         assert distance < 1e-3
 
-    def test_slope_location_is_the_first_peak(self):
+    def test_slope_location_is_the_first_peak(self, reports_1_to_5):
         step = 2 * np.pi / 100_000
-        for m, expected in zip(range(1, 6), [np.pi / 2, np.pi / 4, np.pi / 2, np.pi / 8, np.pi / 10]):
-            assert abs(estimate_sensitivity(m, 100_000).max_slope_psi - expected) <= step
+        for report, expected in zip(reports_1_to_5,
+                                    [np.pi / 2, np.pi / 4, np.pi / 2, np.pi / 8, np.pi / 10]):
+            assert abs(report.max_slope_psi - expected) <= step
 
-    @pytest.mark.parametrize("m", [1, 2, 5])
-    def test_passed_baseline_gives_the_same_report(self, m):
-        baseline = estimate_sensitivity(1, 50_000).eta
-        assert estimate_sensitivity(m, 50_000, eta_classical=baseline) == estimate_sensitivity(m, 50_000)
-
-    def test_baseline_must_be_positive_and_finite(self):
-        for bad in (0.0, -1.0, float("nan"), float("inf")):
+    def test_grid_must_resolve_each_period(self, monkeypatch):
+        calls = []
+        evaluate = experiment.circuit_mod.output_intensities
+        monkeypatch.setattr(experiment.circuit_mod, "output_intensities",
+                            lambda *a, **k: calls.append(a) or evaluate(*a, **k))
+        # Every bound is checked before the first order is evaluated.
+        for max_m, grid_points in [(5, 20_000), (0, 50_000), (30, 200_000), (3, 10**7)]:
             with pytest.raises(ValueError):
-                estimate_sensitivity(2, 50_000, eta_classical=bad)
-
-    def test_grid_must_resolve_each_period(self):
-        with pytest.raises(ValueError):
-            estimate_sensitivity(5, 20_000)
-        with pytest.raises(ValueError):
-            estimate_sensitivity(0, 50_000)
+                estimate_sensitivity(max_m, grid_points)
+        assert calls == []
 
 
 def reference_slope(m, grid_points, uniform=True):
@@ -322,7 +323,7 @@ class TestSlopeKernel:
         if grid_points == 111_590:
             assert np.array_equal(by_step, by_points)
         np.testing.assert_allclose(by_step, by_points, rtol=0.0, atol=1e-10 * np.max(np.abs(by_points)))
-        assert estimate_sensitivity(1, grid_points).eta == reference_slope(1, grid_points)[0]
+        assert estimate_sensitivity(1, grid_points)[0].eta == reference_slope(1, grid_points)[0]
 
     # Each case draws a cascade order and a sensitivity grid size from
     # (seed, n), and checks the step premise on an n-point grid as well.
@@ -333,7 +334,7 @@ class TestSlopeKernel:
         rng = np.random.default_rng([seed, n])
         m = int(rng.integers(1, 6))
         grid_points = int(rng.integers(10_000 * m, 120_000))
-        report = estimate_sensitivity(m, grid_points)
+        report = estimate_sensitivity(m, grid_points)[-1]
         assert (report.eta, report.max_slope_psi) == reference_slope(m, grid_points)
         eta, psi_at_peak = reference_slope(m, grid_points, uniform=False)
         assert report.max_slope_psi == psi_at_peak
@@ -344,9 +345,9 @@ class TestSlopeKernel:
     @pytest.mark.parametrize("grid_points", [50_000, 111_590])
     def test_reports_equal_the_unoptimised_route(self, grid_points):
         eta_1, _ = reference_slope(1, grid_points)
-        for m in range(1, 6):
+        for m, report in enumerate(estimate_sensitivity(5, grid_points), start=1):
             eta, psi_at_peak = reference_slope(m, grid_points)
-            report = estimate_sensitivity(m, grid_points)
+            assert report.m == m
             assert (report.eta, report.max_slope_psi) == (eta, psi_at_peak)
             assert report.delta_phi == 1.0 / eta
             assert report.ratio_to_classical == (1.0 / eta) / (1.0 / eta_1)
@@ -356,9 +357,8 @@ class TestSlopeKernel:
     @pytest.mark.parametrize("grid_points", [50_000, 100_000, 123_457])
     def test_within_1e_10_of_the_sample_point_gradient(self, grid_points):
         eta_1, _ = reference_slope(1, grid_points, uniform=False)
-        for m in range(1, 6):
+        for m, report in enumerate(estimate_sensitivity(5, grid_points), start=1):
             eta, psi_at_peak = reference_slope(m, grid_points, uniform=False)
-            report = estimate_sensitivity(m, grid_points)
             assert report.max_slope_psi == psi_at_peak
             assert abs(report.eta - eta) <= 1e-10 * eta
             assert abs(report.delta_phi - 1.0 / eta) <= 1e-10 / eta

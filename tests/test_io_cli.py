@@ -22,14 +22,14 @@ def photon_trace(points=24, seed=5):
     chain = build_cbw_chain(2, 0.0)
     scan = ScanConfig(points=points, bin_duration=0.001, scan_duration=points * 0.001)
     source = SourceModel(mean_photons_per_window=0.4, window_duration=1e-6)
-    return simulate_scan_counts(chain, scan, source, NoiseModel.quiet(), seed=seed)
+    return simulate_scan_counts(chain, scan, source, NoiseModel(), seed=seed)
 
 
 def classical_trace(points=24):
     chain = build_cbw_chain(2, 0.0)
     scan = ScanConfig(points=points, bin_duration=0.1, scan_duration=points * 0.1)
     source = SourceModel(mode=SourceMode.CLASSICAL_INTENSITY)
-    return simulate_classical_trace(chain, scan, source, NoiseModel.quiet(), seed=0)
+    return simulate_classical_trace(chain, scan, source, NoiseModel(), seed=0)
 
 
 class TestTraceCsv:
@@ -727,6 +727,19 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err == (f"cbwsim: error: grid must have at most {experiment.MAX_GRID_POINTS} "
                        f"points, got {grid}\n")
+        assert not out.exists()
+
+    def test_unreachable_max_m_exits_one_before_any_order(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        evaluate = experiment.circuit_mod.output_intensities
+        monkeypatch.setattr(experiment.circuit_mod, "output_intensities",
+                            lambda *a, **k: calls.append(a) or evaluate(*a, **k))
+        out = tmp_path / "s.json"
+        assert cli.dispatch(["sensitivity", "--grid", "200000", "--max-m", "30",
+                             "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "cbwsim: error: grid must resolve >= 10000 points per fringe period\n"
+        assert calls == []
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [

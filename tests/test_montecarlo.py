@@ -15,7 +15,7 @@ from cbwsim.montecarlo import (
 )
 from cbwsim.optics import Arm
 
-QUIET = NoiseModel.quiet()
+QUIET = NoiseModel()
 
 
 def fixed_probability_circuit(p_upper):
