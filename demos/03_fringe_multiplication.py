@@ -2,8 +2,10 @@
 
 Sweeps the shared phase for cascades of 1, 2 and 3 stages at control
 phase 0 and renders the multiplied fringes to an SVG.  The two-stage
-chain halves the fringe period, the three-stage chain cuts it to a third,
-and the closed forms agree with direct matrix composition to 1e-12.
+chain halves the fringe period and the three-stage chain cuts it to a
+third.  All three curves come from one closed form,
+``I_upper = (1 + (-1)^m cos(m psi)) / 2``, which shares no code with the
+matrix engine and agrees with direct matrix composition to 1e-12.
 """
 
 from pathlib import Path
@@ -22,7 +24,7 @@ for m in (1, 2, 3):
     up, _ = output_intensities(build_cbw_chain(m, phi=0.0), {"psi": psi})
     err = float(np.max(np.abs(np.asarray(pred.i_upper) - up)))
     wavelength = cbw_wavelength(m, 532e-9)
-    print(f"m={m}: branch={pred.branch:24s} closed-form vs composition err={err:.2e} "
+    print(f"m={m}: branch={pred.branch:18s} closed-form vs composition err={err:.2e} "
           f"fringe wavelength at 532 nm = {wavelength * 1e9:.2f} nm")
     series.append((f"m={m}", np.asarray(pred.i_upper)))
 

@@ -35,7 +35,7 @@ for phi, label in [(0.0, "phi = 0 (doubled fringe)"),
     trace = run_scan(scan, cw, quiet, seed=0)
     pred = cbw_intensities(trace.psi, phi, 2)
     err = float(np.max(np.abs(trace.singles_d1 - np.asarray(pred.i_upper))))
-    print(f"{label:32s} router branch: {pred.branch:24s} scan vs router err: {err:.2e}")
+    print(f"{label:32s} router branch: {pred.branch:18s} scan vs router err: {err:.2e}")
     series.append((label, trace.singles_d1))
 
 psi = ScanConfig(points=1000, scan_duration=500.0, bin_duration=0.1).psi_values()

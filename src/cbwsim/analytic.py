@@ -1,17 +1,19 @@
 """Closed-form intensity laws, fringe wavelength, tilt-plate phase tuner,
 and the attenuated-source coincidence fraction.
 
-The closed forms here are hand-coded from the printed intensity laws and
+The closed form here is hand-coded from the printed intensity laws and
 deliberately kept independent of the matrix engine so the two routes can
-cross-validate each other:
+cross-validate each other.  One cosine law covers every closed-form case:
 
-* single MZI:      ``I = I0 * (1 -/+ cos(psi)) / 2``
-* two stages, control phase 0:   ``I = I0 * (1 +/- cos(2 psi)) / 2``
-* two stages, control phase pi:  ``(I0, 0)`` for every ``psi``
+    c = (-1)**k cos(k psi),   I_upper = I0 (1 + c)/2,   I_lower = I0 (1 - c)/2
 
-Every other ``(m, phi)`` combination is answered by direct numeric
-composition of the chain (:func:`cbwsim.circuit.evaluate_chain`); the
-returned prediction records which route produced it.
+with the effective order ``k = m`` at control phase 0, ``k = m % 2`` at
+control phase pi (mod 2pi) and ``k = 1`` for the bare MZI (m = 1) at any
+control phase.  ``k = 1`` is the single-MZI law ``I0 (1 -/+ cos psi)/2``
+and ``k = 0`` the frozen outputs ``(I0, 0)``.  Every other ``(m, phi)``
+combination is answered by direct numeric composition of the chain
+(:func:`cbwsim.circuit.evaluate_chain`); the returned prediction records
+which route produced it.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ __all__ = [
     "single_mzi_intensities",
 ]
 
-# Closed forms apply only at control phases 0 and pi (mod 2*pi); the branch
-# choice is a routing decision, not a numeric claim, so a loose tolerance
-# is safe -- every branch agrees with composition to 1e-12 anyway.
+# The cosine law applies only at control phases 0 and pi (mod 2*pi); the
+# route choice is a routing decision, not a numeric claim, so a loose
+# tolerance is safe -- both routes agree to 1e-12 anyway.
 _BRANCH_TOL = 1e-9
 
 
@@ -81,55 +83,47 @@ class GlassPlateModel:
 
 
 def single_mzi_intensities(psi, i0: float = 1.0) -> AnalyticPrediction:
-    """Single-MZI outputs ``(i0 (1 - cos psi)/2, i0 (1 + cos psi)/2)``."""
-    if i0 < 0:
-        raise ValueError("i0 must be >= 0")
-    psi = np.asarray(psi, dtype=float)
-    c = np.cos(psi)
-    upper = i0 * ((1.0 - c) / 2.0)
-    lower = i0 * ((1.0 + c) / 2.0)
-    if upper.ndim == 0:
-        return AnalyticPrediction(float(upper), float(lower), "single-mzi")
-    return AnalyticPrediction(upper, lower, "single-mzi")
-
-
-def _phi_residue(phi: float) -> float:
-    return math.remainder(phi, 2.0 * math.pi)
+    """Single-MZI outputs ``(i0 (1 - cos psi)/2, i0 (1 + cos psi)/2)``, the k = 1 law."""
+    return cbw_intensities(psi, 0.0, 1, i0)
 
 
 def cbw_intensities(psi, phi: float, m: int, i0: float = 1.0) -> AnalyticPrediction:
     """Output intensities of the m-stage cascade at control phase ``phi``.
 
-    Routes to a hand-coded closed form where one exists (m=1 any phi since
-    the bare MZI has no control phase; m=2 at phi = 0 or pi mod 2pi) and to
-    numeric matrix composition everywhere else.  ``psi`` may be an array.
+    Takes the cosine law of the module docstring where the effective order
+    ``k`` is defined (m=1 at any phi; any m at phi = 0 or pi mod 2pi) and
+    numeric matrix composition everywhere else.  ``psi`` may be an array;
+    ``psi``, ``phi`` and ``i0`` must be finite.
     """
     if not (math.isfinite(i0) and i0 >= 0):
         raise ValueError(f"i0 must be a finite number >= 0, got {i0!r}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
     if m < 1:
         raise ValueError("m must be a positive integer")
     psi_arr = np.asarray(psi, dtype=float)
+    if not np.isfinite(psi_arr).all():
+        raise ValueError("psi must be finite")
 
-    if m == 1:
-        pred = single_mzi_intensities(psi, i0)
-        return AnalyticPrediction(pred.i_upper, pred.i_lower, "single-mzi")
-
-    residue = _phi_residue(phi)
-    if m == 2 and abs(residue) <= _BRANCH_TOL:
-        c2 = np.cos(2.0 * psi_arr)
-        upper = i0 * ((1.0 + c2) / 2.0)
-        lower = i0 * ((1.0 - c2) / 2.0)
-        branch = "asymmetric-closed-form"
-    elif m == 2 and abs(abs(residue) - math.pi) <= _BRANCH_TOL:
-        upper = np.full_like(psi_arr, i0)
-        lower = np.zeros_like(psi_arr)
-        branch = "symmetric-closed-form"
+    residue = abs(math.remainder(phi, 2.0 * math.pi))
+    if m == 1 or residue <= _BRANCH_TOL:
+        k = m
+    elif abs(residue - math.pi) <= _BRANCH_TOL:
+        k = m % 2
     else:
+        k = None
+
+    if k is None:
         ast = circuit.build_cbw_chain(m, phi=float(phi), source_intensity=i0)
         upper, lower = circuit.output_intensities(ast, {"psi": psi_arr})
         branch = "matrix-composition"
+    else:
+        c = (-1) ** k * np.cos(k * psi_arr)
+        upper = i0 * ((1.0 + c) / 2.0)
+        lower = i0 * ((1.0 - c) / 2.0)
+        branch = "closed-form"
 
-    if np.ndim(psi) == 0:
+    if psi_arr.ndim == 0:
         return AnalyticPrediction(float(np.asarray(upper)), float(np.asarray(lower)), branch)
     return AnalyticPrediction(np.asarray(upper), np.asarray(lower), branch)
 

@@ -14,7 +14,7 @@ line, ``#`` starts a comment:
 Statements:
 
 * ``source intensity=<number>`` -- input power (optional, default 1.0,
-  at most one).
+  at most one; finite and >= 0).
 * ``mzi <name> arm=<upper|lower> phase=<param|number>`` -- a full MZI stage.
 * ``phase arm=<upper|lower> value=<param|number>`` -- a bare phase shifter.
 * ``detect <name> <name>`` -- labels of the two output ports (mandatory,
@@ -122,6 +122,8 @@ class CircuitAst:
             raise ValueError("a circuit needs at least one element")
         if self.detectors[0] == self.detectors[1]:
             raise ValueError("detector labels must be distinct")
+        if not np.isfinite(self.source_intensity):
+            raise ValueError("source intensity must be finite")
         if self.source_intensity < 0:
             raise ValueError("source intensity must be >= 0")
 
@@ -199,7 +201,10 @@ class _LineParser:
         value, column = self.key_value(key, ["<number>"])
         if not _NUMBER_RE.match(value):
             raise CircuitParseError(self.lineno, column, f"malformed number {value!r}", ["<number>"])
-        return float(value)
+        number = float(value)
+        if not np.isfinite(number):
+            raise CircuitParseError(self.lineno, column, f"{key} {value!r} overflows to {number}", ["<finite number>"])
+        return number
 
     def ident(self, what: str) -> str:
         token, column = self.take(what, ["<name>"])
@@ -212,8 +217,9 @@ def parse_circuit(text: str) -> CircuitAst:
     """Parse circuit text into a :class:`CircuitAst`.
 
     Raises :class:`CircuitParseError` (with 1-based line/column) on unknown
-    keywords, malformed numbers, bad arm names, duplicate ``source`` or
-    ``detect`` statements, a missing ``detect``, or an element-free circuit.
+    keywords, malformed or overflowing numbers, bad arm names, duplicate
+    ``source`` or ``detect`` statements, a missing ``detect``, or an
+    element-free circuit.
     """
     source_intensity: float | None = None
     detectors: tuple[str, str] | None = None

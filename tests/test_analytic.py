@@ -13,6 +13,7 @@ from cbwsim.analytic import (
     single_mzi_intensities,
 )
 from cbwsim.circuit import build_cbw_chain, output_intensities
+from cbwsim.config import MAX_MODULES
 
 
 def brute_force_coincidence_fraction(lam, p_upper, p_lower, k_max=12):
@@ -42,31 +43,60 @@ class TestSingleMzi:
             single_mzi_intensities(0.0, -1.0)
 
 
+# Each input is checked once, before routing, so the closed-form and the
+# composition route (control phase 0.5) raise the same error.
+@pytest.mark.parametrize("call, message", [
+    (lambda: single_mzi_intensities(0.3, math.nan), "i0 must be a finite number"),
+    (lambda: single_mzi_intensities(math.inf), "psi must be finite"),
+    (lambda: single_mzi_intensities(np.array([0.1, math.nan])), "psi must be finite"),
+    (lambda: cbw_intensities(math.inf, 0.0, 2), "psi must be finite"),
+    (lambda: cbw_intensities(math.inf, math.pi, 2), "psi must be finite"),
+    (lambda: cbw_intensities(math.inf, 0.5, 2), "psi must be finite"),
+    (lambda: cbw_intensities(np.array([0.1, -math.inf]), 0.0, 3), "psi must be finite"),
+    (lambda: cbw_intensities(np.array([0.1, -math.inf]), 0.5, 3), "psi must be finite"),
+    (lambda: cbw_intensities(0.3, 0.0, 3, math.inf), "i0 must be a finite number"),
+    (lambda: cbw_intensities(0.3, 0.5, 3, math.inf), "i0 must be a finite number"),
+    (lambda: cbw_intensities(0.3, math.nan, 1), "phi must be finite"),
+    (lambda: cbw_intensities(0.3, math.inf, 2), "phi must be finite"),
+], ids=["mzi-nan-i0", "mzi-inf-psi", "mzi-nan-psi", "closed-inf-psi-0", "closed-inf-psi-pi",
+        "composed-inf-psi", "closed-array-psi", "composed-array-psi", "closed-inf-i0",
+        "composed-inf-i0", "nan-phi", "inf-phi"])
+def test_non_finite_inputs_raise_the_same_error_on_both_routes(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestCascadeIntensities:
     def test_doubled_balanced_point(self):
         pred = cbw_intensities(np.pi / 4, 0.0, 2, 1.0)
-        assert pred.branch == "asymmetric-closed-form"
+        assert pred.branch == "closed-form"
         assert abs(pred.i_upper - 0.5) < 1e-15 and abs(pred.i_lower - 0.5) < 1e-15
 
     def test_symmetric_control_phase_is_flat(self):
         pred = cbw_intensities(1.234, np.pi, 2, 1.0)
-        assert pred.branch == "symmetric-closed-form"
+        assert pred.branch == "closed-form"
         assert pred.i_upper == 1.0 and pred.i_lower == 0.0
 
     def test_tripled_chain_at_third_pi(self):
         pred = cbw_intensities(np.pi / 3, 0.0, 3, 1.0)
-        assert pred.branch == "matrix-composition"
+        assert pred.branch == "closed-form"
         assert abs(pred.i_upper - 1.0) < 1e-12 and abs(pred.i_lower) < 1e-12
 
     def test_control_phase_mod_two_pi_hits_closed_forms(self):
-        assert cbw_intensities(0.3, 4 * np.pi, 2).branch == "asymmetric-closed-form"
-        assert cbw_intensities(0.3, 3 * np.pi, 2).branch == "symmetric-closed-form"
-        assert cbw_intensities(0.3, -np.pi, 2).branch == "symmetric-closed-form"
+        doubled = cbw_intensities(0.3, 4 * np.pi, 2)
+        c = np.cos(2 * 0.3)
+        assert doubled.branch == "closed-form"
+        assert (doubled.i_upper, doubled.i_lower) == ((1.0 + c) / 2.0, (1.0 - c) / 2.0)
+        for phi in (3 * np.pi, -np.pi):
+            frozen = cbw_intensities(0.3, phi, 2)
+            assert frozen.branch == "closed-form"
+            assert (frozen.i_upper, frozen.i_lower) == (1.0, 0.0)
+        assert cbw_intensities(0.3, 0.5, 2).branch == "matrix-composition"
 
     def test_single_stage_ignores_control_phase(self):
         a = cbw_intensities(0.7, 0.0, 1)
         b = cbw_intensities(0.7, 2.1, 1)
-        assert a.i_upper == b.i_upper and a.branch == "single-mzi"
+        assert a.i_upper == b.i_upper and a.branch == "closed-form"
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_equals_matrix_composition_on_grid(self, m):
@@ -79,6 +109,18 @@ class TestCascadeIntensities:
             up, lo = output_intensities(ast, {"psi": psis})
             assert np.max(np.abs(np.asarray(pred.i_upper) - up)) < 1e-12
             assert np.max(np.abs(np.asarray(pred.i_lower) - lo)) < 1e-12
+
+    # The cosine law against composition at control phases 0 and pi, up to
+    # the largest cascade the CLI accepts.
+    @pytest.mark.parametrize("phi", [0.0, np.pi])
+    @pytest.mark.parametrize("m", [3, 5, 8, 100, MAX_MODULES - 1, MAX_MODULES])
+    def test_closed_form_equals_composition_up_to_max_modules(self, m, phi):
+        psis = np.linspace(0, 2 * np.pi, 4001)
+        pred = cbw_intensities(psis, phi, m, 1.0)
+        assert pred.branch == "closed-form"
+        up, lo = output_intensities(build_cbw_chain(m, phi=phi), {"psi": psis})
+        assert np.max(np.abs(pred.i_upper - up)) < 1e-12
+        assert np.max(np.abs(pred.i_lower - lo)) < 1e-12
 
     def test_energy_is_conserved_everywhere(self):
         psis = np.linspace(0, 2 * np.pi, 257)

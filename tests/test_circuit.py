@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,18 @@ class TestParse:
         with pytest.raises(CircuitParseError) as info:
             parse_circuit("source intensity=1.2.3\nmzi C arm=lower phase=0\ndetect a b\n")
         assert info.value.line == 1
+
+    @pytest.mark.parametrize("value", ["1e400", "-1e400"])
+    def test_overflowing_intensity_reports_its_position(self, value):
+        with pytest.raises(CircuitParseError) as info:
+            parse_circuit(f"mzi C arm=lower phase=0\n  source intensity={value}\ndetect a b\n")
+        assert (info.value.line, info.value.column) == (2, 20)
+        assert value in info.value.message
+
+    @pytest.mark.parametrize("intensity", [math.inf, -math.inf, math.nan])
+    def test_non_finite_intensity_rejected_on_construction(self, intensity):
+        with pytest.raises(ValueError, match="source intensity must be finite"):
+            CircuitAst(intensity, build_cbw_chain(1).elements, ("a", "b"))
 
     def test_duplicate_source(self):
         with pytest.raises(CircuitParseError) as info:

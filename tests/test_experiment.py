@@ -280,6 +280,20 @@ class TestSensitivity:
                                     [np.pi / 2, np.pi / 4, np.pi / 2, np.pi / 8, np.pi / 10]):
             assert abs(report.max_slope_psi - expected) <= step
 
+    # At control phase 0, I_upper - I_lower = (-1)^m cos(m psi), so on the
+    # grid psi_k = k h the central difference peaks at
+    # sin(m h)/h * max_k |sin(m psi_k)|.  The max_k factor matters where no
+    # grid point sits on a slope peak (111590 points: sin(m h)/h alone is
+    # off by ~1.2e-9 there).
+    @pytest.mark.parametrize("grid_points, max_m", [(100_000, 8), (200_000, 8), (111_590, 3)])
+    def test_eta_equals_the_central_difference_closed_form(self, grid_points, max_m):
+        h = 2.0 * np.pi / grid_points
+        psi = np.arange(grid_points) * h
+        reports = estimate_sensitivity(max_m, grid_points)
+        for m, report in enumerate(reports, start=1):
+            expected = np.sin(m * h) / h * np.max(np.abs(np.sin(m * psi)))
+            assert abs(report.eta - expected) < 1e-10
+
     def test_grid_must_resolve_each_period(self, monkeypatch):
         calls = []
         evaluate = experiment.circuit_mod.output_intensities

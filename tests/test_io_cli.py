@@ -629,6 +629,20 @@ class TestDispatch:
         assert err == "cbwsim: error: unbound circuit parameters 'alpha', 'theta'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["scan", "--mode", "classical"], ["simulate"]])
+    def test_overflowing_circuit_intensity_exits_one(self, tmp_path, capsys, command):
+        mzi_file = tmp_path / "big.mzi"
+        mzi_file.write_text("source intensity=1e400\nmzi C arm=lower phase=psi\ndetect a b\n")
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.dispatch([*command, "--points", "20", "--circuit", str(mzi_file),
+                                 "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == ("cbwsim: error: line 1, column 18: intensity '1e400' "
+                                           "overflows to inf (expected <finite number>)\n")
+        assert not out.exists()
+
     def test_unbound_parameter_error_str_is_the_plain_message(self):
         assert str(UnboundParameterError("theta")) == "unbound circuit parameter 'theta'"
 
