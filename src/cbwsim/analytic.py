@@ -14,6 +14,12 @@ and ``k = 0`` the frozen outputs ``(I0, 0)``.  Every other ``(m, phi)``
 combination is answered by direct numeric composition of the chain
 (:func:`cbwsim.circuit.evaluate_chain`); the returned prediction records
 which route produced it.
+
+For ``k >= 3`` the argument ``k psi`` is not rounded: ``psi`` is split
+exactly into a 42-bit ``hi`` and a remainder ``lo``, so ``k hi`` is exact
+for ``k < 2048``, and ``cos(k psi) = cos(k hi) cos(k lo) - sin(k hi) sin(k lo)``.
+The law's error then stays near 1e-16 however large ``m |psi|`` grows;
+``k <= 2`` keeps the plain ``cos(k psi)``.
 """
 
 from __future__ import annotations
@@ -41,6 +47,10 @@ __all__ = [
 # route choice is a routing decision, not a numeric claim, so a loose
 # tolerance is safe -- both routes agree to 1e-12 anyway.
 _BRANCH_TOL = 1e-9
+
+# Veltkamp splitting constant 2**11 + 1: ``hi`` keeps the top 53 - 11 = 42
+# bits of ``psi``, so ``k * hi`` is exact for any order below 2**11.
+_SPLIT = 2.0**11 + 1.0
 
 
 @dataclass(frozen=True)
@@ -118,7 +128,7 @@ def cbw_intensities(psi, phi: float, m: int, i0: float = 1.0) -> AnalyticPredict
         upper, lower = circuit.output_intensities(ast, {"psi": psi_arr})
         branch = "matrix-composition"
     else:
-        c = (-1) ** k * np.cos(k * psi_arr)
+        c = (-1) ** k * _cos_multiple(k, psi_arr)
         upper = i0 * ((1.0 + c) / 2.0)
         lower = i0 * ((1.0 - c) / 2.0)
         branch = "closed-form"
@@ -126,6 +136,19 @@ def cbw_intensities(psi, phi: float, m: int, i0: float = 1.0) -> AnalyticPredict
     if psi_arr.ndim == 0:
         return AnalyticPrediction(float(np.asarray(upper)), float(np.asarray(lower)), branch)
     return AnalyticPrediction(np.asarray(upper), np.asarray(lower), branch)
+
+
+def _cos_multiple(k: int, psi: np.ndarray) -> np.ndarray:
+    """``cos(k psi)`` without rounding ``k psi``; see the module docstring."""
+    if k <= 2:
+        return np.cos(k * psi)
+    # The split runs on psi / 2**11, which cannot overflow, and is scaled
+    # back; both scalings are exact, so lo = psi - hi is exact too.
+    s = psi / 2.0**11
+    t = _SPLIT * s
+    hi = (t - (t - s)) * 2.0**11
+    lo = psi - hi
+    return np.cos(k * hi) * np.cos(k * lo) - np.sin(k * hi) * np.sin(k * lo)
 
 
 def cbw_wavelength(m: int, lambda0: float) -> float:

@@ -20,6 +20,9 @@ Statements:
 * ``detect <name> <name>`` -- labels of the two output ports (mandatory,
   exactly one, distinct labels).
 
+A circuit holds at most :data:`MAX_ELEMENTS` elements, and literal phase
+values must be finite; each violation is reported at its line and column.
+
 Phase values are radians; a bare identifier makes the element depend on a
 named parameter that must be bound at evaluation time.  Statement order is
 physical order: the first element listed is the first the light traverses.
@@ -42,6 +45,7 @@ __all__ = [
     "CircuitParseError",
     "ElementKind",
     "ElementNode",
+    "MAX_ELEMENTS",
     "UnboundParameterError",
     "build_cbw_chain",
     "evaluate_chain",
@@ -51,6 +55,11 @@ __all__ = [
 ]
 
 PhaseValue = Union[float, str]
+
+# Largest number of elements in a parsed circuit: the size of
+# ``build_cbw_chain(MAX_MODULES)`` (1000 stages, each with its control
+# phase).  Chain evaluation grows linearly with the element count.
+MAX_ELEMENTS = 2000
 
 
 class ElementKind(Enum):
@@ -186,24 +195,31 @@ class _LineParser:
         except KeyError:
             raise CircuitParseError(self.lineno, column, f"unknown arm {value!r}", list(_ARM_NAMES)) from None
 
+    def finite(self, key: str, value: str, column: int) -> float:
+        number = float(value)
+        if not np.isfinite(number):
+            raise CircuitParseError(self.lineno, column, f"{key} {value!r} overflows to {number}", ["<finite number>"])
+        return number
+
     def phase_value(self, key: str) -> PhaseValue:
         value, column = self.key_value(key, ["<number>", "<parameter name>"])
         if _IDENT_RE.match(value):
             return value
         if _NUMBER_RE.match(value):
-            return float(value)
+            return self.finite(key, value, column)
         raise CircuitParseError(
             self.lineno, column, f"malformed number or parameter name {value!r}",
             ["<number>", "<parameter name>"],
         )
 
     def number_value(self, key: str) -> float:
+        """A finite number >= 0."""
         value, column = self.key_value(key, ["<number>"])
         if not _NUMBER_RE.match(value):
             raise CircuitParseError(self.lineno, column, f"malformed number {value!r}", ["<number>"])
-        number = float(value)
-        if not np.isfinite(number):
-            raise CircuitParseError(self.lineno, column, f"{key} {value!r} overflows to {number}", ["<finite number>"])
+        number = self.finite(key, value, column)
+        if number < 0:
+            raise CircuitParseError(self.lineno, column, f"{key} {value!r} is negative", ["<number >= 0>"])
         return number
 
     def ident(self, what: str) -> str:
@@ -217,9 +233,11 @@ def parse_circuit(text: str) -> CircuitAst:
     """Parse circuit text into a :class:`CircuitAst`.
 
     Raises :class:`CircuitParseError` (with 1-based line/column) on unknown
-    keywords, malformed or overflowing numbers, bad arm names, duplicate
-    ``source`` or ``detect`` statements, a missing ``detect``, or an
-    element-free circuit.
+    keywords, malformed or overflowing numbers, a negative intensity, bad
+    arm names, duplicate ``source`` or ``detect`` statements, a missing
+    ``detect``, an element-free circuit, or more than :data:`MAX_ELEMENTS`
+    elements.  Parsing builds no matrix, so an over-long file is refused
+    before any is built.
     """
     source_intensity: float | None = None
     detectors: tuple[str, str] | None = None
@@ -241,6 +259,8 @@ def parse_circuit(text: str) -> CircuitAst:
 
         parser = _LineParser(lineno, stripped)
         keyword, column = parser.take("statement", _KEYWORDS)
+        if keyword in ("mzi", "phase") and len(elements) == MAX_ELEMENTS:
+            raise CircuitParseError(lineno, column, f"a circuit has at most {MAX_ELEMENTS} elements")
         if keyword == "source":
             if source_intensity is not None:
                 raise CircuitParseError(lineno, column, "duplicate source statement")

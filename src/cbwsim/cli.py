@@ -167,13 +167,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser():
-    """The ``cbwsim`` parser and its subcommand parsers by name."""
+def _build_parser(only=None):
+    """The ``cbwsim`` parser and its subcommand parsers by name.
+
+    Every subcommand parser is created, so the top-level help and usage
+    are complete; with ``only`` set, just that subcommand gets its options.
+    """
     parser = _Parser(prog="cbwsim", description="Cascaded-MZI interference lab")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     commands = {}
     for name, (_, help_text, keys, out_help) in _COMMANDS.items():
         p = commands[name] = sub.add_parser(name, help=help_text)
+        if only is not None and name != only:
+            continue
         p.add_argument("--config", help="key=value config file; flags override it")
         if name == "analyze":
             p.add_argument("--in", dest="input", required=True, help="input trace CSV")
@@ -335,7 +341,9 @@ _COMMANDS = {
 
 def dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    parser, commands = _build_parser()
+    # argparse takes the first token that names a subcommand as the
+    # subcommand, since the top-level parser has no option taking a value.
+    parser, commands = _build_parser(next((arg for arg in argv if arg in _COMMANDS), ""))
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

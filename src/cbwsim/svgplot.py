@@ -2,6 +2,11 @@
 
 Hand-rolled on purpose: no plotting dependency, and identical input always
 produces byte-identical output, so rendered scans can be diffed in CI.
+
+Each polyline is formatted in one pass over its points.  A series of
+integers (photon counts) takes few distinct values, so each distinct value
+is mapped and formatted once, and the x coordinates once for all such
+series; the points keep the bytes of per-point formatting.
 """
 
 from __future__ import annotations
@@ -53,7 +58,9 @@ def emit_plot_svg(x, series, path, *, xlabel: str = "", ylabel: str = "", title:
     if len(series) == 0:
         raise ValueError("need at least one series to plot")
     labels = [label for label, _ in series]
-    arrays = [np.asarray(y, dtype=float) for _, y in series]
+    given = [np.asarray(y) for _, y in series]
+    integer = [y.dtype.kind in "iu" for y in given]
+    arrays = [np.asarray(y, dtype=float) for y in given]
     for y in arrays:
         if y.shape != x.shape:
             raise ValueError("all series must have the same length as x")
@@ -118,11 +125,21 @@ def emit_plot_svg(x, series, path, *, xlabel: str = "", ylabel: str = "", title:
                      f'transform="rotate(-90 18 {cy:.0f})">{_esc(ylabel)}</text>')
 
     # px/py apply the same IEEE operations, in the same order, to a whole
-    # array as to one value, so the batched points match per-point output.
+    # array as to one value, so the batched points match per-point output,
+    # and py of a series' distinct values has the bits of py of the series.
     xs = px(x).tolist()
-    for idx, (label, y) in enumerate(zip(labels, arrays)):
+    x_texts = None
+    for idx, (y, counts) in enumerate(zip(arrays, integer)):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(map("{:.2f},{:.2f}".format, xs, py(y).tolist()))
+        if counts:
+            if x_texts is None:
+                x_texts = ("%.2f,\n" * len(xs) % tuple(xs)).split("\n")
+            distinct, inverse = np.unique(y, return_inverse=True)
+            y_texts = ("%.2f\n" * len(distinct) % tuple(py(distinct).tolist())).split("\n")
+            # map stops at the shorter input, dropping x_texts' trailing "".
+            points = " ".join(map(str.__add__, x_texts, map(y_texts.__getitem__, inverse.tolist())))
+        else:
+            points = " ".join(map("{:.2f},{:.2f}".format, xs, py(y).tolist()))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.3" '
                      f'points="{points}"/>')
 

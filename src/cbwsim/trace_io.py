@@ -2,15 +2,17 @@
 
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly, so a written trace reads back bit-identical.  Each
-column is converted to Python numbers once and every row is formatted by
-one call of a preformatted row template, giving the same bytes as
-formatting each value on its own; the reader parses the body with
+column is converted to Python numbers once, and the whole body is one
+``%`` of a row template repeated once per row, applied to the row-major
+sequence of values; ``%d`` and ``%.17g`` give the same bytes as
+formatting each value on its own.  The reader parses the body with
 numpy's C parser (``np.loadtxt``) into integer and float columns.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -35,17 +37,6 @@ CLASSICAL_HEADER = ("bin", "time_s", "voltage_V", "psi_rad", "i_gamma", "i_delta
 _INTEGER_COLUMNS = frozenset({"bin", "d1", "d2", "coinc"})
 
 
-def _row_format(header):
-    """One ``str.format`` call per row.
-
-    ``{:d}`` of a Python int and ``{:.17g}`` of a Python float give the
-    same text as ``str(int(v))`` and ``format(float(v), ".17g")`` of each
-    element, so a row formats exactly as its values would one by one.
-    """
-    fields = ("{:d}" if name in _INTEGER_COLUMNS else "{:.17g}" for name in header)
-    return (",".join(fields) + "\n").format
-
-
 def _column(name: str, values) -> list:
     if name in _INTEGER_COLUMNS:
         return np.asarray(values).astype(np.int64).tolist()
@@ -66,7 +57,13 @@ def write_trace_csv(trace: CountTrace, path) -> None:
               trace.singles_d1, trace.singles_d2, trace.coincidences)
     # zip stops at the header, so a classical trace drops its zero coincidences.
     columns = [_column(name, values) for name, values in zip(header, arrays)]
-    data = ",".join(header) + "\n" + "".join(map(_row_format(header), *columns))
+    # ``%d`` of a Python int and ``%.17g`` of a Python float give the same
+    # text as ``str(int(v))`` and ``format(float(v), ".17g")``, so the body
+    # formats exactly as its values would one by one.  The header holds no
+    # ``%``, so it goes into the template and the file text is built once.
+    row = ",".join("%d" if name in _INTEGER_COLUMNS else "%.17g" for name in header) + "\n"
+    template = ",".join(header) + "\n" + row * len(columns[0])
+    data = template % tuple(chain.from_iterable(zip(*columns)))
     try:
         Path(path).write_text(data, encoding="utf-8", newline="\n")
     except OSError as exc:

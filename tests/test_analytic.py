@@ -13,7 +13,7 @@ from cbwsim.analytic import (
     single_mzi_intensities,
 )
 from cbwsim.circuit import build_cbw_chain, output_intensities
-from cbwsim.config import MAX_MODULES
+from cbwsim.config import MAX_MODULES, ScanConfig
 
 
 def brute_force_coincidence_fraction(lam, p_upper, p_lower, k_max=12):
@@ -111,16 +111,27 @@ class TestCascadeIntensities:
             assert np.max(np.abs(np.asarray(pred.i_lower) - lo)) < 1e-12
 
     # The cosine law against composition at control phases 0 and pi, up to
-    # the largest cascade the CLI accepts.
+    # the largest cascade the CLI accepts, on one period and on the default
+    # 10.5-cycle sweep; the sweep reaches psi = 66 rad, where rounding
+    # m * psi before the cosine would cost 3.4e-12 at m = 1000.
     @pytest.mark.parametrize("phi", [0.0, np.pi])
     @pytest.mark.parametrize("m", [3, 5, 8, 100, MAX_MODULES - 1, MAX_MODULES])
     def test_closed_form_equals_composition_up_to_max_modules(self, m, phi):
-        psis = np.linspace(0, 2 * np.pi, 4001)
-        pred = cbw_intensities(psis, phi, m, 1.0)
-        assert pred.branch == "closed-form"
-        up, lo = output_intensities(build_cbw_chain(m, phi=phi), {"psi": psis})
-        assert np.max(np.abs(pred.i_upper - up)) < 1e-12
-        assert np.max(np.abs(pred.i_lower - lo)) < 1e-12
+        for psis in (np.linspace(0, 2 * np.pi, 4001), ScanConfig().psi_values()):
+            pred = cbw_intensities(psis, phi, m, 1.0)
+            assert pred.branch == "closed-form"
+            up, lo = output_intensities(build_cbw_chain(m, phi=phi), {"psi": psis})
+            assert np.max(np.abs(pred.i_upper - up)) < 1e-12
+            assert np.max(np.abs(pred.i_lower - lo)) < 1e-12
+
+    @pytest.mark.parametrize("m", [3, 8, MAX_MODULES])
+    def test_closed_form_keeps_the_argument_exact_at_any_magnitude(self, m):
+        # m * psi is exact in long double (53 + 10 bits), so its cosine is a
+        # reference without argument rounding.
+        psis = np.array([-3.0, 65.97, 1e9, 1e15, 1e300, 1e305, 5e-324])
+        pred = cbw_intensities(psis, 0.0, m, 1.0)
+        reference = (-1) ** m * np.cos(np.longdouble(m) * psis.astype(np.longdouble))
+        assert np.max(np.abs(2.0 * pred.i_upper - 1.0 - reference)) < 1e-15
 
     def test_energy_is_conserved_everywhere(self):
         psis = np.linspace(0, 2 * np.pi, 257)

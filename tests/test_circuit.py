@@ -11,6 +11,7 @@ from cbwsim.circuit import (
     CircuitParseError,
     ElementKind,
     ElementNode,
+    MAX_ELEMENTS,
     UnboundParameterError,
     build_cbw_chain,
     evaluate_chain,
@@ -18,6 +19,7 @@ from cbwsim.circuit import (
     parse_circuit,
     render_circuit,
 )
+from cbwsim.config import MAX_MODULES
 from cbwsim.optics import Arm
 
 FIG1_TEXT = (
@@ -84,6 +86,36 @@ class TestParse:
             parse_circuit(f"mzi C arm=lower phase=0\n  source intensity={value}\ndetect a b\n")
         assert (info.value.line, info.value.column) == (2, 20)
         assert value in info.value.message
+
+    @pytest.mark.parametrize("text, position, message", [
+        ("mzi C arm=lower phase=1e400\ndetect a b\n", (1, 23), "phase '1e400' overflows to inf"),
+        ("phase arm=upper value=-1e999\nmzi C arm=lower phase=0\ndetect a b\n", (1, 23),
+         "value '-1e999' overflows to -inf"),
+        ("mzi C arm=lower phase=0\nsource intensity=-1\ndetect a b\n", (2, 18),
+         "intensity '-1' is negative"),
+    ], ids=["phase-overflow", "value-overflow", "negative-intensity"])
+    def test_bad_numbers_report_their_position(self, text, position, message):
+        with pytest.raises(CircuitParseError) as info:
+            parse_circuit(text)
+        assert (info.value.line, info.value.column) == position
+        assert info.value.message == message
+
+    def test_negative_zero_intensity_is_accepted(self):
+        assert parse_circuit("source intensity=-0\nmzi C arm=lower phase=0\ndetect a b\n")
+
+    def test_element_cap_is_the_largest_standard_cascade(self):
+        assert len(build_cbw_chain(MAX_MODULES).elements) == MAX_ELEMENTS
+        ast = parse_circuit(render_circuit(build_cbw_chain(MAX_MODULES, phi=0.5)))
+        assert len(ast.elements) == MAX_ELEMENTS
+
+    @pytest.mark.parametrize("extra", ["mzi X arm=upper phase=psi", "phase arm=lower value=0"])
+    def test_element_past_the_cap_is_refused_at_its_line(self, extra):
+        lines = ["source intensity=1"] + ["mzi C arm=lower phase=psi"] * MAX_ELEMENTS
+        text = "\n".join(lines + [extra, extra, "detect a b"]) + "\n"
+        with pytest.raises(CircuitParseError) as info:
+            parse_circuit(text)
+        assert (info.value.line, info.value.column) == (MAX_ELEMENTS + 2, 1)
+        assert info.value.message == f"a circuit has at most {MAX_ELEMENTS} elements"
 
     @pytest.mark.parametrize("intensity", [math.inf, -math.inf, math.nan])
     def test_non_finite_intensity_rejected_on_construction(self, intensity):

@@ -8,8 +8,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from cbwsim import cli, config, experiment, svgplot
-from cbwsim.circuit import UnboundParameterError, build_cbw_chain
+from cbwsim import cli, config, experiment, optics, svgplot
+from cbwsim.circuit import MAX_ELEMENTS, UnboundParameterError, build_cbw_chain
 from cbwsim.config import ConfigError, NoiseModel, ScanConfig, SourceMode, SourceModel
 from cbwsim.montecarlo import CountTrace, simulate_classical_trace, simulate_scan_counts
 from cbwsim.svgplot import emit_plot_svg
@@ -148,7 +148,7 @@ def assert_bits_equal(a, b):
     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300,
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300, 1e308,
                1.7976931348623157e308, 0.1, 1 / 3, -2.5, 2.0 ** 53]
 NEAR_2_53 = [2**53 - 1, 2**53, 2**53 + 1, 0, 1, 2**62]
 
@@ -200,6 +200,17 @@ class TestBatchedWriterMatchesOracle:
             back = read_trace_csv(path)
             for field in ("bin_index", "time", "voltage", "psi", "singles_d1", "singles_d2"):
                 assert_bits_equal(getattr(back, field), getattr(trace, field))
+
+    @pytest.mark.parametrize("mode", list(SourceMode))
+    def test_empty_trace_is_its_header(self, tmp_path, mode):
+        empty = np.zeros(0, dtype=np.int64)
+        coinc = empty if mode is SourceMode.PHOTON_COUNTING else None
+        trace = make_trace(mode, [], [], [], empty, empty, coinc)
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == oracle_csv(trace)
+        assert path.read_bytes().count(b"\n") == 1
+        assert len(read_trace_csv(path)) == 0
 
     @pytest.mark.parametrize("mode", list(SourceMode))
     def test_one_row_trace(self, tmp_path, mode):
@@ -285,11 +296,22 @@ class TestSvg:
     def test_points_match_per_point_formatting(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
         x = np.sort(rng.uniform(-3.0, 50.0, 500))
-        series = [("a", rng.normal(0.0, 1e3, 500)), ("b", np.sin(x)), ("c", np.full(500, 7.0))]
+        floats = [("a", rng.normal(0.0, 1e3, 500)), ("b", np.sin(x)), ("c", np.full(500, 7.0))]
+        # Integer series take the formatted-once-per-distinct-value path.
+        counts = rng.poisson(300.0, 500)
+        plots = [
+            floats,
+            [("d1", counts), ("d2", rng.poisson(40.0, 500)), ("coinc", rng.poisson(3.0, 500))],
+            [("c", np.full(500, 7, dtype=np.int64))],
+            [("d1", counts), ("model", 300.0 + 40.0 * np.sin(x)), ("coinc", counts // 9)],
+            [("d1", rng.integers(2**53 - 40, 2**53 + 40, 500)),
+             ("d2", rng.integers(0, 2**62, 500, dtype=np.uint64))],
+        ]
         path = tmp_path / "p.svg"
-        emit_plot_svg(x, series, path)
-        got = re.findall(r'points="([^"]*)"', path.read_text())
-        assert got == oracle_points(x, [y for _, y in series])
+        for series in plots:
+            emit_plot_svg(x, series, path)
+            got = re.findall(r'points="([^"]*)"', path.read_text())
+            assert got == oracle_points(x, [np.asarray(y, dtype=float) for _, y in series])
 
     @pytest.mark.parametrize("x, y", [
         ([0.0, 1.0], [2.0, 3.0]),                 # two points
@@ -443,6 +465,32 @@ class TestOptionTable:
         got = {name: {s for action in p._actions for s in action.option_strings}
                for name, p in commands.items()}
         assert got == expected
+
+    def test_only_the_named_subcommand_gets_options(self):
+        _, commands = cli._build_parser("scan")
+        assert set(commands) == set(cli._COMMANDS)
+        got = {name: {s for action in p._actions for s in action.option_strings}
+               for name, p in commands.items()}
+        assert got.pop("scan") == COMMON_FLAGS | SCAN_FLAGS | SOURCE_NOISE_FLAGS | {"--mode"}
+        assert all(flags == {"-h", "--help"} for flags in got.values())
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.dispatch(["--help"])
+        assert info.value.code == 0
+        listed = re.findall(r"^ {4}(\w+)\b", capsys.readouterr().out, re.MULTILINE)
+        assert listed == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_help_lists_each_of_its_options(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            cli.dispatch([command, "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        keys = cli._COMMANDS[command][2]
+        flags = ["--config", "--out"] + ["--" + key.replace("_", "-") for key in keys]
+        for flag in flags:
+            assert re.search(rf"^  {flag}\b", out, re.MULTILINE), flag
 
     def test_config_keys_are_the_flag_names(self):
         flags = SCAN_FLAGS | SOURCE_NOISE_FLAGS | {"--i0", "--mode", "--column", "--prominence",
@@ -630,18 +678,43 @@ class TestDispatch:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["scan", "--mode", "classical"], ["simulate"]])
-    def test_overflowing_circuit_intensity_exits_one(self, tmp_path, capsys, command):
-        mzi_file = tmp_path / "big.mzi"
-        mzi_file.write_text("source intensity=1e400\nmzi C arm=lower phase=psi\ndetect a b\n")
+    @pytest.mark.parametrize("text, message", [
+        ("source intensity=1e400\nmzi C arm=lower phase=psi\ndetect a b\n",
+         "line 1, column 18: intensity '1e400' overflows to inf (expected <finite number>)"),
+        ("mzi a arm=upper phase=1e400\ndetect a b\n",
+         "line 1, column 23: phase '1e400' overflows to inf (expected <finite number>)"),
+        ("source intensity=-1\nmzi C arm=lower phase=psi\ndetect a b\n",
+         "line 1, column 18: intensity '-1' is negative (expected <number >= 0>)"),
+    ], ids=["intensity-overflow", "phase-overflow", "negative-intensity"])
+    def test_bad_circuit_number_exits_one_at_its_position(self, tmp_path, capsys, command, text,
+                                                          message):
+        mzi_file = tmp_path / "bad.mzi"
+        mzi_file.write_text(text)
         out = tmp_path / "x"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = cli.dispatch([*command, "--points", "20", "--circuit", str(mzi_file),
                                  "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == ("cbwsim: error: line 1, column 18: intensity '1e400' "
-                                           "overflows to inf (expected <finite number>)\n")
+        assert capsys.readouterr().err == f"cbwsim: error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["scan", "--mode", "classical"], ["simulate"]])
+    def test_circuit_past_the_element_cap_exits_one_before_any_matrix(self, tmp_path, capsys,
+                                                                      monkeypatch, command):
+        built = []
+        monkeypatch.setattr(optics, "mzi", lambda *a: built.append(a))
+        monkeypatch.setattr(optics, "phase_element", lambda *a: built.append(a))
+        mzi_file = tmp_path / "long.mzi"
+        stages = "mzi C arm=lower phase=psi\n" * (MAX_ELEMENTS + 1)
+        mzi_file.write_text(stages + "detect a b\n")
+        out = tmp_path / "x"
+        code = cli.dispatch([*command, "--points", "20", "--circuit", str(mzi_file),
+                             "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (f"cbwsim: error: line {MAX_ELEMENTS + 1}, column 1: "
+                                           f"a circuit has at most {MAX_ELEMENTS} elements\n")
+        assert built == [] and not out.exists()
 
     def test_unbound_parameter_error_str_is_the_plain_message(self):
         assert str(UnboundParameterError("theta")) == "unbound circuit parameter 'theta'"
