@@ -17,8 +17,9 @@ command-line flags override file values.  An option set by neither takes
 the library default.  Phase-valued flags accept plain radians, ``pi``
 fractions such as ``pi/2`` or ``3pi/4``, or ``deg:<x>``.
 
-Exit codes: 0 success, 1 configuration/usage error, 2 analysis error
-(e.g. no fringes in the trace).
+Exit codes: 0 success (``--help`` too), 1 configuration/usage error, 2
+analysis error (e.g. no fringes in the trace).  ``dispatch`` returns the
+code and never raises ``SystemExit``.
 """
 
 from __future__ import annotations
@@ -158,13 +159,16 @@ def _cast(key: str, text: str):
     return value
 
 
-class _UsageError(Exception):
-    pass
+class _ParserExit(Exception):
+    """``(status, message)`` of a parse that ends the run."""
 
 
 class _Parser(argparse.ArgumentParser):
+    def exit(self, status=0, message=None):  # dispatch returns it (0 after --help)
+        raise _ParserExit(status, message)
+
     def error(self, message):  # exit 1 instead of argparse's 2
-        raise _UsageError(message)
+        self.exit(1, message)
 
 
 def _build_parser(only=None):
@@ -223,16 +227,8 @@ def _cmd_analytic(args) -> int:
         raise ConfigError("analytic sweeps are defined by --modules/--phi, not a circuit file")
     psi = scan.psi_values()
     prediction = analytic.cbw_intensities(psi, scan.phi, scan.modules, **_given(args, "i0"))
-    trace = montecarlo.CountTrace(
-        mode=SourceMode.CLASSICAL_INTENSITY,
-        bin_index=np.arange(scan.points, dtype=np.int64),
-        time=scan.times(),
-        voltage=scan.voltages(),
-        psi=psi,
-        singles_d1=np.atleast_1d(prediction.i_upper).astype(float),
-        singles_d2=np.atleast_1d(prediction.i_lower).astype(float),
-        coincidences=np.zeros(scan.points),
-    )
+    trace = montecarlo.scan_trace(scan, SourceMode.CLASSICAL_INTENSITY, psi, prediction.i_upper,
+                                  prediction.i_lower, np.zeros(scan.points))
     trace_io.write_trace_csv(trace, args.out)
     return 0
 
@@ -254,13 +250,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_scan(args) -> int:
     mode = SourceMode(args.mode)
     trace = _run_configured_scan(args, mode)
-    if mode is SourceMode.PHOTON_COUNTING:
-        series = [("d1", trace.singles_d1), ("d2", trace.singles_d2),
-                  ("coinc", trace.coincidences)]
-        ylabel = "counts per bin"
-    else:
-        series = [("i_gamma", trace.singles_d1), ("i_delta", trace.singles_d2)]
-        ylabel = "output power"
+    series = list(trace_io.measured_columns(trace).items())
+    ylabel = "counts per bin" if mode is SourceMode.PHOTON_COUNTING else "output power"
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # Both files are written under staging names and renamed into place only
@@ -279,19 +270,14 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-_PHOTON_COLUMNS = {"d1": "singles_d1", "d2": "singles_d2", "coinc": "coincidences"}
-_CLASSICAL_COLUMNS = {"i_gamma": "singles_d1", "i_delta": "singles_d2"}
-
-
 def _cmd_analyze(args) -> int:
     trace = trace_io.read_trace_csv(args.input)
+    columns = trace_io.measured_columns(trace)
     photon = trace.mode is SourceMode.PHOTON_COUNTING
-    columns = _PHOTON_COLUMNS if photon else _CLASSICAL_COLUMNS
     column = args.column if args.column is not None else ("coinc" if photon else "i_gamma")
     if column not in columns:
         raise ConfigError(f"unknown column {column!r}; choose from {sorted(columns)}")
-    values = getattr(trace, columns[column])
-    stats = experiment.fringe_stats(values, trace.psi, **_given(args, "prominence"))
+    stats = experiment.fringe_stats(columns[column], trace.psi, **_given(args, "prominence"))
     payload = {
         "column": column,
         "source": str(args.input),
@@ -346,14 +332,14 @@ def dispatch(argv) -> int:
     parser, commands = _build_parser(next((arg for arg in argv if arg in _COMMANDS), ""))
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"cbwsim: error: {exc}", file=sys.stderr)
-        return 1
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        print("cbwsim: error: a subcommand is required", file=sys.stderr)
-        return 1
+        if args.command is None:
+            parser.error("a subcommand is required")
+    except _ParserExit as exc:
+        status, message = exc.args
+        if message:
+            parser.print_usage(sys.stderr)
+            print(f"cbwsim: error: {message}", file=sys.stderr)
+        return status
     try:
         if args.config:
             # File values become the subcommand's defaults, so every flag

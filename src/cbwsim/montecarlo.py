@@ -6,9 +6,9 @@ acquisition bins (default 0.1 s).  Per window the attenuated source emits
 ``k ~ Poisson(lam)`` photons; each photon independently survives with the
 detector efficiency and lands on detector 1 with the Born-rule probability
 ``I_upper / (I_upper + I_lower)`` evaluated from the circuit at that bin's
-phase.  A detector "fires" if at least one photon (or dark count) reaches
-it inside the window; a coincidence is both detectors firing in the same
-window.
+phase (at unit source intensity, which the ratio does not depend on).  A
+detector "fires" if at least one photon (or dark count) reaches it inside
+the window; a coincidence is both detectors firing in the same window.
 
 :func:`sample_window` and :func:`route_photons` define that per-window
 model one draw at a time; they are the test oracle.  The scan simulator
@@ -22,6 +22,8 @@ exactly ``Multinomial(windows, [q1*q2, q1*(1-q2), (1-q1)*q2,
 cost independent of the number of windows.  A bin may hold at most
 :data:`MAX_WINDOWS_PER_BIN` (2**53) windows; larger
 ``bin_duration / window_duration`` ratios are a :class:`ConfigError`.
+:func:`scan_trace` builds every trace over a scan's bins, both simulators'
+and the ``analytic`` sweep's.
 
 Reproducibility: the master seed feeds a ``numpy.random.SeedSequence``
 whose three spawned children are assigned, in order, to the phase-jitter
@@ -32,7 +34,7 @@ streams and no threads, so a seed fixes the whole trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,6 +47,7 @@ __all__ = [
     "coincidence_fraction",
     "route_photons",
     "sample_window",
+    "scan_trace",
     "simulate_classical_trace",
     "simulate_scan_counts",
 ]
@@ -189,20 +192,11 @@ def _noise_walks(noise: NoiseModel, scan: ScanConfig, jitter_ss, drift_ss, point
     return jitter, np.clip(drift, 0.0, None)
 
 
-def _born_probabilities(ast, psi_actual, phi, drift):
-    i_upper, i_lower = circuit_mod.output_intensities(ast, {"psi": psi_actual, "phi": phi})
-    i_upper = np.atleast_1d(np.asarray(i_upper, dtype=float)) * drift
-    i_lower = np.atleast_1d(np.asarray(i_lower, dtype=float)) * drift
-    total = i_upper + i_lower
-    p_upper = np.divide(i_upper, total, out=np.full_like(total, 0.5), where=total > 0)
-    return np.clip(p_upper, 0.0, 1.0), i_upper, i_lower
-
-
 def _scan_chain(ast, scan: ScanConfig, source: SourceModel, noise: NoiseModel, seed: int,
                 mode: SourceMode, wrong_mode: str):
     """What both simulators share: check the source mode and the circuit, draw
     the noise walks and evaluate the chain at the jittered phases.  Returns
-    ``(psi_nominal, drift, (p_upper, i_upper, i_lower), counts_ss)``.
+    ``(psi_nominal, drift, (p_upper, i_upper, i_lower), counts_ss)``, powers per unit input.
     """
     if source.mode is not mode:
         raise ConfigError(wrong_mode)
@@ -210,16 +204,23 @@ def _scan_chain(ast, scan: ScanConfig, source: SourceModel, noise: NoiseModel, s
     jitter_ss, drift_ss, counts_ss = np.random.SeedSequence(seed).spawn(3)
     jitter, drift = _noise_walks(noise, scan, jitter_ss, drift_ss, scan.points)
     psi_nominal = scan.psi_values()
-    probabilities = _born_probabilities(ast, psi_nominal + jitter, scan.phi, drift)
-    return psi_nominal, drift, probabilities, counts_ss
+    i_upper, i_lower = circuit_mod.output_intensities(
+        replace(ast, source_intensity=1.0), {"psi": psi_nominal + jitter, "phi": scan.phi})
+    i_upper = np.atleast_1d(np.asarray(i_upper, dtype=float)) * drift
+    i_lower = np.atleast_1d(np.asarray(i_lower, dtype=float)) * drift
+    total = i_upper + i_lower
+    p_upper = np.divide(i_upper, total, out=np.full_like(total, 0.5), where=total > 0)
+    return psi_nominal, drift, (np.clip(p_upper, 0.0, 1.0), i_upper, i_lower), counts_ss
 
 
-def _trace(scan: ScanConfig, source: SourceModel, noise: NoiseModel, seed: int, psi,
-           singles_d1, singles_d2, coincidences, **meta) -> CountTrace:
-    trace = CountTrace(mode=source.mode, bin_index=np.arange(scan.points, dtype=np.int64),
+def scan_trace(scan: ScanConfig, mode: SourceMode, psi, singles_d1, singles_d2, coincidences,
+               seed: int | None = None, **meta) -> CountTrace:
+    """The validated trace over ``scan``'s bins: bin index, times and
+    voltages come from ``scan``, which ``meta`` also records."""
+    trace = CountTrace(mode=mode, bin_index=np.arange(scan.points, dtype=np.int64),
                        time=scan.times(), voltage=scan.voltages(), psi=psi,
                        singles_d1=singles_d1, singles_d2=singles_d2, coincidences=coincidences,
-                       seed=seed, meta={"scan": scan, "source": source, "noise": noise, **meta})
+                       seed=seed, meta={"scan": scan, **meta})
     trace.validate()
     return trace
 
@@ -250,8 +251,9 @@ def simulate_scan_counts(
     pvals = np.stack([q1 * q2, q1 * (1.0 - q2), (1.0 - q1) * q2, (1.0 - q1) * (1.0 - q2)], axis=1)
     outcomes = np.random.Generator(np.random.PCG64(counts_ss)).multinomial(windows, pvals)
     coincidences = outcomes[:, 0]
-    return _trace(scan, source, noise, seed, psi, coincidences + outcomes[:, 1],
-                  coincidences + outcomes[:, 2], coincidences, windows_per_bin=windows)
+    return scan_trace(scan, source.mode, psi, coincidences + outcomes[:, 1],
+                      coincidences + outcomes[:, 2], coincidences, seed,
+                      source=source, noise=noise, windows_per_bin=windows)
 
 
 def simulate_classical_trace(
@@ -266,12 +268,19 @@ def simulate_classical_trace(
     The fringe shape is identical to the photon-counting expectation; only
     the record differs: per-bin powers in the singles fields, coincidences
     zero.  Phase jitter and intensity drift apply; detector efficiency and
-    dark counts are photon-counting concepts and do not.
+    dark counts are photon-counting concepts and do not.  A power that
+    overflows is a :class:`ConfigError` naming the source intensity.
     """
     psi, _, (_, i_upper, i_lower), _ = _scan_chain(
         ast, scan, source, noise, seed, SourceMode.CLASSICAL_INTENSITY,
         "simulate_classical_trace requires a classical-intensity source")
-    return _trace(scan, source, noise, seed, psi, i_upper, i_lower, np.zeros(scan.points))
+    with np.errstate(over="ignore"):  # abs: an intensity of -0 gives powers of +0
+        i_upper, i_lower = abs(ast.source_intensity) * np.stack([i_upper, i_lower])
+    if not np.all(np.isfinite([i_upper, i_lower])):
+        raise ConfigError(f"source intensity {float(ast.source_intensity)!r} overflows the "
+                          "classical output power")
+    return scan_trace(scan, source.mode, psi, i_upper, i_lower, np.zeros(scan.points), seed,
+                      source=source, noise=noise)
 
 
 def coincidence_fraction(trace: CountTrace) -> float:

@@ -7,6 +7,10 @@ column is converted to Python numbers once, and the whole body is one
 sequence of values; ``%d`` and ``%.17g`` give the same bytes as
 formatting each value on its own.  The reader parses the body with
 numpy's C parser (``np.loadtxt``) into integer and float columns.
+
+``_COLUMNS`` says, per source mode, which column holds which ``CountTrace``
+field; the writer, the reader, the headers and :func:`measured_columns`
+(what ``scan`` plots and ``analyze`` picks from) all read it.
 """
 
 from __future__ import annotations
@@ -23,13 +27,23 @@ from .montecarlo import CountTrace
 __all__ = [
     "PHOTON_HEADER",
     "CLASSICAL_HEADER",
+    "measured_columns",
     "read_trace_csv",
     "write_json_report",
     "write_trace_csv",
 ]
 
-PHOTON_HEADER = ("bin", "time_s", "voltage_V", "psi_rad", "d1", "d2", "coinc")
-CLASSICAL_HEADER = ("bin", "time_s", "voltage_V", "psi_rad", "i_gamma", "i_delta")
+# Source mode -> CSV column -> CountTrace field, in file order: the scan axes,
+# then the measured columns.  A classical file has no coincidence column.
+_AXES = {"bin": "bin_index", "time_s": "time", "voltage_V": "voltage", "psi_rad": "psi"}
+_COLUMNS = {
+    SourceMode.PHOTON_COUNTING: {**_AXES, "d1": "singles_d1", "d2": "singles_d2",
+                                 "coinc": "coincidences"},
+    SourceMode.CLASSICAL_INTENSITY: {**_AXES, "i_gamma": "singles_d1", "i_delta": "singles_d2"},
+}
+
+PHOTON_HEADER = tuple(_COLUMNS[SourceMode.PHOTON_COUNTING])
+CLASSICAL_HEADER = tuple(_COLUMNS[SourceMode.CLASSICAL_INTENSITY])
 
 
 # Columns that hold integers; every other column is a float written with
@@ -43,26 +57,28 @@ def _column(name: str, values) -> list:
     return np.asarray(values, dtype=float).tolist()
 
 
+def measured_columns(trace: CountTrace) -> dict:
+    """The columns of ``trace`` after the scan axes, by CSV name in file order."""
+    return {name: getattr(trace, field) for name, field in _COLUMNS[trace.mode].items()
+            if name not in _AXES}
+
+
 def write_trace_csv(trace: CountTrace, path) -> None:
     """Write a trace as UTF-8 CSV with LF line endings.
 
-    Photon mode uses the 7-column schema ``bin,time_s,voltage_V,psi_rad,
-    d1,d2,coinc`` (integer counts); classical mode the 6-column schema
-    ``bin,time_s,voltage_V,psi_rad,i_gamma,i_delta``.  The trace is
-    validated first, so a trace that would not read back is never written.
+    The columns are ``PHOTON_HEADER`` (integer counts) or
+    ``CLASSICAL_HEADER``.  The trace is validated first, so a trace that
+    would not read back is never written.
     """
     trace.validate()
-    header = PHOTON_HEADER if trace.mode is SourceMode.PHOTON_COUNTING else CLASSICAL_HEADER
-    arrays = (trace.bin_index, trace.time, trace.voltage, trace.psi,
-              trace.singles_d1, trace.singles_d2, trace.coincidences)
-    # zip stops at the header, so a classical trace drops its zero coincidences.
-    columns = [_column(name, values) for name, values in zip(header, arrays)]
+    fields = _COLUMNS[trace.mode]
+    columns = [_column(name, getattr(trace, field)) for name, field in fields.items()]
     # ``%d`` of a Python int and ``%.17g`` of a Python float give the same
     # text as ``str(int(v))`` and ``format(float(v), ".17g")``, so the body
     # formats exactly as its values would one by one.  The header holds no
     # ``%``, so it goes into the template and the file text is built once.
-    row = ",".join("%d" if name in _INTEGER_COLUMNS else "%.17g" for name in header) + "\n"
-    template = ",".join(header) + "\n" + row * len(columns[0])
+    row = ",".join("%d" if name in _INTEGER_COLUMNS else "%.17g" for name in fields) + "\n"
+    template = ",".join(fields) + "\n" + row * len(columns[0])
     data = template % tuple(chain.from_iterable(zip(*columns)))
     try:
         Path(path).write_text(data, encoding="utf-8", newline="\n")
@@ -86,11 +102,8 @@ def read_trace_csv(path) -> CountTrace:
     if not lines:
         raise ValueError(f"{path}: empty trace file")
     header = tuple(lines[0].split(","))
-    if header == PHOTON_HEADER:
-        photon = True
-    elif header == CLASSICAL_HEADER:
-        photon = False
-    else:
+    mode = next((mode for mode, columns in _COLUMNS.items() if tuple(columns) == header), None)
+    if mode is None:
         raise ValueError(f"{path}: unrecognised trace header {lines[0]!r}")
 
     dtype = np.dtype([(name, np.int64 if name in _INTEGER_COLUMNS else float) for name in header])
@@ -103,18 +116,9 @@ def read_trace_csv(path) -> CountTrace:
             raise ValueError(f"{path}: malformed trace data: {reason}") from None
     else:
         table = np.zeros(0, dtype=dtype)
-    columns = [np.array(table[name]) for name in header]
-
-    trace = CountTrace(
-        mode=SourceMode.PHOTON_COUNTING if photon else SourceMode.CLASSICAL_INTENSITY,
-        bin_index=columns[0],
-        time=columns[1],
-        voltage=columns[2],
-        psi=columns[3],
-        singles_d1=columns[4],
-        singles_d2=columns[5],
-        coincidences=columns[6] if photon else np.zeros(len(table)),
-    )
+    fields = {"coincidences": np.zeros(len(table))}
+    fields.update((field, np.array(table[name])) for name, field in _COLUMNS[mode].items())
+    trace = CountTrace(mode=mode, **fields)
     trace.validate()
     return trace
 

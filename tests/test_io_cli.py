@@ -13,7 +13,13 @@ from cbwsim.circuit import MAX_ELEMENTS, UnboundParameterError, build_cbw_chain
 from cbwsim.config import ConfigError, NoiseModel, ScanConfig, SourceMode, SourceModel
 from cbwsim.montecarlo import CountTrace, simulate_classical_trace, simulate_scan_counts
 from cbwsim.svgplot import emit_plot_svg
-from cbwsim.trace_io import CLASSICAL_HEADER, PHOTON_HEADER, read_trace_csv, write_trace_csv
+from cbwsim.trace_io import (
+    CLASSICAL_HEADER,
+    PHOTON_HEADER,
+    measured_columns,
+    read_trace_csv,
+    write_trace_csv,
+)
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "cbwsim" / "schemas"
 
@@ -146,6 +152,62 @@ def make_trace(mode, time, voltage, psi, d1, d2, coinc=None):
 def assert_bits_equal(a, b):
     """Equal values and dtypes, with -0.0 told apart from 0.0."""
     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# Per mode: the CSV header, and a small trace of that mode.
+MODES = {"photon": (PHOTON_HEADER, photon_trace), "classical": (CLASSICAL_HEADER, classical_trace)}
+
+
+class TestColumnTable:
+    """The one column table of ``trace_io`` is what the CSV, the scan plot
+    and ``analyze`` agree on, in both source modes."""
+
+    @pytest.fixture(scope="class")
+    def scans(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("columns")
+        for mode in MODES:
+            assert cli.dispatch(["scan", "--mode", mode, "--points", "400", "--seed", "3",
+                                 "--out", str(root / mode)]) == 0
+        return root
+
+    def test_headers_keep_their_columns(self):
+        assert PHOTON_HEADER == ("bin", "time_s", "voltage_V", "psi_rad", "d1", "d2", "coinc")
+        assert CLASSICAL_HEADER == ("bin", "time_s", "voltage_V", "psi_rad", "i_gamma", "i_delta")
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_plot_legend_is_the_measured_header(self, scans, mode):
+        header = (scans / mode / "trace.csv").read_text().splitlines()[0].split(",")
+        svg = (scans / mode / "trace.svg").read_text()
+        legend = re.findall(r'class="legend"/>\s*<text[^>]*>([^<]*)</text>', svg)
+        assert tuple(header) == MODES[mode][0]
+        assert legend == header[header.index("psi_rad") + 1:]
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_analyze_takes_exactly_the_measured_columns(self, scans, tmp_path, capsys, mode):
+        header = MODES[mode][0]
+        measured = list(header[header.index("psi_rad") + 1:])
+        trace_csv = str(scans / mode / "trace.csv")
+        for column in measured:
+            out = tmp_path / f"{column}.json"
+            assert cli.dispatch(["analyze", "--in", trace_csv, "--column", column,
+                                 "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["column"] == column
+        others = set(PHOTON_HEADER + CLASSICAL_HEADER + ("bogus", "")) - set(measured)
+        capsys.readouterr()
+        for column in sorted(others):
+            assert cli.dispatch(["analyze", "--in", trace_csv, "--column", column]) == 1
+            assert capsys.readouterr().err == (f"cbwsim: error: unknown column {column!r}; "
+                                               f"choose from {sorted(measured)}\n")
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_measured_columns_survive_the_csv_bit_for_bit(self, tmp_path, mode):
+        header, make = MODES[mode]
+        trace = make()
+        write_trace_csv(trace, tmp_path / "t.csv")
+        written, back = measured_columns(trace), measured_columns(read_trace_csv(tmp_path / "t.csv"))
+        assert list(written) == list(back) == list(header[header.index("psi_rad") + 1:])
+        for name, values in written.items():
+            assert_bits_equal(back[name], values)
 
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300, 1e308,
@@ -475,17 +537,13 @@ class TestOptionTable:
         assert all(flags == {"-h", "--help"} for flags in got.values())
 
     def test_top_level_help_lists_every_command(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            cli.dispatch(["--help"])
-        assert info.value.code == 0
+        assert cli.dispatch(["--help"]) == 0
         listed = re.findall(r"^ {4}(\w+)\b", capsys.readouterr().out, re.MULTILINE)
         assert listed == list(cli._COMMANDS)
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_command_help_lists_each_of_its_options(self, capsys, command):
-        with pytest.raises(SystemExit) as info:
-            cli.dispatch([command, "--help"])
-        assert info.value.code == 0
+        assert cli.dispatch([command, "--help"]) == 0
         out = capsys.readouterr().out
         keys = cli._COMMANDS[command][2]
         flags = ["--config", "--out"] + ["--" + key.replace("_", "-") for key in keys]
@@ -697,6 +755,23 @@ class TestDispatch:
                                  "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"cbwsim: error: {message}\n"
+        assert not out.exists()
+
+    def test_overflowing_classical_power_exits_one_naming_the_source_intensity(self, tmp_path,
+                                                                              capsys):
+        mzi_file = tmp_path / "huge.mzi"
+        mzi_file.write_text("source intensity=1.7976931348623157e308\n"
+                            "mzi C arm=lower phase=psi\ndetect a b\n")
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.dispatch(["scan", "--mode", "classical", "--points", "200",
+                                 "--scan-duration", "20", "--circuit", str(mzi_file),
+                                 "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == ("cbwsim: error: source intensity "
+                                           "1.7976931348623157e+308 overflows the classical "
+                                           "output power\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["scan", "--mode", "classical"], ["simulate"]])

@@ -1,15 +1,26 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cbwsim import montecarlo
 from cbwsim.analytic import expected_coincidence_fraction
 from cbwsim.circuit import CircuitAst, ElementKind, ElementNode, UnboundParameterError, build_cbw_chain
-from cbwsim.config import ConfigError, NoiseModel, PztCalibration, ScanConfig, SourceMode, SourceModel
+from cbwsim.config import (
+    LAB_NOISE,
+    ConfigError,
+    NoiseModel,
+    PztCalibration,
+    ScanConfig,
+    SourceMode,
+    SourceModel,
+)
 from cbwsim.montecarlo import (
     CountTrace,
     coincidence_fraction,
     route_photons,
     sample_window,
+    scan_trace,
     simulate_classical_trace,
     simulate_scan_counts,
 )
@@ -105,6 +116,18 @@ class TestSimulateScanCounts:
         trace.validate()
         assert np.all(trace.coincidences <= np.minimum(trace.singles_d1, trace.singles_d2))
         assert trace.mode is SourceMode.PHOTON_COUNTING
+
+    @pytest.mark.parametrize("intensity", [0.0, -0.0, 5e-324, 2.5, 1e308, np.finfo(float).max])
+    def test_routing_does_not_depend_on_the_source_intensity(self, intensity):
+        # The lab drift walk scales both outputs; at the largest double it
+        # used to overflow their sum and skew the routing.
+        chain = build_cbw_chain(2, 0.0)
+        scan = ScanConfig(points=64, bin_duration=0.001, scan_duration=0.064)
+        unit = simulate_scan_counts(chain, scan, photon_source(0.3, 1e-6), LAB_NOISE, seed=3)
+        scaled = simulate_scan_counts(replace(chain, source_intensity=intensity), scan,
+                                      photon_source(0.3, 1e-6), LAB_NOISE, seed=3)
+        for field in ("singles_d1", "singles_d2", "coincidences"):
+            np.testing.assert_array_equal(getattr(scaled, field), getattr(unit, field))
 
     def test_windows_per_bin_cap(self):
         # window_duration 1 s makes bin_duration the exact window count.
@@ -283,6 +306,17 @@ class TestSimulateClassical:
         assert np.all(trace.coincidences == 0)
         assert trace.mode is SourceMode.CLASSICAL_INTENSITY
 
+    @pytest.mark.parametrize("intensity", [0.0, -0.0, 5e-324, 2.5, 1e308])
+    def test_powers_are_the_unit_powers_times_the_source_intensity(self, intensity):
+        chain = build_cbw_chain(2, 0.0)
+        scan = ScanConfig(points=64, bin_duration=0.1, scan_duration=6.4)
+        unit = simulate_classical_trace(chain, scan, classical_source(), LAB_NOISE, seed=2)
+        scaled = simulate_classical_trace(replace(chain, source_intensity=intensity), scan,
+                                          classical_source(), LAB_NOISE, seed=2)
+        for field in ("singles_d1", "singles_d2"):
+            expected = abs(intensity) * getattr(unit, field)
+            assert getattr(scaled, field).tobytes() == expected.tobytes()
+
     def test_zero_duration_scan_is_empty(self):
         chain = build_cbw_chain(2, 0.0)
         scan = ScanConfig(points=0, scan_duration=0.0)
@@ -309,6 +343,30 @@ class TestSimulateClassical:
         scan = ScanConfig(points=4, bin_duration=0.001, scan_duration=0.004)
         with pytest.raises(ConfigError):
             simulate_classical_trace(chain, scan, photon_source(0.1), QUIET, seed=0)
+
+
+class TestScanTrace:
+    def test_axes_come_from_the_scan(self):
+        scan = ScanConfig(points=5, bin_duration=0.1, scan_duration=0.5)
+        psi = scan.psi_values()
+        trace = scan_trace(scan, SourceMode.CLASSICAL_INTENSITY, psi, np.ones(5), np.zeros(5),
+                           np.zeros(5), 7, note="x")
+        np.testing.assert_array_equal(trace.bin_index, np.arange(5))
+        assert trace.bin_index.dtype == np.int64
+        np.testing.assert_array_equal(trace.time, scan.times())
+        np.testing.assert_array_equal(trace.voltage, scan.voltages())
+        assert trace.psi is psi and trace.seed == 7
+        assert trace.meta == {"scan": scan, "note": "x"}
+
+    @pytest.mark.parametrize("d1, coinc, message", [
+        (np.ones(4), np.zeros(5), "mismatched lengths"),
+        (np.full(5, np.nan), np.zeros(5), "non-finite"),
+        (np.ones(5), np.full(5, 2), "coincidences exceed singles"),
+    ])
+    def test_the_trace_is_validated(self, d1, coinc, message):
+        scan = ScanConfig(points=5, bin_duration=0.1, scan_duration=0.5)
+        with pytest.raises(ValueError, match=message):
+            scan_trace(scan, SourceMode.PHOTON_COUNTING, scan.psi_values(), d1, np.ones(5), coinc)
 
 
 class TestUnboundParameters:
