@@ -14,7 +14,6 @@ from .analytic import (
     cbw_wavelength,
     expected_coincidence_fraction,
     glass_plate_opd,
-    single_mzi_intensities,
 )
 from .circuit import (
     CircuitAst,

@@ -1,36 +1,49 @@
 """Closed-form intensity laws, fringe wavelength, tilt-plate phase tuner,
 and the attenuated-source coincidence fraction.
 
-The closed form here is hand-coded from the printed intensity laws and
-deliberately kept independent of the matrix engine so the two routes can
-cross-validate each other.  One cosine law covers every closed-form case:
+The cascade intensities are hand-coded from the printed MZI closed forms
+and share no code with the matrix engine (:mod:`cbwsim.optics`,
+:mod:`cbwsim.circuit`), so the two routes cross-validate each other.
+
+Where an effective order ``k`` exists one cosine law gives them:
 
     c = (-1)**k cos(k psi),   I_upper = I0 (1 + c)/2,   I_lower = I0 (1 - c)/2
 
-with the effective order ``k = m`` at control phase 0, ``k = m % 2`` at
-control phase pi (mod 2pi) and ``k = 1`` for the bare MZI (m = 1) at any
-control phase.  ``k = 1`` is the single-MZI law ``I0 (1 -/+ cos psi)/2``
-and ``k = 0`` the frozen outputs ``(I0, 0)``.  Every other ``(m, phi)``
-combination is answered by direct numeric composition of the chain
-(:func:`cbwsim.circuit.evaluate_chain`); the returned prediction records
-which route produced it.
+with ``k = m`` at control phase 0, ``k = m % 2`` at control phase pi (mod
+2pi) and ``k = 1`` for the bare MZI (m = 1) at any control phase.  ``k = 1``
+is the single-MZI law ``I0 (1 -/+ cos psi)/2`` and ``k = 0`` the frozen
+outputs ``(I0, 0)``.  For ``k >= 3`` the argument ``k psi`` is not rounded:
+``psi`` is split exactly into a 42-bit ``hi`` and a remainder ``lo``, so
+``k hi`` is exact for ``k < 2048``, and ``cos(k psi) = cos(k hi) cos(k lo) -
+sin(k hi) sin(k lo)``.  The law's error then stays near 1e-16 however large
+``m |psi|`` grows; ``k <= 2`` keeps the plain ``cos(k psi)``.
 
-For ``k >= 3`` the argument ``k psi`` is not rounded: ``psi`` is split
-exactly into a 42-bit ``hi`` and a remainder ``lo``, so ``k hi`` is exact
-for ``k < 2048``, and ``cos(k psi) = cos(k hi) cos(k lo) - sin(k hi) sin(k lo)``.
-The law's error then stays near 1e-16 however large ``m |psi|`` grows;
-``k <= 2`` keeps the plain ``cos(k psi)``.
+Every other control phase takes a power of the two-stage block.  With
+``e = exp(i psi)``, ``bar = (1 - e)/2``, ``cross = i (1 + e)/2`` and
+``p = exp(i phi)``, the lower- and upper-arm MZIs are
+``[[bar, cross], [cross, -bar]]`` and ``[[-bar, cross], [cross, bar]]``,
+the control phase is ``diag(p, 1)``, and the block
+``B = P(phi) MZI_upper(psi) P(phi) MZI_lower(psi)`` is
+
+    B = [[p (cross**2 - p bar**2), -p (1 + p) bar cross],
+         [(1 + p) bar cross,        p cross**2 - bar**2]]
+
+An m-stage cascade is ``B**(m // 2)``, with one more ``MZI_lower`` on the
+left for odd m; its trailing control phase never changes an intensity.
+The power is taken by binary squaring, the intensities are
+``|first column|**2`` divided by their sum (1 up to rounding), and only
+then scaled by ``I0``, so neither output exceeds ``I0``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from . import circuit
 
 __all__ = [
     "AnalyticPrediction",
@@ -40,12 +53,10 @@ __all__ = [
     "cbw_wavelength",
     "expected_coincidence_fraction",
     "glass_plate_opd",
-    "single_mzi_intensities",
 ]
 
-# The cosine law applies only at control phases 0 and pi (mod 2*pi); the
-# route choice is a routing decision, not a numeric claim, so a loose
-# tolerance is safe -- both routes agree to 1e-12 anyway.
+# The cosine law is taken within this distance of control phase 0 or pi
+# (mod 2*pi), and the block power everywhere else.
 _BRANCH_TOL = 1e-9
 
 # Veltkamp splitting constant 2**11 + 1: ``hi`` keeps the top 53 - 11 = 42
@@ -55,11 +66,10 @@ _SPLIT = 2.0**11 + 1.0
 
 @dataclass(frozen=True)
 class AnalyticPrediction:
-    """Predicted output intensity pair plus the route that produced it."""
+    """Predicted output intensity pair of a cascade."""
 
     i_upper: float
     i_lower: float
-    branch: str = field(default="", compare=False)
 
 
 class GlassPlateFormula(Enum):
@@ -92,23 +102,22 @@ class GlassPlateModel:
             raise ValueError("refractive index must exceed 1")
 
 
-def single_mzi_intensities(psi, i0: float = 1.0) -> AnalyticPrediction:
-    """Single-MZI outputs ``(i0 (1 - cos psi)/2, i0 (1 + cos psi)/2)``, the k = 1 law."""
-    return cbw_intensities(psi, 0.0, 1, i0)
-
-
 def cbw_intensities(psi, phi: float, m: int, i0: float = 1.0) -> AnalyticPrediction:
     """Output intensities of the m-stage cascade at control phase ``phi``.
 
     Takes the cosine law of the module docstring where the effective order
     ``k`` is defined (m=1 at any phi; any m at phi = 0 or pi mod 2pi) and
-    numeric matrix composition everywhere else.  ``psi`` may be an array;
-    ``psi``, ``phi`` and ``i0`` must be finite.
+    the block power everywhere else.  ``psi`` may be an array; ``psi``,
+    ``phi`` and ``i0`` must be finite and ``m`` a positive integer.
     """
     if not (math.isfinite(i0) and i0 >= 0):
         raise ValueError(f"i0 must be a finite number >= 0, got {i0!r}")
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError("m must be a positive integer") from None
     if m < 1:
         raise ValueError("m must be a positive integer")
     psi_arr = np.asarray(psi, dtype=float)
@@ -124,18 +133,41 @@ def cbw_intensities(psi, phi: float, m: int, i0: float = 1.0) -> AnalyticPredict
         k = None
 
     if k is None:
-        ast = circuit.build_cbw_chain(m, phi=float(phi), source_intensity=i0)
-        upper, lower = circuit.output_intensities(ast, {"psi": psi_arr})
-        branch = "matrix-composition"
+        unit_upper, unit_lower = _block_power(psi_arr, phi, m)
+        upper, lower = i0 * unit_upper, i0 * unit_lower
     else:
         c = (-1) ** k * _cos_multiple(k, psi_arr)
         upper = i0 * ((1.0 + c) / 2.0)
         lower = i0 * ((1.0 - c) / 2.0)
-        branch = "closed-form"
 
     if psi_arr.ndim == 0:
-        return AnalyticPrediction(float(np.asarray(upper)), float(np.asarray(lower)), branch)
-    return AnalyticPrediction(np.asarray(upper), np.asarray(lower), branch)
+        return AnalyticPrediction(float(upper), float(lower))
+    return AnalyticPrediction(np.asarray(upper), np.asarray(lower))
+
+
+def _block_power(psi: np.ndarray, phi: float, m: int) -> tuple:
+    """Unit output intensities of the m-stage cascade; see the module docstring."""
+    e = np.exp(1j * psi)
+    bar, cross = (1.0 - e) / 2.0, 1j * (1.0 + e) / 2.0
+    p = cmath.exp(1j * phi)
+    coupling = (1.0 + p) * bar * cross
+    block = (p * (cross * cross - p * bar * bar), -p * coupling, coupling, p * cross * cross - bar * bar)
+    # (upper, lower) is the first column of B**j, j the bits of m // 2 used so far.
+    upper, lower = 1.0, 0.0
+    n = m // 2
+    while n:
+        b00, b01, b10, b11 = block
+        if n & 1:
+            upper, lower = b00 * upper + b01 * lower, b10 * upper + b11 * lower
+        n >>= 1
+        if n:
+            block = (b00 * b00 + b01 * b10, b00 * b01 + b01 * b11,
+                     b10 * b00 + b11 * b10, b10 * b01 + b11 * b11)
+    if m % 2:
+        upper, lower = bar * upper + cross * lower, cross * upper - bar * lower
+    i_upper, i_lower = np.abs(upper) ** 2, np.abs(lower) ** 2
+    total = i_upper + i_lower
+    return i_upper / total, i_lower / total
 
 
 def _cos_multiple(k: int, psi: np.ndarray) -> np.ndarray:

@@ -70,17 +70,21 @@ def emit_plot_svg(x, series, path, *, xlabel: str = "", ylabel: str = "", title:
         raise ValueError("plot data must be finite")
 
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
-    y_lo = min(float(np.min(y)) for y in arrays)
-    y_hi = max(float(np.max(y)) for y in arrays)
+    data_lo = min(float(np.min(y)) for y in arrays)
+    data_hi = max(float(np.max(y)) for y in arrays)
+    if not math.isfinite(x_hi - x_lo):
+        raise ValueError(f"plot axis span overflows a double: x data range [{x_lo!r}, {x_hi!r}]")
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    y_lo, y_hi = data_lo, data_hi
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     pad = 0.04 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
-    if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
-        raise ValueError("plot axis span overflows a double")
+    if not math.isfinite(y_hi - y_lo):
+        raise ValueError(f"plot axis span overflows a double: y data range "
+                         f"[{data_lo!r}, {data_hi!r}] with its 4% pad")
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B

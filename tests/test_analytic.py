@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cbwsim import circuit, optics
 from cbwsim.analytic import (
     GlassPlateFormula,
     GlassPlateModel,
@@ -10,7 +13,6 @@ from cbwsim.analytic import (
     cbw_wavelength,
     expected_coincidence_fraction,
     glass_plate_opd,
-    single_mzi_intensities,
 )
 from cbwsim.circuit import build_cbw_chain, output_intensities
 from cbwsim.config import MAX_MODULES, ScanConfig
@@ -27,28 +29,28 @@ def brute_force_coincidence_fraction(lam, p_upper, p_lower, k_max=12):
 
 class TestSingleMzi:
     def test_dark_port_at_zero(self):
-        pred = single_mzi_intensities(0.0, 2.0)
+        pred = cbw_intensities(0.0, 0.0, 1, 2.0)
         assert pred.i_upper == 0.0 and pred.i_lower == 2.0
 
     def test_swap_at_pi(self):
-        pred = single_mzi_intensities(np.pi, 2.0)
+        pred = cbw_intensities(np.pi, 0.0, 1, 2.0)
         assert abs(pred.i_upper - 2.0) < 1e-15 and abs(pred.i_lower) < 1e-15
 
     def test_balanced_at_half_pi(self):
-        pred = single_mzi_intensities(np.pi / 2, 1.0)
+        pred = cbw_intensities(np.pi / 2, 0.0, 1, 1.0)
         assert abs(pred.i_upper - 0.5) < 1e-15 and abs(pred.i_lower - 0.5) < 1e-15
 
     def test_rejects_negative_intensity(self):
         with pytest.raises(ValueError):
-            single_mzi_intensities(0.0, -1.0)
+            cbw_intensities(0.0, 0.0, 1, -1.0)
 
 
-# Each input is checked once, before routing, so the closed-form and the
-# composition route (control phase 0.5) raise the same error.
+# Each input is checked once, before routing, so the cosine law and the
+# block power (control phase 0.5) raise the same error.
 @pytest.mark.parametrize("call, message", [
-    (lambda: single_mzi_intensities(0.3, math.nan), "i0 must be a finite number"),
-    (lambda: single_mzi_intensities(math.inf), "psi must be finite"),
-    (lambda: single_mzi_intensities(np.array([0.1, math.nan])), "psi must be finite"),
+    (lambda: cbw_intensities(0.3, 0.0, 1, math.nan), "i0 must be a finite number"),
+    (lambda: cbw_intensities(math.inf, 0.0, 1), "psi must be finite"),
+    (lambda: cbw_intensities(np.array([0.1, math.nan]), 0.0, 1), "psi must be finite"),
     (lambda: cbw_intensities(math.inf, 0.0, 2), "psi must be finite"),
     (lambda: cbw_intensities(math.inf, math.pi, 2), "psi must be finite"),
     (lambda: cbw_intensities(math.inf, 0.5, 2), "psi must be finite"),
@@ -58,45 +60,88 @@ class TestSingleMzi:
     (lambda: cbw_intensities(0.3, 0.5, 3, math.inf), "i0 must be a finite number"),
     (lambda: cbw_intensities(0.3, math.nan, 1), "phi must be finite"),
     (lambda: cbw_intensities(0.3, math.inf, 2), "phi must be finite"),
+    (lambda: cbw_intensities(0.3, 0.0, 2.5), "m must be a positive integer"),
+    (lambda: cbw_intensities(0.3, math.pi, 2.5), "m must be a positive integer"),
+    (lambda: cbw_intensities(0.3, 0.5, 2.5), "m must be a positive integer"),
+    (lambda: cbw_intensities(0.3, 0.0, 3.0), "m must be a positive integer"),
+    (lambda: cbw_intensities(0.3, 0.5, 3.0), "m must be a positive integer"),
+    (lambda: cbw_intensities(0.3, 0.5, 0), "m must be a positive integer"),
 ], ids=["mzi-nan-i0", "mzi-inf-psi", "mzi-nan-psi", "closed-inf-psi-0", "closed-inf-psi-pi",
         "composed-inf-psi", "closed-array-psi", "composed-array-psi", "closed-inf-i0",
-        "composed-inf-i0", "nan-phi", "inf-phi"])
+        "composed-inf-i0", "nan-phi", "inf-phi", "closed-fractional-m-0",
+        "closed-fractional-m-pi", "composed-fractional-m", "closed-float-m",
+        "composed-float-m", "composed-zero-m"])
 def test_non_finite_inputs_raise_the_same_error_on_both_routes(call, message):
     with pytest.raises(ValueError, match=message):
         call()
 
 
+# One period, and the default 10.5-cycle sweep out to psi = 66 rad.
+GRIDS = (np.linspace(0, 2 * np.pi, 4001), ScanConfig().psi_values())
+
+
+def assert_matches_composition(m, phi):
+    """``cbw_intensities`` is within 1e-12 of matrix composition on both grids."""
+    for psis in GRIDS:
+        pred = cbw_intensities(psis, phi, m, 1.0)
+        up, lo = output_intensities(build_cbw_chain(m, phi=phi), {"psi": psis})
+        assert np.max(np.abs(pred.i_upper - up)) < 1e-12
+        assert np.max(np.abs(pred.i_lower - lo)) < 1e-12
+
+
+def long_double_intensities(psi, phi, m):
+    """Output intensities of the m-stage chain, propagated element by element
+    in long double from the 50/50 beam splitter and phase shifters (a
+    test-local reference that uses neither ``optics`` nor ``analytic``)."""
+    psi = np.asarray(psi, dtype=np.longdouble)
+    half = np.sqrt(np.longdouble(0.5))
+    upper = np.ones_like(psi) + 0j
+    lower = np.zeros_like(upper)
+
+    def split(upper, lower):
+        return half * (upper + 1j * lower), half * (1j * upper + lower)
+
+    def shift(angle):
+        return np.cos(angle) + 1j * np.sin(angle)
+
+    for element in build_cbw_chain(m, phi="phi").elements:
+        angle = psi if element.phase == "psi" else np.longdouble(phi)
+        if element.kind is circuit.ElementKind.MZI:
+            upper, lower = split(upper, lower)
+        if element.arm is optics.Arm.UPPER:
+            upper = upper * shift(angle)
+        else:
+            lower = lower * shift(angle)
+        if element.kind is circuit.ElementKind.MZI:
+            upper, lower = split(upper, lower)
+    return np.abs(upper) ** 2, np.abs(lower) ** 2
+
+
 class TestCascadeIntensities:
     def test_doubled_balanced_point(self):
         pred = cbw_intensities(np.pi / 4, 0.0, 2, 1.0)
-        assert pred.branch == "closed-form"
         assert abs(pred.i_upper - 0.5) < 1e-15 and abs(pred.i_lower - 0.5) < 1e-15
 
     def test_symmetric_control_phase_is_flat(self):
         pred = cbw_intensities(1.234, np.pi, 2, 1.0)
-        assert pred.branch == "closed-form"
         assert pred.i_upper == 1.0 and pred.i_lower == 0.0
 
     def test_tripled_chain_at_third_pi(self):
         pred = cbw_intensities(np.pi / 3, 0.0, 3, 1.0)
-        assert pred.branch == "closed-form"
         assert abs(pred.i_upper - 1.0) < 1e-12 and abs(pred.i_lower) < 1e-12
 
     def test_control_phase_mod_two_pi_hits_closed_forms(self):
         doubled = cbw_intensities(0.3, 4 * np.pi, 2)
         c = np.cos(2 * 0.3)
-        assert doubled.branch == "closed-form"
         assert (doubled.i_upper, doubled.i_lower) == ((1.0 + c) / 2.0, (1.0 - c) / 2.0)
         for phi in (3 * np.pi, -np.pi):
             frozen = cbw_intensities(0.3, phi, 2)
-            assert frozen.branch == "closed-form"
             assert (frozen.i_upper, frozen.i_lower) == (1.0, 0.0)
-        assert cbw_intensities(0.3, 0.5, 2).branch == "matrix-composition"
 
     def test_single_stage_ignores_control_phase(self):
         a = cbw_intensities(0.7, 0.0, 1)
         b = cbw_intensities(0.7, 2.1, 1)
-        assert a.i_upper == b.i_upper and a.branch == "closed-form"
+        assert a.i_upper == b.i_upper
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_equals_matrix_composition_on_grid(self, m):
@@ -117,12 +162,7 @@ class TestCascadeIntensities:
     @pytest.mark.parametrize("phi", [0.0, np.pi])
     @pytest.mark.parametrize("m", [3, 5, 8, 100, MAX_MODULES - 1, MAX_MODULES])
     def test_closed_form_equals_composition_up_to_max_modules(self, m, phi):
-        for psis in (np.linspace(0, 2 * np.pi, 4001), ScanConfig().psi_values()):
-            pred = cbw_intensities(psis, phi, m, 1.0)
-            assert pred.branch == "closed-form"
-            up, lo = output_intensities(build_cbw_chain(m, phi=phi), {"psi": psis})
-            assert np.max(np.abs(pred.i_upper - up)) < 1e-12
-            assert np.max(np.abs(pred.i_lower - lo)) < 1e-12
+        assert_matches_composition(m, phi)
 
     @pytest.mark.parametrize("m", [3, 8, MAX_MODULES])
     def test_closed_form_keeps_the_argument_exact_at_any_magnitude(self, m):
@@ -132,6 +172,48 @@ class TestCascadeIntensities:
         pred = cbw_intensities(psis, 0.0, m, 1.0)
         reference = (-1) ** m * np.cos(np.longdouble(m) * psis.astype(np.longdouble))
         assert np.max(np.abs(2.0 * pred.i_upper - 1.0 - reference)) < 1e-15
+
+    # The block power answers every control phase but 0 and pi; these lie
+    # just outside the cosine law's routing tolerance (1e-9), or far from it.
+    @pytest.mark.parametrize("phi", [2e-9, -2e-9, np.pi - 2e-9, np.pi + 2e-9, np.pi / 3])
+    @pytest.mark.parametrize("m", [2, 3, 21, MAX_MODULES])
+    def test_block_power_equals_composition_next_to_the_cosine_law(self, m, phi):
+        assert_matches_composition(m, phi)
+
+    @settings(max_examples=30, deadline=None)
+    @given(phi=st.floats(allow_nan=False, allow_infinity=False), m=st.integers(1, MAX_MODULES))
+    @example(phi=0.5, m=MAX_MODULES)
+    @example(phi=-7.25, m=MAX_MODULES - 1)
+    def test_equals_composition_at_random_control_phases(self, phi, m):
+        assert_matches_composition(m, phi)
+
+    @pytest.mark.parametrize("phi", [0.0, np.pi, 0.5, np.pi / 3, 4.0])
+    @pytest.mark.parametrize("m", [2, 3, 21, MAX_MODULES])
+    def test_both_routes_match_a_long_double_chain(self, m, phi):
+        psis = np.array([0.0, 0.3, 2.0, 4.4, 65.9])
+        ref_up, ref_lo = long_double_intensities(psis, phi, m)
+        pred = cbw_intensities(psis, phi, m, 1.0)
+        up, lo = output_intensities(build_cbw_chain(m, phi=phi), {"psi": psis})
+        for upper, lower in ((pred.i_upper, pred.i_lower), (up, lo)):
+            assert np.max(np.abs(upper - ref_up)) < 1e-12
+            assert np.max(np.abs(lower - ref_lo)) < 1e-12
+
+    def test_calls_no_matrix_engine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("analytic called the matrix engine")
+
+        for module, name in ((optics, "compose"), (optics, "mzi"), (optics, "phase_element"),
+                             (circuit, "output_intensities"), (circuit, "evaluate_chain")):
+            monkeypatch.setattr(module, name, refuse)
+        psis = np.linspace(0, 2 * np.pi, 64)
+        for phi in (0.5, np.pi / 3):
+            for m in (2, 3, MAX_MODULES):
+                pred = cbw_intensities(psis, phi, m, 2.0)
+                assert np.max(np.abs(pred.i_upper + pred.i_lower - 2.0)) < 1e-12
+
+    def test_numpy_integer_order_takes_the_same_route(self):
+        for phi in (0.0, np.pi, 0.5):
+            assert cbw_intensities(0.3, phi, np.int64(3)) == cbw_intensities(0.3, phi, 3)
 
     def test_energy_is_conserved_everywhere(self):
         psis = np.linspace(0, 2 * np.pi, 257)
@@ -149,9 +231,9 @@ class TestCascadeIntensities:
 
     def test_single_outputs_have_period_two_pi_only(self):
         psis = np.linspace(0.1, 2 * np.pi, 64)
-        base = np.asarray(single_mzi_intensities(psis).i_upper)
-        pi_shift = np.asarray(single_mzi_intensities(psis + np.pi).i_upper)
-        full_shift = np.asarray(single_mzi_intensities(psis + 2 * np.pi).i_upper)
+        base = np.asarray(cbw_intensities(psis, 0.0, 1).i_upper)
+        pi_shift = np.asarray(cbw_intensities(psis + np.pi, 0.0, 1).i_upper)
+        full_shift = np.asarray(cbw_intensities(psis + 2 * np.pi, 0.0, 1).i_upper)
         assert np.max(np.abs(base - full_shift)) < 1e-12
         assert np.max(np.abs(base - pi_shift)) > 0.5
 

@@ -774,6 +774,22 @@ class TestDispatch:
                                            "output power\n")
         assert not out.exists()
 
+    def test_unplottable_classical_power_exits_one_naming_the_y_range(self, tmp_path, capsys):
+        mzi_file = tmp_path / "huge.mzi"
+        mzi_file.write_text("source intensity=1.7976931348623157e308\n"
+                            "mzi C arm=lower phase=psi\ndetect a b\n")
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.dispatch(["scan", "--mode", "classical", "--noise", "none", "--points",
+                                 "200", "--scan-duration", "20", "--circuit", str(mzi_file),
+                                 "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cbwsim: error: ") and err.count("\n") == 1
+        assert "1.7976931348623157e+308" in err and "4% pad" in err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command", [["scan", "--mode", "classical"], ["simulate"]])
     def test_circuit_past_the_element_cap_exits_one_before_any_matrix(self, tmp_path, capsys,
                                                                       monkeypatch, command):
@@ -971,6 +987,20 @@ class TestDispatch:
                                      "--i0", "1e308", "--out", str(out)]) == 0
                 trace = read_trace_csv(out)
                 assert np.max(trace.singles_d1 + trace.singles_d2) <= 1e308 * (1 + 1e-15)
+
+    # At a general control phase the largest double is the input power:
+    # each output is at most i0, and their sum would overflow.
+    @pytest.mark.parametrize("modules", ["2", "3", "5"])
+    def test_largest_i0_sweeps_at_a_general_phase(self, tmp_path, modules):
+        out = tmp_path / "o.csv"
+        i0 = "1.7976931348623157e308"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.dispatch(["analytic", "--modules", modules, "--phi", "pi/3", "--points",
+                                 "5000", "--i0", i0, "--out", str(out)]) == 0
+        trace = read_trace_csv(out)
+        assert np.all(trace.singles_d1 <= float(i0)) and np.all(trace.singles_d2 <= float(i0))
+        assert np.max(trace.singles_d1) > 0.99 * float(i0)
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert cli.dispatch(["frobnicate"]) == 1
