@@ -11,7 +11,6 @@ from pathlib import Path
 
 from cbwsim import (
     LAB_NOISE,
-    PztCalibration,
     ScanConfig,
     SourceModel,
     coincidence_fraction,
@@ -26,7 +25,7 @@ OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
 scan = ScanConfig(points=600, scan_duration=500.0, bin_duration=0.1,
-                  calibration=PztCalibration(10.5), modules=2, phi=0.0)
+                  cycles_per_ramp=10.5, modules=2, phi=0.0)
 source = SourceModel(mean_photons_per_window=0.3, window_duration=1e-6)
 trace = run_scan(scan, source, LAB_NOISE, seed=7)
 

@@ -32,7 +32,6 @@ from .config import (
     LAB_NOISE,
     ConfigError,
     NoiseModel,
-    PztCalibration,
     ScanConfig,
     SourceMode,
     SourceModel,

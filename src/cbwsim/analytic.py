@@ -102,6 +102,17 @@ class GlassPlateModel:
             raise ValueError("refractive index must exceed 1")
 
 
+def _order(m) -> int:
+    """``m`` as a cascade order: a positive integer, else ``ValueError``."""
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError("m must be a positive integer") from None
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    return m
+
+
 def cbw_intensities(psi, phi: float, m: int, i0: float = 1.0) -> AnalyticPrediction:
     """Output intensities of the m-stage cascade at control phase ``phi``.
 
@@ -114,12 +125,7 @@ def cbw_intensities(psi, phi: float, m: int, i0: float = 1.0) -> AnalyticPredict
         raise ValueError(f"i0 must be a finite number >= 0, got {i0!r}")
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise ValueError("m must be a positive integer") from None
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    m = _order(m)
     psi_arr = np.asarray(psi, dtype=float)
     if not np.isfinite(psi_arr).all():
         raise ValueError("psi must be finite")
@@ -191,8 +197,7 @@ def cbw_wavelength(m: int, lambda0: float) -> float:
     terms, one coupling block of two stages gives ``lambda0/2``, which is
     the same statement as this function's ``lambda0/m`` at ``m=2``.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    m = _order(m)
     if lambda0 <= 0:
         raise ValueError("lambda0 must be positive")
     return lambda0 / m

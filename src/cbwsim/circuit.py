@@ -30,6 +30,7 @@ physical order: the first element listed is the first the light traverses.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -334,6 +335,10 @@ def build_cbw_chain(m: int, phi: PhaseValue = "phi", source_intensity: float = 1
     ``phi`` may be a literal in radians or a parameter name (default
     ``"phi"``).
     """
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError("m must be a positive integer") from None
     if m < 1:
         raise ValueError("m must be a positive integer")
     elements: list[ElementNode] = []

@@ -39,7 +39,6 @@ from .config import (
     LAB_NOISE,
     ConfigError,
     NoiseModel,
-    PztCalibration,
     ScanConfig,
     SourceMode,
     SourceModel,
@@ -96,7 +95,8 @@ _OPTIONS = {
     "scan_duration": dict(type=float),
     "bin_duration": dict(type=float),
     "cycles_per_ramp": dict(type=float, help="singles fringe cycles across the full ramp"),
-    "circuit": dict(help="path to a .mzi circuit file overriding --modules/--phi"),
+    "circuit": dict(help="path to a .mzi circuit file; overrides --modules, "
+                         "and --phi binds its phi parameter"),
     "i0": dict(type=float, help="source intensity"),
     "mean_photons": dict(type=float),
     "window_duration": dict(type=float),
@@ -205,11 +205,9 @@ def _given(args, *keys, **renamed) -> dict:
 
 def _scan_config(args) -> ScanConfig:
     fields = _given(args, "ramp_start", "ramp_end", "scan_duration", "points", "bin_duration",
-                    "modules")
+                    "modules", "cycles_per_ramp")
     if args.circuit:
         fields["circuit"] = circuit.parse_circuit(Path(args.circuit).read_text(encoding="utf-8"))
-    if args.cycles_per_ramp is not None:
-        fields["calibration"] = PztCalibration(args.cycles_per_ramp)
     if args.phi is not None:
         fields["phi"] = parse_phase(args.phi)
     return ScanConfig(**fields)

@@ -1,19 +1,21 @@
 """Scan, source and noise configuration shared by the simulators.
 
-The default calibration encodes the reference experiment: a 0-100 V
-triangle ramp (up-leg only) drives two synchronized piezo transducers
-through 10.5 full fringe cycles of a single MZI, i.e. 21 doubled
-coincidence fringes across the ramp.
+The default calibration (``ScanConfig.cycles_per_ramp``) encodes the
+reference experiment: a 0-100 V triangle ramp (up-leg only) drives two
+synchronized piezo transducers through 10.5 full fringe cycles of a
+single MZI, i.e. 21 doubled coincidence fringes across the ramp.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import circuit as circuit_mod
 from .circuit import CircuitAst
 
 __all__ = [
@@ -23,7 +25,6 @@ __all__ = [
     "MAX_MODULES",
     "MAX_POINTS",
     "NoiseModel",
-    "PztCalibration",
     "ScanConfig",
     "SourceMode",
     "SourceModel",
@@ -52,30 +53,28 @@ def _require_finite(config, names) -> None:
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PztCalibration:
-    """Linear PZT response: singles fringe cycles per full voltage ramp."""
-
-    cycles_per_full_ramp: float = DEFAULT_CYCLES_PER_RAMP
-
-    def __post_init__(self):
-        _require_finite(self, ("cycles_per_full_ramp",))
-        if self.cycles_per_full_ramp <= 0:
-            raise ConfigError("cycles_per_full_ramp must be positive")
+def _require_integer(config, names) -> None:
+    for name in names:
+        value = getattr(config, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
-def pzt_phase(voltage, cal: PztCalibration, ramp_span: float):
+def pzt_phase(voltage, cycles_per_ramp: float, ramp_span: float):
     """Map PZT voltage to interferometer phase (radians), linear model.
 
-    ``psi = 2*pi * cycles_per_full_ramp * voltage / ramp_span``.
+    ``psi = 2*pi * cycles_per_ramp * voltage / ramp_span``, where
+    ``cycles_per_ramp`` counts singles fringe cycles across the full ramp.
     ``voltage`` may be a scalar or array.  The phase per volt must be
     finite: a subnormal ``ramp_span`` overflows it.
     """
     if ramp_span <= 0:
         raise ConfigError("ramp_span must be positive")
-    scale = 2.0 * np.pi * cal.cycles_per_full_ramp / ramp_span
+    scale = 2.0 * np.pi * cycles_per_ramp / ramp_span
     if not math.isfinite(scale):
-        raise ConfigError(f"phase per volt 2*pi*{cal.cycles_per_full_ramp!r}/{ramp_span!r} "
+        raise ConfigError(f"phase per volt 2*pi*{cycles_per_ramp!r}/{ramp_span!r} "
                           "is not finite")
     return np.asarray(voltage, dtype=float) * scale if np.ndim(voltage) else float(voltage) * scale
 
@@ -161,9 +160,11 @@ class ScanConfig:
 
     The up-leg of the triangle ramp runs ``ramp_start .. ramp_end`` volts
     over ``scan_duration`` seconds, sampled as ``points`` acquisition bins
-    of ``bin_duration`` seconds each.  The chain is the standard cascade
-    with ``modules`` stages at control phase ``phi`` unless an explicit
-    ``circuit`` override is given.
+    of ``bin_duration`` seconds each; the PZT sweeps ``cycles_per_ramp``
+    singles fringe cycles across the full ramp.  :meth:`chain` is the
+    circuit the scan evaluates: ``circuit`` if given, which overrides
+    ``modules`` (``phi`` binds its ``phi`` parameter), else the standard
+    cascade with ``modules`` stages at control phase ``phi``.
 
     The degenerate empty scan (``points=0`` with ``scan_duration=0``) is
     accepted and produces an empty trace; ``points`` may not exceed
@@ -175,13 +176,17 @@ class ScanConfig:
     scan_duration: float = 500.0
     points: int = 5000
     bin_duration: float = 0.1
-    calibration: PztCalibration = field(default_factory=PztCalibration)
+    cycles_per_ramp: float = DEFAULT_CYCLES_PER_RAMP
     phi: float = 0.0
     modules: int = 2
     circuit: CircuitAst | None = None
 
     def __post_init__(self):
-        _require_finite(self, ("ramp_start", "ramp_end", "scan_duration", "bin_duration", "phi"))
+        _require_finite(self, ("ramp_start", "ramp_end", "scan_duration", "bin_duration",
+                               "cycles_per_ramp", "phi"))
+        _require_integer(self, ("points", "modules"))
+        if self.cycles_per_ramp <= 0:
+            raise ConfigError("cycles_per_ramp must be positive")
         if self.points > MAX_POINTS:
             raise ConfigError(f"points must be at most {MAX_POINTS}, got {self.points}")
         if self.modules > MAX_MODULES:
@@ -203,6 +208,13 @@ class ScanConfig:
         if self.circuit is None and self.modules < 1:
             raise ConfigError("modules must be a positive integer")
 
+    def chain(self) -> CircuitAst:
+        """The circuit this scan evaluates: ``circuit`` if set, else the
+        ``modules``-stage cascade at control phase ``phi``."""
+        if self.circuit is not None:
+            return self.circuit
+        return circuit_mod.build_cbw_chain(self.modules, phi=self.phi)
+
     @property
     def ramp_span(self) -> float:
         return self.ramp_end - self.ramp_start
@@ -221,4 +233,4 @@ class ScanConfig:
         """Per-bin nominal interferometer phase from the PZT model."""
         if self.points == 0:
             return np.zeros(0)
-        return pzt_phase(self.voltages() - self.ramp_start, self.calibration, self.ramp_span)
+        return pzt_phase(self.voltages() - self.ramp_start, self.cycles_per_ramp, self.ramp_span)

@@ -92,19 +92,11 @@ def run_scan(
     noise: NoiseModel,
     seed: int,
 ) -> CountTrace:
-    """Execute one configured scan and return its trace.
-
-    Builds the cascade (``config.circuit`` overrides ``config.modules`` /
-    ``config.phi``), maps bin voltages to phase through the calibration,
-    and dispatches on the source mode.
-    """
-    if config.circuit is not None:
-        chain = config.circuit
-    else:
-        chain = circuit_mod.build_cbw_chain(config.modules, phi=config.phi)
+    """Execute one configured scan of ``config.chain()`` and return its trace,
+    photon counts or cw powers as the source mode says."""
     if source.mode is SourceMode.PHOTON_COUNTING:
-        return montecarlo.simulate_scan_counts(chain, config, source, noise, seed)
-    return montecarlo.simulate_classical_trace(chain, config, source, noise, seed)
+        return montecarlo.simulate_scan_counts(config, source, noise, seed)
+    return montecarlo.simulate_classical_trace(config, source, noise, seed)
 
 
 def find_extrema(values, prominence: float = 0.2):

@@ -22,6 +22,8 @@ exactly ``Multinomial(windows, [q1*q2, q1*(1-q2), (1-q1)*q2,
 cost independent of the number of windows.  A bin may hold at most
 :data:`MAX_WINDOWS_PER_BIN` (2**53) windows; larger
 ``bin_duration / window_duration`` ratios are a :class:`ConfigError`.
+Both simulators evaluate ``scan.chain()`` of the :class:`ScanConfig` they
+are given, so a trace's ``meta["scan"]`` names the chain that ran.
 :func:`scan_trace` builds every trace over a scan's bins, both simulators'
 and the ``analytic`` sweep's.
 
@@ -95,12 +97,16 @@ def sample_window(lam: float, rng: np.random.Generator) -> int:
     """Draw one per-window photon number from Poisson(``lam``).
 
     Uses inversion by sequential search, which is exact for the small
-    means used here (lam < 10 throughout).
+    means used here (lam < 10 throughout).  ``lam`` must be positive and
+    small enough (about 708 at most) that ``exp(-lam)`` is a normal double:
+    past that the cumulative sum starts at 0 and never reaches ``u``.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    u = rng.random()
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
     p = np.exp(-lam)
+    if p < np.finfo(float).tiny:
+        raise ValueError(f"lam {lam!r} is too large: exp(-lam) is not a normal double")
+    u = rng.random()
     cumulative = p
     k = 0
     while u > cumulative:
@@ -226,13 +232,12 @@ def scan_trace(scan: ScanConfig, mode: SourceMode, psi, singles_d1, singles_d2, 
 
 
 def simulate_scan_counts(
-    ast: circuit_mod.CircuitAst,
     scan: ScanConfig,
     source: SourceModel,
     noise: NoiseModel,
     seed: int,
 ) -> CountTrace:
-    """Simulate a full photon-counting scan of ``ast`` over the PZT ramp.
+    """Simulate a full photon-counting scan of ``scan.chain()`` over the PZT ramp.
 
     Per bin: the PZT model (plus the accumulated phase-jitter walk) sets
     the phase, the chain sets the Born routing probability, and the bin's
@@ -241,7 +246,7 @@ def simulate_scan_counts(
     given seed.
     """
     psi, drift, (p_upper, _, _), counts_ss = _scan_chain(
-        ast, scan, source, noise, seed, SourceMode.PHOTON_COUNTING,
+        scan.chain(), scan, source, noise, seed, SourceMode.PHOTON_COUNTING,
         "simulate_scan_counts requires a photon-counting source")
     windows = _windows_per_bin(scan, source) if scan.points else 0
     detected = source.mean_photons_per_window * drift * noise.detector_efficiency
@@ -257,13 +262,12 @@ def simulate_scan_counts(
 
 
 def simulate_classical_trace(
-    ast: circuit_mod.CircuitAst,
     scan: ScanConfig,
     source: SourceModel,
     noise: NoiseModel,
     seed: int,
 ) -> CountTrace:
-    """Record continuous output powers over the scan (cw laser input).
+    """Record continuous output powers of ``scan.chain()`` (cw laser input).
 
     The fringe shape is identical to the photon-counting expectation; only
     the record differs: per-bin powers in the singles fields, coincidences
@@ -271,6 +275,7 @@ def simulate_classical_trace(
     dark counts are photon-counting concepts and do not.  A power that
     overflows is a :class:`ConfigError` naming the source intensity.
     """
+    ast = scan.chain()
     psi, _, (_, i_upper, i_lower), _ = _scan_chain(
         ast, scan, source, noise, seed, SourceMode.CLASSICAL_INTENSITY,
         "simulate_classical_trace requires a classical-intensity source")

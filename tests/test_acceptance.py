@@ -24,7 +24,6 @@ from cbwsim.circuit import (
 from cbwsim.config import (
     LAB_NOISE,
     NoiseModel,
-    PztCalibration,
     ScanConfig,
     SourceMode,
     SourceModel,
@@ -48,7 +47,7 @@ def report(number: int, description: str, passed: bool, detail: str = ""):
 
 def classical_scan(modules, phi=0.0, points=4096, cycles=10.0, seed=0):
     scan = ScanConfig(points=points, scan_duration=500.0, bin_duration=0.1,
-                      calibration=PztCalibration(cycles), phi=phi, modules=modules)
+                      cycles_per_ramp=cycles, phi=phi, modules=modules)
     return run_scan(scan, CLASSICAL, QUIET, seed)
 
 
@@ -112,7 +111,7 @@ def test_criterion_5_coincidence_statistics():
     ), ("gamma", "delta"))
     scan = ScanConfig(points=10, bin_duration=0.01, scan_duration=0.1, circuit=balanced)
     source = SourceModel(mean_photons_per_window=0.04, window_duration=1e-8)
-    trace = simulate_scan_counts(balanced, scan, source, QUIET, seed=42)  # 1e7 windows
+    trace = simulate_scan_counts(scan, source, QUIET, seed=42)  # 1e7 windows
     fraction = coincidence_fraction(trace)
     expected = expected_coincidence_fraction(0.04, 0.5, 0.5)
     union = float(trace.singles_d1.sum() + trace.singles_d2.sum() - trace.coincidences.sum())
@@ -124,7 +123,7 @@ def test_criterion_5_coincidence_statistics():
 
 def test_criterion_6_single_mzi_coincidence_doubling():
     scan = ScanConfig(points=512, bin_duration=0.01, scan_duration=5.12,
-                      calibration=PztCalibration(10.0), phi=0.0, modules=1)
+                      cycles_per_ramp=10.0, phi=0.0, modules=1)
     source = SourceModel(mean_photons_per_window=0.3, window_duration=1e-6)
     trace = run_scan(scan, source, QUIET, seed=6)
     k_singles, _ = period_in_bins(trace.singles_d1, trace.psi)
@@ -160,7 +159,7 @@ def test_criterion_8_sensitivity_scaling():
 
 
 def test_criterion_9_pzt_calibration_fringe_counts():
-    trace = classical_scan(1, points=5000, cycles=PztCalibration().cycles_per_full_ramp)
+    trace = classical_scan(1, points=5000, cycles=ScanConfig().cycles_per_ramp)
     singles_cycles = count_fringes(trace.singles_d1, 0.2)
     coincidence_expectation = trace.singles_d1 * trace.singles_d2
     coincidence_fringes = count_fringes(coincidence_expectation, 0.2)

@@ -66,11 +66,14 @@ class TestSingleMzi:
     (lambda: cbw_intensities(0.3, 0.0, 3.0), "m must be a positive integer"),
     (lambda: cbw_intensities(0.3, 0.5, 3.0), "m must be a positive integer"),
     (lambda: cbw_intensities(0.3, 0.5, 0), "m must be a positive integer"),
+    (lambda: cbw_wavelength(2.5, 532e-9), "m must be a positive integer"),
+    (lambda: cbw_wavelength(2.0, 532e-9), "m must be a positive integer"),
 ], ids=["mzi-nan-i0", "mzi-inf-psi", "mzi-nan-psi", "closed-inf-psi-0", "closed-inf-psi-pi",
         "composed-inf-psi", "closed-array-psi", "composed-array-psi", "closed-inf-i0",
         "composed-inf-i0", "nan-phi", "inf-phi", "closed-fractional-m-0",
         "closed-fractional-m-pi", "composed-fractional-m", "closed-float-m",
-        "composed-float-m", "composed-zero-m"])
+        "composed-float-m", "composed-zero-m", "wavelength-fractional-m",
+        "wavelength-float-m"])
 def test_non_finite_inputs_raise_the_same_error_on_both_routes(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -230,6 +230,11 @@ class TestBuildChain:
         with pytest.raises(ValueError):
             build_cbw_chain(0)
 
+    @pytest.mark.parametrize("m", [-1, 2.5, 2.0])
+    def test_m_not_a_positive_integer_rejected(self, m):
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            build_cbw_chain(m)
+
     def test_shares_one_psi_parameter(self):
         assert build_cbw_chain(5, phi=0.25).parameters == {"psi"}
 

@@ -1,9 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 
 from cbwsim import experiment
 from cbwsim.circuit import build_cbw_chain, output_intensities, parse_circuit
-from cbwsim.config import NoiseModel, PztCalibration, ScanConfig, SourceMode, SourceModel, pzt_phase
+from cbwsim.config import (
+    DEFAULT_CYCLES_PER_RAMP,
+    ConfigError,
+    NoiseModel,
+    ScanConfig,
+    SourceMode,
+    SourceModel,
+    pzt_phase,
+)
 from cbwsim.experiment import (
     AmbiguousPeriodError,
     InsufficientFringesError,
@@ -20,11 +30,10 @@ QUIET = NoiseModel()
 CLASSICAL = SourceModel(mode=SourceMode.CLASSICAL_INTENSITY)
 
 
-def classical_scan(points, modules, phi=0.0, cycles=None):
-    cal = PztCalibration(cycles) if cycles else PztCalibration()
+def classical_scan(points, modules, phi=0.0, cycles=DEFAULT_CYCLES_PER_RAMP):
     return run_scan(
         ScanConfig(points=points, scan_duration=500.0, bin_duration=0.1,
-                   calibration=cal, phi=phi, modules=modules),
+                   cycles_per_ramp=cycles, phi=phi, modules=modules),
         CLASSICAL, QUIET, seed=0)
 
 
@@ -50,23 +59,34 @@ class TestConfigValidation:
 
     def test_calibration_must_be_positive(self):
         with pytest.raises(ValueError):
-            PztCalibration(0.0)
+            ScanConfig(cycles_per_ramp=0.0)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(cycles_per_ramp=-1.0), "cycles_per_ramp must be positive"),
+        (dict(cycles_per_ramp=np.nan), "cycles_per_ramp must be a finite number"),
+        (dict(modules=2.5), "modules must be an integer, got 2.5"),
+        (dict(modules=2.0), "modules must be an integer, got 2.0"),
+        (dict(points=10.5, scan_duration=2.0, bin_duration=0.1), "points must be an integer, got 10.5"),
+    ])
+    def test_scan_settings_checked_by_field(self, fields, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ScanConfig(**fields)
 
 
 class TestPztPhase:
     def test_zero_voltage(self):
-        assert pzt_phase(0.0, PztCalibration(), 100.0) == 0.0
+        assert pzt_phase(0.0, DEFAULT_CYCLES_PER_RAMP, 100.0) == 0.0
 
     def test_full_default_ramp_is_21_pi(self):
-        assert abs(pzt_phase(100.0, PztCalibration(), 100.0) - 21.0 * np.pi) < 1e-12
+        assert abs(pzt_phase(100.0, DEFAULT_CYCLES_PER_RAMP, 100.0) - 21.0 * np.pi) < 1e-12
 
     def test_half_ramp(self):
-        assert abs(pzt_phase(50.0, PztCalibration(), 100.0) - 10.5 * np.pi) < 1e-12
+        assert abs(pzt_phase(50.0, DEFAULT_CYCLES_PER_RAMP, 100.0) - 10.5 * np.pi) < 1e-12
 
     def test_linear_to_machine_precision(self):
         # Strict distributivity cannot hold in doubles; 2 ulps is the
         # attainable bound for one multiply per call.
-        cal = PztCalibration()
+        cal = DEFAULT_CYCLES_PER_RAMP
         rng = np.random.default_rng(1)
         for _ in range(5000):
             a, b = rng.uniform(0, 50, 2)
@@ -75,7 +95,7 @@ class TestPztPhase:
             assert abs(lhs - rhs) <= 2 * np.spacing(max(abs(lhs), abs(rhs)))
 
     def test_vectorised_over_voltage(self):
-        out = pzt_phase(np.array([0.0, 50.0, 100.0]), PztCalibration(), 100.0)
+        out = pzt_phase(np.array([0.0, 50.0, 100.0]), DEFAULT_CYCLES_PER_RAMP, 100.0)
         np.testing.assert_allclose(out / np.pi, [0.0, 10.5, 21.0], atol=1e-13)
 
 

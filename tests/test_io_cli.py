@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cbwsim import cli, config, experiment, optics, svgplot
-from cbwsim.circuit import MAX_ELEMENTS, UnboundParameterError, build_cbw_chain
+from cbwsim.circuit import MAX_ELEMENTS, UnboundParameterError
 from cbwsim.config import ConfigError, NoiseModel, ScanConfig, SourceMode, SourceModel
 from cbwsim.montecarlo import CountTrace, simulate_classical_trace, simulate_scan_counts
 from cbwsim.svgplot import emit_plot_svg
@@ -25,17 +25,15 @@ SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "cbwsim" / "schemas"
 
 
 def photon_trace(points=24, seed=5):
-    chain = build_cbw_chain(2, 0.0)
     scan = ScanConfig(points=points, bin_duration=0.001, scan_duration=points * 0.001)
     source = SourceModel(mean_photons_per_window=0.4, window_duration=1e-6)
-    return simulate_scan_counts(chain, scan, source, NoiseModel(), seed=seed)
+    return simulate_scan_counts(scan, source, NoiseModel(), seed=seed)
 
 
 def classical_trace(points=24):
-    chain = build_cbw_chain(2, 0.0)
     scan = ScanConfig(points=points, bin_duration=0.1, scan_duration=points * 0.1)
     source = SourceModel(mode=SourceMode.CLASSICAL_INTENSITY)
-    return simulate_classical_trace(chain, scan, source, NoiseModel(), seed=0)
+    return simulate_classical_trace(scan, source, NoiseModel(), seed=0)
 
 
 class TestTraceCsv:
@@ -664,6 +662,25 @@ class TestDispatch:
         expected = (1.0 - np.cos(trace.psi)) / 2.0
         assert np.max(np.abs(trace.singles_d1 - expected)) < 1e-12
 
+    @pytest.mark.parametrize("phi", ["0", "pi/3"])
+    @pytest.mark.parametrize("mode", ["photon", "classical"])
+    def test_readme_circuit_file_scans_like_the_built_cascade(self, tmp_path, mode, phi):
+        # The README's two-stage .mzi block is the modules=2 cascade with a
+        # free phi, which --phi binds: both forms write the same bytes.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Circuit files \(`\.mzi`\).*?```\n(.*?)```", readme, re.S).group(1)
+        mzi_file = tmp_path / "two_stage.mzi"
+        mzi_file.write_text(block, encoding="utf-8")
+        common = ["scan", "--mode", mode, "--phi", phi, "--points", "200", "--bin-duration", "0.01",
+                  "--scan-duration", "2", "--mean-photons", "0.3", "--window-duration", "1e-6",
+                  "--seed", "7"]
+        outs = {}
+        for name, chain in (("circuit", ["--circuit", str(mzi_file)]), ("modules", ["--modules", "2"])):
+            outs[name] = tmp_path / name
+            assert cli.dispatch([*common, *chain, "--out", str(outs[name])]) == 0
+        for name in ("trace.csv", "trace.svg"):
+            assert (outs["circuit"] / name).read_bytes() == (outs["modules"] / name).read_bytes()
+
     @pytest.mark.parametrize("flags, field", [
         (["--dark-rate", "nan"], "dark_rate"),
         (["--noise", "lab", "--phase-jitter-correlation", "0"], "phase_jitter_correlation"),
@@ -684,7 +701,7 @@ class TestDispatch:
         (["--ramp-end", "nan"], "ramp_end"),
         (["--scan-duration", "nan"], "scan_duration"),
         (["--bin-duration", "inf"], "bin_duration"),
-        (["--cycles-per-ramp", "nan"], "cycles_per_full_ramp"),
+        (["--cycles-per-ramp", "nan"], "cycles_per_ramp"),
     ])
     @pytest.mark.parametrize("command", ["analytic", "scan"])
     def test_non_finite_scan_settings_exit_one(self, tmp_path, capsys, command, flags, field):

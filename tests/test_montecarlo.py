@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from cbwsim import montecarlo
-from cbwsim.analytic import expected_coincidence_fraction
+from cbwsim.analytic import cbw_intensities, expected_coincidence_fraction
 from cbwsim.circuit import CircuitAst, ElementKind, ElementNode, UnboundParameterError, build_cbw_chain
 from cbwsim.config import (
     LAB_NOISE,
     ConfigError,
     NoiseModel,
-    PztCalibration,
     ScanConfig,
     SourceMode,
     SourceModel,
@@ -80,6 +79,12 @@ class TestSampleWindow:
         with pytest.raises(ValueError):
             sample_window(0.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("lam", [800.0, np.inf, np.nan])
+    def test_rejects_a_mean_whose_vacuum_probability_is_not_a_normal_double(self, lam):
+        # exp(-800) underflows to 0, so the search would never reach u.
+        with pytest.raises(ValueError, match="lam"):
+            sample_window(lam, np.random.default_rng(0))
+
 
 class TestRoutePhotons:
     def test_empty_window_fires_nothing(self):
@@ -109,7 +114,6 @@ class TestRoutePhotons:
 class TestSimulateScanCounts:
     def test_trace_invariants_and_shapes(self):
         trace = simulate_scan_counts(
-            build_cbw_chain(2, 0.0),
             ScanConfig(points=64, bin_duration=0.001, scan_duration=0.064),
             photon_source(0.2, 1e-6), QUIET, seed=3)
         assert len(trace) == 64
@@ -121,11 +125,11 @@ class TestSimulateScanCounts:
     def test_routing_does_not_depend_on_the_source_intensity(self, intensity):
         # The lab drift walk scales both outputs; at the largest double it
         # used to overflow their sum and skew the routing.
-        chain = build_cbw_chain(2, 0.0)
         scan = ScanConfig(points=64, bin_duration=0.001, scan_duration=0.064)
-        unit = simulate_scan_counts(chain, scan, photon_source(0.3, 1e-6), LAB_NOISE, seed=3)
-        scaled = simulate_scan_counts(replace(chain, source_intensity=intensity), scan,
-                                      photon_source(0.3, 1e-6), LAB_NOISE, seed=3)
+        unit = simulate_scan_counts(scan, photon_source(0.3, 1e-6), LAB_NOISE, seed=3)
+        scaled = simulate_scan_counts(
+            replace(scan, circuit=replace(scan.chain(), source_intensity=intensity)),
+            photon_source(0.3, 1e-6), LAB_NOISE, seed=3)
         for field in ("singles_d1", "singles_d2", "coincidences"):
             np.testing.assert_array_equal(getattr(scaled, field), getattr(unit, field))
 
@@ -135,26 +139,23 @@ class TestSimulateScanCounts:
         cap = montecarlo.MAX_WINDOWS_PER_BIN
         assert cap == 2**53
         trace = simulate_scan_counts(
-            build_cbw_chain(2, 0.0), ScanConfig(points=2, bin_duration=float(cap),
-                                                scan_duration=2.0 * cap),
+            ScanConfig(points=2, bin_duration=float(cap), scan_duration=2.0 * cap),
             source, QUIET, seed=1)
         assert trace.meta["windows_per_bin"] == cap
         assert np.all(trace.singles_d1 + trace.singles_d2 - trace.coincidences <= cap)
         above = float(cap) + 2.0  # the next double after 2**53
         with pytest.raises(ConfigError, match=r"2\*\*53"):
             simulate_scan_counts(
-                build_cbw_chain(2, 0.0), ScanConfig(points=2, bin_duration=above,
-                                                    scan_duration=2.0 * above),
+                ScanConfig(points=2, bin_duration=above, scan_duration=2.0 * above),
                 source, QUIET, seed=1)
 
     def test_seed_determinism_and_worker_independence(self):
         scan = ScanConfig(points=40, bin_duration=0.001, scan_duration=0.04)
-        chain = build_cbw_chain(2, 0.0)
         noise = NoiseModel(phase_jitter_sigma=0.05, intensity_drift_fraction=0.02, dark_rate=100.0)
         kwargs = dict(scan=scan, source=photon_source(0.3, 1e-6), noise=noise, seed=77)
-        a = simulate_scan_counts(chain, **kwargs)
-        b = simulate_scan_counts(chain, **kwargs)
-        c = simulate_scan_counts(chain, **kwargs)
+        a = simulate_scan_counts(**kwargs)
+        b = simulate_scan_counts(**kwargs)
+        c = simulate_scan_counts(**kwargs)
         for field in ("singles_d1", "singles_d2", "coincidences", "psi", "voltage", "time"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
             np.testing.assert_array_equal(getattr(a, field), getattr(c, field))
@@ -162,9 +163,8 @@ class TestSimulateScanCounts:
     def test_singles_rate_matches_thinned_poisson(self):
         # Noise off, efficiency 1: windows fire as Bernoulli(1 - exp(-lam*p)).
         lam, windows, points = 0.05, 10_000, 128
-        chain = build_cbw_chain(1, 0.0)
-        scan = ScanConfig(points=points, bin_duration=1e-2, scan_duration=points * 1e-2)
-        trace = simulate_scan_counts(chain, scan, photon_source(lam, 1e-6), QUIET, seed=11)
+        scan = ScanConfig(points=points, bin_duration=1e-2, scan_duration=points * 1e-2, modules=1)
+        trace = simulate_scan_counts(scan, photon_source(lam, 1e-6), QUIET, seed=11)
         p_upper = (1.0 - np.cos(trace.psi)) / 2.0
         for observed, p in ((trace.singles_d1, p_upper), (trace.singles_d2, 1.0 - p_upper)):
             q = 1.0 - np.exp(-lam * p)
@@ -180,7 +180,7 @@ class TestSimulateScanCounts:
         windows_per_bin = 500_000 if lam > 0.02 else 2_000_000
         scan = fixed_scan(fixed_probability_circuit(p_upper), points=4,
                           bin_duration=windows_per_bin * 1e-8)
-        trace = simulate_scan_counts(scan.circuit, scan, photon_source(lam), QUIET, seed=29)
+        trace = simulate_scan_counts(scan, photon_source(lam), QUIET, seed=29)
         fraction = coincidence_fraction(trace)
         expected = expected_coincidence_fraction(lam, p_upper, 1.0 - p_upper)
         union = float(trace.singles_d1.sum() + trace.singles_d2.sum() - trace.coincidences.sum())
@@ -190,31 +190,27 @@ class TestSimulateScanCounts:
     def test_symmetric_chain_has_no_true_coincidences(self):
         # Control phase pi routes all light to one port: only dark counts
         # could coincide, and they are off here.
-        chain = build_cbw_chain(2, np.pi)
         scan = ScanConfig(points=32, bin_duration=0.001, scan_duration=0.032, phi=np.pi)
-        trace = simulate_scan_counts(chain, scan, photon_source(0.5, 1e-6), QUIET, seed=13)
+        trace = simulate_scan_counts(scan, photon_source(0.5, 1e-6), QUIET, seed=13)
         assert np.all(trace.coincidences == 0)
         assert np.all(trace.singles_d2 == 0)
         assert np.all(trace.singles_d1 > 0)
 
     def test_dark_counts_fire_dark_port(self):
-        chain = build_cbw_chain(2, np.pi)
         scan = ScanConfig(points=32, bin_duration=0.001, scan_duration=0.032, phi=np.pi)
         noisy = NoiseModel(dark_rate=5000.0)
-        trace = simulate_scan_counts(chain, scan, photon_source(0.5, 1e-6), noisy, seed=13)
+        trace = simulate_scan_counts(scan, photon_source(0.5, 1e-6), noisy, seed=13)
         assert trace.singles_d2.sum() > 0
 
     def test_bin_must_be_integer_multiple_of_window(self):
-        chain = build_cbw_chain(1, 0.0)
-        scan = ScanConfig(points=4, bin_duration=0.0015, scan_duration=0.006)
+        scan = ScanConfig(points=4, bin_duration=0.0015, scan_duration=0.006, modules=1)
         with pytest.raises(ConfigError):
-            simulate_scan_counts(chain, scan, photon_source(0.1, 1e-3 / 1.5001), QUIET, seed=0)
+            simulate_scan_counts(scan, photon_source(0.1, 1e-3 / 1.5001), QUIET, seed=0)
 
     def test_rejects_classical_source(self):
-        chain = build_cbw_chain(1, 0.0)
-        scan = ScanConfig(points=4, bin_duration=0.001, scan_duration=0.004)
+        scan = ScanConfig(points=4, bin_duration=0.001, scan_duration=0.004, modules=1)
         with pytest.raises(ConfigError):
-            simulate_scan_counts(chain, scan, classical_source(), QUIET, seed=0)
+            simulate_scan_counts(scan, classical_source(), QUIET, seed=0)
 
 
 # Upper 0.1% point of the chi-square distribution with 3 degrees of freedom
@@ -240,8 +236,7 @@ class TestSamplerMatchesOracle:
         scan = fixed_scan(fixed_probability_circuit(self.P_UPPER), points=points,
                           bin_duration=windows * self.WINDOW)
         noise = NoiseModel(dark_rate=self.DARK_RATE, detector_efficiency=self.EFFICIENCY)
-        return simulate_scan_counts(scan.circuit, scan, photon_source(self.LAM, self.WINDOW),
-                                    noise, seed=seed)
+        return simulate_scan_counts(scan, photon_source(self.LAM, self.WINDOW), noise, seed=seed)
 
     def firing_probabilities(self):
         p_dark = self.DARK_RATE * self.WINDOW
@@ -297,9 +292,8 @@ class TestSamplerMatchesOracle:
 
 class TestSimulateClassical:
     def test_noiseless_matches_closed_form_exactly(self):
-        chain = build_cbw_chain(2, 0.0)
         scan = ScanConfig(points=512, bin_duration=0.1, scan_duration=51.2)
-        trace = simulate_classical_trace(chain, scan, classical_source(), QUIET, seed=0)
+        trace = simulate_classical_trace(scan, classical_source(), QUIET, seed=0)
         expected = (1.0 + np.cos(2.0 * trace.psi)) / 2.0
         assert np.max(np.abs(trace.singles_d1 - expected)) < 1e-12
         assert np.max(np.abs(trace.singles_d2 - (1.0 - expected))) < 1e-12
@@ -308,29 +302,27 @@ class TestSimulateClassical:
 
     @pytest.mark.parametrize("intensity", [0.0, -0.0, 5e-324, 2.5, 1e308])
     def test_powers_are_the_unit_powers_times_the_source_intensity(self, intensity):
-        chain = build_cbw_chain(2, 0.0)
         scan = ScanConfig(points=64, bin_duration=0.1, scan_duration=6.4)
-        unit = simulate_classical_trace(chain, scan, classical_source(), LAB_NOISE, seed=2)
-        scaled = simulate_classical_trace(replace(chain, source_intensity=intensity), scan,
-                                          classical_source(), LAB_NOISE, seed=2)
+        unit = simulate_classical_trace(scan, classical_source(), LAB_NOISE, seed=2)
+        scaled = simulate_classical_trace(
+            replace(scan, circuit=replace(scan.chain(), source_intensity=intensity)),
+            classical_source(), LAB_NOISE, seed=2)
         for field in ("singles_d1", "singles_d2"):
             expected = abs(intensity) * getattr(unit, field)
             assert getattr(scaled, field).tobytes() == expected.tobytes()
 
     def test_zero_duration_scan_is_empty(self):
-        chain = build_cbw_chain(2, 0.0)
         scan = ScanConfig(points=0, scan_duration=0.0)
-        trace = simulate_classical_trace(chain, scan, classical_source(), QUIET, seed=0)
+        trace = simulate_classical_trace(scan, classical_source(), QUIET, seed=0)
         assert len(trace) == 0
 
     def test_normalized_classical_agrees_with_photon_expectation(self):
         # Born-rule equivalence: the classical powers predict the photon
         # counting rates bin by bin within statistics.
         lam, windows, points = 0.5, 20_000, 128
-        chain = build_cbw_chain(2, 0.0)
         scan = ScanConfig(points=points, bin_duration=2e-2, scan_duration=points * 2e-2)
-        classical = simulate_classical_trace(chain, scan, classical_source(), QUIET, seed=1)
-        photon = simulate_scan_counts(chain, scan, photon_source(lam, 1e-6), QUIET, seed=8)
+        classical = simulate_classical_trace(scan, classical_source(), QUIET, seed=1)
+        photon = simulate_scan_counts(scan, photon_source(lam, 1e-6), QUIET, seed=8)
         p_gamma = classical.singles_d1 / (classical.singles_d1 + classical.singles_d2)
         for observed, p in ((photon.singles_d1, p_gamma), (photon.singles_d2, 1.0 - p_gamma)):
             q = 1.0 - np.exp(-lam * p)
@@ -339,10 +331,24 @@ class TestSimulateClassical:
             assert np.max(np.abs(z)) < 3.0
 
     def test_rejects_photon_source(self):
-        chain = build_cbw_chain(1, 0.0)
-        scan = ScanConfig(points=4, bin_duration=0.001, scan_duration=0.004)
+        scan = ScanConfig(points=4, bin_duration=0.001, scan_duration=0.004, modules=1)
         with pytest.raises(ConfigError):
-            simulate_classical_trace(chain, scan, photon_source(0.1), QUIET, seed=0)
+            simulate_classical_trace(scan, photon_source(0.1), QUIET, seed=0)
+
+
+class TestScanChain:
+    def test_chain_is_the_circuit_or_the_built_cascade(self):
+        assert ScanConfig(modules=3, phi=0.7).chain() == build_cbw_chain(3, phi=0.7)
+        circuit = fixed_probability_circuit(0.3)
+        assert ScanConfig(modules=3, circuit=circuit).chain() is circuit
+
+    def test_the_trace_records_the_chain_it_ran(self):
+        scan = ScanConfig(points=8, bin_duration=0.001, scan_duration=0.008, modules=3, phi=0.4)
+        trace = simulate_classical_trace(scan, classical_source(), QUIET, seed=0)
+        assert trace.meta["scan"].chain() == build_cbw_chain(3, phi=0.4)
+        expected = cbw_intensities(trace.psi, 0.4, 3)
+        np.testing.assert_allclose(trace.singles_d1, expected.i_upper, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.singles_d2, expected.i_lower, rtol=0, atol=1e-12)
 
 
 class TestScanTrace:
@@ -379,14 +385,14 @@ class TestUnboundParameters:
                                ElementNode(ElementKind.PHASE, Arm.UPPER, "theta"),
                                ElementNode(ElementKind.PHASE, Arm.UPPER, "phi"),
                                ElementNode(ElementKind.MZI, Arm.UPPER, "alpha", "B")), ("a", "b"))
-        scan = ScanConfig(points=4, bin_duration=0.001, scan_duration=0.004)
+        scan = ScanConfig(points=4, bin_duration=0.001, scan_duration=0.004, circuit=ast)
 
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the parameter check")
 
         monkeypatch.setattr(montecarlo, "_noise_walks", no_sampling)
         with pytest.raises(UnboundParameterError) as info:
-            simulate(ast, scan, source, QUIET, seed=0)
+            simulate(scan, source, QUIET, seed=0)
         assert info.value.names == ("alpha", "theta")
         assert str(info.value) == "unbound circuit parameters 'alpha', 'theta'"
 
@@ -395,10 +401,8 @@ class TestCoincidenceDoubling:
     def test_coincidence_fringe_frequency_is_twice_the_singles(self):
         # Doubled chain: singles go as cos(2 psi), AND-gate coincidences as
         # sin(2 psi)^2, i.e. twice the singles' fringe frequency.
-        chain = build_cbw_chain(2, 0.0)
-        scan = ScanConfig(points=512, bin_duration=1e-2, scan_duration=5.12,
-                          calibration=PztCalibration(5.0))
-        trace = simulate_scan_counts(chain, scan, photon_source(0.3, 1e-6), QUIET, seed=6)
+        scan = ScanConfig(points=512, bin_duration=1e-2, scan_duration=5.12, cycles_per_ramp=5.0)
+        trace = simulate_scan_counts(scan, photon_source(0.3, 1e-6), QUIET, seed=6)
         k_singles = int(np.argmax(np.abs(np.fft.rfft(trace.singles_d1 - trace.singles_d1.mean())[1:]))) + 1
         k_coinc = int(np.argmax(np.abs(np.fft.rfft(trace.coincidences - trace.coincidences.mean())[1:]))) + 1
         assert k_singles == 10
