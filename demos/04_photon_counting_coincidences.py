@@ -13,11 +13,12 @@ from cbwsim import (
     LAB_NOISE,
     ScanConfig,
     SourceModel,
+    build_cbw_chain,
     coincidence_fraction,
     count_fringes,
     emit_plot_svg,
     expected_coincidence_fraction,
-    run_scan,
+    simulate_scan_counts,
     visibility,
 )
 
@@ -25,9 +26,9 @@ OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
 scan = ScanConfig(points=600, scan_duration=500.0, bin_duration=0.1,
-                  cycles_per_ramp=10.5, modules=2, phi=0.0)
+                  cycles_per_ramp=10.5, circuit=build_cbw_chain(2), phi=0.0)
 source = SourceModel(mean_photons_per_window=0.3, window_duration=1e-6)
-trace = run_scan(scan, source, LAB_NOISE, seed=7)
+trace = simulate_scan_counts(scan, source, LAB_NOISE, seed=7)
 
 fraction = coincidence_fraction(trace)
 oracle = expected_coincidence_fraction(0.3, 0.5, 0.5)

@@ -16,25 +16,25 @@ import numpy as np
 from cbwsim import (
     NoiseModel,
     ScanConfig,
-    SourceMode,
-    SourceModel,
+    build_cbw_chain,
     cbw_intensities,
     emit_plot_svg,
-    run_scan,
+    simulate_classical_trace,
 )
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
-cw = SourceModel(mode=SourceMode.CLASSICAL_INTENSITY)
 quiet = NoiseModel()
 
 series = []
 for phi, label in [(0.0, "phi = 0 (doubled fringe)"),
                    (np.pi / 2, "phi = pi/2 (broken doubling)"),
                    (np.pi, "phi = pi (frozen outputs)")]:
-    scan = ScanConfig(points=1000, scan_duration=500.0, bin_duration=0.1, modules=2, phi=phi)
-    trace = run_scan(scan, cw, quiet, seed=0)
+    # The built cascade has a free phi parameter, which the scan's phi binds.
+    scan = ScanConfig(points=1000, scan_duration=500.0, bin_duration=0.1,
+                      circuit=build_cbw_chain(2), phi=phi)
+    trace = simulate_classical_trace(scan, quiet, seed=0)
     pred = cbw_intensities(trace.psi, phi, 2)
     err = float(np.max(np.abs(trace.singles_d1 - np.asarray(pred.i_upper))))
     print(f"{label:32s} scan vs analytic err: {err:.2e}")

@@ -47,7 +47,6 @@ from .experiment import (
     estimate_sensitivity,
     find_extrema,
     fringe_stats,
-    run_scan,
     visibility,
 )
 from .montecarlo import (

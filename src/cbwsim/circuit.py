@@ -47,6 +47,7 @@ __all__ = [
     "ElementKind",
     "ElementNode",
     "MAX_ELEMENTS",
+    "MAX_MODULES",
     "UnboundParameterError",
     "build_cbw_chain",
     "evaluate_chain",
@@ -57,10 +58,13 @@ __all__ = [
 
 PhaseValue = Union[float, str]
 
+# Largest cascade ``build_cbw_chain`` builds: chain evaluation grows
+# linearly with it.
+MAX_MODULES = 1000
+
 # Largest number of elements in a parsed circuit: the size of
-# ``build_cbw_chain(MAX_MODULES)`` (1000 stages, each with its control
-# phase).  Chain evaluation grows linearly with the element count.
-MAX_ELEMENTS = 2000
+# ``build_cbw_chain(MAX_MODULES)``, each stage with its control phase.
+MAX_ELEMENTS = 2 * MAX_MODULES
 
 
 class ElementKind(Enum):
@@ -333,14 +337,17 @@ def build_cbw_chain(m: int, phi: PhaseValue = "phi", source_intensity: float = 1
     any output intensity.
 
     ``phi`` may be a literal in radians or a parameter name (default
-    ``"phi"``).
+    ``"phi"``).  ``m`` may not exceed :data:`MAX_MODULES`.
     """
     try:
-        m = operator.index(m)
-    except TypeError:
-        raise ValueError("m must be a positive integer") from None
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+        index = operator.index(m)
+    except TypeError:  # not an integer: refused below
+        index = 0
+    if index < 1:
+        raise ValueError(f"m must be a positive integer number of modules, got {m!r}")
+    m = index
+    if m > MAX_MODULES:
+        raise ValueError(f"modules must be at most {MAX_MODULES}, got {m}")
     elements: list[ElementNode] = []
     for stage in range(1, m + 1):
         arm = Arm.LOWER if stage % 2 == 1 else Arm.UPPER

@@ -82,11 +82,13 @@ def parse_phase(text) -> float:
 # Every option of every subcommand, declared once as its argparse keywords.
 # The config-file key is the dict key, the flag is "--" plus the key with
 # dashes for underscores, and a file value is cast and checked as the flag's
-# value.  A default appears only where the CLI has one of its own, or (grid)
-# echoes it in its report; any other unset option is left out of the
-# constructors, so the library default applies.
+# value.  A default appears only where the CLI has one of its own, or reads
+# the value itself (modules builds the chain, grid is echoed in its report);
+# any other unset option is left out of the constructors, so the library
+# default applies.
 _OPTIONS = {
-    "modules": dict(type=int, help="number of cascaded MZI stages"),
+    "modules": dict(type=int, default=2,
+                    help="number of cascaded MZI stages (default %(default)s)"),
     # Parsed in _scan_config, so a bad value is a one-line ConfigError.
     "phi": dict(help="control phase (radians, pi forms, deg:<x>)"),
     "points": dict(type=int, help="acquisition bins across the ramp"),
@@ -205,9 +207,11 @@ def _given(args, *keys, **renamed) -> dict:
 
 def _scan_config(args) -> ScanConfig:
     fields = _given(args, "ramp_start", "ramp_end", "scan_duration", "points", "bin_duration",
-                    "modules", "cycles_per_ramp")
+                    "cycles_per_ramp")
     if args.circuit:
         fields["circuit"] = circuit.parse_circuit(Path(args.circuit).read_text(encoding="utf-8"))
+    else:
+        fields["circuit"] = circuit.build_cbw_chain(args.modules)
     if args.phi is not None:
         fields["phi"] = parse_phase(args.phi)
     return ScanConfig(**fields)
@@ -220,11 +224,11 @@ def _noise_model(args) -> NoiseModel:
 
 
 def _cmd_analytic(args) -> int:
-    scan = _scan_config(args)
-    if scan.circuit is not None:
+    if args.circuit:
         raise ConfigError("analytic sweeps are defined by --modules/--phi, not a circuit file")
+    scan = _scan_config(args)
     psi = scan.psi_values()
-    prediction = analytic.cbw_intensities(psi, scan.phi, scan.modules, **_given(args, "i0"))
+    prediction = analytic.cbw_intensities(psi, scan.phi, args.modules, **_given(args, "i0"))
     trace = montecarlo.scan_trace(scan, SourceMode.CLASSICAL_INTENSITY, psi, prediction.i_upper,
                                   prediction.i_lower, np.zeros(scan.points))
     trace_io.write_trace_csv(trace, args.out)
@@ -232,11 +236,17 @@ def _cmd_analytic(args) -> int:
 
 
 def _run_configured_scan(args, mode: SourceMode) -> montecarlo.CountTrace:
+    """The trace of the configured scan: photon counts or cw powers as ``mode`` says.
+
+    The source model is checked in both modes, though a cw run does not read it.
+    """
     if args.seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {args.seed}")
-    source = SourceModel(mode=mode, **_given(args, "window_duration",
-                                             mean_photons_per_window="mean_photons"))
-    return experiment.run_scan(_scan_config(args), source, _noise_model(args), args.seed)
+    source = SourceModel(**_given(args, "window_duration", mean_photons_per_window="mean_photons"))
+    scan, noise = _scan_config(args), _noise_model(args)
+    if mode is SourceMode.PHOTON_COUNTING:
+        return montecarlo.simulate_scan_counts(scan, source, noise, args.seed)
+    return montecarlo.simulate_classical_trace(scan, noise, args.seed)
 
 
 def _cmd_simulate(args) -> int:
@@ -246,6 +256,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.points == 0:
+        raise ConfigError("points must be at least 2 for a plotted scan, got 0")
     mode = SourceMode(args.mode)
     trace = _run_configured_scan(args, mode)
     series = list(trace_io.measured_columns(trace).items())

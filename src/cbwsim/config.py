@@ -4,6 +4,10 @@ The default calibration (``ScanConfig.cycles_per_ramp``) encodes the
 reference experiment: a 0-100 V triangle ramp (up-leg only) drives two
 synchronized piezo transducers through 10.5 full fringe cycles of a
 single MZI, i.e. 21 doubled coincidence fringes across the ramp.
+
+Each choice of a run is made once: ``ScanConfig.circuit`` is the chain a
+scan evaluates, and the simulator called (photon counting or cw powers)
+is the kind of record it makes.
 """
 
 from __future__ import annotations
@@ -15,14 +19,12 @@ from enum import Enum
 
 import numpy as np
 
-from . import circuit as circuit_mod
-from .circuit import CircuitAst
+from .circuit import CircuitAst, build_cbw_chain
 
 __all__ = [
     "ConfigError",
     "DEFAULT_CYCLES_PER_RAMP",
     "LAB_NOISE",
-    "MAX_MODULES",
     "MAX_POINTS",
     "NoiseModel",
     "ScanConfig",
@@ -38,9 +40,6 @@ DEFAULT_CYCLES_PER_RAMP = 10.5
 # about 1 GB of trace CSV; the cap keeps a typo from allocating far more.
 MAX_POINTS = 10_000_000
 
-# Largest cascade a scan builds: chain evaluation grows linearly with it.
-MAX_MODULES = 1000
-
 
 class ConfigError(ValueError):
     """A configuration value or combination of values is invalid."""
@@ -51,15 +50,6 @@ def _require_finite(config, names) -> None:
         value = getattr(config, name)
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
-
-
-def _require_integer(config, names) -> None:
-    for name in names:
-        value = getattr(config, name)
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def pzt_phase(voltage, cycles_per_ramp: float, ramp_span: float):
@@ -86,25 +76,22 @@ class SourceMode(Enum):
 
 @dataclass(frozen=True)
 class SourceModel:
-    """Input light model.
+    """The attenuated laser of a photon-counting scan.
 
-    ``PHOTON_COUNTING`` is the attenuated laser: photon numbers per
-    coincidence window are modelled as Poisson with mean
-    ``mean_photons_per_window`` (the measured mean photon number of the
-    attenuated source is ~0.04; attenuated coherent light is Poissonian,
-    which reproduces the quoted ~1% coincidence-to-singles ratio).
-    ``CLASSICAL_INTENSITY`` records continuous output powers instead of
-    counts, as in the cw runs.
+    Photon numbers per coincidence window are modelled as Poisson with
+    mean ``mean_photons_per_window`` (the measured mean photon number of
+    the attenuated source is ~0.04; attenuated coherent light is
+    Poissonian, which reproduces the quoted ~1% coincidence-to-singles
+    ratio).  A cw run records output powers and takes no source model.
     """
 
     mean_photons_per_window: float = 0.04
     window_duration: float = 1e-8
-    mode: SourceMode = SourceMode.PHOTON_COUNTING
 
     def __post_init__(self):
         _require_finite(self, ("mean_photons_per_window", "window_duration"))
-        if self.mode is SourceMode.PHOTON_COUNTING and self.mean_photons_per_window <= 0:
-            raise ConfigError("mean_photons_per_window must be positive in photon-counting mode")
+        if self.mean_photons_per_window <= 0:
+            raise ConfigError("mean_photons_per_window must be positive")
         if self.window_duration <= 0:
             raise ConfigError("window_duration must be positive")
 
@@ -161,14 +148,13 @@ class ScanConfig:
     The up-leg of the triangle ramp runs ``ramp_start .. ramp_end`` volts
     over ``scan_duration`` seconds, sampled as ``points`` acquisition bins
     of ``bin_duration`` seconds each; the PZT sweeps ``cycles_per_ramp``
-    singles fringe cycles across the full ramp.  :meth:`chain` is the
-    circuit the scan evaluates: ``circuit`` if given, which overrides
-    ``modules`` (``phi`` binds its ``phi`` parameter), else the standard
-    cascade with ``modules`` stages at control phase ``phi``.
+    singles fringe cycles across the full ramp.  ``circuit`` is the chain
+    the scan evaluates, by default the two-stage cascade with a free
+    ``phi``; ``phi`` binds a ``phi`` parameter of the circuit.
 
     The degenerate empty scan (``points=0`` with ``scan_duration=0``) is
     accepted and produces an empty trace; ``points`` may not exceed
-    :data:`MAX_POINTS`, nor ``modules`` :data:`MAX_MODULES`.
+    :data:`MAX_POINTS`.
     """
 
     ramp_start: float = 0.0
@@ -178,19 +164,19 @@ class ScanConfig:
     bin_duration: float = 0.1
     cycles_per_ramp: float = DEFAULT_CYCLES_PER_RAMP
     phi: float = 0.0
-    modules: int = 2
-    circuit: CircuitAst | None = None
+    circuit: CircuitAst = build_cbw_chain(2)
 
     def __post_init__(self):
         _require_finite(self, ("ramp_start", "ramp_end", "scan_duration", "bin_duration",
                                "cycles_per_ramp", "phi"))
-        _require_integer(self, ("points", "modules"))
+        try:
+            operator.index(self.points)
+        except TypeError:
+            raise ConfigError(f"points must be an integer, got {self.points!r}") from None
         if self.cycles_per_ramp <= 0:
             raise ConfigError("cycles_per_ramp must be positive")
         if self.points > MAX_POINTS:
             raise ConfigError(f"points must be at most {MAX_POINTS}, got {self.points}")
-        if self.modules > MAX_MODULES:
-            raise ConfigError(f"modules must be at most {MAX_MODULES}, got {self.modules}")
         if self.points == 0 and self.scan_duration == 0:
             return
         if self.points < 2:
@@ -205,15 +191,6 @@ class ScanConfig:
             raise ConfigError("ramp_end must exceed ramp_start")
         if not math.isfinite(self.ramp_span):
             raise ConfigError("ramp_end - ramp_start overflows a double")
-        if self.circuit is None and self.modules < 1:
-            raise ConfigError("modules must be a positive integer")
-
-    def chain(self) -> CircuitAst:
-        """The circuit this scan evaluates: ``circuit`` if set, else the
-        ``modules``-stage cascade at control phase ``phi``."""
-        if self.circuit is not None:
-            return self.circuit
-        return circuit_mod.build_cbw_chain(self.modules, phi=self.phi)
 
     @property
     def ramp_span(self) -> float:

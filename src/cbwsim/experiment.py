@@ -1,10 +1,9 @@
-"""Experiment harness: scan execution, fringe analysis, sensitivity scaling.
+"""Experiment harness: fringe analysis and sensitivity scaling.
 
-Ties the pieces together the way the bench does: the PZT calibration maps
-the voltage ramp to phase, the chosen cascade is simulated (photon counting
-or cw), and the recorded trace is reduced to extrema, visibility, dominant
-fringe period, and the phase-sensitivity scaling of the cascade order
-(one :func:`estimate_sensitivity` call reports every order from 1 to M).
+A recorded trace (from :mod:`cbwsim.montecarlo` or a trace CSV) is reduced
+to extrema, visibility, dominant fringe period and fringe count; the
+phase-sensitivity scaling of the cascade order comes from one
+:func:`estimate_sensitivity` call, which reports every order from 1 to M.
 """
 
 from __future__ import annotations
@@ -14,9 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit as circuit_mod
-from . import montecarlo
-from .config import NoiseModel, ScanConfig, SourceMode, SourceModel
-from .montecarlo import CountTrace
 
 __all__ = [
     "AmbiguousPeriodError",
@@ -30,7 +26,6 @@ __all__ = [
     "estimate_sensitivity",
     "find_extrema",
     "fringe_stats",
-    "run_scan",
     "visibility",
 ]
 
@@ -84,19 +79,6 @@ class SensitivityReport:
     def __post_init__(self):
         if self.delta_phi <= 0:
             raise ValueError("delta_phi must be positive")
-
-
-def run_scan(
-    config: ScanConfig,
-    source: SourceModel,
-    noise: NoiseModel,
-    seed: int,
-) -> CountTrace:
-    """Execute one configured scan of ``config.chain()`` and return its trace,
-    photon counts or cw powers as the source mode says."""
-    if source.mode is SourceMode.PHOTON_COUNTING:
-        return montecarlo.simulate_scan_counts(config, source, noise, seed)
-    return montecarlo.simulate_classical_trace(config, source, noise, seed)
 
 
 def find_extrema(values, prominence: float = 0.2):

@@ -22,10 +22,13 @@ exactly ``Multinomial(windows, [q1*q2, q1*(1-q2), (1-q1)*q2,
 cost independent of the number of windows.  A bin may hold at most
 :data:`MAX_WINDOWS_PER_BIN` (2**53) windows; larger
 ``bin_duration / window_duration`` ratios are a :class:`ConfigError`.
-Both simulators evaluate ``scan.chain()`` of the :class:`ScanConfig` they
-are given, so a trace's ``meta["scan"]`` names the chain that ran.
-:func:`scan_trace` builds every trace over a scan's bins, both simulators'
-and the ``analytic`` sweep's.
+Both simulators evaluate ``scan.circuit`` of the :class:`ScanConfig` they
+are given, with ``scan.phi`` bound to its ``phi`` parameter, so a trace's
+``meta["scan"]`` names the chain that ran.  The simulator called is the
+kind of record: :func:`simulate_scan_counts` counts photons,
+:func:`simulate_classical_trace` records cw powers.  :func:`scan_trace`
+builds every trace over a scan's bins, both simulators' and the
+``analytic`` sweep's.
 
 Reproducibility: the master seed feeds a ``numpy.random.SeedSequence``
 whose three spawned children are assigned, in order, to the phase-jitter
@@ -198,20 +201,17 @@ def _noise_walks(noise: NoiseModel, scan: ScanConfig, jitter_ss, drift_ss, point
     return jitter, np.clip(drift, 0.0, None)
 
 
-def _scan_chain(ast, scan: ScanConfig, source: SourceModel, noise: NoiseModel, seed: int,
-                mode: SourceMode, wrong_mode: str):
-    """What both simulators share: check the source mode and the circuit, draw
-    the noise walks and evaluate the chain at the jittered phases.  Returns
+def _scan_chain(scan: ScanConfig, noise: NoiseModel, seed: int):
+    """What both simulators share: check the circuit, draw the noise walks and
+    evaluate the chain at the jittered phases.  Returns
     ``(psi_nominal, drift, (p_upper, i_upper, i_lower), counts_ss)``, powers per unit input.
     """
-    if source.mode is not mode:
-        raise ConfigError(wrong_mode)
-    _require_scan_parameters(ast)
+    _require_scan_parameters(scan.circuit)
     jitter_ss, drift_ss, counts_ss = np.random.SeedSequence(seed).spawn(3)
     jitter, drift = _noise_walks(noise, scan, jitter_ss, drift_ss, scan.points)
     psi_nominal = scan.psi_values()
     i_upper, i_lower = circuit_mod.output_intensities(
-        replace(ast, source_intensity=1.0), {"psi": psi_nominal + jitter, "phi": scan.phi})
+        replace(scan.circuit, source_intensity=1.0), {"psi": psi_nominal + jitter, "phi": scan.phi})
     i_upper = np.atleast_1d(np.asarray(i_upper, dtype=float)) * drift
     i_lower = np.atleast_1d(np.asarray(i_lower, dtype=float)) * drift
     total = i_upper + i_lower
@@ -237,37 +237,36 @@ def simulate_scan_counts(
     noise: NoiseModel,
     seed: int,
 ) -> CountTrace:
-    """Simulate a full photon-counting scan of ``scan.chain()`` over the PZT ramp.
+    """Simulate a full photon-counting scan of ``scan.circuit`` over the PZT ramp.
 
     Per bin: the PZT model (plus the accumulated phase-jitter walk) sets
     the phase, the chain sets the Born routing probability, and the bin's
     ``bin_duration / window_duration`` coincidence windows are drawn as
     one multinomial over the four window outcomes.  Deterministic for a
-    given seed.
+    given seed.  A mean photon number that the intensity drift overflows
+    is a :class:`ConfigError` naming ``mean_photons_per_window``.
     """
-    psi, drift, (p_upper, _, _), counts_ss = _scan_chain(
-        scan.chain(), scan, source, noise, seed, SourceMode.PHOTON_COUNTING,
-        "simulate_scan_counts requires a photon-counting source")
+    psi, drift, (p_upper, _, _), counts_ss = _scan_chain(scan, noise, seed)
     windows = _windows_per_bin(scan, source) if scan.points else 0
-    detected = source.mean_photons_per_window * drift * noise.detector_efficiency
     p_dark = noise.dark_rate * source.window_duration
-    q1 = -np.expm1(-(detected * p_upper + p_dark))
-    q2 = -np.expm1(-(detected * (1.0 - p_upper) + p_dark))
+    with np.errstate(over="ignore"):
+        detected = source.mean_photons_per_window * drift * noise.detector_efficiency
+        if not np.all(np.isfinite(detected)):
+            raise ConfigError(f"mean_photons_per_window {float(source.mean_photons_per_window)!r} "
+                              "overflows the detected photon mean")
+        # A mean that overflows with the dark counts fires its detector in every window.
+        q1 = -np.expm1(-(detected * p_upper + p_dark))
+        q2 = -np.expm1(-(detected * (1.0 - p_upper) + p_dark))
     pvals = np.stack([q1 * q2, q1 * (1.0 - q2), (1.0 - q1) * q2, (1.0 - q1) * (1.0 - q2)], axis=1)
     outcomes = np.random.Generator(np.random.PCG64(counts_ss)).multinomial(windows, pvals)
     coincidences = outcomes[:, 0]
-    return scan_trace(scan, source.mode, psi, coincidences + outcomes[:, 1],
+    return scan_trace(scan, SourceMode.PHOTON_COUNTING, psi, coincidences + outcomes[:, 1],
                       coincidences + outcomes[:, 2], coincidences, seed,
                       source=source, noise=noise, windows_per_bin=windows)
 
 
-def simulate_classical_trace(
-    scan: ScanConfig,
-    source: SourceModel,
-    noise: NoiseModel,
-    seed: int,
-) -> CountTrace:
-    """Record continuous output powers of ``scan.chain()`` (cw laser input).
+def simulate_classical_trace(scan: ScanConfig, noise: NoiseModel, seed: int) -> CountTrace:
+    """Record continuous output powers of ``scan.circuit`` (cw laser input).
 
     The fringe shape is identical to the photon-counting expectation; only
     the record differs: per-bin powers in the singles fields, coincidences
@@ -275,17 +274,15 @@ def simulate_classical_trace(
     dark counts are photon-counting concepts and do not.  A power that
     overflows is a :class:`ConfigError` naming the source intensity.
     """
-    ast = scan.chain()
-    psi, _, (_, i_upper, i_lower), _ = _scan_chain(
-        ast, scan, source, noise, seed, SourceMode.CLASSICAL_INTENSITY,
-        "simulate_classical_trace requires a classical-intensity source")
+    intensity = scan.circuit.source_intensity
+    psi, _, (_, i_upper, i_lower), _ = _scan_chain(scan, noise, seed)
     with np.errstate(over="ignore"):  # abs: an intensity of -0 gives powers of +0
-        i_upper, i_lower = abs(ast.source_intensity) * np.stack([i_upper, i_lower])
+        i_upper, i_lower = abs(intensity) * np.stack([i_upper, i_lower])
     if not np.all(np.isfinite([i_upper, i_lower])):
-        raise ConfigError(f"source intensity {float(ast.source_intensity)!r} overflows the "
+        raise ConfigError(f"source intensity {float(intensity)!r} overflows the "
                           "classical output power")
-    return scan_trace(scan, source.mode, psi, i_upper, i_lower, np.zeros(scan.points), seed,
-                      source=source, noise=noise)
+    return scan_trace(scan, SourceMode.CLASSICAL_INTENSITY, psi, i_upper, i_lower,
+                      np.zeros(scan.points), seed, noise=noise)
 
 
 def coincidence_fraction(trace: CountTrace) -> float:

@@ -25,15 +25,13 @@ from cbwsim.config import (
     LAB_NOISE,
     NoiseModel,
     ScanConfig,
-    SourceMode,
     SourceModel,
 )
-from cbwsim.experiment import count_fringes, dominant_period, estimate_sensitivity, run_scan, visibility
-from cbwsim.montecarlo import coincidence_fraction, simulate_scan_counts
+from cbwsim.experiment import count_fringes, dominant_period, estimate_sensitivity, visibility
+from cbwsim.montecarlo import coincidence_fraction, simulate_classical_trace, simulate_scan_counts
 from cbwsim.optics import Arm
 
 QUIET = NoiseModel()
-CLASSICAL = SourceModel(mode=SourceMode.CLASSICAL_INTENSITY)
 
 
 def report(number: int, description: str, passed: bool, detail: str = ""):
@@ -47,8 +45,8 @@ def report(number: int, description: str, passed: bool, detail: str = ""):
 
 def classical_scan(modules, phi=0.0, points=4096, cycles=10.0, seed=0):
     scan = ScanConfig(points=points, scan_duration=500.0, bin_duration=0.1,
-                      cycles_per_ramp=cycles, phi=phi, modules=modules)
-    return run_scan(scan, CLASSICAL, QUIET, seed)
+                      cycles_per_ramp=cycles, phi=phi, circuit=build_cbw_chain(modules))
+    return simulate_classical_trace(scan, QUIET, seed)
 
 
 def period_in_bins(trace_values, psi):
@@ -123,9 +121,9 @@ def test_criterion_5_coincidence_statistics():
 
 def test_criterion_6_single_mzi_coincidence_doubling():
     scan = ScanConfig(points=512, bin_duration=0.01, scan_duration=5.12,
-                      cycles_per_ramp=10.0, phi=0.0, modules=1)
+                      cycles_per_ramp=10.0, phi=0.0, circuit=build_cbw_chain(1))
     source = SourceModel(mean_photons_per_window=0.3, window_duration=1e-6)
-    trace = run_scan(scan, source, QUIET, seed=6)
+    trace = simulate_scan_counts(scan, source, QUIET, seed=6)
     k_singles, _ = period_in_bins(trace.singles_d1, trace.psi)
     k_coinc, _ = period_in_bins(trace.coincidences, trace.psi)
     report(6, "simulated coincidence fringe frequency doubles the singles frequency",
@@ -135,15 +133,16 @@ def test_criterion_6_single_mzi_coincidence_doubling():
 
 def test_criterion_7_visibility_bands():
     # High-count noiseless run: singles visibility essentially unity.
-    scan = ScanConfig(points=600, scan_duration=500.0, bin_duration=0.1, modules=2, phi=0.0)
+    scan = ScanConfig(points=600, scan_duration=500.0, bin_duration=0.1,
+                      circuit=build_cbw_chain(2), phi=0.0)
     bright = SourceModel(mean_photons_per_window=0.5, window_duration=2e-6)  # 5e4 windows/bin
-    quiet_trace = run_scan(scan, bright, QUIET, seed=3)
+    quiet_trace = simulate_scan_counts(scan, bright, QUIET, seed=3)
     peak = int(np.max(quiet_trace.singles_d1))
     v_quiet, _ = visibility(quiet_trace.singles_d1, 0.2)
 
     # Fitted lab-noise model: coincidence visibility in the reported band.
     lab_source = SourceModel(mean_photons_per_window=0.3, window_duration=1e-6)
-    lab_trace = run_scan(scan, lab_source, LAB_NOISE, seed=7)
+    lab_trace = simulate_scan_counts(scan, lab_source, LAB_NOISE, seed=7)
     v_lab, v_lab_std = visibility(lab_trace.coincidences, 0.2)
 
     ok = peak >= 10_000 and v_quiet >= 0.99 and 0.95 <= v_lab <= 0.999 and v_lab > 0.707
@@ -188,10 +187,10 @@ def test_criterion_10_glass_plate_tuning_slope():
 def test_criterion_11_classical_quantum_equivalence():
     lam, windows, points = 0.5, 20_000, 128
     scan = ScanConfig(points=points, bin_duration=0.02, scan_duration=points * 0.02,
-                      modules=2, phi=0.0)
-    classical = run_scan(scan, CLASSICAL, QUIET, seed=1)
-    photon = run_scan(scan, SourceModel(mean_photons_per_window=lam, window_duration=1e-6),
-                      QUIET, seed=8)
+                      circuit=build_cbw_chain(2), phi=0.0)
+    classical = simulate_classical_trace(scan, QUIET, seed=1)
+    photon = simulate_scan_counts(scan, SourceModel(mean_photons_per_window=lam, window_duration=1e-6),
+                                  QUIET, seed=8)
     p_gamma = classical.singles_d1 / (classical.singles_d1 + classical.singles_d2)
     worst = 0.0
     for observed, p in ((photon.singles_d1, p_gamma), (photon.singles_d2, 1.0 - p_gamma)):

@@ -14,8 +14,8 @@ from cbwsim.analytic import (
     expected_coincidence_fraction,
     glass_plate_opd,
 )
-from cbwsim.circuit import build_cbw_chain, output_intensities
-from cbwsim.config import MAX_MODULES, ScanConfig
+from cbwsim.circuit import MAX_MODULES, build_cbw_chain, output_intensities
+from cbwsim.config import ScanConfig
 
 
 def brute_force_coincidence_fraction(lam, p_upper, p_lower, k_max=12):

@@ -12,6 +12,7 @@ from cbwsim.circuit import (
     ElementKind,
     ElementNode,
     MAX_ELEMENTS,
+    MAX_MODULES,
     UnboundParameterError,
     build_cbw_chain,
     evaluate_chain,
@@ -19,7 +20,6 @@ from cbwsim.circuit import (
     parse_circuit,
     render_circuit,
 )
-from cbwsim.config import MAX_MODULES
 from cbwsim.optics import Arm
 
 FIG1_TEXT = (
@@ -232,8 +232,12 @@ class TestBuildChain:
 
     @pytest.mark.parametrize("m", [-1, 2.5, 2.0])
     def test_m_not_a_positive_integer_rejected(self, m):
-        with pytest.raises(ValueError, match="m must be a positive integer"):
+        with pytest.raises(ValueError, match=f"^m must be a positive integer number of modules, got {m!r}$"):
             build_cbw_chain(m)
+
+    def test_more_than_max_modules_rejected(self):
+        with pytest.raises(ValueError, match=f"^modules must be at most {MAX_MODULES}, got {MAX_MODULES + 1}$"):
+            build_cbw_chain(MAX_MODULES + 1)
 
     def test_shares_one_psi_parameter(self):
         assert build_cbw_chain(5, phi=0.25).parameters == {"psi"}

@@ -37,7 +37,7 @@ SMALL_NUMBERS = ["1e-6", "0.01", "0.2", "0.5", "1", "2", "10", "100"]
 # Size options: small in-range values, or values above the cap.
 SIZES = {
     "points": ["0", "1", "2", "3", "17", "64", str(config.MAX_POINTS + 1), str(10**30)],
-    "modules": ["0", "-1", "1", "2", "3", "7", str(config.MAX_MODULES + 1), str(10**30)],
+    "modules": ["0", "-1", "1", "2", "3", "7", str(circuit.MAX_MODULES + 1), str(10**30)],
     "grid": ["0", "-1", "10000", "20000", str(experiment.MAX_GRID_POINTS + 1), str(10**30)],
     # No grid up to the cap resolves order 101, so it always fails.
     "max_m": ["0", "-1", "1", "2", "101", str(10**30)],

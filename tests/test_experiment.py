@@ -22,19 +22,18 @@ from cbwsim.experiment import (
     estimate_sensitivity,
     find_extrema,
     fringe_stats,
-    run_scan,
     visibility,
 )
+from cbwsim.montecarlo import simulate_classical_trace, simulate_scan_counts
 
 QUIET = NoiseModel()
-CLASSICAL = SourceModel(mode=SourceMode.CLASSICAL_INTENSITY)
 
 
 def classical_scan(points, modules, phi=0.0, cycles=DEFAULT_CYCLES_PER_RAMP):
-    return run_scan(
+    return simulate_classical_trace(
         ScanConfig(points=points, scan_duration=500.0, bin_duration=0.1,
-                   cycles_per_ramp=cycles, phi=phi, modules=modules),
-        CLASSICAL, QUIET, seed=0)
+                   cycles_per_ramp=cycles, phi=phi, circuit=build_cbw_chain(modules)),
+        QUIET, seed=0)
 
 
 class TestConfigValidation:
@@ -64,8 +63,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize("fields, message", [
         (dict(cycles_per_ramp=-1.0), "cycles_per_ramp must be positive"),
         (dict(cycles_per_ramp=np.nan), "cycles_per_ramp must be a finite number"),
-        (dict(modules=2.5), "modules must be an integer, got 2.5"),
-        (dict(modules=2.0), "modules must be an integer, got 2.0"),
         (dict(points=10.5, scan_duration=2.0, bin_duration=0.1), "points must be an integer, got 10.5"),
     ])
     def test_scan_settings_checked_by_field(self, fields, message):
@@ -99,17 +96,17 @@ class TestPztPhase:
         np.testing.assert_allclose(out / np.pi, [0.0, 10.5, 21.0], atol=1e-13)
 
 
-class TestRunScan:
-    def test_classical_mode_dispatch(self):
+class TestScanSimulators:
+    def test_classical_trace_records_powers(self):
         trace = classical_scan(256, modules=2)
         assert trace.mode is SourceMode.CLASSICAL_INTENSITY
         expected = (1.0 + np.cos(2 * trace.psi)) / 2.0
         assert np.max(np.abs(trace.singles_d1 - expected)) < 1e-12
 
-    def test_photon_mode_dispatch(self):
+    def test_photon_scan_records_counts(self):
         scan = ScanConfig(points=16, bin_duration=0.001, scan_duration=0.016)
         source = SourceModel(mean_photons_per_window=0.5, window_duration=1e-6)
-        trace = run_scan(scan, source, QUIET, seed=4)
+        trace = simulate_scan_counts(scan, source, QUIET, seed=4)
         assert trace.mode is SourceMode.PHOTON_COUNTING
         assert trace.singles_d1.dtype == np.int64
 
@@ -118,11 +115,10 @@ class TestRunScan:
         assert np.max(np.abs(trace.singles_d1 - 1.0)) < 1e-12
         assert np.max(np.abs(trace.singles_d2)) < 1e-12
 
-    def test_explicit_circuit_override_wins(self):
+    def test_explicit_circuit_is_the_chain_that_runs(self):
         ast = parse_circuit("mzi C arm=lower phase=psi\ndetect a b\n")
-        scan = ScanConfig(points=64, bin_duration=0.1, scan_duration=6.4,
-                          modules=3, circuit=ast)
-        trace = run_scan(scan, CLASSICAL, QUIET, seed=0)
+        scan = ScanConfig(points=64, bin_duration=0.1, scan_duration=6.4, circuit=ast)
+        trace = simulate_classical_trace(scan, QUIET, seed=0)
         expected = (1.0 - np.cos(trace.psi)) / 2.0
         assert np.max(np.abs(trace.singles_d1 - expected)) < 1e-12
 

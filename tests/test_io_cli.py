@@ -8,8 +8,14 @@ import jsonschema
 import numpy as np
 import pytest
 
-from cbwsim import cli, config, experiment, optics, svgplot
-from cbwsim.circuit import MAX_ELEMENTS, UnboundParameterError
+from cbwsim import cli, config, experiment, montecarlo, optics, svgplot
+from cbwsim.circuit import (
+    MAX_ELEMENTS,
+    MAX_MODULES,
+    UnboundParameterError,
+    build_cbw_chain,
+    parse_circuit,
+)
 from cbwsim.config import ConfigError, NoiseModel, ScanConfig, SourceMode, SourceModel
 from cbwsim.montecarlo import CountTrace, simulate_classical_trace, simulate_scan_counts
 from cbwsim.svgplot import emit_plot_svg
@@ -32,8 +38,7 @@ def photon_trace(points=24, seed=5):
 
 def classical_trace(points=24):
     scan = ScanConfig(points=points, bin_duration=0.1, scan_duration=points * 0.1)
-    source = SourceModel(mode=SourceMode.CLASSICAL_INTENSITY)
-    return simulate_classical_trace(scan, source, NoiseModel(), seed=0)
+    return simulate_classical_trace(scan, NoiseModel(), seed=0)
 
 
 class TestTraceCsv:
@@ -681,13 +686,81 @@ class TestDispatch:
         for name in ("trace.csv", "trace.svg"):
             assert (outs["circuit"] / name).read_bytes() == (outs["modules"] / name).read_bytes()
 
+    @pytest.mark.parametrize("chain, elements", [
+        (["--modules", "3", "--phi", "0.4"], build_cbw_chain(3).elements),
+        (["--circuit", "single.mzi", "--phi", "0.4"], None),
+    ], ids=["modules", "single-mzi-circuit"])
+    @pytest.mark.parametrize("command, simulator", [
+        ("simulate", "simulate_scan_counts"),
+        ("scan", "simulate_classical_trace"),
+    ])
+    def test_recorded_scan_reruns_bit_for_bit(self, tmp_path, monkeypatch, chain, elements,
+                                              command, simulator):
+        # A trace's meta["scan"] names every choice of the run: rerunning it
+        # with the same seed writes the same CSV, and a circuit scan records
+        # the circuit, not a cascade size beside it.
+        text = "mzi C arm=lower phase=psi\ndetect a b\n"
+        (tmp_path / "single.mzi").write_text(text, encoding="utf-8")
+        chain = [str(tmp_path / arg) if arg.endswith(".mzi") else arg for arg in chain]
+        traces = []
+        run = getattr(montecarlo, simulator)
+        monkeypatch.setattr(montecarlo, simulator, lambda *args: traces.append(run(*args)) or traces[-1])
+        mode = [] if command == "simulate" else ["--mode", "classical"]
+        out = tmp_path / "run"
+        assert cli.dispatch([command, *mode, *chain, "--points", "64", "--bin-duration", "0.01",
+                             "--scan-duration", "0.64", "--mean-photons", "0.3",
+                             "--window-duration", "1e-6", "--seed", "11", "--out", str(out)]) == 0
+        (trace,) = traces
+        scan = trace.meta["scan"]
+        assert scan.circuit.elements == (elements or parse_circuit(text).elements)
+        assert scan.phi == 0.4
+        if command == "simulate":
+            rerun = run(scan, trace.meta["source"], trace.meta["noise"], trace.seed)
+            written = out
+        else:
+            rerun = run(scan, trace.meta["noise"], trace.seed)
+            written = out / "trace.csv"
+        write_trace_csv(rerun, tmp_path / "rerun.csv")
+        assert (tmp_path / "rerun.csv").read_bytes() == written.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["photon", "classical"])
+    def test_empty_scan_exits_one_naming_points_before_any_output(self, tmp_path, capsys,
+                                                                  monkeypatch, mode):
+        def no_simulation(*args):
+            raise AssertionError("simulated an empty scan")
+
+        monkeypatch.setattr(montecarlo, "_scan_chain", no_simulation)
+        out = tmp_path / "run"
+        code = cli.dispatch(["scan", "--mode", mode, "--points", "0", "--scan-duration", "0",
+                             "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == ("cbwsim: error: points must be at least 2 for a "
+                                           "plotted scan, got 0\n")
+        assert not out.exists()
+
+    def test_overflowing_photon_mean_exits_one_without_warnings(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.dispatch(["simulate", "--mean-photons", "1.7976931348623157e308",
+                                 "--phase-jitter-sigma", "0", "--points", "50", "--scan-duration",
+                                 "5", "--seed", "0", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == ("cbwsim: error: mean_photons_per_window "
+                                           "1.7976931348623157e+308 overflows the detected "
+                                           "photon mean\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["photon", "classical"])
     @pytest.mark.parametrize("flags, field", [
         (["--dark-rate", "nan"], "dark_rate"),
         (["--noise", "lab", "--phase-jitter-correlation", "0"], "phase_jitter_correlation"),
         (["--mean-photons", "nan"], "mean_photons_per_window"),
+        (["--mean-photons", "0"], "mean_photons_per_window"),
+        (["--window-duration", "-1"], "window_duration"),
     ])
-    def test_non_physical_source_or_noise_exits_one(self, tmp_path, capsys, flags, field):
-        code = cli.dispatch(["scan", "--points", "20", "--bin-duration", "1e-6",
+    def test_non_physical_source_or_noise_exits_one(self, tmp_path, capsys, mode, flags, field):
+        code = cli.dispatch(["scan", "--mode", mode, "--points", "20", "--bin-duration", "1e-6",
                              "--scan-duration", "2e-5", *flags, "--out", str(tmp_path / "x")])
         assert code == 1
         err = capsys.readouterr().err
@@ -962,11 +1035,11 @@ class TestDispatch:
           "--intensity-drift-fraction", "1.7e308"],
          "intensity_drift_fraction 1.7e+308 overflows the intensity-drift walk"),
         (["analytic", "--modules", "20000", "--points", "10"],
-         f"modules must be at most {config.MAX_MODULES}, got 20000"),
+         f"modules must be at most {MAX_MODULES}, got 20000"),
         (["scan", "--modules", "100000000"],
-         f"modules must be at most {config.MAX_MODULES}, got 100000000"),
-        (["simulate", f"--modules={config.MAX_MODULES + 1}", "--points", "10"],
-         f"modules must be at most {config.MAX_MODULES}, got {config.MAX_MODULES + 1}"),
+         f"modules must be at most {MAX_MODULES}, got 100000000"),
+        (["simulate", f"--modules={MAX_MODULES + 1}", "--points", "10"],
+         f"modules must be at most {MAX_MODULES}, got {MAX_MODULES + 1}"),
         (["scan", "--seed=-1", "--points", "10"], "seed must be a non-negative integer, got -1"),
         (["simulate", "--seed=-7", "--points", "10"], "seed must be a non-negative integer, got -7"),
         (["analytic", "--scan-duration", "1e308", "--bin-duration", "1e308"],

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -36,11 +37,7 @@ def fixed_probability_circuit(p_upper):
 
 
 def photon_source(lam, window=1e-8):
-    return SourceModel(mean_photons_per_window=lam, window_duration=window, mode=SourceMode.PHOTON_COUNTING)
-
-
-def classical_source():
-    return SourceModel(mode=SourceMode.CLASSICAL_INTENSITY)
+    return SourceModel(mean_photons_per_window=lam, window_duration=window)
 
 
 def fixed_scan(circuit, points, bin_duration, scan_duration=None):
@@ -128,7 +125,7 @@ class TestSimulateScanCounts:
         scan = ScanConfig(points=64, bin_duration=0.001, scan_duration=0.064)
         unit = simulate_scan_counts(scan, photon_source(0.3, 1e-6), LAB_NOISE, seed=3)
         scaled = simulate_scan_counts(
-            replace(scan, circuit=replace(scan.chain(), source_intensity=intensity)),
+            replace(scan, circuit=replace(scan.circuit, source_intensity=intensity)),
             photon_source(0.3, 1e-6), LAB_NOISE, seed=3)
         for field in ("singles_d1", "singles_d2", "coincidences"):
             np.testing.assert_array_equal(getattr(scaled, field), getattr(unit, field))
@@ -163,7 +160,8 @@ class TestSimulateScanCounts:
     def test_singles_rate_matches_thinned_poisson(self):
         # Noise off, efficiency 1: windows fire as Bernoulli(1 - exp(-lam*p)).
         lam, windows, points = 0.05, 10_000, 128
-        scan = ScanConfig(points=points, bin_duration=1e-2, scan_duration=points * 1e-2, modules=1)
+        scan = ScanConfig(points=points, bin_duration=1e-2, scan_duration=points * 1e-2,
+                          circuit=build_cbw_chain(1))
         trace = simulate_scan_counts(scan, photon_source(lam, 1e-6), QUIET, seed=11)
         p_upper = (1.0 - np.cos(trace.psi)) / 2.0
         for observed, p in ((trace.singles_d1, p_upper), (trace.singles_d2, 1.0 - p_upper)):
@@ -203,14 +201,29 @@ class TestSimulateScanCounts:
         assert trace.singles_d2.sum() > 0
 
     def test_bin_must_be_integer_multiple_of_window(self):
-        scan = ScanConfig(points=4, bin_duration=0.0015, scan_duration=0.006, modules=1)
+        scan = ScanConfig(points=4, bin_duration=0.0015, scan_duration=0.006,
+                          circuit=build_cbw_chain(1))
         with pytest.raises(ConfigError):
             simulate_scan_counts(scan, photon_source(0.1, 1e-3 / 1.5001), QUIET, seed=0)
 
-    def test_rejects_classical_source(self):
-        scan = ScanConfig(points=4, bin_duration=0.001, scan_duration=0.004, modules=1)
-        with pytest.raises(ConfigError):
-            simulate_scan_counts(scan, classical_source(), QUIET, seed=0)
+    def test_overflowing_photon_mean_names_the_source_field(self):
+        # The drift walk rises above 1 and carries the largest double past
+        # the range; the error must come before numpy warns about it.
+        scan = ScanConfig(points=50, bin_duration=0.1, scan_duration=5.0)
+        source = photon_source(np.finfo(float).max, 1e-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="^mean_photons_per_window 1.7976931348623157e"
+                                                  r"\+308 overflows the detected photon mean$"):
+                simulate_scan_counts(scan, source, NoiseModel(intensity_drift_fraction=0.01), seed=0)
+
+    def test_mean_overflowing_with_dark_counts_fires_every_window(self):
+        scan = ScanConfig(points=8, bin_duration=1.0, scan_duration=8.0)
+        source = photon_source(1.7e308, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = simulate_scan_counts(scan, source, NoiseModel(dark_rate=1.7e308), seed=0)
+        assert np.all(trace.coincidences == 1)
 
 
 # Upper 0.1% point of the chi-square distribution with 3 degrees of freedom
@@ -293,7 +306,7 @@ class TestSamplerMatchesOracle:
 class TestSimulateClassical:
     def test_noiseless_matches_closed_form_exactly(self):
         scan = ScanConfig(points=512, bin_duration=0.1, scan_duration=51.2)
-        trace = simulate_classical_trace(scan, classical_source(), QUIET, seed=0)
+        trace = simulate_classical_trace(scan, QUIET, seed=0)
         expected = (1.0 + np.cos(2.0 * trace.psi)) / 2.0
         assert np.max(np.abs(trace.singles_d1 - expected)) < 1e-12
         assert np.max(np.abs(trace.singles_d2 - (1.0 - expected))) < 1e-12
@@ -303,17 +316,17 @@ class TestSimulateClassical:
     @pytest.mark.parametrize("intensity", [0.0, -0.0, 5e-324, 2.5, 1e308])
     def test_powers_are_the_unit_powers_times_the_source_intensity(self, intensity):
         scan = ScanConfig(points=64, bin_duration=0.1, scan_duration=6.4)
-        unit = simulate_classical_trace(scan, classical_source(), LAB_NOISE, seed=2)
+        unit = simulate_classical_trace(scan, LAB_NOISE, seed=2)
         scaled = simulate_classical_trace(
-            replace(scan, circuit=replace(scan.chain(), source_intensity=intensity)),
-            classical_source(), LAB_NOISE, seed=2)
+            replace(scan, circuit=replace(scan.circuit, source_intensity=intensity)),
+            LAB_NOISE, seed=2)
         for field in ("singles_d1", "singles_d2"):
             expected = abs(intensity) * getattr(unit, field)
             assert getattr(scaled, field).tobytes() == expected.tobytes()
 
     def test_zero_duration_scan_is_empty(self):
         scan = ScanConfig(points=0, scan_duration=0.0)
-        trace = simulate_classical_trace(scan, classical_source(), QUIET, seed=0)
+        trace = simulate_classical_trace(scan, QUIET, seed=0)
         assert len(trace) == 0
 
     def test_normalized_classical_agrees_with_photon_expectation(self):
@@ -321,7 +334,7 @@ class TestSimulateClassical:
         # counting rates bin by bin within statistics.
         lam, windows, points = 0.5, 20_000, 128
         scan = ScanConfig(points=points, bin_duration=2e-2, scan_duration=points * 2e-2)
-        classical = simulate_classical_trace(scan, classical_source(), QUIET, seed=1)
+        classical = simulate_classical_trace(scan, QUIET, seed=1)
         photon = simulate_scan_counts(scan, photon_source(lam, 1e-6), QUIET, seed=8)
         p_gamma = classical.singles_d1 / (classical.singles_d1 + classical.singles_d2)
         for observed, p in ((photon.singles_d1, p_gamma), (photon.singles_d2, 1.0 - p_gamma)):
@@ -330,22 +343,19 @@ class TestSimulateClassical:
             z = (observed - windows * q) / sigma
             assert np.max(np.abs(z)) < 3.0
 
-    def test_rejects_photon_source(self):
-        scan = ScanConfig(points=4, bin_duration=0.001, scan_duration=0.004, modules=1)
-        with pytest.raises(ConfigError):
-            simulate_classical_trace(scan, photon_source(0.1), QUIET, seed=0)
-
 
 class TestScanChain:
-    def test_chain_is_the_circuit_or_the_built_cascade(self):
-        assert ScanConfig(modules=3, phi=0.7).chain() == build_cbw_chain(3, phi=0.7)
+    def test_the_default_circuit_is_the_two_stage_cascade(self):
+        assert ScanConfig(phi=0.7).circuit == build_cbw_chain(2)
         circuit = fixed_probability_circuit(0.3)
-        assert ScanConfig(modules=3, circuit=circuit).chain() is circuit
+        assert ScanConfig(circuit=circuit).circuit is circuit
 
     def test_the_trace_records_the_chain_it_ran(self):
-        scan = ScanConfig(points=8, bin_duration=0.001, scan_duration=0.008, modules=3, phi=0.4)
-        trace = simulate_classical_trace(scan, classical_source(), QUIET, seed=0)
-        assert trace.meta["scan"].chain() == build_cbw_chain(3, phi=0.4)
+        scan = ScanConfig(points=8, bin_duration=0.001, scan_duration=0.008,
+                          circuit=build_cbw_chain(3), phi=0.4)
+        trace = simulate_classical_trace(scan, QUIET, seed=0)
+        assert trace.meta["scan"].circuit == build_cbw_chain(3)
+        assert trace.meta["scan"].phi == 0.4
         expected = cbw_intensities(trace.psi, 0.4, 3)
         np.testing.assert_allclose(trace.singles_d1, expected.i_upper, rtol=0, atol=1e-12)
         np.testing.assert_allclose(trace.singles_d2, expected.i_lower, rtol=0, atol=1e-12)
@@ -376,11 +386,11 @@ class TestScanTrace:
 
 
 class TestUnboundParameters:
-    @pytest.mark.parametrize("simulate, source", [
-        (simulate_scan_counts, photon_source(0.1, 1e-6)),
-        (simulate_classical_trace, classical_source()),
-    ])
-    def test_every_unbound_name_raised_before_sampling(self, monkeypatch, simulate, source):
+    @pytest.mark.parametrize("simulate", [
+        lambda scan, noise, seed: simulate_scan_counts(scan, photon_source(0.1, 1e-6), noise, seed),
+        simulate_classical_trace,
+    ], ids=["photon", "classical"])
+    def test_every_unbound_name_raised_before_sampling(self, monkeypatch, simulate):
         ast = CircuitAst(1.0, (ElementNode(ElementKind.MZI, Arm.LOWER, "psi", "A"),
                                ElementNode(ElementKind.PHASE, Arm.UPPER, "theta"),
                                ElementNode(ElementKind.PHASE, Arm.UPPER, "phi"),
@@ -392,7 +402,7 @@ class TestUnboundParameters:
 
         monkeypatch.setattr(montecarlo, "_noise_walks", no_sampling)
         with pytest.raises(UnboundParameterError) as info:
-            simulate(scan, source, QUIET, seed=0)
+            simulate(scan, QUIET, seed=0)
         assert info.value.names == ("alpha", "theta")
         assert str(info.value) == "unbound circuit parameters 'alpha', 'theta'"
 
