@@ -15,11 +15,10 @@ from cbwsim import (
     SourceModel,
     build_cbw_chain,
     coincidence_fraction,
-    count_fringes,
     emit_plot_svg,
     expected_coincidence_fraction,
+    fringe_stats,
     simulate_scan_counts,
-    visibility,
 )
 
 OUT = Path(__file__).parent / "out"
@@ -35,12 +34,12 @@ oracle = expected_coincidence_fraction(0.3, 0.5, 0.5)
 print(f"coincidence fraction averaged over the fringe: {fraction:.5f}")
 print(f"balanced-output oracle (fringe peak reference): {oracle:.5f}")
 
-vis_coinc, std_coinc = visibility(trace.coincidences)
-vis_singles, std_singles = visibility(trace.singles_d1)
-print(f"singles visibility:     {vis_singles:.4f} +- {std_singles:.4f}")
-print(f"coincidence visibility: {vis_coinc:.4f} +- {std_coinc:.4f}")
-print(f"singles fringes:     {count_fringes(trace.singles_d1):.1f}")
-print(f"coincidence fringes: {count_fringes(trace.coincidences):.1f} (doubled)")
+singles = fringe_stats(trace.singles_d1, trace.psi)
+coinc = fringe_stats(trace.coincidences, trace.psi)
+print(f"singles visibility:     {singles.visibility_mean:.4f} +- {singles.visibility_std:.4f}")
+print(f"coincidence visibility: {coinc.visibility_mean:.4f} +- {coinc.visibility_std:.4f}")
+print(f"singles fringes:     {singles.fringe_count:.1f}")
+print(f"coincidence fringes: {coinc.fringe_count:.1f} (doubled)")
 
 path = OUT / "photon_counting_scan.svg"
 emit_plot_svg(trace.time,

@@ -42,12 +42,10 @@ from .experiment import (
     FringeStats,
     InsufficientFringesError,
     SensitivityReport,
-    count_fringes,
     dominant_period,
     estimate_sensitivity,
     find_extrema,
     fringe_stats,
-    visibility,
 )
 from .montecarlo import (
     CountTrace,

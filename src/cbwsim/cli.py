@@ -288,17 +288,7 @@ def _cmd_analyze(args) -> int:
     if column not in columns:
         raise ConfigError(f"unknown column {column!r}; choose from {sorted(columns)}")
     stats = experiment.fringe_stats(columns[column], trace.psi, **_given(args, "prominence"))
-    payload = {
-        "column": column,
-        "source": str(args.input),
-        "maxima": [[int(i), float(v)] for i, v in stats.maxima],
-        "minima": [[int(i), float(v)] for i, v in stats.minima],
-        "visibility_mean": stats.visibility_mean,
-        "visibility_std": stats.visibility_std,
-        "dominant_period_rad": stats.dominant_period,
-        "fringe_count": stats.fringe_count,
-    }
-    _emit_json(payload, args.out)
+    _emit_json({"column": column, "source": str(args.input), **dataclasses.asdict(stats)}, args.out)
     return 0
 
 

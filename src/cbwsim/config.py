@@ -200,7 +200,11 @@ class ScanConfig:
         """Per-bin ramp voltage, endpoints inclusive."""
         if self.points == 0:
             return np.zeros(0)
-        return np.linspace(self.ramp_start, self.ramp_end, self.points)
+        # For a span within rounding of the largest double, linspace's last
+        # product (points - 1) * step may overflow; linspace then replaces
+        # that bin with ramp_end, and every earlier product is finite.
+        with np.errstate(over="ignore"):
+            return np.linspace(self.ramp_start, self.ramp_end, self.points)
 
     def times(self) -> np.ndarray:
         """Per-bin acquisition start time in seconds."""

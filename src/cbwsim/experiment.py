@@ -1,9 +1,11 @@
 """Experiment harness: fringe analysis and sensitivity scaling.
 
 A recorded trace (from :mod:`cbwsim.montecarlo` or a trace CSV) is reduced
-to extrema, visibility, dominant fringe period and fringe count; the
-phase-sensitivity scaling of the cascade order comes from one
-:func:`estimate_sensitivity` call, which reports every order from 1 to M.
+by one :func:`fringe_stats` call to its extrema, visibility, dominant
+fringe period and fringe count; :func:`find_extrema` and
+:func:`dominant_period` are the two steps it takes.  The phase-sensitivity
+scaling of the cascade order comes from one :func:`estimate_sensitivity`
+call, which reports every order from 1 to M.
 """
 
 from __future__ import annotations
@@ -21,12 +23,10 @@ __all__ = [
     "InsufficientFringesError",
     "MAX_GRID_POINTS",
     "SensitivityReport",
-    "count_fringes",
     "dominant_period",
     "estimate_sensitivity",
     "find_extrema",
     "fringe_stats",
-    "visibility",
 ]
 
 
@@ -49,13 +49,17 @@ class AmbiguousPeriodError(ValueError):
 
 @dataclass(frozen=True)
 class FringeStats:
-    """Extrema, visibility, dominant period and fringe count of one trace."""
+    """Extrema, visibility, dominant period and fringe count of one trace.
+
+    The fields are the keys of the ``analyze`` JSON report (beside its
+    ``column`` and ``source``); the extrema are ``(bin_index, value)`` pairs.
+    """
 
     maxima: tuple
     minima: tuple
     visibility_mean: float
     visibility_std: float
-    dominant_period: float
+    dominant_period_rad: float
     fringe_count: float
 
 
@@ -133,42 +137,6 @@ def find_extrema(values, prominence: float = 0.2):
     return maxima, minima
 
 
-def count_fringes(values, prominence: float = 0.2) -> float:
-    """Fringe (full-period) count of a trace via its interior extrema.
-
-    For a scan that starts and ends on an extremum -- which a full linear
-    ramp does -- the interior extrema split the trace into
-    ``n_max + n_min + 1`` half-periods, i.e. ``(n_max + n_min + 1) / 2``
-    full fringes.
-    """
-    return _fringe_count(*find_extrema(values, prominence))
-
-
-def _fringe_count(maxima, minima) -> float:
-    return (len(maxima) + len(minima) + 1) / 2.0
-
-
-def visibility(values, prominence: float = 0.2):
-    """Mean and sample standard deviation of per-fringe visibility.
-
-    Adjacent extrema (one maximum, one minimum, in bin order) each yield
-    ``V = (max - min) / (max + min)``; single-pair traces report std 0.
-    """
-    return _visibility(*find_extrema(values, prominence))
-
-
-def _visibility(maxima, minima):
-    """Per-fringe visibility mean and std from :func:`find_extrema` output."""
-    extrema = sorted([(i, v, +1) for i, v in maxima] + [(i, v, -1) for i, v in minima])
-    pairs = []
-    for (_, v1, k1), (_, v2, k2) in zip(extrema, extrema[1:]):
-        hi, lo = (v1, v2) if k1 > k2 else (v2, v1)
-        pairs.append((hi - lo) / (hi + lo))
-    mean = float(np.mean(pairs))
-    std = float(np.std(pairs, ddof=1)) if len(pairs) > 1 else 0.0
-    return mean, std
-
-
 def dominant_period(values, psi) -> float:
     """Dominant fringe period of ``values`` sampled on a uniform phase grid.
 
@@ -205,21 +173,33 @@ def dominant_period(values, psi) -> float:
 
 
 def fringe_stats(values, psi, prominence: float = 0.2) -> FringeStats:
-    """Full fringe summary of one trace: extrema, visibility, period, count.
+    """Fringe summary of one trace: extrema, visibility, dominant period, fringe count.
 
-    The extrema are found once and shared by the visibility and the
-    fringe count.
+    The extrema come from one :func:`find_extrema` call.  Each pair of
+    adjacent extrema (one maximum, one minimum, in bin order) yields
+    ``V = (max - min) / (max + min)``; ``visibility_mean`` and
+    ``visibility_std`` are their mean and sample standard deviation (0 for a
+    single pair).  A scan that starts and ends on an extremum -- which a full
+    linear ramp does -- is split by its interior extrema into
+    ``n_max + n_min + 1`` half-periods, so ``fringe_count`` is
+    ``(n_max + n_min + 1) / 2``.  The period is :func:`dominant_period`.
+
+    Visibility is defined for non-negative powers and counts, so a trace
+    with a negative value raises ``ValueError``.
     """
     maxima, minima = find_extrema(values, prominence)
-    vis_mean, vis_std = _visibility(maxima, minima)
-    period = dominant_period(values, psi)
+    lowest = float(np.min(values))
+    if lowest < 0:
+        raise ValueError(f"fringe visibility needs a non-negative trace, got minimum {lowest!r}")
+    ordered = [v for _, v in sorted(maxima + minima)]
+    pairs = [abs(a - b) / (a + b) for a, b in zip(ordered, ordered[1:])]
     return FringeStats(
         maxima=tuple(maxima),
         minima=tuple(minima),
-        visibility_mean=vis_mean,
-        visibility_std=vis_std,
-        dominant_period=period,
-        fringe_count=_fringe_count(maxima, minima),
+        visibility_mean=float(np.mean(pairs)),
+        visibility_std=float(np.std(pairs, ddof=1)) if len(pairs) > 1 else 0.0,
+        dominant_period_rad=dominant_period(values, psi),
+        fringe_count=(len(maxima) + len(minima) + 1) / 2.0,
     )
 
 

@@ -27,7 +27,7 @@ from cbwsim.config import (
     ScanConfig,
     SourceModel,
 )
-from cbwsim.experiment import count_fringes, dominant_period, estimate_sensitivity, visibility
+from cbwsim.experiment import dominant_period, estimate_sensitivity, fringe_stats
 from cbwsim.montecarlo import coincidence_fraction, simulate_classical_trace, simulate_scan_counts
 from cbwsim.optics import Arm
 
@@ -138,12 +138,13 @@ def test_criterion_7_visibility_bands():
     bright = SourceModel(mean_photons_per_window=0.5, window_duration=2e-6)  # 5e4 windows/bin
     quiet_trace = simulate_scan_counts(scan, bright, QUIET, seed=3)
     peak = int(np.max(quiet_trace.singles_d1))
-    v_quiet, _ = visibility(quiet_trace.singles_d1, 0.2)
+    v_quiet = fringe_stats(quiet_trace.singles_d1, quiet_trace.psi, 0.2).visibility_mean
 
     # Fitted lab-noise model: coincidence visibility in the reported band.
     lab_source = SourceModel(mean_photons_per_window=0.3, window_duration=1e-6)
     lab_trace = simulate_scan_counts(scan, lab_source, LAB_NOISE, seed=7)
-    v_lab, v_lab_std = visibility(lab_trace.coincidences, 0.2)
+    lab_stats = fringe_stats(lab_trace.coincidences, lab_trace.psi, 0.2)
+    v_lab, v_lab_std = lab_stats.visibility_mean, lab_stats.visibility_std
 
     ok = peak >= 10_000 and v_quiet >= 0.99 and 0.95 <= v_lab <= 0.999 and v_lab > 0.707
     report(7, "visibility: noiseless >= 0.99; fitted noise in [0.95, 0.999] and > 0.707",
@@ -159,9 +160,9 @@ def test_criterion_8_sensitivity_scaling():
 
 def test_criterion_9_pzt_calibration_fringe_counts():
     trace = classical_scan(1, points=5000, cycles=ScanConfig().cycles_per_ramp)
-    singles_cycles = count_fringes(trace.singles_d1, 0.2)
+    singles_cycles = fringe_stats(trace.singles_d1, trace.psi, 0.2).fringe_count
     coincidence_expectation = trace.singles_d1 * trace.singles_d2
-    coincidence_fringes = count_fringes(coincidence_expectation, 0.2)
+    coincidence_fringes = fringe_stats(coincidence_expectation, trace.psi, 0.2).fringe_count
     ok = singles_cycles == 10.5 and coincidence_fringes == 21.0
     report(9, "default calibration: 10.5 singles cycles and 21 coincidence fringes per ramp",
            ok, f"singles = {singles_cycles}, coincidences = {coincidence_fringes}")

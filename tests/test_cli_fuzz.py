@@ -32,7 +32,8 @@ from cbwsim.trace_io import read_trace_csv
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "cbwsim" / "schemas"
 
-HOSTILE = ["nan", "inf", "-inf", "0", "-1", "-2.5", "5e-324", "1e308", str(10**30)]
+HOSTILE = ["nan", "inf", "-inf", "0", "-1", "-2.5", "5e-324", "1e308", "1.7976931348623157e308",
+           "-1.7976931348623157e308", str(10**30)]
 SMALL_NUMBERS = ["1e-6", "0.01", "0.2", "0.5", "1", "2", "10", "100"]
 # Size options: small in-range values, or values above the cap.
 SIZES = {

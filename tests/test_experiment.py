@@ -17,12 +17,10 @@ from cbwsim.config import (
 from cbwsim.experiment import (
     AmbiguousPeriodError,
     InsufficientFringesError,
-    count_fringes,
     dominant_period,
     estimate_sensitivity,
     find_extrema,
     fringe_stats,
-    visibility,
 )
 from cbwsim.montecarlo import simulate_classical_trace, simulate_scan_counts
 
@@ -170,25 +168,35 @@ class TestVisibility:
     def test_full_fringe_is_exactly_one(self):
         psi = np.linspace(0.0, 8 * np.pi, 1601)  # grid hits extrema exactly
         values = (1.0 - np.cos(psi)) / 2.0
-        mean, std = visibility(values, 0.2)
-        assert mean == 1.0
-        assert std == 0.0
+        stats = fringe_stats(values, psi, 0.2)
+        assert stats.visibility_mean == 1.0
+        assert stats.visibility_std == 0.0
 
     def test_offset_fringe_value(self):
         psi = np.linspace(0.0, 8 * np.pi, 1601)
         values = 0.505 - 0.495 * np.cos(psi)  # swings 0.01 .. 1.0
-        mean, _ = visibility(values, 0.2)
-        assert abs(mean - 0.99 / 1.01) < 1e-12
+        stats = fringe_stats(values, psi, 0.2)
+        assert abs(stats.visibility_mean - 0.99 / 1.01) < 1e-12
 
     def test_noiseless_doubled_scan_visibility_is_one(self):
         # 4999 points puts grid points exactly on the fringe extrema.
         trace = classical_scan(4999, modules=2)
-        mean, _ = visibility(trace.singles_d1, 0.2)
-        assert abs(mean - 1.0) < 1e-9
+        stats = fringe_stats(trace.singles_d1, trace.psi, 0.2)
+        assert abs(stats.visibility_mean - 1.0) < 1e-9
 
     def test_propagates_insufficient_fringes(self):
         with pytest.raises(InsufficientFringesError):
-            visibility(np.ones(50), 0.2)
+            fringe_stats(np.ones(50), np.arange(50.0), 0.2)
+
+    @pytest.mark.parametrize("offset, lowest", [(0.0, "-1.0"), (-0.5, "-1.5")],
+                             ids=["zero-mean", "negative-offset"])
+    def test_negative_trace_is_refused(self, offset, lowest):
+        # (max - min) / (max + min) divides by zero on a zero-mean cosine and
+        # reads -2 on one shifted down by 0.5; neither is a visibility.
+        psi = np.linspace(0.0, 8 * np.pi, 1601)
+        with pytest.raises(ValueError, match=re.escape(
+                f"fringe visibility needs a non-negative trace, got minimum {lowest}")):
+            fringe_stats(np.cos(psi) + offset, psi)
 
 
 class TestDominantPeriod:
@@ -231,12 +239,12 @@ class TestDominantPeriod:
 class TestCountFringes:
     def test_singles_cycles_on_full_default_ramp(self):
         trace = classical_scan(5000, modules=1)
-        assert count_fringes(trace.singles_d1, 0.2) == 10.5
+        assert fringe_stats(trace.singles_d1, trace.psi, 0.2).fringe_count == 10.5
 
     def test_coincidence_fringes_on_full_default_ramp(self):
         trace = classical_scan(5000, modules=1)
         product = trace.singles_d1 * trace.singles_d2  # AND-rate expectation
-        assert count_fringes(product, 0.2) == 21.0
+        assert fringe_stats(product, trace.psi, 0.2).fringe_count == 21.0
 
 
 class TestFringeStats:
@@ -245,14 +253,19 @@ class TestFringeStats:
         stats = fringe_stats(trace.singles_d1, trace.psi, 0.2)
         assert stats.visibility_mean > 0.999
         assert 0.0 <= stats.visibility_std < 0.01
-        assert abs(stats.dominant_period - np.pi) < 0.01
+        assert abs(stats.dominant_period_rad - np.pi) < 0.01
         assert len(stats.maxima) >= 19 and len(stats.minima) >= 19
 
-    def test_single_pass_matches_the_separate_functions(self, monkeypatch):
+    def test_single_pass_matches_the_extrema(self, monkeypatch):
         trace = classical_scan(4096, modules=2, cycles=10.0)
         values = trace.singles_d1
-        expected_vis = visibility(values, 0.2)
-        expected_count = count_fringes(values, 0.2)
+        maxima, minima = find_extrema(values, 0.2)
+        # Adjacent extrema alternate, so each pair is one maximum and one minimum.
+        extrema = sorted(maxima + minima)
+        pairs = [(max(a, b) - min(a, b)) / (a + b)
+                 for (_, a), (_, b) in zip(extrema, extrema[1:])]
+        expected_vis = (float(np.mean(pairs)), float(np.std(pairs, ddof=1)))
+        expected_count = (len(maxima) + len(minima) + 1) / 2
         calls = []
 
         def counting(*args, **kwargs):
@@ -262,8 +275,10 @@ class TestFringeStats:
         monkeypatch.setattr(experiment, "find_extrema", counting)
         stats = fringe_stats(values, trace.psi, 0.2)
         assert len(calls) == 1
+        assert (stats.maxima, stats.minima) == (tuple(maxima), tuple(minima))
         assert (stats.visibility_mean, stats.visibility_std) == expected_vis
         assert stats.fringe_count == expected_count == 20.0
+        assert stats.dominant_period_rad == dominant_period(values, trace.psi)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -636,6 +637,14 @@ class TestDispatch:
         ratios = [r["ratio_to_classical"] for r in payload["reports"]]
         np.testing.assert_allclose(ratios, [1.0, 0.5, 1 / 3], rtol=0.01)
 
+    def test_reports_name_the_fields_of_their_dataclasses(self):
+        stats_schema = json.loads((SCHEMA_DIR / "fringe_stats.schema.json").read_text())
+        fields = {f.name for f in dataclasses.fields(experiment.FringeStats)}
+        assert {"column", "source"} | fields == set(stats_schema["properties"])
+        sens_schema = json.loads((SCHEMA_DIR / "sensitivity_report.schema.json").read_text())
+        fields = {f.name for f in dataclasses.fields(experiment.SensitivityReport)}
+        assert fields == set(sens_schema["properties"]["reports"]["items"]["properties"])
+
     def test_scan_writes_csv_and_svg(self, tmp_path):
         out = tmp_path / "run"
         code = cli.dispatch(["scan", "--modules", "2", "--phi", "0", "--points", "64",
@@ -1091,6 +1100,30 @@ class TestDispatch:
         trace = read_trace_csv(out)
         assert np.all(trace.singles_d1 <= float(i0)) and np.all(trace.singles_d2 <= float(i0))
         assert np.max(trace.singles_d1) > 0.99 * float(i0)
+
+    # A ramp span within rounding of the largest double: linspace's product
+    # for the last bin overflows, and that bin is ramp_end.
+    @pytest.mark.parametrize("ramp_start, ramp_end", [
+        (0.0, 1.7976931348623157e308),
+        (-1.7976931348623157e308, 0.0),
+        (-8.988465674311579e307, 8.988465674311579e307),
+    ], ids=["end-max", "start-minus-max", "half-max-each-side"])
+    @pytest.mark.parametrize("command", ["analytic", "simulate"])
+    def test_largest_ramp_span_runs_without_overflow(self, tmp_path, capsys, command,
+                                                     ramp_start, ramp_end):
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.dispatch([command, f"--ramp-start={ramp_start!r}",
+                                 f"--ramp-end={ramp_end!r}", "--modules", "1", "--points", "64",
+                                 "--scan-duration", "10", "--out", str(out)])
+            voltages = ScanConfig(ramp_start=ramp_start, ramp_end=ramp_end, points=64,
+                                  scan_duration=10.0).voltages()
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert len(read_trace_csv(out)) == 64
+        assert np.all(np.isfinite(voltages)) and np.all(np.diff(voltages) >= 0)
+        assert (voltages[0], voltages[-1]) == (ramp_start, ramp_end)
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert cli.dispatch(["frobnicate"]) == 1
