@@ -370,6 +370,23 @@ def _element_matrix(element: ElementNode, bindings: Mapping[str, float]) -> np.n
     return optics.phase_element(element.arm, phase)
 
 
+def _element_matrices(ast: CircuitAst, bindings: Mapping[str, float] | None) -> list:
+    """The bound matrix of every element of ``ast``, in physical order.
+
+    Each distinct ``(kind, arm, phase)`` is built once and shared: phase is
+    a literal or a parameter name, and the bindings are fixed for this call.
+    """
+    bindings = {} if bindings is None else bindings
+    matrices: dict = {}
+    chain = []
+    for element in ast.elements:
+        key = (element.kind, element.arm, element.phase)
+        if key not in matrices:
+            matrices[key] = _element_matrix(element, bindings)
+        chain.append(matrices[key])
+    return chain
+
+
 def evaluate_chain(ast: CircuitAst, bindings: Mapping[str, float] | None = None) -> np.ndarray:
     """Compose the chain into one transfer matrix at bound parameter values.
 
@@ -379,22 +396,39 @@ def evaluate_chain(ast: CircuitAst, bindings: Mapping[str, float] | None = None)
     is missing from ``bindings``.  Repeated elements share one matrix, so
     an m-stage cascade builds two MZI stacks, not m.
     """
-    bindings = {} if bindings is None else bindings
-    # Each distinct (kind, arm, phase) is built once: phase is a literal or
-    # a parameter name, and the bindings are fixed for this call.
-    matrices: dict = {}
-    chain = []
-    for element in ast.elements:
-        key = (element.kind, element.arm, element.phase)
-        if key not in matrices:
-            matrices[key] = _element_matrix(element, bindings)
-        chain.append(matrices[key])
-    return optics.compose(chain)
+    return optics.compose(_element_matrices(ast, bindings))
 
 
-def output_intensities(ast: CircuitAst, bindings: Mapping[str, float] | None = None):
-    """Output intensity pair for the canonical input ``(sqrt(I0), 0)``."""
-    matrix = evaluate_chain(ast, bindings)
-    amplitude = np.sqrt(ast.source_intensity)
-    field = optics.apply(matrix, np.array([amplitude, 0.0], dtype=complex))
-    return optics.intensities(field)
+def output_intensities(
+    ast: CircuitAst, bindings: Mapping[str, float] | None = None, *, stages: bool = False,
+):
+    """Output intensity pair for the canonical input ``(sqrt(I0), 0)``.
+
+    With ``stages``, return instead an iterator over one such pair per
+    stage: the pair of the chain cut after its first stage, after its
+    second, and so on, the last one bit-equal to the pair of the whole
+    chain.  A stage is one MZI and the phase elements after it, up to the
+    next MZI; phase elements before the first MZI join the first stage, and
+    a chain with no MZI is one stage.  The element matrices are bound and
+    built at the call, so binding and phase errors raise here, not at the
+    first ``next()``.  The iterator then extends one product, allocated at
+    the broadcast shape of the whole chain, stage by stage with
+    ``optics.compose(stage, out=product)``: every prefix of an m-stage
+    chain costs one fold over it, not one per prefix.  Every pair has the
+    shape of the whole chain's pair.
+    """
+    field = np.array([np.sqrt(ast.source_intensity), 0.0], dtype=complex)
+    if not stages:
+        return optics.intensities(optics.apply(evaluate_chain(ast, bindings), field))
+    chain = _element_matrices(ast, bindings)
+    shape = np.broadcast_shapes(*(m.shape[:-2] for m in chain))
+    product = optics.compose([np.broadcast_to(chain[0], shape + (2, 2))])
+    cuts = [i for i, element in enumerate(ast.elements) if element.kind is ElementKind.MZI][1:]
+    stage_chains = [chain[start:stop] for start, stop in zip([1] + cuts, cuts + [len(chain)])]
+    return _stage_intensities(product, stage_chains, field)
+
+
+def _stage_intensities(product: np.ndarray, stage_chains: list, field: np.ndarray):
+    for stage in stage_chains:
+        optics.compose(stage, out=product)
+        yield optics.intensities(optics.apply(product, field))

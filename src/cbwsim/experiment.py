@@ -10,6 +10,7 @@ call, which reports every order from 1 to M.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,9 @@ __all__ = [
 # Relative tolerance under which two slope peaks count as equally high.
 _PEAK_TIE_RTOL = 1e-9
 
-# Default sensitivity grid, and the largest: ten times the default, a few
-# hundred MB of transfer-matrix stacks at peak.
+# Default sensitivity grid, and the largest: ten times the default.  At
+# the cap a sweep peaks at ~250 MB of arrays for any max_m: the two MZI
+# stacks and the running product of the fold, and one output field.
 DEFAULT_GRID_POINTS = 100_000
 MAX_GRID_POINTS = 1_000_000
 
@@ -210,21 +212,27 @@ def estimate_sensitivity(
 
     Returns one :class:`SensitivityReport` per order ``m = 1 .. max_m``;
     ``reports[0]`` is the single-MZI baseline that every ``ratio_to_classical``
-    compares with.  Each order evaluates the noiseless normalised intensity
-    difference ``dI(psi) = I_upper - I_lower`` by matrix composition on one
-    shared dense grid over a full fringe period of the baseline, takes the
-    maximum central-difference slope ``eta = max |d(dI)/dpsi|`` and reports
-    ``delta_phi = 1/eta``.  The maximum-slope location is reported rather
-    than assumed: it is the first grid point whose ``|slope|`` reaches
-    ``(1 - 1e-9) * eta``, so peaks of equal height are not told apart by
-    rounding noise.  The grid is uniform by construction, so the slope is
-    ``np.gradient`` with the scalar spacing ``2*pi/grid_points``, the step
-    ``linspace`` computes.
+    compares with.  Each order's noiseless normalised intensity difference
+    ``dI(psi) = I_upper - I_lower`` is evaluated by matrix composition on one
+    shared dense grid over a full fringe period of the baseline.  At control
+    phase 0 every control phase element is an exact identity, so order m's
+    transfer matrix is order m-1's times one more stage: one fold over the
+    ``max_m``-stage chain (``circuit.output_intensities(..., stages=True)``)
+    yields every order as a prefix, consumed one order at a time.  Each
+    order takes the maximum central-difference slope
+    ``eta = max |d(dI)/dpsi|`` and reports ``delta_phi = 1/eta``.  The
+    maximum-slope location is reported rather than assumed: it is the first
+    grid point whose ``|slope|`` reaches ``(1 - 1e-9) * eta``, so peaks of
+    equal height are not told apart by rounding noise.  The grid is uniform
+    by construction, so the slope is ``np.gradient`` with the scalar spacing
+    ``2*pi/grid_points``, the step ``linspace`` computes.
 
-    Every bound is checked before any order is evaluated: ``max_m >= 1``,
+    Every bound is checked before any order is evaluated: ``max_m`` and
+    ``grid_points`` are integers, ``max_m >= 1``,
     ``grid_points <= MAX_GRID_POINTS`` and ``grid_points >= 10000 * max_m``
     (at least 10000 points per fringe period of the highest order).
     """
+    max_m, grid_points = _integer("max_m", max_m), _integer("grid_points", grid_points)
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
     if grid_points > MAX_GRID_POINTS:
@@ -233,14 +241,17 @@ def estimate_sensitivity(
         raise ValueError("grid must resolve >= 10000 points per fringe period")
 
     psi = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
+    pairs = circuit_mod.output_intensities(
+        circuit_mod.build_cbw_chain(max_m, phi=0.0), {"psi": psi}, stages=True)
     reports: list = []
-    for m in range(1, max_m + 1):
-        upper, lower = circuit_mod.output_intensities(
-            circuit_mod.build_cbw_chain(m, phi=0.0), {"psi": psi})
+    # Not enumerate(pairs): its reused result tuple would keep each pair
+    # alive into the next order, beside the fold's matrix stacks.
+    for upper, lower in pairs:
+        m = len(reports) + 1
         slope = np.abs(np.gradient(np.subtract(upper, lower, out=upper), 2.0 * np.pi / grid_points))
         eta = float(np.max(slope))
         idx = int(np.argmax(slope >= (1.0 - _PEAK_TIE_RTOL) * eta))
-        # Free this order's arrays before the next order's stacks are built.
+        # Free this order's arrays before the next order's pair is computed.
         del upper, lower, slope
         delta_phi = 1.0 / eta
         reports.append(SensitivityReport(
@@ -251,3 +262,10 @@ def estimate_sensitivity(
             max_slope_psi=float(psi[idx]),
         ))
     return tuple(reports)
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -38,6 +38,9 @@ instead of allocating a temporary per arithmetic step:
 * :func:`compose` copies the first element into the one result stack and
   folds each further element into it column by column, through two
   scratch entries; :func:`is_unitary` builds its Gram matrix with it.
+  Given ``out``, a stack that already holds a product, it folds every
+  element onto ``out`` instead, so a caller can extend one product stage
+  by stage and read each prefix without a copy.
   It also drops every element that is an exact single ``(2, 2)``
   identity (a zero phase shifter, say) before it multiplies.  Identity
   stacks with batch axes are kept, as they may broadcast the result's
@@ -165,7 +168,7 @@ def _entries(matrix) -> tuple:
     return matrix[..., 0, 0], matrix[..., 0, 1], matrix[..., 1, 0], matrix[..., 1, 1]
 
 
-def compose(elements: Sequence[np.ndarray]) -> np.ndarray:
+def compose(elements: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
     """Multiply a chain of elements given in physical order.
 
     The first element acts on the field first, i.e. the result is
@@ -175,19 +178,38 @@ def compose(elements: Sequence[np.ndarray]) -> np.ndarray:
     identity.  The first element is copied into one stack of the broadcast
     shape, and every further element is folded into that stack in place,
     so the chain allocates nothing else but two scratch entries.
+
+    With ``out``, a complex ``(..., 2, 2)`` stack holding a product ``P``,
+    every element is folded onto it in place instead, and ``out`` is
+    returned holding ``elements[-1] @ ... @ elements[0] @ P``; an empty
+    chain leaves it as it is.  So when ``a`` holds a non-identity and
+    ``compose(a)`` has the broadcast shape of ``a + b``,
+    ``compose(b, out=compose(a))`` has the bits of ``compose(a + b)``.  The
+    elements' broadcast shape must fit ``out``'s batch shape, and no element
+    may share memory with ``out``; otherwise ``ValueError`` is raised before
+    anything is written.
     """
-    if len(elements) == 0:
-        raise ValueError("cannot compose an empty element chain")
     matrices = [_as_matrix(element) for element in elements]
     matrices = [m for m in matrices if m.shape != (2, 2) or not np.array_equal(m, _IDENTITY)]
-    if not matrices:
-        return _IDENTITY.copy()
-    shape = np.broadcast_shapes(*(m.shape[:-2] for m in matrices))
-    product = _empty_stack(shape)
-    product[...] = matrices[0]
-    p00, p01, p10, p11 = _entries(product)
+    if out is None:
+        if len(elements) == 0:
+            raise ValueError("cannot compose an empty element chain")
+        if not matrices:
+            return _IDENTITY.copy()
+        shape = np.broadcast_shapes(*(m.shape[:-2] for m in matrices))
+        out = _empty_stack(shape)
+        out[...] = matrices.pop(0)
+    else:
+        if not isinstance(out, np.ndarray) or out.dtype != complex or out.shape[-2:] != (2, 2):
+            raise ValueError("out must be a complex (..., 2, 2) matrix stack")
+        shape = out.shape[:-2]
+        if np.broadcast_shapes(shape, *(m.shape[:-2] for m in matrices)) != shape:
+            raise ValueError(f"elements broadcast wider than out's batch shape {shape}")
+        if any(np.may_share_memory(m, out) for m in matrices):
+            raise ValueError("an element shares memory with out")
+    p00, p01, p10, p11 = _entries(out)
     upper_term, lower_term = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    for matrix in matrices[1:]:
+    for matrix in matrices:
         m00, m01, m10, m11 = _entries(matrix)
         # Column j of M @ P from the old column (p0j, p1j): entry (i, j) is
         # m_i0*p_0j + m_i1*p_1j, with the operands of every multiply and add
@@ -199,7 +221,7 @@ def compose(elements: Sequence[np.ndarray]) -> np.ndarray:
             p0j += upper_term
             np.multiply(m11, p1j, out=p1j)
             np.add(lower_term, p1j, out=p1j)
-    return product
+    return out
 
 
 def apply(matrix: np.ndarray, field) -> np.ndarray:
@@ -228,8 +250,12 @@ def apply(matrix: np.ndarray, field) -> np.ndarray:
 def intensities(field) -> tuple:
     """Return ``(|upper|**2, |lower|**2)`` of a two-path field."""
     field = np.asarray(field, dtype=complex)
-    upper = np.abs(field[..., 0]) ** 2
-    lower = np.abs(field[..., 1]) ** 2
+    # Squared in place (x*x has the bits of x**2), so each component costs
+    # one real array, not two.
+    upper = np.abs(field[..., 0])
+    upper *= upper
+    lower = np.abs(field[..., 1])
+    lower *= lower
     if upper.ndim == 0:
         return float(upper), float(lower)
     return upper, lower

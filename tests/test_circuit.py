@@ -359,3 +359,102 @@ class TestChainProperties:
         ast = build_cbw_chain(2, phi=0.0, source_intensity=3.5)
         up, lo = output_intensities(ast, {"psi": 0.3})
         assert abs(up + lo - 3.5) < 1e-12
+
+
+def assert_bit_equal_pairs(got, expected):
+    for a, b in zip(got, expected):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+staged_phases = st.one_of(
+    st.sampled_from(["psi", "phi"]),
+    st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def staged_circuits(draw):
+    """A chain of up to 8 elements over ``psi``/``phi`` and literals, at any source intensity."""
+    elements = []
+    for i in range(draw(st.integers(min_value=1, max_value=8))):
+        arm = draw(st.sampled_from([Arm.UPPER, Arm.LOWER]))
+        phase = draw(staged_phases)
+        if draw(st.booleans()):
+            elements.append(ElementNode(ElementKind.MZI, arm, phase, f"s{i}"))
+        else:
+            elements.append(ElementNode(ElementKind.PHASE, arm, phase))
+    intensity = draw(st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
+    return CircuitAst(intensity, tuple(elements), ("a", "b"))
+
+
+def stage_cuts(ast):
+    """Element counts of the chain's prefixes that end one stage each."""
+    mzis = [i for i, e in enumerate(ast.elements) if e.kind is ElementKind.MZI]
+    return mzis[1:] + [len(ast.elements)]
+
+
+class TestStages:
+    """``output_intensities(..., stages=True)``: one pair per stage from one fold."""
+
+    PSI = np.random.default_rng(71).uniform(-7, 7, 13)
+    BINDINGS = [{"psi": 0.4, "phi": -1.3}, {"psi": PSI, "phi": 2.1},
+                {"psi": PSI, "phi": np.random.default_rng(72).uniform(-7, 7, (3, 1))}]
+
+    @settings(max_examples=150, deadline=None)
+    @given(staged_circuits(), st.sampled_from(BINDINGS))
+    def test_every_pair_is_its_prefix_chain_and_the_last_the_whole_chain(self, ast, bindings):
+        pairs = list(output_intensities(ast, bindings, stages=True))
+        assert_bit_equal_pairs(pairs[-1], output_intensities(ast, bindings))
+        cuts = stage_cuts(ast)
+        assert len(pairs) == len(cuts)
+        shape = np.shape(pairs[-1][0])
+        for pair, cut in zip(pairs, cuts):
+            prefix = CircuitAst(ast.source_intensity, ast.elements[:cut], ast.detectors)
+            expected = output_intensities(prefix, bindings)
+            if np.shape(expected[0]) == shape:
+                assert_bit_equal_pairs(pair, expected)
+            else:
+                # numpy's loops over a narrower shape may round differently.
+                for a, b in zip(pair, expected):
+                    np.testing.assert_allclose(a, np.broadcast_to(b, shape), rtol=1e-12,
+                                               atol=1e-12 * ast.source_intensity)
+
+    def test_a_later_stage_may_broadcast_wider_than_the_first(self):
+        ast = parse_circuit("source intensity=2.5\nmzi C arm=lower phase=psi\n"
+                            "mzi W arm=upper phase=psi\nphase arm=upper value=phi\n"
+                            "mzi X arm=lower phase=0.3\ndetect a b\n")
+        bindings = self.BINDINGS[2]
+        first, second, last = output_intensities(ast, bindings, stages=True)
+        assert_bit_equal_pairs(last, output_intensities(ast, bindings))
+        assert np.shape(first[0]) == np.shape(second[0]) == (3, 13)
+        single = output_intensities(CircuitAst(2.5, ast.elements[:1], ("a", "b")), bindings)
+        for a, b in zip(first, single):
+            np.testing.assert_allclose(a, np.broadcast_to(b, (3, 13)), rtol=1e-12, atol=1e-12)
+
+    def test_leading_phases_join_the_first_stage_and_no_mzi_is_one_stage(self):
+        leading = parse_circuit("phase arm=upper value=phi\nphase arm=lower value=0.2\n"
+                                "mzi C arm=lower phase=psi\nmzi W arm=upper phase=psi\ndetect a b\n")
+        assert len(list(output_intensities(leading, self.BINDINGS[1], stages=True))) == 2
+        bare = parse_circuit("phase arm=upper value=phi\nphase arm=lower value=psi\ndetect a b\n")
+        (pair,) = output_intensities(bare, self.BINDINGS[1], stages=True)
+        assert_bit_equal_pairs(pair, output_intensities(bare, self.BINDINGS[1]))
+
+    @pytest.mark.parametrize("max_m", [1, 2, 3, 4, 7, 20])
+    def test_stage_m_of_the_cascade_is_the_m_stage_cascade(self, max_m):
+        psi = np.linspace(0.0, 2.0 * np.pi, 2000, endpoint=False)
+        pairs = output_intensities(build_cbw_chain(max_m, phi=0.0), {"psi": psi}, stages=True)
+        count = 0
+        for m, pair in enumerate(pairs, start=1):
+            assert_bit_equal_pairs(pair, output_intensities(build_cbw_chain(m, phi=0.0), {"psi": psi}))
+            count = m
+        assert count == max_m
+
+    @pytest.mark.parametrize("bindings, error", [
+        ({"psi": 0.3}, UnboundParameterError),
+        ({"psi": np.array([0.0, np.nan]), "phi": 0.0}, ValueError),
+        ({"psi": 0.3, "phi": np.inf}, ValueError),
+    ])
+    def test_binding_errors_raise_at_the_call(self, bindings, error):
+        with pytest.raises(error):
+            output_intensities(parse_circuit(FIG1_TEXT), bindings, stages=True)

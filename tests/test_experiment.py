@@ -334,7 +334,30 @@ class TestSensitivity:
         for max_m, grid_points in [(5, 20_000), (0, 50_000), (30, 200_000), (3, 10**7)]:
             with pytest.raises(ValueError):
                 estimate_sensitivity(max_m, grid_points)
+        for max_m, grid_points in [(2, 50_000.0), (2, 50_000.5), (2.0, 50_000), (1.5, 50_000)]:
+            with pytest.raises(ValueError, match="^(max_m|grid_points) must be an integer, got "):
+                estimate_sensitivity(max_m, grid_points)
         assert calls == []
+
+    def test_one_fold_calls_every_traced_span(self, monkeypatch):
+        # The traced cascade-sweep benchmark requires these spans; the fold
+        # over the max_m-stage chain must still pass through each of them.
+        calls = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        count(experiment.circuit_mod, "output_intensities")
+        for name in ("mzi", "phase_element", "compose", "apply"):
+            count(experiment.circuit_mod.optics, name)
+        assert len(estimate_sensitivity(5, 50_000)) == 5
+        assert calls["output_intensities"] == 1 and calls["mzi"] == 2
+        assert min(calls["phase_element"], calls["compose"], calls["apply"]) >= 1
 
 
 def reference_slope(m, grid_points, uniform=True):
@@ -387,7 +410,7 @@ class TestSlopeKernel:
 
     # 111590 points over 2*pi are exactly uniform, so there the sample-point
     # gradient equals the scalar-step one; the other sizes are not.
-    @pytest.mark.parametrize("grid_points", [50_000, 111_590])
+    @pytest.mark.parametrize("grid_points", [50_000, 100_000, 111_590])
     def test_reports_equal_the_unoptimised_route(self, grid_points):
         eta_1, _ = reference_slope(1, grid_points)
         for m, report in enumerate(estimate_sensitivity(5, grid_points), start=1):

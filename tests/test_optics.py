@@ -395,3 +395,59 @@ class TestInPlaceKernels:
             got = apply(matrix, field)
             assert got.shape == expected.shape
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+class TestComposeOnto:
+    """``compose(elements, out=product)`` folds onto an existing product in place."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_folding_the_tail_onto_the_head_has_the_bits_of_one_compose(self, shape):
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            chain = [random_element(rng, shape)] + [
+                random_element(rng, shape if rng.random() < 0.5 else ()) for _ in range(rng.integers(0, 8))]
+            for position in sorted(rng.integers(0, len(chain) + 1, rng.integers(0, 3)), reverse=True):
+                chain.insert(position, IDENTITIES[rng.integers(len(IDENTITIES))])
+            # The head must hold a non-identity, so that it is a product to extend.
+            first = next(k for k, m in enumerate(chain) if m.shape != (2, 2) or not np.array_equal(m, np.eye(2)))
+            for cut in range(first + 1, len(chain) + 1):
+                head = compose(chain[:cut])
+                got = compose(chain[cut:], out=head)
+                assert got is head
+                assert bits(got).tolist() == bits(compose(chain)).tolist()
+
+    def test_elements_may_broadcast_into_out(self):
+        rng = np.random.default_rng(62)
+        head = compose([random_element(rng, (3, 1)), random_element(rng, (4,))])
+        tail = [random_element(rng, (4,)), random_element(rng, ()), random_element(rng, (3, 4))]
+        expected = compose([head] + tail)
+        assert np.array_equal(bits(compose(tail, out=head)), bits(expected))
+
+    def test_an_empty_chain_leaves_out_as_it_is(self):
+        out = compose([random_element(np.random.default_rng(63), (5,))])
+        before = out.copy()
+        assert compose([], out=out) is out and np.array_equal(bits(out), bits(before))
+
+    @pytest.mark.parametrize("out_shape, element_shape", [((), (3,)), ((4,), (3, 4)), ((3,), (4,)),
+                                                           ((3, 1), (4,))])
+    def test_elements_wider_than_out_are_refused_before_any_write(self, out_shape, element_shape):
+        rng = np.random.default_rng(64)
+        out = compose([random_element(rng, out_shape), random_element(rng, ())])
+        before = out.copy()
+        with pytest.raises(ValueError):
+            compose([random_element(rng, ()), random_element(rng, element_shape)], out=out)
+        assert np.array_equal(bits(out), bits(before))
+
+    def test_out_must_be_a_complex_stack_that_no_element_aliases(self):
+        out = compose([random_element(np.random.default_rng(65), (4,))])
+        for bad in (out.real.copy(), np.zeros((4, 2, 3), dtype=complex), [[1, 0], [0, 1]]):
+            with pytest.raises(ValueError):
+                compose([mzi(Arm.LOWER, 0.3)], out=bad)
+        before = out.copy()
+        with pytest.raises(ValueError):
+            compose([out], out=out)
+        assert np.array_equal(bits(out), bits(before))
