@@ -411,24 +411,30 @@ def output_intensities(
     next MZI; phase elements before the first MZI join the first stage, and
     a chain with no MZI is one stage.  The element matrices are bound and
     built at the call, so binding and phase errors raise here, not at the
-    first ``next()``.  The iterator then extends one product, allocated at
-    the broadcast shape of the whole chain, stage by stage with
-    ``optics.compose(stage, out=product)``: every prefix of an m-stage
-    chain costs one fold over it, not one per prefix.  Every pair has the
-    shape of the whole chain's pair.
+    first ``next()``.  The iterator then folds one field column, the unit
+    input through the first element at the broadcast shape of the whole
+    chain, stage by stage with ``optics.compose(stage, out=column)``; no
+    transfer-matrix product is built.  Every prefix of an m-stage chain
+    costs one fold over it, not one per prefix.  Each pair scales the
+    column by ``sqrt(I0)`` last, as ``optics.apply`` scales the first column
+    of the transfer matrix.  Every pair has the shape of the whole chain's
+    pair.
     """
-    field = np.array([np.sqrt(ast.source_intensity), 0.0], dtype=complex)
+    amplitude = np.sqrt(ast.source_intensity)
     if not stages:
-        return optics.intensities(optics.apply(evaluate_chain(ast, bindings), field))
+        return optics.intensities(optics.apply(evaluate_chain(ast, bindings), (amplitude, 0)))
     chain = _element_matrices(ast, bindings)
     shape = np.broadcast_shapes(*(m.shape[:-2] for m in chain))
-    product = optics.compose([np.broadcast_to(chain[0], shape + (2, 2))])
+    column = optics.apply(np.broadcast_to(chain[0], shape + (2, 2)), (1, 0))
     cuts = [i for i, element in enumerate(ast.elements) if element.kind is ElementKind.MZI][1:]
     stage_chains = [chain[start:stop] for start, stop in zip([1] + cuts, cuts + [len(chain)])]
-    return _stage_intensities(product, stage_chains, field)
+    return _stage_intensities(column, stage_chains, amplitude)
 
 
-def _stage_intensities(product: np.ndarray, stage_chains: list, field: np.ndarray):
+def _stage_intensities(column: np.ndarray, stage_chains: list, amplitude: float):
     for stage in stage_chains:
-        optics.compose(stage, out=product)
-        yield optics.intensities(optics.apply(product, field))
+        optics.compose(stage, out=column[..., None])
+        # Scaled last, as apply scales a matrix's first column by the field
+        # (amplitude, 0), so the pairs keep the non-stage route's bits; at
+        # amplitude 1 the multiply could only flip the sign of a zero.
+        yield optics.intensities(column if amplitude == 1 else column * amplitude)

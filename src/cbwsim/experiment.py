@@ -35,8 +35,8 @@ __all__ = [
 _PEAK_TIE_RTOL = 1e-9
 
 # Default sensitivity grid, and the largest: ten times the default.  At
-# the cap a sweep peaks at ~250 MB of arrays for any max_m: the two MZI
-# stacks and the running product of the fold, and one output field.
+# the cap a sweep peaks at ~200 MB of arrays for any max_m: the two MZI
+# stacks and the field column, and one order's intensities and slope.
 DEFAULT_GRID_POINTS = 100_000
 MAX_GRID_POINTS = 1_000_000
 
@@ -213,12 +213,13 @@ def estimate_sensitivity(
     Returns one :class:`SensitivityReport` per order ``m = 1 .. max_m``;
     ``reports[0]`` is the single-MZI baseline that every ``ratio_to_classical``
     compares with.  Each order's noiseless normalised intensity difference
-    ``dI(psi) = I_upper - I_lower`` is evaluated by matrix composition on one
-    shared dense grid over a full fringe period of the baseline.  At control
-    phase 0 every control phase element is an exact identity, so order m's
-    transfer matrix is order m-1's times one more stage: one fold over the
-    ``max_m``-stage chain (``circuit.output_intensities(..., stages=True)``)
-    yields every order as a prefix, consumed one order at a time.  Each
+    ``dI(psi) = I_upper - I_lower`` is evaluated by the transfer matrices on
+    one shared dense grid over a full fringe period of the baseline.  At
+    control phase 0 every control phase element is an exact identity, so
+    order m's output field is order m-1's through one more stage: one fold
+    of the input field over the ``max_m``-stage chain
+    (``circuit.output_intensities(..., stages=True)``) yields every order
+    as a prefix, consumed one order at a time.  Each
     order takes the maximum central-difference slope
     ``eta = max |d(dI)/dpsi|`` and reports ``delta_phi = 1/eta``.  The
     maximum-slope location is reported rather than assumed: it is the first
@@ -248,7 +249,8 @@ def estimate_sensitivity(
     # alive into the next order, beside the fold's matrix stacks.
     for upper, lower in pairs:
         m = len(reports) + 1
-        slope = np.abs(np.gradient(np.subtract(upper, lower, out=upper), 2.0 * np.pi / grid_points))
+        slope = np.gradient(np.subtract(upper, lower, out=upper), 2.0 * np.pi / grid_points)
+        np.abs(slope, out=slope)
         eta = float(np.max(slope))
         idx = int(np.argmax(slope >= (1.0 - _PEAK_TIE_RTOL) * eta))
         # Free this order's arrays before the next order's pair is computed.

@@ -40,7 +40,10 @@ instead of allocating a temporary per arithmetic step:
   scratch entries; :func:`is_unitary` builds its Gram matrix with it.
   Given ``out``, a stack that already holds a product, it folds every
   element onto ``out`` instead, so a caller can extend one product stage
-  by stage and read each prefix without a copy.
+  by stage and read each prefix without a copy.  ``out`` may also be a
+  ``(..., 2, 1)`` column, such as a field, which the same loop folds as
+  the one column it has: a caller that reads only a product's first
+  column carries that column, not the product.
   It also drops every element that is an exact single ``(2, 2)``
   identity (a zero phase shifter, say) before it multiplies.  Identity
   stacks with batch axes are kept, as they may broadcast the result's
@@ -184,10 +187,13 @@ def compose(elements: Sequence[np.ndarray], out: np.ndarray | None = None) -> np
     returned holding ``elements[-1] @ ... @ elements[0] @ P``; an empty
     chain leaves it as it is.  So when ``a`` holds a non-identity and
     ``compose(a)`` has the broadcast shape of ``a + b``,
-    ``compose(b, out=compose(a))`` has the bits of ``compose(a + b)``.  The
-    elements' broadcast shape must fit ``out``'s batch shape, and no element
-    may share memory with ``out``; otherwise ``ValueError`` is raised before
-    anything is written.
+    ``compose(b, out=compose(a))`` has the bits of ``compose(a + b)``.
+    ``out`` may also be a complex ``(..., 2, 1)`` column ``v``, which is
+    folded by the same loop to ``elements[-1] @ ... @ elements[0] @ v``; a
+    copy of ``compose(a)[..., :, :1]`` so folded has the bits of column 0
+    of ``compose(a + b)``.  The elements' broadcast shape must fit ``out``'s
+    batch shape, and no element may share memory with ``out``; otherwise
+    ``ValueError`` is raised before anything is written.
     """
     matrices = [_as_matrix(element) for element in elements]
     matrices = [m for m in matrices if m.shape != (2, 2) or not np.array_equal(m, _IDENTITY)]
@@ -200,21 +206,21 @@ def compose(elements: Sequence[np.ndarray], out: np.ndarray | None = None) -> np
         out = _empty_stack(shape)
         out[...] = matrices.pop(0)
     else:
-        if not isinstance(out, np.ndarray) or out.dtype != complex or out.shape[-2:] != (2, 2):
-            raise ValueError("out must be a complex (..., 2, 2) matrix stack")
+        if not isinstance(out, np.ndarray) or out.dtype != complex or out.shape[-2:] not in ((2, 2), (2, 1)):
+            raise ValueError("out must be a complex (..., 2, 2) matrix stack or (..., 2, 1) column")
         shape = out.shape[:-2]
         if np.broadcast_shapes(shape, *(m.shape[:-2] for m in matrices)) != shape:
             raise ValueError(f"elements broadcast wider than out's batch shape {shape}")
         if any(np.may_share_memory(m, out) for m in matrices):
             raise ValueError("an element shares memory with out")
-    p00, p01, p10, p11 = _entries(out)
+    columns = [(out[..., 0, j], out[..., 1, j]) for j in range(out.shape[-1])]
     upper_term, lower_term = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     for matrix in matrices:
         m00, m01, m10, m11 = _entries(matrix)
         # Column j of M @ P from the old column (p0j, p1j): entry (i, j) is
         # m_i0*p_0j + m_i1*p_1j, with the operands of every multiply and add
         # in that order.
-        for p0j, p1j in ((p00, p10), (p01, p11)):
+        for p0j, p1j in columns:
             np.multiply(m01, p1j, out=upper_term)
             np.multiply(m10, p0j, out=lower_term)
             np.multiply(m00, p0j, out=p0j)

@@ -163,7 +163,7 @@ def circuit_asts(draw):
             elements.append(ElementNode(ElementKind.MZI, arm, phase, f"s{i}"))
         else:
             elements.append(ElementNode(ElementKind.PHASE, arm, phase))
-    intensity = draw(st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
+    intensity = draw(st.one_of(st.just(1.0), st.just(0.0), st.floats(min_value=0.0, max_value=100.0)))
     d1 = draw(identifiers)
     d2 = draw(identifiers.filter(lambda s: s != d1))
     return CircuitAst(intensity, tuple(elements), (d1, d2))
@@ -375,7 +375,11 @@ staged_phases = st.one_of(
 
 @st.composite
 def staged_circuits(draw):
-    """A chain of up to 8 elements over ``psi``/``phi`` and literals, at any source intensity."""
+    """A chain of up to 8 elements over ``psi``/``phi`` and literals, at any source intensity.
+
+    Intensities 1 and 0 are drawn as often as a general value, so every run
+    reaches both sides of the stage route's unit-amplitude skip.
+    """
     elements = []
     for i in range(draw(st.integers(min_value=1, max_value=8))):
         arm = draw(st.sampled_from([Arm.UPPER, Arm.LOWER]))
@@ -384,7 +388,7 @@ def staged_circuits(draw):
             elements.append(ElementNode(ElementKind.MZI, arm, phase, f"s{i}"))
         else:
             elements.append(ElementNode(ElementKind.PHASE, arm, phase))
-    intensity = draw(st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
+    intensity = draw(st.one_of(st.just(1.0), st.just(0.0), st.floats(min_value=0.0, max_value=100.0)))
     return CircuitAst(intensity, tuple(elements), ("a", "b"))
 
 

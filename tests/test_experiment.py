@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,6 +359,18 @@ class TestSensitivity:
         assert len(estimate_sensitivity(5, 50_000)) == 5
         assert calls["output_intensities"] == 1 and calls["mzi"] == 2
         assert min(calls["phase_element"], calls["compose"], calls["apply"]) >= 1
+
+    def test_the_fold_carries_no_product_stack(self):
+        # At 1e5 points the two MZI stacks take 12.8 MB and the field column
+        # 3.2 MB; the peak is ~20 MB.  A (N, 2, 2) product stack folded
+        # beside them, or read off through apply, takes it to ~25 MB.
+        tracemalloc.start()
+        try:
+            estimate_sensitivity(5, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22e6
 
 
 def reference_slope(m, grid_points, uniform=True):

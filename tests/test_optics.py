@@ -401,11 +401,17 @@ def bits(array):
     return np.ascontiguousarray(array).view(np.uint64)
 
 
-class TestComposeOnto:
-    """``compose(elements, out=product)`` folds onto an existing product in place."""
+def onto(product, column):
+    """``product`` itself, or a copy of its first column as a ``(..., 2, 1)`` out."""
+    return product[..., :, :1].copy() if column else product
 
+
+class TestComposeOnto:
+    """``compose(elements, out=)`` folds onto a product or a column in place."""
+
+    @pytest.mark.parametrize("column", [False, True], ids=["stack", "column"])
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_folding_the_tail_onto_the_head_has_the_bits_of_one_compose(self, shape):
+    def test_folding_the_tail_onto_the_head_has_the_bits_of_one_compose(self, shape, column):
         rng = np.random.default_rng(61)
         for _ in range(30):
             chain = [random_element(rng, shape)] + [
@@ -415,28 +421,31 @@ class TestComposeOnto:
             # The head must hold a non-identity, so that it is a product to extend.
             first = next(k for k, m in enumerate(chain) if m.shape != (2, 2) or not np.array_equal(m, np.eye(2)))
             for cut in range(first + 1, len(chain) + 1):
-                head = compose(chain[:cut])
+                head = onto(compose(chain[:cut]), column)
                 got = compose(chain[cut:], out=head)
                 assert got is head
-                assert bits(got).tolist() == bits(compose(chain)).tolist()
+                assert bits(got).tolist() == bits(onto(compose(chain), column)).tolist()
 
-    def test_elements_may_broadcast_into_out(self):
+    @pytest.mark.parametrize("column", [False, True], ids=["stack", "column"])
+    def test_elements_may_broadcast_into_out(self, column):
         rng = np.random.default_rng(62)
         head = compose([random_element(rng, (3, 1)), random_element(rng, (4,))])
         tail = [random_element(rng, (4,)), random_element(rng, ()), random_element(rng, (3, 4))]
-        expected = compose([head] + tail)
-        assert np.array_equal(bits(compose(tail, out=head)), bits(expected))
+        expected = onto(compose([head] + tail), column)
+        assert np.array_equal(bits(compose(tail, out=onto(head, column))), bits(expected))
 
-    def test_an_empty_chain_leaves_out_as_it_is(self):
-        out = compose([random_element(np.random.default_rng(63), (5,))])
+    @pytest.mark.parametrize("column", [False, True], ids=["stack", "column"])
+    def test_an_empty_chain_leaves_out_as_it_is(self, column):
+        out = onto(compose([random_element(np.random.default_rng(63), (5,))]), column)
         before = out.copy()
         assert compose([], out=out) is out and np.array_equal(bits(out), bits(before))
 
+    @pytest.mark.parametrize("column", [False, True], ids=["stack", "column"])
     @pytest.mark.parametrize("out_shape, element_shape", [((), (3,)), ((4,), (3, 4)), ((3,), (4,)),
                                                            ((3, 1), (4,))])
-    def test_elements_wider_than_out_are_refused_before_any_write(self, out_shape, element_shape):
+    def test_elements_wider_than_out_are_refused_before_any_write(self, out_shape, element_shape, column):
         rng = np.random.default_rng(64)
-        out = compose([random_element(rng, out_shape), random_element(rng, ())])
+        out = onto(compose([random_element(rng, out_shape), random_element(rng, ())]), column)
         before = out.copy()
         with pytest.raises(ValueError):
             compose([random_element(rng, ()), random_element(rng, element_shape)], out=out)
@@ -444,10 +453,12 @@ class TestComposeOnto:
 
     def test_out_must_be_a_complex_stack_that_no_element_aliases(self):
         out = compose([random_element(np.random.default_rng(65), (4,))])
-        for bad in (out.real.copy(), np.zeros((4, 2, 3), dtype=complex), [[1, 0], [0, 1]]):
+        for bad in (out.real.copy(), out[..., :, :1].real.copy(), np.zeros((4, 2, 3), dtype=complex),
+                    np.zeros((4, 1, 2), dtype=complex), np.zeros((4, 2), dtype=complex), [[1, 0], [0, 1]]):
             with pytest.raises(ValueError):
                 compose([mzi(Arm.LOWER, 0.3)], out=bad)
         before = out.copy()
-        with pytest.raises(ValueError):
-            compose([out], out=out)
+        for aliased in (out, out[..., :, :1]):
+            with pytest.raises(ValueError):
+                compose([out], out=aliased)
         assert np.array_equal(bits(out), bits(before))
