@@ -33,6 +33,11 @@ left for odd m; its trailing control phase never changes an intensity.
 The power is taken by binary squaring, the intensities are
 ``|first column|**2`` divided by their sum (1 up to rounding), and only
 then scaled by ``I0``, so neither output exceeds ``I0``.
+
+The attenuated source's coincidence fraction is closed-form too: by Poisson
+thinning a window's ``Poisson(lam)`` photons reach the two ports as
+independent ``Poisson(lam p_upper)`` and ``Poisson(lam p_lower)`` numbers,
+which gives ``tanh(lam/4)`` at balanced outputs, for any finite ``lam > 0``.
 """
 
 from __future__ import annotations
@@ -227,39 +232,25 @@ def glass_plate_opd(model: GlassPlateModel, theta) -> float:
 def expected_coincidence_fraction(mean_photons: float, p_upper: float, p_lower: float) -> float:
     """Probability that both detectors fire in a window, given any photon.
 
-    The source emits ``k ~ Poisson(mean_photons)`` photons per coincidence
-    window; each lands on detector 1 with probability ``p_upper``,
-    otherwise on detector 2.  Both detectors fire iff the k photons do not
-    all pile onto one side:
+    Each of a window's ``Poisson(lam)`` photons, ``lam = mean_photons``,
+    lands on detector 1 with probability ``p_upper``, otherwise on detector
+    2.  By Poisson thinning the detectors see independent
+    ``Poisson(lam p_upper)`` and ``Poisson(lam p_lower)`` photon numbers, so
 
-        sum_{k>=2} Pois(k; lam) (1 - p_upper**k - p_lower**k) / (1 - Pois(0; lam))
+        P(both fire | any photon) = (1 - e**(-lam p_upper)) (1 - e**(-lam p_lower)) / (1 - e**(-lam))
 
-    The series is summed until its remaining tail is below 1e-15.  At
-    ``lam = 0.04`` with balanced outputs this is ~= 1% -- the attenuated
-    source's coincidence-to-singles ratio -- and tends to ``lam/4`` as
-    ``lam -> 0``.
+    which is ``tanh(lam/4)`` at balanced outputs: ~= 1% at ``lam = 0.04``,
+    the attenuated source's coincidence-to-singles ratio, and ``lam/4`` as
+    ``lam -> 0``.  ``expm1`` keeps full precision for small ``lam`` and
+    small routing probabilities, and a dark port gives exactly 0.
+    ``mean_photons`` must be finite and positive.
     """
-    if mean_photons <= 0:
-        raise ValueError("mean_photons must be positive")
+    if not 0.0 < mean_photons < math.inf:
+        raise ValueError("mean_photons must be finite and positive")
     if not (0.0 <= p_upper <= 1.0 and 0.0 <= p_lower <= 1.0):
         raise ValueError("routing probabilities must lie in [0, 1]")
     if abs(p_upper + p_lower - 1.0) > 1e-12:
         raise ValueError("p_upper + p_lower must equal 1 within 1e-12")
 
     lam = mean_photons
-    pois = math.exp(-lam)  # k = 0
-    total = 0.0
-    k = 0
-    # Tail of the Poisson pmf past k is < pmf(k) * lam/(k+1) / (1 - lam/(k+2));
-    # stop once that bound (times the <=1 bracket) drops below 1e-15.
-    while True:
-        k += 1
-        pois *= lam / k
-        if k >= 2:
-            total += pois * (1.0 - p_upper**k - p_lower**k)
-        if k >= lam and k >= 2:
-            ratio = lam / (k + 1)
-            tail_bound = pois * ratio / (1.0 - min(ratio, 0.5))
-            if tail_bound < 1e-15:
-                break
-    return total / (1.0 - math.exp(-lam))
+    return math.expm1(-lam * p_upper) * math.expm1(-lam * p_lower) / -math.expm1(-lam)

@@ -145,8 +145,10 @@ def dominant_period(values, psi) -> float:
     Returns ``span / k*`` where ``k*`` is the strongest nonzero bin of the
     discrete Fourier magnitude spectrum of the mean-removed trace and
     ``span = n * dpsi`` is the periodic extension of the grid.  Raises
-    :class:`AmbiguousPeriodError` unless that peak is at least 3x the next
-    strongest component (immediate leakage neighbours excluded).
+    :class:`AmbiguousPeriodError` unless that peak is at least 3x the
+    strongest component outside its lobe, the bins within
+    ``max(1, k* // 6)`` of ``k*``.  The lobe widens with ``k*`` because a
+    phase-noise walk broadens the ``k``-th harmonic in proportion to ``k``.
     """
     values = np.asarray(values, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -162,8 +164,9 @@ def dominant_period(values, psi) -> float:
         raise ValueError("trace too short for period estimation")
     mags = spectrum[1:]  # drop DC
     k_star = int(np.argmax(mags)) + 1
+    lobe = max(1, k_star // 6)
     competitors = spectrum.copy()
-    competitors[max(k_star - 1, 0): k_star + 2] = 0.0
+    competitors[k_star - lobe: k_star + lobe + 1] = 0.0
     competitors[0] = 0.0
     runner_up = float(np.max(competitors))
     if spectrum[k_star] < 3.0 * runner_up:

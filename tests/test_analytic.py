@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -25,6 +26,15 @@ def brute_force_coincidence_fraction(lam, p_upper, p_lower, k_max=12):
         pmf = math.exp(-lam) * lam**k / math.factorial(k)
         numerator += pmf * (1.0 - p_upper**k - p_lower**k)
     return numerator / (1.0 - math.exp(-lam))
+
+
+def decimal_coincidence_fraction(lam, p_upper, p_lower):
+    """The thinned-Poisson closed form in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lam, p_upper, p_lower = Decimal(lam), Decimal(p_upper), Decimal(p_lower)
+        both = (1 - (-lam * p_upper).exp()) * (1 - (-lam * p_lower).exp())
+        return both / (1 - (-lam).exp())
 
 
 class TestSingleMzi:
@@ -331,3 +341,25 @@ class TestCoincidenceFraction:
             expected_coincidence_fraction(0.0, 0.5, 0.5)
         with pytest.raises(ValueError):
             expected_coincidence_fraction(0.1, 0.6, 0.5)
+
+    @pytest.mark.parametrize("p_upper", [1e-9, 0.3, 0.5])
+    @pytest.mark.parametrize("lam", [1e-6, 1e-3, 0.04, 3.0, 745.0, 1e4])
+    def test_matches_a_sixty_digit_reference(self, lam, p_upper):
+        value = expected_coincidence_fraction(lam, p_upper, 1.0 - p_upper)
+        reference = decimal_coincidence_fraction(lam, p_upper, 1.0 - p_upper)
+        assert abs(Decimal(value) / reference - 1) <= Decimal("2e-15")
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e-3, 0.04, 0.3, 3.0, 745.0, 1e4])
+    def test_balanced_outputs_give_tanh_quarter_lambda(self, lam):
+        value = expected_coincidence_fraction(lam, 0.5, 0.5)
+        assert value == pytest.approx(math.tanh(lam / 4.0), rel=2e-15)
+
+    @pytest.mark.parametrize("lam", [1e-6, 0.04, 3.0, 1e4])
+    def test_a_dark_port_gives_exactly_zero(self, lam):
+        assert expected_coincidence_fraction(lam, 0.0, 1.0) == 0.0
+        assert expected_coincidence_fraction(lam, 1.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+    def test_mean_must_be_finite_and_positive(self, lam):
+        with pytest.raises(ValueError):
+            expected_coincidence_fraction(lam, 0.5, 0.5)

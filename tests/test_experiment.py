@@ -231,6 +231,21 @@ class TestDominantPeriod:
         span = len(trace.psi) * (trace.psi[1] - trace.psi[0])
         assert abs(span / period - span / (2 * np.pi / m)) <= 1.0
 
+    def test_a_second_tone_just_outside_the_lobe_is_ambiguous(self):
+        # The lobe of bin 48 is bins 40-56; a half-height tone at bin 57 competes.
+        psi = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+        with pytest.raises(AmbiguousPeriodError):
+            dominant_period(np.cos(48 * psi) + 0.5 * np.cos(57 * psi), psi)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_noise_alone_has_no_period(self, seed):
+        # White noise, and shot noise alone: flat-rate counts with no fringe.
+        rng = np.random.default_rng(seed)
+        psi = np.linspace(0.0, 20 * np.pi, 5000, endpoint=False)
+        for values in (rng.normal(size=5000), rng.poisson(5.0, size=5000)):
+            with pytest.raises(AmbiguousPeriodError):
+                dominant_period(values, psi)
+
     def test_non_uniform_grid_rejected(self):
         psi = np.linspace(0.0, 8 * np.pi, 512) ** 1.01
         with pytest.raises(ValueError):

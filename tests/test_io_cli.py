@@ -626,6 +626,24 @@ class TestDispatch:
         assert abs(payload["dominant_period_rad"] - np.pi) < 0.01
         assert payload["fringe_count"] == 20.0
 
+    # The README photon scan under the default lab noise, on a seed range
+    # fixed in advance.  The noise walk moves the doubled coincidence fringe
+    # (bin 42 of the spectrum) by up to two bins, 1.50-1.61 rad, so its
+    # period is held to 0.08 rad of pi/2; the singles fringe to 0.01 of pi.
+    @pytest.mark.parametrize("seed", range(40))
+    def test_analyze_finds_the_readme_photon_scan_period(self, tmp_path, seed):
+        assert cli.dispatch(["scan", "--modules", "2", "--phi", "0", "--points", "5000",
+                             "--mean-photons", "0.04", "--seed", str(seed),
+                             "--out", f"{tmp_path}/"]) == 0
+        schema = json.loads((SCHEMA_DIR / "fringe_stats.schema.json").read_text())
+        for column, period, tolerance in [("coinc", np.pi / 2, 0.08), ("d1", np.pi, 0.01)]:
+            report = tmp_path / f"{column}.json"
+            assert cli.dispatch(["analyze", "--in", str(tmp_path / "trace.csv"),
+                                 "--column", column, "--out", str(report)]) == 0
+            payload = json.loads(report.read_text())
+            jsonschema.validate(payload, schema)
+            assert abs(payload["dominant_period_rad"] - period) <= tolerance
+
     def test_sensitivity_json_validates_against_schema(self, tmp_path):
         report = tmp_path / "sens.json"
         code = cli.dispatch(["sensitivity", "--max-m", "3", "--grid", "40000",
