@@ -6,7 +6,9 @@ acquisition bins (default 0.1 s).  Per window the attenuated source emits
 ``k ~ Poisson(lam)`` photons; each photon independently survives with the
 detector efficiency and lands on detector 1 with the Born-rule probability
 ``I_upper / (I_upper + I_lower)`` evaluated from the circuit at that bin's
-phase (at unit source intensity, which the ratio does not depend on).  A
+phase.  The chain is evaluated once per scan, as port powers per unit
+input; the intensity-drift walk scales the source's mean photon number
+(or a cw trace's power) once and never enters the routing.  A
 detector "fires" if at least one photon (or dark count) reaches it inside
 the window; a coincidence is both detectors firing in the same window.
 
@@ -163,24 +165,14 @@ def _windows_per_bin(scan: ScanConfig, source: SourceModel) -> int:
     return windows
 
 
-# The only circuit parameters a scan can bind: the scanned and the control phase.
-_SCAN_PARAMETERS = frozenset({"psi", "phi"})
-
-
-def _require_scan_parameters(ast: circuit_mod.CircuitAst) -> None:
-    """Raise :class:`~cbwsim.circuit.UnboundParameterError` naming every
-    parameter of ``ast`` other than ``psi``/``phi``; called before sampling."""
-    unbound = ast.parameters - _SCAN_PARAMETERS
-    if unbound:
-        raise circuit_mod.UnboundParameterError(*sorted(unbound))
-
-
-def _noise_walks(noise: NoiseModel, scan: ScanConfig, jitter_ss, drift_ss, points: int):
-    """Pre-generate the sequential phase-jitter and intensity-drift walks.
+def _noise_walks(noise: NoiseModel, scan: ScanConfig, jitter_ss, drift_ss):
+    """Pre-generate the sequential phase-jitter and intensity-drift walks
+    over ``scan``'s bins.
 
     A walk that overflows a double is a :class:`ConfigError` naming the
     noise field that drives it.
     """
+    points = scan.points
     with np.errstate(over="ignore", invalid="ignore"):
         if noise.phase_jitter_sigma > 0 and points:
             step = noise.phase_jitter_sigma * np.sqrt(scan.bin_duration / noise.phase_jitter_correlation)
@@ -203,20 +195,21 @@ def _noise_walks(noise: NoiseModel, scan: ScanConfig, jitter_ss, drift_ss, point
 
 def _scan_chain(scan: ScanConfig, noise: NoiseModel, seed: int):
     """What both simulators share: check the circuit, draw the noise walks and
-    evaluate the chain at the jittered phases.  Returns
-    ``(psi_nominal, drift, (p_upper, i_upper, i_lower), counts_ss)``, powers per unit input.
+    evaluate the chain once at the jittered phases.  Returns
+    ``(psi_nominal, drift, (i_upper, i_lower), counts_ss)``, the port powers
+    per unit input with no drift applied; each simulator scales its source
+    by ``drift`` once.  A parameter other than ``psi``/``phi`` raises
+    :class:`~cbwsim.circuit.UnboundParameterError`, naming each, before any draw.
     """
-    _require_scan_parameters(scan.circuit)
+    unbound = scan.circuit.parameters - {"psi", "phi"}
+    if unbound:
+        raise circuit_mod.UnboundParameterError(*sorted(unbound))
     jitter_ss, drift_ss, counts_ss = np.random.SeedSequence(seed).spawn(3)
-    jitter, drift = _noise_walks(noise, scan, jitter_ss, drift_ss, scan.points)
+    jitter, drift = _noise_walks(noise, scan, jitter_ss, drift_ss)
     psi_nominal = scan.psi_values()
     i_upper, i_lower = circuit_mod.output_intensities(
         replace(scan.circuit, source_intensity=1.0), {"psi": psi_nominal + jitter, "phi": scan.phi})
-    i_upper = np.atleast_1d(np.asarray(i_upper, dtype=float)) * drift
-    i_lower = np.atleast_1d(np.asarray(i_lower, dtype=float)) * drift
-    total = i_upper + i_lower
-    p_upper = np.divide(i_upper, total, out=np.full_like(total, 0.5), where=total > 0)
-    return psi_nominal, drift, (np.clip(p_upper, 0.0, 1.0), i_upper, i_lower), counts_ss
+    return psi_nominal, drift, (np.atleast_1d(i_upper), np.atleast_1d(i_lower)), counts_ss
 
 
 def scan_trace(scan: ScanConfig, mode: SourceMode, psi, singles_d1, singles_d2, coincidences,
@@ -246,7 +239,10 @@ def simulate_scan_counts(
     given seed.  A mean photon number that the intensity drift overflows
     is a :class:`ConfigError` naming ``mean_photons_per_window``.
     """
-    psi, drift, (p_upper, _, _), counts_ss = _scan_chain(scan, noise, seed)
+    psi, drift, (i_upper, i_lower), counts_ss = _scan_chain(scan, noise, seed)
+    # A unitary chain's unit-input powers sum to 1 within rounding, so the
+    # Born ratio is defined and lies in [0, 1].
+    p_upper = i_upper / (i_upper + i_lower)
     windows = _windows_per_bin(scan, source) if scan.points else 0
     p_dark = noise.dark_rate * source.window_duration
     with np.errstate(over="ignore"):
@@ -275,9 +271,9 @@ def simulate_classical_trace(scan: ScanConfig, noise: NoiseModel, seed: int) -> 
     overflows is a :class:`ConfigError` naming the source intensity.
     """
     intensity = scan.circuit.source_intensity
-    psi, _, (_, i_upper, i_lower), _ = _scan_chain(scan, noise, seed)
+    psi, drift, (i_upper, i_lower), _ = _scan_chain(scan, noise, seed)
     with np.errstate(over="ignore"):  # abs: an intensity of -0 gives powers of +0
-        i_upper, i_lower = abs(intensity) * np.stack([i_upper, i_lower])
+        i_upper, i_lower = abs(intensity) * np.stack([i_upper * drift, i_lower * drift])
     if not np.all(np.isfinite([i_upper, i_lower])):
         raise ConfigError(f"source intensity {float(intensity)!r} overflows the "
                           "classical output power")

@@ -38,12 +38,10 @@ instead of allocating a temporary per arithmetic step:
 * :func:`compose` copies the first element into the one result stack and
   folds each further element into it column by column, through two
   scratch entries; :func:`is_unitary` builds its Gram matrix with it.
-  Given ``out``, a stack that already holds a product, it folds every
-  element onto ``out`` instead, so a caller can extend one product stage
-  by stage and read each prefix without a copy.  ``out`` may also be a
-  ``(..., 2, 1)`` column, such as a field, which the same loop folds as
-  the one column it has: a caller that reads only a product's first
-  column carries that column, not the product.
+  Given ``out``, a ``(..., 2, 1)`` column such as a field, it folds every
+  element onto that one column in place instead, so a caller that reads
+  only a chain's first column carries that column, not the product, and
+  can read it after each stage without a copy.
   It also drops every element that is an exact single ``(2, 2)``
   identity (a zero phase shifter, say) before it multiplies.  Identity
   stacks with batch axes are kept, as they may broadcast the result's
@@ -94,26 +92,32 @@ def beam_splitter() -> np.ndarray:
     return np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2.0)
 
 
+def _checked_phase(arm: Arm, phase) -> np.ndarray:
+    """``phase`` as a float array, after checking it is finite and ``arm`` an :class:`Arm`."""
+    phase = np.asarray(phase, dtype=float)
+    if not np.all(np.isfinite(phase)):
+        raise ValueError("phase must be finite")
+    if not isinstance(arm, Arm):
+        raise TypeError(f"arm must be an Arm, got {arm!r}")
+    return phase
+
+
 def phase_element(arm: Arm, phase) -> np.ndarray:
     """Diagonal phase shifter: ``exp(i*phase)`` on ``arm``, 1 on the other.
 
     ``phase`` may be a scalar or an array; the result has shape
     ``phase.shape + (2, 2)``.  Non-finite phases are rejected.
     """
-    phase = np.asarray(phase, dtype=float)
-    if not np.all(np.isfinite(phase)):
-        raise ValueError("phase must be finite")
+    phase = _checked_phase(arm, phase)
     out = _empty_stack(phase.shape)
     out[..., 0, 1] = out[..., 1, 0] = 0.0
     factor = np.exp(1j * phase)
     if arm is Arm.UPPER:
         out[..., 0, 0] = factor
         out[..., 1, 1] = 1.0
-    elif arm is Arm.LOWER:
+    else:
         out[..., 0, 0] = 1.0
         out[..., 1, 1] = factor
-    else:
-        raise TypeError(f"arm must be an Arm, got {arm!r}")
     return out
 
 
@@ -128,11 +132,7 @@ def mzi(arm: Arm, phase) -> np.ndarray:
     so phase 0 routes everything to the cross port and phase pi to the bar
     port.  ``phase`` broadcasts as in :func:`phase_element`.
     """
-    phase = np.asarray(phase, dtype=float)
-    if not np.all(np.isfinite(phase)):
-        raise ValueError("phase must be finite")
-    if not isinstance(arm, Arm):
-        raise TypeError(f"arm must be an Arm, got {arm!r}")
+    phase = _checked_phase(arm, phase)
     out = _empty_stack(phase.shape)
     m00, m01, m10, m11 = _entries(out)
     bar, minus_bar = (m00, m11) if arm is Arm.LOWER else (m11, m00)
@@ -182,18 +182,15 @@ def compose(elements: Sequence[np.ndarray], out: np.ndarray | None = None) -> np
     shape, and every further element is folded into that stack in place,
     so the chain allocates nothing else but two scratch entries.
 
-    With ``out``, a complex ``(..., 2, 2)`` stack holding a product ``P``,
-    every element is folded onto it in place instead, and ``out`` is
-    returned holding ``elements[-1] @ ... @ elements[0] @ P``; an empty
-    chain leaves it as it is.  So when ``a`` holds a non-identity and
-    ``compose(a)`` has the broadcast shape of ``a + b``,
-    ``compose(b, out=compose(a))`` has the bits of ``compose(a + b)``.
-    ``out`` may also be a complex ``(..., 2, 1)`` column ``v``, which is
-    folded by the same loop to ``elements[-1] @ ... @ elements[0] @ v``; a
-    copy of ``compose(a)[..., :, :1]`` so folded has the bits of column 0
-    of ``compose(a + b)``.  The elements' broadcast shape must fit ``out``'s
-    batch shape, and no element may share memory with ``out``; otherwise
-    ``ValueError`` is raised before anything is written.
+    With ``out``, a complex ``(..., 2, 1)`` column ``v``, every element is
+    folded onto it in place instead, and ``out`` is returned holding
+    ``elements[-1] @ ... @ elements[0] @ v``; an empty chain leaves it as it
+    is.  So when ``a`` holds a non-identity and ``compose(a)`` has the
+    broadcast shape of ``a + b``, a copy of ``compose(a)[..., :, :1]`` so
+    folded with ``b`` has the bits of column 0 of ``compose(a + b)``.  The
+    elements' broadcast shape must fit ``out``'s batch shape, and no element
+    may share memory with ``out``; otherwise ``ValueError`` is raised before
+    anything is written.
     """
     matrices = [_as_matrix(element) for element in elements]
     matrices = [m for m in matrices if m.shape != (2, 2) or not np.array_equal(m, _IDENTITY)]
@@ -206,8 +203,8 @@ def compose(elements: Sequence[np.ndarray], out: np.ndarray | None = None) -> np
         out = _empty_stack(shape)
         out[...] = matrices.pop(0)
     else:
-        if not isinstance(out, np.ndarray) or out.dtype != complex or out.shape[-2:] not in ((2, 2), (2, 1)):
-            raise ValueError("out must be a complex (..., 2, 2) matrix stack or (..., 2, 1) column")
+        if not isinstance(out, np.ndarray) or out.dtype != complex or out.shape[-2:] != (2, 1):
+            raise ValueError("out must be a complex (..., 2, 1) column")
         shape = out.shape[:-2]
         if np.broadcast_shapes(shape, *(m.shape[:-2] for m in matrices)) != shape:
             raise ValueError(f"elements broadcast wider than out's batch shape {shape}")

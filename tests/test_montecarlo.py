@@ -194,6 +194,26 @@ class TestSimulateScanCounts:
         assert np.all(trace.singles_d2 == 0)
         assert np.all(trace.singles_d1 > 0)
 
+    @pytest.mark.parametrize("p_upper", [0.0, 1.0])
+    def test_a_port_without_light_never_fires(self, p_upper):
+        scan = fixed_scan(fixed_probability_circuit(p_upper), points=8, bin_duration=1e-3)
+        trace = simulate_scan_counts(scan, photon_source(0.5, 1e-6), QUIET, seed=5)
+        dark, lit = (trace.singles_d1, trace.singles_d2) if p_upper == 0.0 else (trace.singles_d2, trace.singles_d1)
+        assert np.all(dark == 0) and np.all(trace.coincidences == 0)
+        assert np.all(lit > 0)
+
+    def test_a_bin_whose_drift_is_clipped_to_zero_counts_nothing(self):
+        # The classical trace of the same seed draws the same drift walk, so
+        # its zero-power bins are the bins whose drift was clipped to 0.
+        scan = ScanConfig(points=200, bin_duration=1e-3, scan_duration=0.2)
+        noise = NoiseModel(intensity_drift_fraction=3.0)
+        classical = simulate_classical_trace(scan, noise, seed=4)
+        clipped = classical.singles_d1 + classical.singles_d2 == 0
+        assert clipped.any() and not clipped.all()
+        trace = simulate_scan_counts(scan, photon_source(0.5, 1e-6), noise, seed=4)
+        for field in ("singles_d1", "singles_d2", "coincidences"):
+            assert np.all(getattr(trace, field)[clipped] == 0)
+
     def test_dark_counts_fire_dark_port(self):
         scan = ScanConfig(points=32, bin_duration=0.001, scan_duration=0.032, phi=np.pi)
         noisy = NoiseModel(dark_rate=5000.0)
