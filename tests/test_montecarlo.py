@@ -381,6 +381,16 @@ class TestScanChain:
         np.testing.assert_allclose(trace.singles_d2, expected.i_lower, rtol=0, atol=1e-12)
 
 
+    def test_the_chain_is_read_as_undrifted_unit_input_powers(self):
+        scan = ScanConfig(points=64, bin_duration=1e-3, scan_duration=0.064, phi=0.7)
+        _, drift, powers, _ = montecarlo._scan_chain(scan, NoiseModel(intensity_drift_fraction=0.5), seed=3)
+        _, quiet_drift, quiet_powers, _ = montecarlo._scan_chain(scan, QUIET, seed=3)
+        assert not np.array_equal(drift, quiet_drift)
+        for got, quiet in zip(powers, quiet_powers):
+            assert np.array_equal(got, quiet)
+        np.testing.assert_allclose(powers[0] + powers[1], 1.0, rtol=0, atol=1e-12)
+
+
 class TestScanTrace:
     def test_axes_come_from_the_scan(self):
         scan = ScanConfig(points=5, bin_duration=0.1, scan_duration=0.5)

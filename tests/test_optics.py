@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cbwsim import optics
 from cbwsim.optics import (
     UNITARY_TOL,
     Arm,
@@ -84,6 +85,24 @@ class TestMzi:
         rng = np.random.default_rng(7)
         for psi in rng.uniform(-10, 10, 1000):
             np.testing.assert_allclose(mzi(Arm.LOWER, psi), printed_single_mzi(psi), atol=1e-12)
+
+
+class TestConstructorChecks:
+    """``mzi`` and ``phase_element`` check the phase, then the arm, before allocating."""
+
+    @pytest.mark.parametrize("make", [mzi, phase_element], ids=["mzi", "phase_element"])
+    def test_a_bad_arm_is_refused_before_any_allocation(self, make, monkeypatch):
+        def no_stack(shape):
+            raise AssertionError(f"allocated a {shape} stack before checking the arm")
+
+        monkeypatch.setattr(optics, "_empty_stack", no_stack)
+        with pytest.raises(TypeError):
+            make("lower", np.zeros(5))
+
+    @pytest.mark.parametrize("make", [mzi, phase_element], ids=["mzi", "phase_element"])
+    def test_a_non_finite_phase_is_refused_before_the_arm(self, make):
+        with pytest.raises(ValueError):
+            make("lower", [0.0, np.inf])
 
 
 class TestCompose:
@@ -445,6 +464,15 @@ class TestComposeOnto:
         before = out.copy()
         with pytest.raises(ValueError):
             compose([random_element(rng, ()), random_element(rng, element_shape)], out=out)
+        assert np.array_equal(bits(out), bits(before))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_product_stack_is_refused_as_out_before_any_write(self, shape):
+        rng = np.random.default_rng(66)
+        out = compose([random_element(rng, shape), random_element(rng, ())])
+        before = out.copy()
+        with pytest.raises(ValueError):
+            compose([random_element(rng, shape)], out=out)
         assert np.array_equal(bits(out), bits(before))
 
     def test_out_must_be_a_complex_stack_that_no_element_aliases(self):
