@@ -162,12 +162,16 @@ def _cast(key: str, text: str):
 
 
 class _ParserExit(Exception):
-    """``(status, message)`` of a parse that ends the run."""
+    """``(status, message)`` of a parse that ends the run, and the parser that ended it."""
+
+    def __init__(self, status, message, parser):
+        super().__init__(status, message)
+        self.parser = parser
 
 
 class _Parser(argparse.ArgumentParser):
     def exit(self, status=0, message=None):  # dispatch returns it (0 after --help)
-        raise _ParserExit(status, message)
+        raise _ParserExit(status, message, self)
 
     def error(self, message):  # exit 1 instead of argparse's 2
         self.exit(1, message)
@@ -337,7 +341,8 @@ def dispatch(argv) -> int:
     except _ParserExit as exc:
         status, message = exc.args
         if message:
-            parser.print_usage(sys.stderr)
+            # The usage of the subcommand whose option failed, if one did.
+            exc.parser.print_usage(sys.stderr)
             print(f"cbwsim: error: {message}", file=sys.stderr)
         return status
     try:

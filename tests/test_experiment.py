@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -26,6 +27,7 @@ from cbwsim.experiment import (
 from cbwsim.montecarlo import simulate_classical_trace, simulate_scan_counts
 
 QUIET = NoiseModel()
+BLOCK = experiment._BLOCK_POINTS
 
 
 def classical_scan(points, modules, phi=0.0, cycles=DEFAULT_CYCLES_PER_RAMP):
@@ -355,9 +357,10 @@ class TestSensitivity:
                 estimate_sensitivity(max_m, grid_points)
         assert calls == []
 
-    def test_one_fold_calls_every_traced_span(self, monkeypatch):
+    def test_each_block_is_one_fold_through_every_traced_span(self, monkeypatch):
         # The traced cascade-sweep benchmark requires these spans; the fold
-        # over the max_m-stage chain must still pass through each of them.
+        # of each block over the max_m-stage chain must still pass through
+        # each of them, and builds the two MZI stacks of that block once.
         calls = {}
 
         def count(module, name):
@@ -372,20 +375,30 @@ class TestSensitivity:
         for name in ("mzi", "phase_element", "compose", "apply"):
             count(experiment.circuit_mod.optics, name)
         assert len(estimate_sensitivity(5, 50_000)) == 5
-        assert calls["output_intensities"] == 1 and calls["mzi"] == 2
+        blocks = math.ceil(50_000 / BLOCK)
+        assert calls["output_intensities"] == blocks and calls["mzi"] == 2 * blocks
         assert min(calls["phase_element"], calls["compose"], calls["apply"]) >= 1
 
     def test_the_fold_carries_no_product_stack(self):
-        # At 1e5 points the two MZI stacks take 12.8 MB and the field column
-        # 3.2 MB; the peak is ~20 MB.  A (N, 2, 2) product stack folded
-        # beside them, or read off through apply, takes it to ~25 MB.
-        tracemalloc.start()
-        try:
-            estimate_sensitivity(5, 100_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 22e6
+        # At 1e5 points the five orders' differences take 4 MB and the grid
+        # 0.8 MB; the peak is ~7.6 MB.  Folding the whole grid at once holds
+        # two 6.4 MB MZI stacks and a 3.2 MB field column (~20 MB).
+        assert traced_peak(estimate_sensitivity, 5, 100_000) <= 12e6
+
+    def test_twenty_orders_stay_within_the_unblocked_peak(self):
+        # 20 orders over 2e5 points take 32 MB of differences and peak at
+        # ~39 MB; folding the whole grid at once peaked at ~40 MB.
+        assert traced_peak(estimate_sensitivity, 20, 200_000) <= 40e6
+
+
+def traced_peak(function, *args) -> int:
+    """Traced peak bytes allocated while ``function(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_slope(m, grid_points, uniform=True):
@@ -449,6 +462,25 @@ class TestSlopeKernel:
             assert report.ratio_to_classical == (1.0 / eta) / (1.0 / eta_1)
         if grid_points == 111_590:
             assert reference_slope(3, grid_points, uniform=False) == reference_slope(3, grid_points)
+
+    # The grid is folded in blocks of _BLOCK_POINTS points; the block edges
+    # must not show in any order.  The first case patches the block wider
+    # than the grid (every valid grid is wider than the real block), the
+    # last one narrow and odd, so that the final block is a ragged tail.
+    @pytest.mark.parametrize("block, grid_points, max_m", [
+        (20_000, 10_000, 1),
+        (BLOCK, 3 * BLOCK, 2),
+        (BLOCK, 4 * BLOCK + 1, 3),
+        (BLOCK, 111_590, 3),
+        (BLOCK, 123_457, 5),
+        (997, 20_000, 2),
+    ], ids=["shorter-than-a-block", "3-blocks", "4-blocks-plus-1", "111590", "123457",
+            "ragged-tail"])
+    def test_block_edges_keep_every_order_bits(self, monkeypatch, block, grid_points, max_m):
+        monkeypatch.setattr(experiment, "_BLOCK_POINTS", block)
+        reports = estimate_sensitivity(max_m, grid_points)
+        assert [(r.eta, r.max_slope_psi) for r in reports] == [
+            reference_slope(m, grid_points) for m in range(1, max_m + 1)]
 
     @pytest.mark.parametrize("grid_points", [50_000, 100_000, 123_457])
     def test_within_1e_10_of_the_sample_point_gradient(self, grid_points):

@@ -29,6 +29,7 @@ from cbwsim.trace_io import (
 )
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "cbwsim" / "schemas"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def photon_trace(points=24, seed=5):
@@ -655,6 +656,20 @@ class TestDispatch:
         ratios = [r["ratio_to_classical"] for r in payload["reports"]]
         np.testing.assert_allclose(ratios, [1.0, 0.5, 1 / 3], rtol=0.01)
 
+    # The committed reports were written before the sweep was folded in
+    # blocks; every later route must keep their bytes, on file and stdout.
+    @pytest.mark.parametrize("flags, golden", [
+        (["--max-m", "5"], "sensitivity_max_m5.json"),
+        (["--max-m", "8", "--grid", "200000"], "sensitivity_max_m8_grid200000.json"),
+    ], ids=["max-m-5", "max-m-8-grid-200000"])
+    def test_sensitivity_json_keeps_the_golden_bytes(self, tmp_path, capsys, flags, golden):
+        expected = (DATA_DIR / golden).read_bytes()
+        report = tmp_path / "sens.json"
+        assert cli.dispatch(["sensitivity", *flags, "--out", str(report)]) == 0
+        assert report.read_bytes() == expected
+        assert cli.dispatch(["sensitivity", *flags]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == expected
+
     def test_reports_name_the_fields_of_their_dataclasses(self):
         stats_schema = json.loads((SCHEMA_DIR / "fringe_stats.schema.json").read_text())
         fields = {f.name for f in dataclasses.fields(experiment.FringeStats)}
@@ -1150,6 +1165,18 @@ class TestDispatch:
     def test_unknown_flag_exits_one(self, capsys):
         assert cli.dispatch(["sensitivity", "--wat", "3"]) == 1
         assert "usage" in capsys.readouterr().err
+
+    # An error in a subcommand's options prints that subcommand's usage,
+    # not the top-level one; the message and exit code are argparse's.
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze"], "the following arguments are required: --in"),
+        (["sensitivity", "--grid", "1e5"], "argument --grid: invalid int value: '1e5'"),
+    ], ids=["analyze-without-in", "sensitivity-grid-not-an-int"])
+    def test_a_subcommand_error_prints_its_usage(self, capsys, argv, message):
+        assert cli.dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: cbwsim {argv[0]} [-h] [--config CONFIG] ")
+        assert err.endswith(f"\ncbwsim: error: {message}\n")
 
     def test_missing_required_flag_exits_one(self, capsys):
         assert cli.dispatch(["simulate"]) == 1
