@@ -34,20 +34,23 @@ __all__ = [
 # Relative tolerance under which two slope peaks count as equally high.
 _PEAK_TIE_RTOL = 1e-9
 
-# Phase points that estimate_sensitivity folds at once.  A block's two MZI
-# stacks and field column take ~1.3 MB at 8192 points and are freed and
-# taken again block after block.  Measured with `resource.getrusage` over
-# 15 repeated `sensitivity --max-m 5` dispatches (2-core x86, numpy 2.4):
-# 4096 and 8192 take ~80 minor page faults per call, 16384 ~2.5k and one
-# unblocked grid ~2.1k; 8192 was the fastest of 4096, 8192 and 16384.
+# Phase points that estimate_sensitivity folds and reduces at once (at
+# least 2).  A block's fold, ~1.7 MB traced at 8192 points (two MZI stacks
+# and a field column), is taken and freed block after block.  Minor page
+# faults and wall time per `sensitivity --max-m 5` dispatch at 4096, 8192
+# and 16384 points (`resource.getrusage`, 2-core shared x86, numpy 2.4):
+# in a fresh process, as the CLI runs, 2.1k, 3.1k and 3.7k faults and 35,
+# 33 and 33 ms; dispatched again in one process, 2.1k, 3.1k and 2.1k faults
+# and 32, 31 and 27 ms, as glibc returns each freed fold to the system and
+# the next block faults it in again.  16384 points would double the
+# traced peak.
 _BLOCK_POINTS = 8192
 
 # Default sensitivity grid, and the largest: ten times the default.  A
-# sweep holds one float per order and grid point, beside the grid and
-# either one block's fold or one slope with its temporaries: at the peak,
-# 8 * (max_m + 4) bytes per point.  Traced peaks at (max_m, grid): 7.6 MB
-# at (5, 1e5), 39 MB at (20, 2e5), 216 MB at (50, 5e5) and 72 MB at
-# (5, 1e6); at the cap with max_m = 100 that comes to ~0.83 GB.
+# sweep holds one block's fold and 16 bytes per order and block point, so
+# its memory does not grow with the grid.  Traced peaks at (max_m, grid):
+# 2.4 MB at (5, 1e5) and (5, 1e6), 4.4 MB at (20, 2e5), 8.6 MB at
+# (50, 5e5) and 16 MB at the cap with max_m = 100.
 DEFAULT_GRID_POINTS = 100_000
 MAX_GRID_POINTS = 1_000_000
 
@@ -233,17 +236,22 @@ def estimate_sensitivity(
     order m's output field is order m-1's through one more stage: one fold
     of the input field over the ``max_m``-stage chain
     (``circuit.output_intensities(..., stages=True)``) yields every order
-    as a prefix.  The grid is folded in contiguous blocks of
-    ``_BLOCK_POINTS`` points, one fold per block, and each order's ``dI``
-    is written into its row of one ``(max_m, grid_points)`` array, so no
-    full-grid matrix stack is held.  Once every block is folded, each
-    order takes the maximum central-difference slope
-    ``eta = max |d(dI)/dpsi|`` and reports ``delta_phi = 1/eta``.  The
-    maximum-slope location is reported rather than assumed: it is the first
-    grid point whose ``|slope|`` reaches ``(1 - 1e-9) * eta``, so peaks of
-    equal height are not told apart by rounding noise.  The grid is uniform
-    by construction, so the slope is ``np.gradient`` with the scalar spacing
-    ``2*pi/grid_points``, the step ``linspace`` computes.
+    as a prefix.  Each order reports the maximum slope
+    ``eta = max |d(dI)/dpsi|`` and ``delta_phi = 1/eta``.  The maximum-slope
+    location is reported rather than assumed: it is the first grid point
+    whose ``|slope|`` reaches ``(1 - 1e-9) * eta``, so peaks of equal height
+    are not told apart by rounding noise.  The slope is ``np.gradient`` of
+    ``dI`` with the grid's uniform step ``2*pi/grid_points``, bit for bit:
+    central differences inside, one-sided ones at the grid's two ends.
+
+    The grid ``k * step`` (the points ``linspace`` gives) is folded in
+    contiguous blocks of ``_BLOCK_POINTS`` points, one fold per block, and
+    each block is reduced as it is folded, so the sweep holds one block
+    and no full-grid array.  The last two ``dI`` of each order carry into
+    the next block for its central differences.  Each order keeps a running
+    ``eta`` and the points within the tolerance of it; as the running
+    ``eta`` never exceeds the final one, the first of those points that
+    reaches the final tolerance is the first on the whole grid.
 
     Every bound is checked before any order is evaluated: ``max_m`` and
     ``grid_points`` are integers, ``max_m >= 1``,
@@ -258,29 +266,71 @@ def estimate_sensitivity(
     if grid_points < 10_000 * max_m:
         raise ValueError("grid must resolve >= 10000 points per fringe period")
 
-    psi = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
+    step = 2.0 * np.pi / grid_points
     chain = circuit_mod.build_cbw_chain(max_m, phi=0.0)
-    differences = np.empty((max_m, grid_points))
+    # Each order's dI over one block, after the last two of the block before.
+    differences = np.empty((max_m, _BLOCK_POINTS + 2))
+    central = np.empty((max_m, _BLOCK_POINTS))
+    eta = np.zeros(max_m)
+    kept: list = [[] for _ in range(max_m)]
+    held = 0
     for start in range(0, grid_points, _BLOCK_POINTS):
-        block = slice(start, start + _BLOCK_POINTS)
-        pairs = circuit_mod.output_intensities(chain, {"psi": psi[block]}, stages=True)
-        for row, (upper, lower) in zip(differences, pairs):
-            np.subtract(upper, lower, out=row[block])
+        stop = min(start + _BLOCK_POINTS, grid_points)
+        width = held + stop - start
+        psi = np.arange(start, stop) * step
+        pairs = circuit_mod.output_intensities(chain, {"psi": psi}, stages=True)
+        # The fold leads the zip, so it runs out and frees its stacks
+        # before the next block builds its own.
+        for (upper, lower), row in zip(pairs, differences):
+            np.subtract(upper, lower, out=row[held:width])
+        if not held:  # the grid's first point: a forward difference
+            _keep_peaks(differences[:, 1:2] - differences[:, :1], step, 0, eta, kept)
+        # Central differences at the points start - held + 1 .. stop - 2.
+        block = central[:, :width - 2]
+        np.subtract(differences[:, 2:width], differences[:, :width - 2], out=block)
+        _keep_peaks(block, 2.0 * step, start - held + 1, eta, kept)
+        differences[:, :2] = differences[:, width - 2:width]
+        held = 2
+    # The grid's last point: a backward difference.
+    _keep_peaks(differences[:, 1:2] - differences[:, :1], step, grid_points - 1, eta, kept)
+    floor = (1.0 - _PEAK_TIE_RTOL) * eta
     reports: list = []
-    for m, row in enumerate(differences, start=1):
-        slope = np.gradient(row, 2.0 * np.pi / grid_points)
-        np.abs(slope, out=slope)
-        eta = float(np.max(slope))
-        idx = int(np.argmax(slope >= (1.0 - _PEAK_TIE_RTOL) * eta))
-        delta_phi = 1.0 / eta
+    for m, (peak, near) in enumerate(zip(eta.tolist(), kept), start=1):
+        index, slope = (np.concatenate(part) for part in zip(*near))
+        delta_phi = 1.0 / peak
         reports.append(SensitivityReport(
             m=m,
-            eta=eta,
+            eta=peak,
             delta_phi=delta_phi,
             ratio_to_classical=delta_phi / (reports[0].delta_phi if reports else delta_phi),
-            max_slope_psi=float(psi[idx]),
+            max_slope_psi=int(index[np.argmax(slope >= floor[m - 1])]) * step,
         ))
     return tuple(reports)
+
+
+def _keep_peaks(
+    differences: np.ndarray, spacing: float, offset: int, eta: np.ndarray, kept: list,
+) -> None:
+    """Fold a run of slopes, one row per order, into each order's running peak.
+
+    Column ``j`` holds ``spacing`` times the slope at grid point
+    ``offset + j``; it is made absolute in place.  Each order's ``eta``
+    takes the row's largest slope, and the order keeps the indices and
+    slopes of the row's points within ``_PEAK_TIE_RTOL`` of its running
+    ``eta``.  That never exceeds the final ``eta``, so every point within
+    the tolerance of the final one is kept.  Dividing by ``spacing > 0``
+    keeps the order of floats, so a row's largest slope is its largest
+    difference divided once, and only rows that reach their floor are
+    divided in full.
+    """
+    np.abs(differences, out=differences)
+    peaks = np.max(differences, axis=1) / spacing
+    np.maximum(eta, peaks, out=eta)
+    floor = (1.0 - _PEAK_TIE_RTOL) * eta
+    for m in np.flatnonzero(peaks >= floor):
+        slope = differences[m] / spacing
+        near = np.flatnonzero(slope >= floor[m])
+        kept[m].append((near + offset, slope[near]))
 
 
 def _integer(name: str, value) -> int:

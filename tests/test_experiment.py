@@ -379,16 +379,23 @@ class TestSensitivity:
         assert calls["output_intensities"] == blocks and calls["mzi"] == 2 * blocks
         assert min(calls["phase_element"], calls["compose"], calls["apply"]) >= 1
 
+    # The sweep holds one block's fold (two 0.5 MB MZI stacks and a
+    # 0.25 MB field column at 8192 points), each order's dI over one block
+    # and its central differences: ~2.4 MB at (5, 1e5) and at (5, 1e6),
+    # ~4.4 MB at (20, 2e5) and ~8.6 MB at (50, 5e5).  Keeping every
+    # order's dI over the whole grid until the last block peaked at 7.6,
+    # 72, 39 and 216 MB; folding the whole grid at once held two 6.4 MB
+    # MZI stacks and a 3.2 MB field column (~20 MB) at 1e5 points.
     def test_the_fold_carries_no_product_stack(self):
-        # At 1e5 points the five orders' differences take 4 MB and the grid
-        # 0.8 MB; the peak is ~7.6 MB.  Folding the whole grid at once holds
-        # two 6.4 MB MZI stacks and a 3.2 MB field column (~20 MB).
-        assert traced_peak(estimate_sensitivity, 5, 100_000) <= 12e6
+        assert traced_peak(estimate_sensitivity, 5, 100_000) <= 4e6
 
-    def test_twenty_orders_stay_within_the_unblocked_peak(self):
-        # 20 orders over 2e5 points take 32 MB of differences and peak at
-        # ~39 MB; folding the whole grid at once peaked at ~40 MB.
-        assert traced_peak(estimate_sensitivity, 20, 200_000) <= 40e6
+    @pytest.mark.parametrize("max_m, grid_points, bound", [
+        (5, 1_000_000, 4e6),
+        (20, 200_000, 6e6),
+        (50, 500_000, 12e6),
+    ], ids=["5-orders-at-the-cap", "20-orders", "50-orders"])
+    def test_the_sweep_holds_one_block(self, max_m, grid_points, bound):
+        assert traced_peak(estimate_sensitivity, max_m, grid_points) <= bound
 
 
 def traced_peak(function, *args) -> int:
@@ -466,7 +473,10 @@ class TestSlopeKernel:
     # The grid is folded in blocks of _BLOCK_POINTS points; the block edges
     # must not show in any order.  The first case patches the block wider
     # than the grid (every valid grid is wider than the real block), the
-    # last one narrow and odd, so that the final block is a ragged tail.
+    # sixth narrow and odd, so that the final block is a ragged tail.  On
+    # 1e5 points the first peaks of orders 1..5 sit at indices 25000, 12500,
+    # 25000, 6250 and 5000: blocks of 6250 start on those of orders 1..4,
+    # and the first block of 12501 ends on order 2's.
     @pytest.mark.parametrize("block, grid_points, max_m", [
         (20_000, 10_000, 1),
         (BLOCK, 3 * BLOCK, 2),
@@ -474,8 +484,10 @@ class TestSlopeKernel:
         (BLOCK, 111_590, 3),
         (BLOCK, 123_457, 5),
         (997, 20_000, 2),
+        (6_250, 100_000, 5),
+        (12_501, 100_000, 2),
     ], ids=["shorter-than-a-block", "3-blocks", "4-blocks-plus-1", "111590", "123457",
-            "ragged-tail"])
+            "ragged-tail", "peaks-on-block-starts", "peak-on-a-block-end"])
     def test_block_edges_keep_every_order_bits(self, monkeypatch, block, grid_points, max_m):
         monkeypatch.setattr(experiment, "_BLOCK_POINTS", block)
         reports = estimate_sensitivity(max_m, grid_points)
@@ -491,3 +503,79 @@ class TestSlopeKernel:
             assert abs(report.eta - eta) <= 1e-10 * eta
             assert abs(report.delta_phi - 1.0 / eta) <= 1e-10 / eta
             assert abs(report.ratio_to_classical - eta_1 / eta) <= 1e-10 * eta_1 / eta
+
+
+def crafted_rows(grid_points, rows):
+    """Rows of dI whose slopes peak where asked, one row per list of peaks.
+
+    A row is the running sum of quarter-integer increments, so its
+    differences are exact.  A peak ``(k, v)`` sets the two increments
+    around an interior point ``k`` to ``v``, so the central difference there
+    is ``v / step``, and its neighbours' at most ``(|v| + 0.5) / (2 step)``;
+    at the grid's first or last point it sets the one increment the edge
+    difference takes.  Peaks must be at least four points apart.
+    """
+    background = ((np.arange(grid_points - 1) * 7) % 5 - 2) * 0.25
+    out = []
+    for peaks in rows:
+        increments = background.copy()
+        for k, v in peaks:
+            increments[max(k - 1, 0):min(k + 1, grid_points - 1)] = v
+        out.append(np.concatenate([[0.0], np.cumsum(increments)]))
+    return out
+
+
+class TestPeakReduction:
+    """Each block's slopes, reduced as it is folded, against ``np.gradient`` on the whole row."""
+
+    GRID = 30_000
+    CASES = {
+        "ties-in-different-blocks": [
+            ([(1500, 4.0), (4500, 4.0), (28_000, 4.0)], 1500),
+            ([(999, -4.0), (2000, 4.0)], 999),
+            ([(1000, 4.0), (7000, -4.0)], 1000),
+        ],
+        "later-within-1e-9": [
+            ([(700, 3.0), (12_000, 3.0 * (1 + 5e-10))], 700),
+            ([(0, 3.0), (15_000, 3.0 * (1 + 9e-10))], 0),
+            ([(2999, 3.0), (29_999, -3.0 * (1 + 5e-10))], 2999),
+        ],
+        "later-beyond-1e-9": [
+            ([(700, 3.0), (12_000, 3.0 * (1 + 2e-9))], 12_000),
+            ([(0, 3.0), (29_999, 3.0 * (1 + 2e-9))], 29_999),
+            ([(5, 1.0), (3000, 2.0), (9999, -3.0), (20_000, 4.0)], 20_000),
+        ],
+        "grid-edges": [
+            ([(0, 5.0), (29_999, 5.0)], 0),
+            ([(100, 4.0), (29_999, -5.0)], 29_999),
+            ([(10, 6.0), (5998, 5.0), (29_999, 6.0)], 10),
+        ],
+    }
+
+    # Blocks of 1000 end on 999, 2999 and 9999 and start on 1000 and 20000;
+    # blocks of 2999 start on 2999 and 5998 and leave a 10-point tail.
+    @pytest.mark.parametrize("block", [1000, 2999])
+    @pytest.mark.parametrize("case", CASES)
+    def test_reduction_matches_the_gradient_on_crafted_rows(self, monkeypatch, case, block):
+        peaks, expected = zip(*self.CASES[case])
+        rows = crafted_rows(self.GRID, peaks)
+        psi, step = np.linspace(0.0, 2.0 * np.pi, self.GRID, endpoint=False, retstep=True)
+        folded = [0]
+
+        def output_intensities(chain, bindings, stages):
+            start = folded[0]
+            block_psi = bindings["psi"]
+            folded[0] += len(block_psi)
+            assert stages and np.array_equal(block_psi, psi[start:folded[0]])
+            return iter([(row[start:folded[0]], np.zeros(len(block_psi))) for row in rows])
+
+        monkeypatch.setattr(experiment, "_BLOCK_POINTS", block)
+        monkeypatch.setattr(experiment.circuit_mod, "output_intensities", output_intensities)
+        reports = estimate_sensitivity(len(rows), self.GRID)
+        assert folded[0] == self.GRID
+        for report, row, index in zip(reports, rows, expected):
+            slope = np.abs(np.gradient(row, step))
+            eta = float(np.max(slope))
+            first = int(np.argmax(slope >= (1.0 - 1e-9) * eta))
+            assert first == index
+            assert (report.eta, report.max_slope_psi) == (eta, float(psi[first]))

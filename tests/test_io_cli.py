@@ -656,12 +656,15 @@ class TestDispatch:
         ratios = [r["ratio_to_classical"] for r in payload["reports"]]
         np.testing.assert_allclose(ratios, [1.0, 0.5, 1 / 3], rtol=0.01)
 
-    # The committed reports were written before the sweep was folded in
-    # blocks; every later route must keep their bytes, on file and stdout.
+    # The first two committed reports were written before the sweep was
+    # folded in blocks, the third before each block's slopes were reduced as
+    # it was folded; every later route must keep their bytes, on file and
+    # stdout.
     @pytest.mark.parametrize("flags, golden", [
         (["--max-m", "5"], "sensitivity_max_m5.json"),
         (["--max-m", "8", "--grid", "200000"], "sensitivity_max_m8_grid200000.json"),
-    ], ids=["max-m-5", "max-m-8-grid-200000"])
+        (["--max-m", "20", "--grid", "200000"], "sensitivity_max_m20_grid200000.json"),
+    ], ids=["max-m-5", "max-m-8-grid-200000", "max-m-20-grid-200000"])
     def test_sensitivity_json_keeps_the_golden_bytes(self, tmp_path, capsys, flags, golden):
         expected = (DATA_DIR / golden).read_bytes()
         report = tmp_path / "sens.json"
