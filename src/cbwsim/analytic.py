@@ -101,10 +101,10 @@ class GlassPlateModel:
     refractive_index: float = 1.5
 
     def __post_init__(self):
-        if self.thickness <= 0:
-            raise ValueError("plate thickness must be positive")
-        if self.refractive_index <= 1:
-            raise ValueError("refractive index must exceed 1")
+        if not 0 < self.thickness < math.inf:
+            raise ValueError(f"thickness must be finite and positive, got {self.thickness!r}")
+        if not 1 < self.refractive_index < math.inf:
+            raise ValueError(f"refractive_index must be finite and > 1, got {self.refractive_index!r}")
 
 
 def _order(m) -> int:
@@ -203,8 +203,8 @@ def cbw_wavelength(m: int, lambda0: float) -> float:
     the same statement as this function's ``lambda0/m`` at ``m=2``.
     """
     m = _order(m)
-    if lambda0 <= 0:
-        raise ValueError("lambda0 must be positive")
+    if not 0 < lambda0 < math.inf:
+        raise ValueError(f"lambda0 must be finite and positive, got {lambda0!r}")
     return lambda0 / m
 
 
@@ -212,11 +212,11 @@ def glass_plate_opd(model: GlassPlateModel, theta) -> float:
     """Optical path difference added by the plate tilted by ``theta``.
 
     ``theta`` is measured from normal incidence and must satisfy
-    ``0 <= theta < pi/2`` (scalar or array).  Both formulas agree at
-    normal incidence, where the plate adds ``L0 (n - 1)``.
+    ``0 <= theta < pi/2`` (scalar or array), so NaN is refused.  Both
+    formulas agree at normal incidence, where the plate adds ``L0 (n - 1)``.
     """
     theta_arr = np.asarray(theta, dtype=float)
-    if np.any(theta_arr < 0) or np.any(theta_arr >= math.pi / 2):
+    if not np.all((theta_arr >= 0) & (theta_arr < math.pi / 2)):
         raise ValueError("theta must satisfy 0 <= theta < pi/2")
     l0 = model.thickness
     n = model.refractive_index

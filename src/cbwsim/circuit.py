@@ -254,7 +254,7 @@ def parse_circuit(text: str) -> CircuitAst:
         stripped = raw.split("#", 1)[0]
         if not stripped.strip():
             continue
-        if detectors is not None and stripped.strip():
+        if detectors is not None:
             # Everything after `detect` would silently change the circuit;
             # reject it at its own position.
             token, column = next(_split_tokens(stripped))

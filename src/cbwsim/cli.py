@@ -15,7 +15,8 @@ the circuit language): a key is its flag's name with underscores
 the flag's would be, keys of other subcommands are ignored, and explicit
 command-line flags override file values.  An option set by neither takes
 the library default.  Phase-valued flags accept plain radians, ``pi``
-fractions such as ``pi/2`` or ``3pi/4``, or ``deg:<x>``.
+fractions such as ``pi/2`` or ``3pi/4``, or ``deg:<x>``; ``--phi -pi/2``
+reads as ``--phi=-pi/2``, as does any numeric flag before a ``-`` token.
 
 Exit codes: 0 success (``--help`` too), 1 configuration/usage error, 2
 analysis error (e.g. no fringes in the trace).  ``dispatch`` returns the
@@ -118,6 +119,10 @@ _OPTIONS = {
                  help="phase grid points (default %(default)s)"),
     "max_m": dict(type=int, default=5, help="largest cascade order (default %(default)s)"),
 }
+
+# The flags whose value is a number or a phase, so may begin with "-".
+_VALUE_FLAGS = {"--" + key.replace("_", "-") for key, option in _OPTIONS.items()
+                if "type" in option or key == "phi"}
 
 _SCAN_KEYS = ("modules", "phi", "points", "ramp_start", "ramp_end", "scan_duration",
               "bin_duration", "cycles_per_ramp", "circuit")
@@ -331,6 +336,12 @@ _COMMANDS = {
 
 def dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit code."""
+    # argparse takes a "-" token as a value only if it looks like a negative number,
+    # as "-pi/2" does not; so such a token joins its numeric or phase flag by "=".
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in _VALUE_FLAGS and argv[i].startswith("-") and argv[i][1:2] != "-":
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     # argparse takes the first token that names a subcommand as the
     # subcommand, since the top-level parser has no option taking a value.
     parser, commands = _build_parser(next((arg for arg in argv if arg in _COMMANDS), ""))

@@ -152,9 +152,9 @@ class ScanConfig:
     the scan evaluates, by default the two-stage cascade with a free
     ``phi``; ``phi`` binds a ``phi`` parameter of the circuit.
 
-    The degenerate empty scan (``points=0`` with ``scan_duration=0``) is
-    accepted and produces an empty trace; ``points`` may not exceed
-    :data:`MAX_POINTS`.
+    A scan has 2 to :data:`MAX_POINTS` points, or 0 with ``scan_duration=0``:
+    the empty scan, whose trace is empty.  Every other check holds for it too,
+    so a non-positive ``bin_duration`` or a ramp that does not rise is refused.
     """
 
     ramp_start: float = 0.0
@@ -177,10 +177,8 @@ class ScanConfig:
             raise ConfigError("cycles_per_ramp must be positive")
         if self.points > MAX_POINTS:
             raise ConfigError(f"points must be at most {MAX_POINTS}, got {self.points}")
-        if self.points == 0 and self.scan_duration == 0:
-            return
-        if self.points < 2:
-            raise ConfigError("a scan needs at least 2 points")
+        if self.points < 2 and (self.points, self.scan_duration) != (0, 0):
+            raise ConfigError("a scan needs at least 2 points, or 0 with scan_duration 0")
         if self.bin_duration <= 0:
             raise ConfigError("bin_duration must be positive")
         if not math.isfinite(self.points * self.bin_duration):
@@ -198,8 +196,6 @@ class ScanConfig:
 
     def voltages(self) -> np.ndarray:
         """Per-bin ramp voltage, endpoints inclusive."""
-        if self.points == 0:
-            return np.zeros(0)
         # For a span within rounding of the largest double, linspace's last
         # product (points - 1) * step may overflow; linspace then replaces
         # that bin with ramp_end, and every earlier product is finite.
@@ -212,6 +208,4 @@ class ScanConfig:
 
     def psi_values(self) -> np.ndarray:
         """Per-bin nominal interferometer phase from the PZT model."""
-        if self.points == 0:
-            return np.zeros(0)
         return pzt_phase(self.voltages() - self.ramp_start, self.cycles_per_ramp, self.ramp_span)

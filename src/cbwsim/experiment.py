@@ -174,8 +174,6 @@ def dominant_period(values, psi) -> float:
         raise ValueError("psi grid must be uniform and increasing")
 
     spectrum = np.abs(np.fft.rfft(values - np.mean(values)))
-    if len(spectrum) < 3:
-        raise ValueError("trace too short for period estimation")
     mags = spectrum[1:]  # drop DC
     k_star = int(np.argmax(mags)) + 1
     lobe = max(1, k_star // 6)
@@ -284,15 +282,16 @@ def estimate_sensitivity(
         for (upper, lower), row in zip(pairs, differences):
             np.subtract(upper, lower, out=row[held:width])
         if not held:  # the grid's first point: a forward difference
-            _keep_peaks(differences[:, 1:2] - differences[:, :1], step, 0, eta, kept)
+            _keep_peaks((differences[:, 1:2] - differences[:, :1]) / step, 0, eta, kept)
         # Central differences at the points start - held + 1 .. stop - 2.
         block = central[:, :width - 2]
         np.subtract(differences[:, 2:width], differences[:, :width - 2], out=block)
-        _keep_peaks(block, 2.0 * step, start - held + 1, eta, kept)
+        block /= 2.0 * step
+        _keep_peaks(block, start - held + 1, eta, kept)
         differences[:, :2] = differences[:, width - 2:width]
         held = 2
     # The grid's last point: a backward difference.
-    _keep_peaks(differences[:, 1:2] - differences[:, :1], step, grid_points - 1, eta, kept)
+    _keep_peaks((differences[:, 1:2] - differences[:, :1]) / step, grid_points - 1, eta, kept)
     floor = (1.0 - _PEAK_TIE_RTOL) * eta
     reports: list = []
     for m, (peak, near) in enumerate(zip(eta.tolist(), kept), start=1):
@@ -308,29 +307,22 @@ def estimate_sensitivity(
     return tuple(reports)
 
 
-def _keep_peaks(
-    differences: np.ndarray, spacing: float, offset: int, eta: np.ndarray, kept: list,
-) -> None:
+def _keep_peaks(slopes: np.ndarray, offset: int, eta: np.ndarray, kept: list) -> None:
     """Fold a run of slopes, one row per order, into each order's running peak.
 
-    Column ``j`` holds ``spacing`` times the slope at grid point
-    ``offset + j``; it is made absolute in place.  Each order's ``eta``
-    takes the row's largest slope, and the order keeps the indices and
-    slopes of the row's points within ``_PEAK_TIE_RTOL`` of its running
-    ``eta``.  That never exceeds the final ``eta``, so every point within
-    the tolerance of the final one is kept.  Dividing by ``spacing > 0``
-    keeps the order of floats, so a row's largest slope is its largest
-    difference divided once, and only rows that reach their floor are
-    divided in full.
+    Column ``j`` holds the slope at grid point ``offset + j``; it is made
+    absolute in place.  Each order's ``eta`` takes the row's largest slope,
+    and the order keeps the indices and slopes of the row's points within
+    ``_PEAK_TIE_RTOL`` of its running ``eta``.  That never exceeds the final
+    ``eta``, so every point within the tolerance of the final one is kept.
     """
-    np.abs(differences, out=differences)
-    peaks = np.max(differences, axis=1) / spacing
+    np.abs(slopes, out=slopes)
+    peaks = np.max(slopes, axis=1)
     np.maximum(eta, peaks, out=eta)
     floor = (1.0 - _PEAK_TIE_RTOL) * eta
     for m in np.flatnonzero(peaks >= floor):
-        slope = differences[m] / spacing
-        near = np.flatnonzero(slope >= floor[m])
-        kept[m].append((near + offset, slope[near]))
+        near = np.flatnonzero(slopes[m] >= floor[m])
+        kept[m].append((near + offset, slopes[m, near]))
 
 
 def _integer(name: str, value) -> int:

@@ -157,7 +157,7 @@ def _windows_per_bin(scan: ScanConfig, source: SourceModel) -> int:
             f"at most 2**53 = {MAX_WINDOWS_PER_BIN} are supported"
         )
     windows = int(round(ratio))
-    if windows < 1 or abs(ratio - windows) > 1e-6 * max(windows, 1):
+    if windows < 1 or abs(ratio - windows) > 1e-6 * windows:
         raise ConfigError(
             f"bin_duration ({scan.bin_duration}) must be an integer multiple "
             f"of window_duration ({source.window_duration})"
@@ -196,10 +196,11 @@ def _noise_walks(noise: NoiseModel, scan: ScanConfig, jitter_ss, drift_ss):
 def _scan_chain(scan: ScanConfig, noise: NoiseModel, seed: int):
     """What both simulators share: check the circuit, draw the noise walks and
     evaluate the chain once at the jittered phases.  Returns
-    ``(psi_nominal, drift, (i_upper, i_lower), counts_ss)``, the port powers
-    per unit input with no drift applied; each simulator scales its source
-    by ``drift`` once.  A parameter other than ``psi``/``phi`` raises
-    :class:`~cbwsim.circuit.UnboundParameterError`, naming each, before any draw.
+    ``(psi_nominal, drift, (i_upper, i_lower), counts_ss)``, the undrifted
+    port powers per unit input (scalars if the chain reads no ``psi``); each
+    simulator scales its source by ``drift`` once.  A parameter other than
+    ``psi``/``phi`` raises :class:`~cbwsim.circuit.UnboundParameterError`,
+    naming each, before any draw.
     """
     unbound = scan.circuit.parameters - {"psi", "phi"}
     if unbound:
@@ -209,7 +210,7 @@ def _scan_chain(scan: ScanConfig, noise: NoiseModel, seed: int):
     psi_nominal = scan.psi_values()
     i_upper, i_lower = circuit_mod.output_intensities(
         replace(scan.circuit, source_intensity=1.0), {"psi": psi_nominal + jitter, "phi": scan.phi})
-    return psi_nominal, drift, (np.atleast_1d(i_upper), np.atleast_1d(i_lower)), counts_ss
+    return psi_nominal, drift, (i_upper, i_lower), counts_ss
 
 
 def scan_trace(scan: ScanConfig, mode: SourceMode, psi, singles_d1, singles_d2, coincidences,
@@ -243,7 +244,7 @@ def simulate_scan_counts(
     # A unitary chain's unit-input powers sum to 1 within rounding, so the
     # Born ratio is defined and lies in [0, 1].
     p_upper = i_upper / (i_upper + i_lower)
-    windows = _windows_per_bin(scan, source) if scan.points else 0
+    windows = _windows_per_bin(scan, source)
     p_dark = noise.dark_rate * source.window_duration
     with np.errstate(over="ignore"):
         detected = source.mean_photons_per_window * drift * noise.detector_efficiency

@@ -317,6 +317,23 @@ class TestGlassPlate:
             GlassPlateModel(refractive_index=1.0)
 
 
+# A non-finite input to a helper is refused, naming the argument.
+@pytest.mark.parametrize("call, name", [
+    (lambda: GlassPlateModel(thickness=math.nan), "thickness"),
+    (lambda: GlassPlateModel(thickness=math.inf), "thickness"),
+    (lambda: GlassPlateModel(refractive_index=math.inf), "refractive_index"),
+    (lambda: GlassPlateModel(refractive_index=math.nan), "refractive_index"),
+    (lambda: glass_plate_opd(GlassPlateModel(), math.nan), "theta"),
+    (lambda: glass_plate_opd(GlassPlateModel(), np.array([0.1, math.nan])), "theta"),
+    (lambda: cbw_wavelength(2, math.nan), "lambda0"),
+    (lambda: cbw_wavelength(2, math.inf), "lambda0"),
+], ids=["nan-thickness", "inf-thickness", "inf-index", "nan-index", "nan-theta",
+        "nan-in-theta-array", "nan-lambda0", "inf-lambda0"])
+def test_non_finite_helper_inputs_are_refused_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        call()
+
+
 class TestCoincidenceFraction:
     def test_reference_operating_point_is_about_one_percent(self):
         value = expected_coincidence_fraction(0.04, 0.5, 0.5)

@@ -1,9 +1,9 @@
 """Property test of the whole command line, driven by ``cli._OPTIONS``.
 
 Every subcommand runs with a random subset of its options, each given as a
-flag or as a ``--config`` line, drawn from hostile values (NaN, infinities,
-zero, negatives, a subnormal, huge numbers) and small in-range ones.  The
-size options draw only small in-range values or values above their cap, so
+flag (``--key=value`` or ``--key value``) or as a ``--config`` line, drawn
+from hostile values (NaN, infinities, zero, negatives, a subnormal, huge
+numbers) and small in-range ones.  The size options draw only small in-range values or values above their cap, so
 no large array is ever built.  Whatever the input, the run must end with
 exit 0, 1 or 2, print no traceback or warning, and leave outputs that read
 back (CSV) or validate against their schema (JSON).
@@ -97,7 +97,9 @@ def test_every_subcommand_survives_random_options(workdir, command, data):
             if data.draw(st.booleans(), label=f"{key} in config"):
                 lines.append(f"{key}={value}")
             else:
-                argv.append(f"--{key.replace('_', '-')}={value}")
+                flag = "--" + key.replace("_", "-")
+                argv += data.draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]),
+                                  label=f"{key} form")
         if lines:
             (tmp / "run.cfg").write_text("\n".join(lines) + "\n")
             argv += ["--config", str(tmp / "run.cfg")]

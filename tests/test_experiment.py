@@ -70,6 +70,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(message)):
             ScanConfig(**fields)
 
+    # Zero points are allowed only over zero seconds, and every other check
+    # still runs for that empty scan.
+    @pytest.mark.parametrize("fields, message", [
+        (dict(points=0), "at least 2 points, or 0 with scan_duration 0"),
+        (dict(points=0, scan_duration=0.0, bin_duration=-1.0, ramp_end=-5.0),
+         "bin_duration must be positive"),
+        (dict(points=0, scan_duration=0.0, ramp_start=10.0, ramp_end=1.0),
+         "ramp_end must exceed ramp_start"),
+    ], ids=["points-without-zero-duration", "negative-bin", "falling-ramp"])
+    def test_empty_scan_is_checked_like_any_other(self, fields, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ScanConfig(**fields)
+
+    def test_empty_scan_bin_must_hold_whole_windows(self):
+        scan = ScanConfig(points=0, scan_duration=0.0, bin_duration=3e-9)
+        with pytest.raises(ConfigError, match="must be an integer multiple of window_duration"):
+            simulate_scan_counts(scan, SourceModel(), QUIET, seed=0)
+
 
 class TestPztPhase:
     def test_zero_voltage(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -30,6 +31,8 @@ from cbwsim.trace_io import (
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "cbwsim" / "schemas"
 DATA_DIR = Path(__file__).resolve().parent / "data"
+# sha256 of each output file, keyed by the command line that writes it.
+OUTPUT_DIGESTS = json.loads((DATA_DIR / "output_sha256.json").read_text())
 
 
 def photon_trace(points=24, seed=5):
@@ -455,6 +458,49 @@ class TestParsePhase:
             cli.parse_phase("deg:ninety")
 
 
+# Each option whose value is a number or a phase, with the first subcommand
+# that takes it, and that subcommand's small run.
+DASH_KEYS = {key: next(name for name, spec in cli._COMMANDS.items() if key in spec[2])
+             for key, option in cli._OPTIONS.items()
+             if option.get("type") in (int, float) or key == "phi"}
+SMALL_RUNS = {
+    "analytic": ["--points", "10"],
+    "simulate": ["--points", "10", "--scan-duration", "1", "--bin-duration", "0.1"],
+    "analyze": [],
+    "sensitivity": ["--max-m", "1", "--grid", "10000"],
+}
+
+
+class TestDashValues:
+    """A value that begins with "-" may follow its flag as a separate token."""
+
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("dash") / "trace.csv"
+        assert cli.dispatch(["analytic", "--points", "400", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("value", ["pi/2", "3pi/4", "1e-3", "2.5e1", "inf"])
+    @pytest.mark.parametrize("key", list(DASH_KEYS))
+    def test_separate_and_attached_values_give_the_same_run(self, tmp_path, capsys, trace,
+                                                            key, value):
+        command, flag = DASH_KEYS[key], "--" + key.replace("_", "-")
+        run = [command, *SMALL_RUNS[command]] + (["--in", str(trace)] if command == "analyze" else [])
+        out = tmp_path / "out"
+        results = []
+        for form in ([flag, f"-{value}"], [f"{flag}=-{value}"]):
+            code = cli.dispatch([*run, *form, "--out", str(out)])
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            results.append((code, capsys.readouterr(), written))
+        assert results[0] == results[1]
+
+    def test_a_flag_without_its_value_still_fails(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.dispatch(["analytic", "--phi", "--points", "10", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.endswith("error: argument --phi: expected one argument\n")
+
+
 class TestLoadConfig:
     def test_values_loaded(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -673,6 +719,18 @@ class TestDispatch:
         assert cli.dispatch(["sensitivity", *flags]) == 0
         assert capsys.readouterr().out.encode("utf-8") == expected
 
+    # Digests of outputs that draw no random numbers, written before the
+    # empty scan was checked like any other scan; every later route must
+    # keep their bytes.  They depend on libm, as the sensitivity goldens do.
+    @pytest.mark.parametrize("command, digests", list(OUTPUT_DIGESTS.items()),
+                             ids=list(OUTPUT_DIGESTS))
+    def test_deterministic_outputs_keep_the_golden_bytes(self, tmp_path, command, digests):
+        argv = command.split()
+        out = tmp_path if argv[0] == "scan" else tmp_path / "trace.csv"
+        assert cli.dispatch([*argv, "--out", str(out)]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in digests} == digests
+
     def test_reports_name_the_fields_of_their_dataclasses(self):
         stats_schema = json.loads((SCHEMA_DIR / "fringe_stats.schema.json").read_text())
         fields = {f.name for f in dataclasses.fields(experiment.FringeStats)}
@@ -782,6 +840,32 @@ class TestDispatch:
         assert capsys.readouterr().err == ("cbwsim: error: points must be at least 2 for a "
                                            "plotted scan, got 0\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["simulate", "--bin-duration", "-1", "--ramp-end", "-5"], "bin_duration"),
+        (["analytic", "--ramp-start", "10", "--ramp-end", "1"], "ramp_end"),
+        (["simulate", "--bin-duration", "3e-9"], "integer multiple of window_duration"),
+    ], ids=["negative-bin", "falling-ramp", "bin-below-one-window"])
+    def test_invalid_empty_scan_exits_one_naming_the_field(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "x.csv"
+        code = cli.dispatch([*argv, "--points", "0", "--scan-duration", "0", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cbwsim: error: ") and err.count("\n") == 1
+        assert field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    def test_valid_empty_scan_writes_a_header_only_trace(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.dispatch([command, "--points", "0", "--scan-duration", "0",
+                                 "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().count("\n") == 1
+        assert len(read_trace_csv(out)) == 0
 
     def test_overflowing_photon_mean_exits_one_without_warnings(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
