@@ -370,11 +370,21 @@ def _element_matrix(element: ElementNode, bindings: Mapping[str, float]) -> np.n
     return optics.phase_element(element.arm, phase)
 
 
-def _element_matrices(ast: CircuitAst, bindings: Mapping[str, float] | None) -> list:
+_OTHER_ARM = {Arm.UPPER: Arm.LOWER, Arm.LOWER: Arm.UPPER}
+
+
+def _element_matrices(ast: CircuitAst, bindings: Mapping[str, float] | None,
+                      *, share_arms: bool = False) -> list:
     """The bound matrix of every element of ``ast``, in physical order.
 
     Each distinct ``(kind, arm, phase)`` is built once and shared: phase is
     a literal or a parameter name, and the bindings are fixed for this call.
+    With ``share_arms``, an MZI whose phase an MZI on the other arm already
+    has is not built: it is that stack read anti-transposed, a view whose
+    (0, 0) and (1, 1) entries are the built (1, 1) and (0, 0) and whose
+    off-diagonal is shared.  That holds bit for bit what ``optics.mzi``
+    builds for its arm, as the two arms' closed forms differ only by the
+    order of their diagonal.
     """
     bindings = {} if bindings is None else bindings
     matrices: dict = {}
@@ -382,7 +392,11 @@ def _element_matrices(ast: CircuitAst, bindings: Mapping[str, float] | None) -> 
     for element in ast.elements:
         key = (element.kind, element.arm, element.phase)
         if key not in matrices:
-            matrices[key] = _element_matrix(element, bindings)
+            other = (element.kind, _OTHER_ARM[element.arm], element.phase)
+            if share_arms and element.kind is ElementKind.MZI and other in matrices:
+                matrices[key] = np.swapaxes(matrices[other][..., ::-1, ::-1], -1, -2)
+            else:
+                matrices[key] = _element_matrix(element, bindings)
         chain.append(matrices[key])
     return chain
 
@@ -394,7 +408,10 @@ def evaluate_chain(ast: CircuitAst, bindings: Mapping[str, float] | None = None)
     matrix stack of shape ``(..., 2, 2)`` is returned.  Raises
     :class:`UnboundParameterError` if the chain references a parameter that
     is missing from ``bindings``.  Repeated elements share one matrix, so
-    an m-stage cascade builds two MZI stacks, not m.
+    an m-stage cascade builds two MZI stacks, not m: one per arm, each
+    through ``optics.mzi``.  This is the oracle of the staged fold of
+    :func:`output_intensities`, which builds one stack per distinct MZI
+    phase and reads the other arm's from it.
     """
     return optics.compose(_element_matrices(ast, bindings))
 
@@ -411,19 +428,22 @@ def output_intensities(
     next MZI; phase elements before the first MZI join the first stage, and
     a chain with no MZI is one stage.  The element matrices are bound and
     built at the call, so binding and phase errors raise here, not at the
-    first ``next()``.  The iterator then folds one field column, the unit
-    input through the first element at the broadcast shape of the whole
-    chain, stage by stage with ``optics.compose(stage, out=column)``; no
-    transfer-matrix product is built.  Every prefix of an m-stage chain
-    costs one fold over it, not one per prefix.  Each pair scales the
-    column by ``sqrt(I0)`` last, as ``optics.apply`` scales the first column
-    of the transfer matrix.  Every pair has the shape of the whole chain's
-    pair.
+    first ``next()``.  Unlike :func:`evaluate_chain`, which builds each
+    arm's MZI, they build one MZI stack per distinct MZI phase; the MZI on
+    the other arm at that phase is the stack read anti-transposed, a view
+    with the same bits, so the cascade's ``psi`` costs one stack, not two.
+    The iterator then folds one field column, the unit input through the
+    first element at the broadcast shape of the whole chain, stage by
+    stage with ``optics.compose(stage, out=column)``; no transfer-matrix
+    product is built.  Every prefix of an m-stage chain costs one fold over
+    it, not one per prefix.  Each pair scales the column by ``sqrt(I0)``
+    last, as ``optics.apply`` scales the first column of the transfer
+    matrix.  Every pair has the shape of the whole chain's pair.
     """
     amplitude = np.sqrt(ast.source_intensity)
     if not stages:
         return optics.intensities(optics.apply(evaluate_chain(ast, bindings), (amplitude, 0)))
-    chain = _element_matrices(ast, bindings)
+    chain = _element_matrices(ast, bindings, share_arms=True)
     shape = np.broadcast_shapes(*(m.shape[:-2] for m in chain))
     column = optics.apply(np.broadcast_to(chain[0], shape + (2, 2)), (1, 0))
     cuts = [i for i, element in enumerate(ast.elements) if element.kind is ElementKind.MZI][1:]

@@ -16,7 +16,8 @@ the flag's would be, keys of other subcommands are ignored, and explicit
 command-line flags override file values.  An option set by neither takes
 the library default.  Phase-valued flags accept plain radians, ``pi``
 fractions such as ``pi/2`` or ``3pi/4``, or ``deg:<x>``; ``--phi -pi/2``
-reads as ``--phi=-pi/2``, as does any numeric flag before a ``-`` token.
+reads as ``--phi=-pi/2``, as does any numeric flag, or an abbreviation
+argparse resolves to one (``--ramp-s -25``), before a ``-`` token.
 
 Exit codes: 0 success (``--help`` too), 1 configuration/usage error, 2
 analysis error (e.g. no fringes in the trace).  ``dispatch`` returns the
@@ -120,10 +121,6 @@ _OPTIONS = {
     "max_m": dict(type=int, default=5, help="largest cascade order (default %(default)s)"),
 }
 
-# The flags whose value is a number or a phase, so may begin with "-".
-_VALUE_FLAGS = {"--" + key.replace("_", "-") for key, option in _OPTIONS.items()
-                if "type" in option or key == "phi"}
-
 _SCAN_KEYS = ("modules", "phi", "points", "ramp_start", "ramp_end", "scan_duration",
               "bin_duration", "cycles_per_ramp", "circuit")
 _SOURCE_NOISE_KEYS = ("mean_photons", "window_duration", "seed", "workers", "noise",
@@ -182,6 +179,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, message)
 
 
+def _arguments(name: str):
+    """Each ``(flag, argparse keywords)`` of subcommand ``name``, in help order."""
+    _, _, keys, out_help = _COMMANDS[name]
+    yield "--config", dict(help="key=value config file; flags override it")
+    if name == "analyze":
+        yield "--in", dict(dest="input", required=True, help="input trace CSV")
+    for key in keys:
+        yield "--" + key.replace("_", "-"), dict(dest=key, **_OPTIONS[key])
+    yield "--out", dict(required=out_help is not _JSON_OUT, help=out_help)
+
+
 def _build_parser(only=None):
     """The ``cbwsim`` parser and its subcommand parsers by name.
 
@@ -191,17 +199,35 @@ def _build_parser(only=None):
     parser = _Parser(prog="cbwsim", description="Cascaded-MZI interference lab")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     commands = {}
-    for name, (_, help_text, keys, out_help) in _COMMANDS.items():
+    for name, (_, help_text, _, _) in _COMMANDS.items():
         p = commands[name] = sub.add_parser(name, help=help_text)
         if only is not None and name != only:
             continue
-        p.add_argument("--config", help="key=value config file; flags override it")
-        if name == "analyze":
-            p.add_argument("--in", dest="input", required=True, help="input trace CSV")
-        for key in keys:
-            p.add_argument("--" + key.replace("_", "-"), dest=key, **_OPTIONS[key])
-        p.add_argument("--out", required=out_help is not _JSON_OUT, help=out_help)
+        for flag, keywords in _arguments(name):
+            p.add_argument(flag, **keywords)
     return parser, commands
+
+
+def _join_dash_values(argv: list, command: str) -> list:
+    """``argv`` with each "-" value joined by "=" to its numeric or phase flag.
+
+    argparse takes a "-" token as a value only if it looks like a negative
+    number, as "-pi/2" does not.  A flag is resolved as argparse resolves
+    it among ``command``'s options: exactly, or as the unique flag it
+    abbreviates.  An ambiguous or unknown flag is left for argparse to refuse.
+    """
+    arguments = list(_arguments(command)) if command else []
+    flags = ["--help"] + [flag for flag, _ in arguments]
+    value_flags = {flag for flag, keywords in arguments if "type" in keywords or flag == "--phi"}
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        flag, value = argv[i - 1], argv[i]
+        if not flag.startswith("--") or not value.startswith("-") or value[1:2] == "-":
+            continue
+        matches = [flag] if flag in flags else [f for f in flags if f.startswith(flag)]
+        if len(matches) == 1 and matches[0] in value_flags:
+            argv[i - 1:i + 1] = [f"{flag}={value}"]
+    return argv
 
 
 def _given(args, *keys, **renamed) -> dict:
@@ -336,15 +362,11 @@ _COMMANDS = {
 
 def dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    # argparse takes a "-" token as a value only if it looks like a negative number,
-    # as "-pi/2" does not; so such a token joins its numeric or phase flag by "=".
-    argv = list(argv)
-    for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in _VALUE_FLAGS and argv[i].startswith("-") and argv[i][1:2] != "-":
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     # argparse takes the first token that names a subcommand as the
     # subcommand, since the top-level parser has no option taking a value.
-    parser, commands = _build_parser(next((arg for arg in argv if arg in _COMMANDS), ""))
+    command = next((arg for arg in argv if arg in _COMMANDS), "")
+    argv = _join_dash_values(argv, command)
+    parser, commands = _build_parser(command)
     try:
         args = parser.parse_args(argv)
         if args.command is None:

@@ -234,7 +234,10 @@ def estimate_sensitivity(
     order m's output field is order m-1's through one more stage: one fold
     of the input field over the ``max_m``-stage chain
     (``circuit.output_intensities(..., stages=True)``) yields every order
-    as a prefix.  Each order reports the maximum slope
+    as a prefix.  The fold builds one MZI stack per distinct MZI phase, so
+    one ``psi`` stack per block: the upper-arm stages read the lower-arm
+    stack anti-transposed, where the oracle ``circuit.evaluate_chain``
+    builds one stack per arm.  Each order reports the maximum slope
     ``eta = max |d(dI)/dpsi|`` and ``delta_phi = 1/eta``.  The maximum-slope
     location is reported rather than assumed: it is the first grid point
     whose ``|slope|`` reaches ``(1 - 1e-9) * eta``, so peaks of equal height

@@ -436,6 +436,47 @@ class TestStages:
         for a, b in zip(first, single):
             np.testing.assert_allclose(a, np.broadcast_to(b, (3, 13)), rtol=1e-12, atol=1e-12)
 
+    # The fold builds one MZI stack per distinct MZI phase and reads the
+    # other arm's MZI at that phase from it; ``builds`` is its count of
+    # ``optics.mzi`` calls.  Each first stage has the whole chain's shape,
+    # so every stage is bit-equal to its prefix through evaluate_chain,
+    # which builds every arm's MZI.
+    SHARED_ARMS = {
+        "upper-arm-first": ("mzi W arm=upper phase=psi\nphase arm=upper value=phi\n"
+                            "mzi C arm=lower phase=psi\nmzi X arm=upper phase=psi\n", BINDINGS[1], 1),
+        "same-literal": ("phase arm=lower value=psi\nmzi C arm=lower phase=-1.25\n"
+                         "phase arm=upper value=phi\nmzi W arm=upper phase=-1.25\n", BINDINGS[1], 1),
+        "signed-zero-literals": ("phase arm=lower value=psi\nmzi C arm=lower phase=0.0\n"
+                                 "mzi W arm=upper phase=-0.0\n", BINDINGS[1], 1),
+        "psi-with-column-phi": ("mzi C arm=lower phase=psi\nphase arm=upper value=phi\n"
+                                "mzi W arm=upper phase=psi\nphase arm=upper value=phi\n"
+                                "mzi X arm=lower phase=psi\n", BINDINGS[2], 1),
+        "different-phases": ("mzi C arm=lower phase=psi\nmzi W arm=upper phase=phi\n"
+                             "mzi X arm=lower phase=psi\nmzi Y arm=upper phase=0.4\n", BINDINGS[1], 3),
+    }
+
+    @pytest.mark.parametrize("intensity", [1.0, 2.5])
+    @pytest.mark.parametrize("text, bindings, builds", list(SHARED_ARMS.values()), ids=list(SHARED_ARMS))
+    def test_an_mzi_shared_by_both_arms_keeps_the_oracle_bits(self, monkeypatch, intensity,
+                                                               text, bindings, builds):
+        ast = parse_circuit(f"source intensity={intensity}\n{text}detect a b\n")
+        calls = []
+        build = optics.mzi
+
+        def counted(arm, phase):
+            calls.append(arm)
+            return build(arm, phase)
+        monkeypatch.setattr(optics, "mzi", counted)
+        pairs = list(output_intensities(ast, bindings, stages=True))
+        monkeypatch.undo()
+        assert len(calls) == builds
+        cuts = stage_cuts(ast)
+        assert len(pairs) == len(cuts)
+        for pair, cut in zip(pairs, cuts):
+            prefix = CircuitAst(intensity, ast.elements[:cut], ast.detectors)
+            field = optics.apply(evaluate_chain(prefix, bindings), (np.sqrt(intensity), 0))
+            assert_bit_equal_pairs(pair, optics.intensities(field))
+
     def test_leading_phases_join_the_first_stage_and_no_mzi_is_one_stage(self):
         leading = parse_circuit("phase arm=upper value=phi\nphase arm=lower value=0.2\n"
                                 "mzi C arm=lower phase=psi\nmzi W arm=upper phase=psi\ndetect a b\n")

@@ -378,7 +378,8 @@ class TestSensitivity:
     def test_each_block_is_one_fold_through_every_traced_span(self, monkeypatch):
         # The traced cascade-sweep benchmark requires these spans; the fold
         # of each block over the max_m-stage chain must still pass through
-        # each of them, and builds the two MZI stacks of that block once.
+        # each of them, and builds one MZI stack per block: the upper-arm
+        # stages read the lower-arm stack anti-transposed.
         calls = {}
 
         def count(module, name):
@@ -394,13 +395,14 @@ class TestSensitivity:
             count(experiment.circuit_mod.optics, name)
         assert len(estimate_sensitivity(5, 50_000)) == 5
         blocks = math.ceil(50_000 / BLOCK)
-        assert calls["output_intensities"] == blocks and calls["mzi"] == 2 * blocks
+        assert calls["output_intensities"] == blocks and calls["mzi"] == blocks
         assert min(calls["phase_element"], calls["compose"], calls["apply"]) >= 1
 
-    # The sweep holds one block's fold (two 0.5 MB MZI stacks and a
-    # 0.25 MB field column at 8192 points), each order's dI over one block
-    # and its central differences: ~2.4 MB at (5, 1e5) and at (5, 1e6),
-    # ~4.4 MB at (20, 2e5) and ~8.6 MB at (50, 5e5).  Keeping every
+    # The sweep holds one block's fold (one 0.5 MB MZI stack, read by both
+    # arms, and a 0.25 MB field column at 8192 points), each order's dI
+    # over one block and its central differences: ~1.9 MB at (5, 1e5) and
+    # at (5, 1e6), ~3.9 MB at (20, 2e5) and ~8.1 MB at (50, 5e5); a second
+    # stack for the upper arm added 0.5 MB to each.  Keeping every
     # order's dI over the whole grid until the last block peaked at 7.6,
     # 72, 39 and 216 MB; folding the whole grid at once held two 6.4 MB
     # MZI stacks and a 3.2 MB field column (~20 MB) at 1e5 points.

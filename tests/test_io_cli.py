@@ -480,20 +480,47 @@ class TestDashValues:
         assert cli.dispatch(["analytic", "--points", "400", "--out", str(path)]) == 0
         return path
 
-    @pytest.mark.parametrize("value", ["pi/2", "3pi/4", "1e-3", "2.5e1", "inf"])
-    @pytest.mark.parametrize("key", list(DASH_KEYS))
-    def test_separate_and_attached_values_give_the_same_run(self, tmp_path, capsys, trace,
-                                                            key, value):
-        command, flag = DASH_KEYS[key], "--" + key.replace("_", "-")
+    @staticmethod
+    def assert_same_run(tmp_path, capsys, trace, command, separate, attached):
+        """Both forms end ``command``'s small run with the same code, streams and file."""
         run = [command, *SMALL_RUNS[command]] + (["--in", str(trace)] if command == "analyze" else [])
         out = tmp_path / "out"
         results = []
-        for form in ([flag, f"-{value}"], [f"{flag}=-{value}"]):
+        for form in (separate, attached):
             code = cli.dispatch([*run, *form, "--out", str(out)])
             written = out.read_bytes() if out.exists() else None
             out.unlink(missing_ok=True)
             results.append((code, capsys.readouterr(), written))
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("value", ["pi/2", "3pi/4", "1e-3", "2.5e1", "inf"])
+    @pytest.mark.parametrize("key", list(DASH_KEYS))
+    def test_separate_and_attached_values_give_the_same_run(self, tmp_path, capsys, trace,
+                                                            key, value):
+        command, flag = DASH_KEYS[key], "--" + key.replace("_", "-")
+        self.assert_same_run(tmp_path, capsys, trace, command, [flag, f"-{value}"], [f"{flag}=-{value}"])
+
+    # argparse resolves a unique prefix of a flag to that flag, so a "-"
+    # value after the prefix must run as it does attached to the full flag.
+    @pytest.mark.parametrize("command, prefix, flag, value", [
+        ("analytic", "--ph", "--phi", "-pi/2"),
+        ("analytic", "--ramp-s", "--ramp-start", "-2.5e1"),
+        ("analytic", "--i", "--i0", "-1"),
+        ("simulate", "--bin", "--bin-duration", "-1e-3"),
+        ("simulate", "--dark", "--dark-rate", "-inf"),
+        ("analyze", "--prom", "--prominence", "-0.2"),
+        ("sensitivity", "--max", "--max-m", "-2"),
+        ("sensitivity", "--g", "--grid", "-1e4"),
+    ])
+    def test_an_abbreviated_flag_takes_a_dash_value(self, tmp_path, capsys, trace,
+                                                    command, prefix, flag, value):
+        self.assert_same_run(tmp_path, capsys, trace, command, [prefix, value], [f"{flag}={value}"])
+
+    def test_an_ambiguous_prefix_is_still_refused(self, tmp_path, capsys):
+        code = cli.dispatch(["scan", "--m", "-3", "--points", "10", "--out", str(tmp_path / "run")])
+        assert code == 1 and not (tmp_path / "run").exists()
+        assert capsys.readouterr().err.endswith(
+            "error: ambiguous option: --m could match --modules, --mean-photons, --mode\n")
 
     def test_a_flag_without_its_value_still_fails(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -86,6 +86,21 @@ class TestMzi:
         for psi in rng.uniform(-10, 10, 1000):
             np.testing.assert_allclose(mzi(Arm.LOWER, psi), printed_single_mzi(psi), atol=1e-12)
 
+    # The staged circuit fold builds one arm's MZI and reads the other's
+    # through this view; signed zeros must survive it too.
+    @pytest.mark.parametrize("phase", [
+        -0.0, 0.0, np.pi, -np.pi, 2 * np.pi, 1e6,
+        np.random.default_rng(12).uniform(-1e4, 1e4, 257),
+        np.random.default_rng(13).uniform(-10, 10, (3, 1)),
+    ], ids=["-0", "0", "pi", "-pi", "2pi", "1e6", "1-D", "(3, 1)"])
+    @pytest.mark.parametrize("built, other", [(Arm.LOWER, Arm.UPPER), (Arm.UPPER, Arm.LOWER)])
+    def test_the_other_arm_is_the_stack_read_anti_transposed(self, phase, built, other):
+        view = np.swapaxes(mzi(built, phase)[..., ::-1, ::-1], -1, -2)
+        expected = mzi(other, phase)
+        assert view.shape == expected.shape
+        assert np.array_equal(np.ascontiguousarray(view).view(np.uint64),
+                              np.ascontiguousarray(expected).view(np.uint64))
+
 
 class TestConstructorChecks:
     """``mzi`` and ``phase_element`` check the phase, then the arm, before allocating."""
