@@ -3,18 +3,23 @@
 Hand-rolled on purpose: no plotting dependency, and identical input always
 produces byte-identical output, so rendered scans can be diffed in CI.
 
-Each polyline is formatted in one pass over its points.  A series of
-integers (photon counts) takes few distinct values, so each distinct value
-is mapped and formatted once, and the x coordinates once for all such
-series; the points keep the bytes of per-point formatting.
+Every check runs before the file is opened; the file is then written
+through, each polyline's points a chunk of rows (``_chunks.CHUNK_ROWS``
+points) at a time.  A series of integers (photon counts) takes few distinct values,
+so in each chunk each distinct value is mapped and formatted once, and
+the x coordinates are formatted once per plot for all such series, held
+as one string per chunk; the points keep the bytes of per-point
+formatting.
 """
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
+from itertools import chain
 
 import numpy as np
+
+from ._chunks import row_chunks, write_text
 
 __all__ = ["emit_plot_svg"]
 
@@ -58,20 +63,24 @@ def emit_plot_svg(x, series, path, *, xlabel: str = "", ylabel: str = "", title:
     if len(series) == 0:
         raise ValueError("need at least one series to plot")
     labels = [label for label, _ in series]
-    given = [np.asarray(y) for _, y in series]
-    integer = [y.dtype.kind in "iu" for y in given]
-    arrays = [np.asarray(y, dtype=float) for y in given]
+    # Integer series (photon counts) are converted to float a chunk at a time.
+    arrays = [np.asarray(y) for _, y in series]
+    arrays = [y if y.dtype.kind in "iu" else np.asarray(y, dtype=float) for y in arrays]
     for y in arrays:
         if y.shape != x.shape:
             raise ValueError("all series must have the same length as x")
     if x.ndim != 1 or len(x) < 2:
         raise ValueError("x must be 1-D with at least 2 points")
-    if not np.all(np.isfinite(x)) or not all(np.all(np.isfinite(y)) for y in arrays):
+    # A NaN carries through min and max, and rounding ints to float keeps
+    # their order, so these are the bounds of the float data, and finite
+    # exactly when all of it is.
+    lows = [float(np.min(a)) for a in (x, *arrays)]
+    highs = [float(np.max(a)) for a in (x, *arrays)]
+    if not all(map(math.isfinite, lows + highs)):
         raise ValueError("plot data must be finite")
 
-    x_lo, x_hi = float(np.min(x)), float(np.max(x))
-    data_lo = min(float(np.min(y)) for y in arrays)
-    data_hi = max(float(np.max(y)) for y in arrays)
+    x_lo, x_hi = lows[0], highs[0]
+    data_lo, data_hi = min(lows[1:]), max(highs[1:])
     if not math.isfinite(x_hi - x_lo):
         raise ValueError(f"plot axis span overflows a double: x data range [{x_lo!r}, {x_hi!r}]")
     if x_hi == x_lo:
@@ -128,38 +137,49 @@ def emit_plot_svg(x, series, path, *, xlabel: str = "", ylabel: str = "", title:
         parts.append(f'<text x="18" y="{cy:.0f}" {font} font-size="13" text-anchor="middle" '
                      f'transform="rotate(-90 18 {cy:.0f})">{_esc(ylabel)}</text>')
 
-    # px/py apply the same IEEE operations, in the same order, to a whole
-    # array as to one value, so the batched points match per-point output,
-    # and py of a series' distinct values has the bits of py of the series.
-    xs = px(x).tolist()
-    x_texts = None
-    for idx, (y, counts) in enumerate(zip(arrays, integer)):
-        color = _PALETTE[idx % len(_PALETTE)]
-        if counts:
-            if x_texts is None:
-                x_texts = ("%.2f,\n" * len(xs) % tuple(xs)).split("\n")
-            distinct, inverse = np.unique(y, return_inverse=True)
-            y_texts = ("%.2f\n" * len(distinct) % tuple(py(distinct).tolist())).split("\n")
-            # map stops at the shorter input, dropping x_texts' trailing "".
-            points = " ".join(map(str.__add__, x_texts, map(y_texts.__getitem__, inverse.tolist())))
-        else:
-            points = " ".join(map("{:.2f},{:.2f}".format, xs, py(y).tolist()))
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.3" '
-                     f'points="{points}"/>')
-
     legend_x = _MARGIN_L + plot_w - 150
     legend_y = _MARGIN_T + 10
+    legend = []
     for idx, label in enumerate(labels):
         color = _PALETTE[idx % len(_PALETTE)]
         ly = legend_y + idx * 18
-        parts.append(f'<line x1="{legend_x}" y1="{ly + 4}" x2="{legend_x + 24}" y2="{ly + 4}" '
-                     f'stroke="{color}" stroke-width="2" class="legend"/>')
-        parts.append(f'<text x="{legend_x + 30}" y="{ly + 8}" {font} font-size="12">'
-                     f'{_esc(label)}</text>')
+        legend.append(f'<line x1="{legend_x}" y1="{ly + 4}" x2="{legend_x + 24}" y2="{ly + 4}" '
+                      f'stroke="{color}" stroke-width="2" class="legend"/>')
+        legend.append(f'<text x="{legend_x + 30}" y="{ly + 8}" {font} font-size="12">'
+                      f'{_esc(label)}</text>')
+    legend.append("</svg>")
 
-    parts.append("</svg>")
-    data = "\n".join(parts) + "\n"
-    try:
-        Path(path).write_text(data, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise OSError(f"cannot write SVG {path}: {exc}") from exc
+    # px/py apply the same IEEE operations, in the same order, to a whole
+    # array as to one value, so the chunked points match per-point output,
+    # and py of a chunk's distinct values has the bits of py of the chunk.
+    # Each chunk's points are written as one string, joined to the chunk
+    # before by one space.
+    x_slots = None
+    if any(y.dtype.kind in "iu" for y in arrays):
+        # "%.2f,%%s" formats x and leaves a "%s" for the y text: one
+        # template per chunk, filled by every integer series.
+        x_slots = [" ".join(["%.2f,%%s"] * (rows.stop - rows.start)) % tuple(px(x[rows]).tolist())
+                   for rows in row_chunks(len(x))]
+
+    def points(y):
+        for index, rows in enumerate(row_chunks(len(x))):
+            if index:
+                yield " "
+            if y.dtype.kind in "iu":
+                distinct, inverse = np.unique(y[rows].astype(float), return_inverse=True)
+                y_texts = ("%.2f\n" * len(distinct) % tuple(py(distinct).tolist())).split("\n")
+                yield x_slots[index] % tuple(map(y_texts.__getitem__, inverse.tolist()))
+            else:
+                pairs = zip(px(x[rows]).tolist(), py(y[rows]).tolist())
+                yield " ".join(["%.2f,%.2f"] * (rows.stop - rows.start)) % tuple(chain.from_iterable(pairs))
+
+    def text():
+        yield "".join(part + "\n" for part in parts)
+        for idx, y in enumerate(arrays):
+            color = _PALETTE[idx % len(_PALETTE)]
+            yield f'<polyline fill="none" stroke="{color}" stroke-width="1.3" points="'
+            yield from points(y)
+            yield '"/>\n'
+        yield "".join(part + "\n" for part in legend)
+
+    write_text(path, text(), "SVG")

@@ -1,12 +1,18 @@
 """CSV serialization of count traces and JSON report writing.
 
 Floats are written with 17 significant digits, which round-trips IEEE
-doubles exactly, so a written trace reads back bit-identical.  Each
-column is converted to Python numbers once, and the whole body is one
-``%`` of a row template repeated once per row, applied to the row-major
-sequence of values; ``%d`` and ``%.17g`` give the same bytes as
-formatting each value on its own.  The reader parses the body with
-numpy's C parser (``np.loadtxt``) into integer and float columns.
+doubles exactly, so a written trace reads back bit-identical.  The writer
+goes one chunk of rows (``CHUNK_ROWS``) at a time through the open file:
+it converts each column's chunk to Python numbers once and formats the
+chunk with one ``%`` of a row template repeated once per row, applied to
+the row-major sequence of its values; ``%d`` and ``%.17g`` give the same
+bytes as formatting each value on its own.  The reader parses a chunk of
+rows at a time with numpy's C parser (``np.loadtxt``), straight from the
+open file, into integer and float columns.  A file holding anything the
+writer does not write (another character or line end, a blank line) is
+read as a whole instead, with its blank and whitespace-only lines
+dropped; it gives the same trace or the same error as the chunked read
+would if that could take it.
 
 ``_COLUMNS`` says, per source mode, which column holds which ``CountTrace``
 field; the writer, the reader, the headers and :func:`measured_columns`
@@ -21,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._chunks import CHUNK_ROWS, row_chunks, write_text
 from .config import SourceMode
 from .montecarlo import CountTrace
 
@@ -57,6 +64,15 @@ def _column(name: str, values) -> list:
     return np.asarray(values, dtype=float).tolist()
 
 
+def _header_mode(header: tuple):
+    """The source mode whose CSV header is ``header``, or None."""
+    return next((mode for mode, columns in _COLUMNS.items() if tuple(columns) == header), None)
+
+
+def _dtype(header: tuple) -> np.dtype:
+    return np.dtype([(name, np.int64 if name in _INTEGER_COLUMNS else float) for name in header])
+
+
 def measured_columns(trace: CountTrace) -> dict:
     """The columns of ``trace`` after the scan axes, by CSV name in file order."""
     return {name: getattr(trace, field) for name, field in _COLUMNS[trace.mode].items()
@@ -68,32 +84,98 @@ def write_trace_csv(trace: CountTrace, path) -> None:
 
     The columns are ``PHOTON_HEADER`` (integer counts) or
     ``CLASSICAL_HEADER``.  The trace is validated first, so a trace that
-    would not read back is never written.
+    would not read back is never written; a write that fails part way
+    leaves no file behind.
     """
     trace.validate()
     fields = _COLUMNS[trace.mode]
-    columns = [_column(name, getattr(trace, field)) for name, field in fields.items()]
+    arrays = [getattr(trace, field) for field in fields.values()]
     # ``%d`` of a Python int and ``%.17g`` of a Python float give the same
-    # text as ``str(int(v))`` and ``format(float(v), ".17g")``, so the body
-    # formats exactly as its values would one by one.  The header holds no
-    # ``%``, so it goes into the template and the file text is built once.
+    # text as ``str(int(v))`` and ``format(float(v), ".17g")``, so each
+    # chunk formats exactly as its values would one by one.
     row = ",".join("%d" if name in _INTEGER_COLUMNS else "%.17g" for name in fields) + "\n"
-    template = ",".join(fields) + "\n" + row * len(columns[0])
-    data = template % tuple(chain.from_iterable(zip(*columns)))
-    try:
-        Path(path).write_text(data, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise OSError(f"cannot write trace CSV {path}: {exc}") from exc
+
+    def text():
+        yield ",".join(fields) + "\n"
+        for rows in row_chunks(len(trace)):
+            columns = [_column(name, values[rows]) for name, values in zip(fields, arrays)]
+            yield row * len(columns[0]) % tuple(chain.from_iterable(zip(*columns)))
+
+    write_text(path, text(), "trace CSV")
 
 
 def read_trace_csv(path) -> CountTrace:
     """Read a trace CSV written by :func:`write_trace_csv`.
 
-    Blank lines are skipped.  Every row must have the header's column
-    count, and the ``bin``/``d1``/``d2``/``coinc`` columns must hold
-    integer literals; a malformed row raises ``ValueError`` naming the
-    file.  A header-only file reads as an empty trace.
+    Blank and whitespace-only lines are skipped.  Every row must have the
+    header's column count, and the ``bin``/``d1``/``d2``/``coinc`` columns
+    must hold integer literals; a malformed row raises ``ValueError``
+    naming the file.  A header-only file reads as an empty trace.
     """
+    try:
+        read = _read_chunks(path)
+    except (OSError, ValueError):
+        read = None
+    mode, columns = read or _read_lines(path)
+    fields = {field: columns[name] for name, field in _COLUMNS[mode].items()}
+    if "coincidences" not in fields:
+        fields["coincidences"] = np.zeros(len(columns["bin"]))
+    trace = CountTrace(mode=mode, **fields)
+    trace.validate()
+    return trace
+
+
+# Every byte the writer writes: header letters, digits, signs, points,
+# exponents, commas and LF.
+_WRITTEN_BYTES = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_+-.,\n"
+
+
+def _data_rows(path):
+    """The number of data rows in ``path`` if it holds only ``_WRITTEN_BYTES``
+    and no blank line, else None.  Read a block of bytes at a time."""
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while block := fh.read(64 * CHUNK_ROWS):
+            # LF offsets with the last byte of the block before in front, so a
+            # blank line across the seam shows as two adjacent LFs.
+            ends = np.flatnonzero(np.frombuffer(last + block, np.uint8) == ord("\n"))
+            if block.translate(None, _WRITTEN_BYTES) or np.any(np.diff(ends) == 1):
+                return None
+            lines += len(ends) - (last == b"\n")
+            last = block[-1:]
+    lines += last != b"\n"
+    return lines - 1 if lines else None
+
+
+def _read_chunks(path):
+    """``(mode, columns)`` of a file as the writer writes it, parsed a chunk
+    of rows at a time into preallocated columns, or None for any other file.
+
+    On such a file numpy splits the same lines as :func:`_read_lines` and
+    skips none, so where this read succeeds, that one gives the same columns.
+    Beside the columns it holds one chunk's table and one block of bytes.
+    """
+    rows = _data_rows(path)
+    if rows is None:
+        return None
+    with open(path, encoding="utf-8") as fh:
+        header = tuple(fh.readline().rstrip("\n").split(","))
+        mode = _header_mode(header)
+        if mode is None:
+            return None
+        dtype = _dtype(header)
+        columns = {name: np.empty(rows, dtype[name]) for name in header}
+        for chunk in row_chunks(rows):
+            table = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1,
+                               max_rows=chunk.stop - chunk.start)
+            for name, column in columns.items():
+                column[chunk] = table[name]
+    return mode, columns
+
+
+def _read_lines(path):
+    """``(mode, columns)`` of any trace file: the whole text split into lines,
+    blank and whitespace-only lines dropped, and the rest parsed at once."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -102,11 +184,11 @@ def read_trace_csv(path) -> CountTrace:
     if not lines:
         raise ValueError(f"{path}: empty trace file")
     header = tuple(lines[0].split(","))
-    mode = next((mode for mode, columns in _COLUMNS.items() if tuple(columns) == header), None)
+    mode = _header_mode(header)
     if mode is None:
         raise ValueError(f"{path}: unrecognised trace header {lines[0]!r}")
 
-    dtype = np.dtype([(name, np.int64 if name in _INTEGER_COLUMNS else float) for name in header])
+    dtype = _dtype(header)
     if len(lines) > 1:
         try:
             table = np.loadtxt(lines[1:], delimiter=",", dtype=dtype, comments=None, ndmin=1)
@@ -116,17 +198,9 @@ def read_trace_csv(path) -> CountTrace:
             raise ValueError(f"{path}: malformed trace data: {reason}") from None
     else:
         table = np.zeros(0, dtype=dtype)
-    fields = {"coincidences": np.zeros(len(table))}
-    fields.update((field, np.array(table[name])) for name, field in _COLUMNS[mode].items())
-    trace = CountTrace(mode=mode, **fields)
-    trace.validate()
-    return trace
+    return mode, {name: np.array(table[name]) for name in header}
 
 
 def write_json_report(payload: dict, path) -> None:
     """Write a JSON report with stable formatting (LF, 2-space indent)."""
-    data = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    try:
-        Path(path).write_text(data, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise OSError(f"cannot write report {path}: {exc}") from exc
+    write_text(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"], "report")

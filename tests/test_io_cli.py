@@ -1,16 +1,22 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import math
+import os
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cbwsim import cli, config, experiment, montecarlo, optics, svgplot
+from cbwsim import _chunks, cli, config, experiment, montecarlo, optics, svgplot
+from cbwsim._chunks import CHUNK_ROWS
 from cbwsim.circuit import (
     MAX_ELEMENTS,
     MAX_MODULES,
@@ -162,6 +168,30 @@ def assert_bits_equal(a, b):
     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+# Row counts around the seams of the fixed row chunks.
+SEAM_LENGTHS = [0, 1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS,
+                3 * CHUNK_ROWS + 7]
+
+
+def wide_trace(mode, n, seed=0, counts=np.int64):
+    """A trace whose every field formats as wide as it can: 17-digit floats of
+    every exponent, and in photon mode 19-digit counts and bin indices
+    (integral doubles below 2**53 when ``counts`` is float)."""
+    rng = np.random.default_rng(seed)
+    if mode is SourceMode.PHOTON_COUNTING:
+        top = 2**53 if counts is float else 2**62
+        d1 = rng.integers(top // 2, top, n).astype(counts)
+        d2 = rng.integers(top // 2, top, n).astype(counts)
+        coinc = np.minimum(d1, d2) // 2
+    else:
+        d1, d2, coinc = np.abs(random_doubles(rng, n)), np.abs(random_doubles(rng, n)), None
+    trace = make_trace(mode, random_doubles(rng, n), random_doubles(rng, n),
+                       random_doubles(rng, n), d1, d2, coinc)
+    if mode is SourceMode.PHOTON_COUNTING and counts is not float:
+        trace.bin_index = trace.bin_index + 2**62
+    return trace
+
+
 # Per mode: the CSV header, and a small trace of that mode.
 MODES = {"photon": (PHOTON_HEADER, photon_trace), "classical": (CLASSICAL_HEADER, classical_trace)}
 
@@ -299,6 +329,35 @@ class TestBatchedWriterMatchesOracle:
             write_trace_csv(trace, path)
         assert not path.exists()
 
+    def test_fractional_photon_counts_are_not_written(self, tmp_path):
+        # Written through int64 they would read back as 3 and 0.
+        trace = make_trace(SourceMode.PHOTON_COUNTING, [0.0, 1.0, 2.0], [0.0] * 3, [0.0] * 3,
+                           np.array([3.7, 2, 1]), np.array([4, 4, 4]), np.array([0.9, 0, 0]))
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="^singles_d1 must hold whole numbers within int64$"):
+            write_trace_csv(trace, path)
+        assert not path.exists()
+
+    # Each chunk of rows is formatted on its own; a missing or doubled line
+    # end where two chunks meet changes the bytes.
+    @pytest.mark.parametrize("n", SEAM_LENGTHS)
+    @pytest.mark.parametrize("mode, counts", [
+        (SourceMode.PHOTON_COUNTING, np.int64),
+        (SourceMode.PHOTON_COUNTING, float),      # whole-number counts held as floats
+        (SourceMode.CLASSICAL_INTENSITY, float),
+    ], ids=["photon-int", "photon-float", "classical"])
+    def test_chunk_seams_keep_the_oracle_bytes(self, tmp_path, n, mode, counts):
+        trace = wide_trace(mode, n, seed=n, counts=counts)
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == oracle_csv(trace)
+        back = read_trace_csv(path)
+        assert back.mode is mode and len(back) == n
+        for field in ("bin_index", "time", "voltage", "psi"):
+            assert_bits_equal(getattr(back, field), getattr(trace, field))
+        for field in ("singles_d1", "singles_d2"):
+            np.testing.assert_array_equal(getattr(back, field), getattr(trace, field))
+
 
 class TestReaderRejects:
     GOOD = "0,0,0,0,5,4,2"
@@ -332,6 +391,171 @@ class TestReaderRejects:
         path.write_text(",".join(PHOTON_HEADER) + "\n\n" + self.GOOD + "\n  \n1,1,1,1,3,3,1\n")
         trace = read_trace_csv(path)
         np.testing.assert_array_equal(trace.singles_d1, [5, 3])
+
+
+def line_filter_read(path) -> CountTrace:
+    """The reader as it was before chunked reading: the whole text split into
+    lines, blank and whitespace-only lines dropped, the rest parsed at once.
+    The oracle of :func:`read_trace_csv` on any file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot read trace CSV {path}: {exc}") from exc
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty trace file")
+    header = tuple(lines[0].split(","))
+    if header not in (PHOTON_HEADER, CLASSICAL_HEADER):
+        raise ValueError(f"{path}: unrecognised trace header {lines[0]!r}")
+    dtype = np.dtype([(name, np.int64 if name in ("bin", "d1", "d2", "coinc") else float)
+                      for name in header])
+    if len(lines) > 1:
+        try:
+            table = np.loadtxt(lines[1:], delimiter=",", dtype=dtype, comments=None, ndmin=1)
+        except ValueError as exc:
+            reason = str(exc).split("; use `usecols`")[0]
+            raise ValueError(f"{path}: malformed trace data: {reason}") from None
+    else:
+        table = np.zeros(0, dtype=dtype)
+    fields = {"coincidences": np.zeros(len(table))}
+    fields.update((field, np.array(table[name])) for name, field in zip(header, TRACE_FIELDS))
+    photon = header == PHOTON_HEADER
+    trace = CountTrace(mode=SourceMode.PHOTON_COUNTING if photon else SourceMode.CLASSICAL_INTENSITY,
+                       **fields)
+    trace.validate()
+    return trace
+
+
+TRACE_FIELDS = ("bin_index", "time", "voltage", "psi", "singles_d1", "singles_d2", "coincidences")
+
+
+def read_outcome(read, path):
+    """The trace ``read(path)`` gives, as mode, dtypes and bytes, or the
+    type and message of what it raises."""
+    try:
+        trace = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return trace.mode, [(getattr(trace, f).dtype, getattr(trace, f).tobytes()) for f in TRACE_FIELDS]
+
+
+# Characters that ``str.splitlines`` takes as line ends but a file read by
+# lines does not, or that are whitespace inside a field.
+ODD_CHARS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " ", "\t"]
+ODD_FIELDS = ["3.5", "", "nan", "inf", "-1", "1e3", "+7", " 4", "4\t", "x", "9223372036854775808"]
+ODD_LINE_ENDS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\n\n", "\n  \n",
+                 "\n\t\n"]
+
+
+@st.composite
+def valid_rows(draw, columns) -> list:
+    """The fields of one row that reads back as a valid trace row."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = [draw(st.integers(0, 2**62)), draw(finite), draw(finite), draw(finite)]
+    if columns == PHOTON_HEADER:
+        d1, d2 = draw(st.integers(0, 2**62)), draw(st.integers(0, 2**62))
+        values += [d1, d2, draw(st.integers(0, min(d1, d2)))]
+    else:
+        values += [draw(finite.map(abs)), draw(finite.map(abs))]
+    return [str(v) if isinstance(v, int) else format(v, ".17g") for v in values]
+
+
+# The edits where the chunked read could differ (whitespace next to a comma
+# that splits the row for ``str.splitlines``, a line end that a file read
+# by lines does not split on) are drawn three times as often.
+EDITS = ["field", "short", "long", "char", "blank line", "header", "no last line end", "bytes",
+         *["char at an edge", "line end"] * 3]
+
+
+@st.composite
+def trace_files(draw) -> bytes:
+    """Trace CSVs as the writer writes them, then with up to three edits
+    such as a person or another tool might make: an odd field, a short or
+    long row, an odd character inside a row (often next to a comma, where
+    numpy's parser takes whitespace), an odd line end, a blank or
+    whitespace-only line, a changed header, a missing last line end or
+    bytes that are not UTF-8."""
+    columns = draw(st.sampled_from([PHOTON_HEADER, CLASSICAL_HEADER]))
+    lines = [",".join(columns)] + [",".join(draw(valid_rows(columns)))
+                                   for _ in range(draw(st.integers(0, 8)))]
+    ends = ["\n"] * len(lines)
+    invalid = None
+    for edit in draw(st.lists(st.sampled_from(EDITS), max_size=3)):
+        at = draw(st.integers(0, len(lines) - 1))
+        fields = lines[at].split(",")
+        if edit == "field":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(ODD_FIELDS))
+            lines[at] = ",".join(fields)
+        elif edit in ("short", "long"):
+            lines[at] = ",".join(fields[:-1] if edit == "short" else fields + ["1"])
+        elif edit.startswith("char"):
+            edges = [0, len(lines[at])] + [i + d for i, c in enumerate(lines[at]) if c == "," for d in (0, 1)]
+            where = (st.sampled_from(edges) if edit == "char at an edge"
+                     else st.integers(0, len(lines[at])))
+            i = draw(where)
+            lines[at] = lines[at][:i] + draw(st.sampled_from(ODD_CHARS)) + lines[at][i:]
+        elif edit == "line end":
+            ends[at] = draw(st.sampled_from(ODD_LINE_ENDS))
+        elif edit == "blank line":
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t", "\x0c"])))
+            ends.insert(at, "\n")
+        elif edit == "header":
+            lines[0] = draw(st.sampled_from(["bin,time_s", lines[0] + " ", ""]))
+        elif edit == "no last line end":
+            ends[-1] = ""
+        else:
+            invalid = draw(st.sampled_from([b"\xff", b"\xc3(", b"\xe2\x80"]))
+    data = "".join(map(str.__add__, lines, ends)).encode()
+    if invalid is not None:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + invalid + data[at:]
+    return data
+
+
+class TestReaderMatchesLineFilter:
+    """The chunked reader against the whole-text line filter it replaces:
+    the same trace bit for bit, or the same exception type and message."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=trace_files())
+    def test_same_trace_or_same_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_bytes(data)
+        assert read_outcome(read_trace_csv, path) == read_outcome(line_filter_read, path)
+
+    # Each character that ``str.splitlines`` takes as a line end, and some
+    # other whitespace, at each place in a row where it could change how
+    # the row splits or parses.
+    @pytest.mark.parametrize("char", ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                      "\x85", "\u2028", "\u2029", " ", "\t", "\xa0"])
+    @pytest.mark.parametrize("where", ["after a comma", "before a comma", "inside a number",
+                                       "row start", "row end", "instead of a line end"])
+    def test_odd_characters_read_as_before(self, tmp_path, char, where):
+        first, row = "0,0.5,1,2,3,4,1", "1,0.25,1,2,15,4,2"
+        at = {"after a comma": row.index(",") + 1, "before a comma": row.index(","),
+              "inside a number": row.index("15") + 1, "row start": 0, "row end": len(row)}
+        if where in at:
+            text = f"{first}\n{row[:at[where]]}{char}{row[at[where]:]}\n"
+        else:
+            text = f"{first}{char}{row}\n"
+        path = tmp_path / "odd.csv"
+        path.write_bytes((",".join(PHOTON_HEADER) + "\n" + text).encode())
+        assert read_outcome(read_trace_csv, path) == read_outcome(line_filter_read, path)
+
+    @pytest.mark.parametrize("n", SEAM_LENGTHS)
+    @pytest.mark.parametrize("mode", list(SourceMode))
+    def test_written_files_read_as_before(self, tmp_path, n, mode):
+        path = tmp_path / "t.csv"
+        write_trace_csv(wide_trace(mode, n, seed=n), path)
+        outcome = read_outcome(read_trace_csv, path)
+        assert outcome[0] is mode
+        assert outcome == read_outcome(line_filter_read, path)
+
+    def test_a_missing_file_raises_as_before(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        outcome = read_outcome(read_trace_csv, path)
+        assert outcome == read_outcome(line_filter_read, path)
+        assert outcome[0] is OSError and outcome[1].startswith(f"cannot read trace CSV {path}: ")
 
 
 class TestSvg:
@@ -383,6 +607,28 @@ class TestSvg:
             got = re.findall(r'points="([^"]*)"', path.read_text())
             assert got == oracle_points(x, [np.asarray(y, dtype=float) for _, y in series])
 
+    # Each chunk of points is formatted on its own and joined to the one
+    # before by one space; a missing or doubled space changes the points.
+    @pytest.mark.parametrize("n", SEAM_LENGTHS)
+    @pytest.mark.parametrize("kind", ["int", "float", "mixed"])
+    def test_points_match_at_chunk_seams(self, tmp_path, n, kind):
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.uniform(-3.0, 50.0, n))
+        ints = [("d1", rng.poisson(300.0, n)), ("coinc", rng.integers(0, 2**62, n))]
+        floats = [("a", rng.normal(0.0, 1e3, n)), ("b", np.sin(x))]
+        series = {"int": ints, "float": floats, "mixed": [ints[0], floats[0], ints[1]]}[kind]
+        path = tmp_path / "p.svg"
+        if n < 2:
+            with pytest.raises(ValueError, match="at least 2 points"):
+                emit_plot_svg(x, series, path)
+            assert not path.exists()
+            return
+        emit_plot_svg(x, series, path, title="seams")
+        text = path.read_text()
+        assert re.findall(r'points="([^"]*)"', text) == oracle_points(
+            x, [np.asarray(y, dtype=float) for _, y in series])
+        assert text.count("<polyline") == len(series) and text.endswith("</svg>\n")
+
     @pytest.mark.parametrize("x, y", [
         ([0.0, 1.0], [2.0, 3.0]),                 # two points
         ([0.0, 1.0], [1e-310, -0.0]),             # subnormal values
@@ -432,6 +678,170 @@ class TestSvg:
             warnings.simplefilter("error")
             emit_plot_svg([0.0, 5e-324], [("y", [1.0, 2.0])], path)
         assert path.read_text().count("<polyline") == 1
+
+
+class FailingFile:
+    """An open text file whose second write of a chunk of rows (a write that
+    holds at least ``CHUNK_ROWS`` commas) raises ENOSPC.  Earlier writes go
+    to the file, so the failure leaves a partial file on disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.chunks = 0
+        self.partial_size = None
+
+    def write(self, text):
+        if text.count(",") >= CHUNK_ROWS:
+            self.chunks += 1
+            if self.chunks == 2:
+                self.fh.flush()
+                self.partial_size = os.fstat(self.fh.fileno()).st_size
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+class TestFailedWriteLeavesNoFile:
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """The files the writers open, each failing on its second chunk of rows."""
+        files = []
+
+        def failing_open(*args, **kwargs):
+            files.append(FailingFile(open(*args, **kwargs)))
+            return files[-1]
+
+        monkeypatch.setattr(_chunks, "open", failing_open, raising=False)
+        return files
+
+    def write_csv(self, path):
+        write_trace_csv(wide_trace(SourceMode.PHOTON_COUNTING, 3 * CHUNK_ROWS + 7), path)
+
+    def write_svg(self, path):
+        x = np.linspace(0.0, 1.0, 3 * CHUNK_ROWS + 7)
+        emit_plot_svg(x, [("d1", np.arange(len(x))), ("model", np.sin(x))], path)
+
+    @pytest.mark.parametrize("writer, what", [("write_csv", "trace CSV"), ("write_svg", "SVG")])
+    def test_partial_file_is_removed(self, tmp_path, opened, writer, what):
+        path = tmp_path / "out"
+        path.write_text("an older run\n")
+        with pytest.raises(OSError, match=re.escape(f"cannot write {what} {path}: ") + ".*No space left"):
+            getattr(self, writer)(path)
+        assert opened[0].partial_size > len("an older run\n")
+        assert not path.exists()
+
+    def test_a_link_is_left_alone(self, tmp_path, opened):
+        target = tmp_path / "target.csv"
+        target.write_text("")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        with pytest.raises(OSError, match="cannot write trace CSV"):
+            self.write_csv(link)
+        assert link.is_symlink() and target.exists()
+
+    def test_an_unopenable_path_raises_as_before(self, tmp_path):
+        path = tmp_path / "missing_dir" / "t.csv"
+        with pytest.raises(OSError, match=re.escape(f"cannot write trace CSV {path}: ")):
+            write_trace_csv(photon_trace(points=3), path)
+        with pytest.raises(OSError, match=re.escape(f"cannot write SVG {tmp_path}: ")):
+            emit_plot_svg([0.0, 1.0], [("y", [1.0, 2.0])], tmp_path)
+        assert tmp_path.is_dir()
+
+
+def traced_peak_above(function, *args) -> int:
+    """Traced peak bytes allocated while ``function(*args)`` runs, less the
+    arrays of the trace it returns, if any."""
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if isinstance(result, CountTrace):
+        peak -= sum(getattr(result, field).nbytes for field in TRACE_FIELDS)
+    return peak
+
+
+class TestMemoryDoesNotGrowWithRows:
+    """Traced peaks of the trace writer, reader and plot beside their inputs
+    and results, on traces of the widest text, at 2e4 and 2e5 rows.
+
+    Anything kept per row takes at least a pointer (8 bytes), so a peak
+    that grows by less than 1 byte per added row keeps nothing per row.
+    The bounds on one chunk, per row of the chunk:
+
+    * writer: 7 values as Python objects with their list slots (<= 44
+      bytes each for a 19-digit int, 32 for a float: <= 308), the flat
+      tuple (56), the row template (<= 30), the text and its UTF-8
+      encoding (<= 2 x 159: 4 x 20 digits, 3 x 24-character floats and 7
+      separators), the int64 copy (8) and the checks' masks over 16
+      chunks (3 per row: 48); <= 768, within 1 KiB per row;
+    * reader: the chunk's table (56), the checks' masks (48) and two
+      blocks of the byte scan of 64 bytes per row (128); <= 232, plus
+      64 KiB for numpy's parser and the file buffers;
+    * plot: x and y as arrays, Python floats with list slots, a flat
+      tuple, the template and text and its encoding, or an integer
+      chunk's distinct-value texts (<= 57 each); within 256 bytes per
+      point.  Integer series also share the x texts of the whole plot,
+      formatted once: <= 10 characters per point ("936.00,%s ") and one
+      string per chunk (<= 49 bytes and a list slot).
+    """
+
+    SMALL, LARGE = 20_000, 200_000
+    WRITE_BOUND = CHUNK_ROWS * 1024
+    READ_BOUND = CHUNK_ROWS * 232 + 64 * 1024
+    PLOT_BOUND = CHUNK_ROWS * 256
+
+    def peaks(self, function, make):
+        return [traced_peak_above(function, *make(n)) for n in (self.SMALL, self.LARGE)]
+
+    def assert_flat(self, peaks, bound):
+        small, large = peaks
+        assert large <= bound
+        assert large - small < self.LARGE - self.SMALL
+
+    # Photon rows are the widest, in objects and in text; classical rows
+    # take the same code.
+    def test_writer(self, tmp_path):
+        peaks = self.peaks(write_trace_csv,
+                           lambda n: (wide_trace(SourceMode.PHOTON_COUNTING, n), tmp_path / "t.csv"))
+        self.assert_flat(peaks, self.WRITE_BOUND)
+
+    def test_reader(self, tmp_path):
+        def written(n):
+            path = tmp_path / f"{n}.csv"
+            write_trace_csv(wide_trace(SourceMode.PHOTON_COUNTING, n), path)
+            return (path,)
+
+        self.assert_flat(self.peaks(read_trace_csv, written), self.READ_BOUND)
+
+    def test_plot_of_float_series(self, tmp_path):
+        def plot(n):
+            rng = np.random.default_rng(n)
+            x = np.sort(rng.uniform(0.0, 1.0, n))
+            return x, [("a", rng.normal(0.0, 1e3, n)), ("b", rng.normal(0.0, 1.0, n))], tmp_path / "p.svg"
+
+        self.assert_flat(self.peaks(emit_plot_svg, plot), self.PLOT_BOUND)
+
+    def test_plot_of_integer_series_keeps_only_the_x_texts(self, tmp_path):
+        def plot(n):
+            rng = np.random.default_rng(n)
+            x = np.sort(rng.uniform(0.0, 1.0, n))
+            series = [("d1", rng.integers(0, 2**62, n)), ("d2", rng.poisson(300.0, n)),
+                      ("coinc", rng.poisson(3.0, n))]
+            return x, series, tmp_path / "p.svg"
+
+        def x_texts(n):
+            return 10 * n + (49 + 8) * -(-n // CHUNK_ROWS)
+
+        small, large = self.peaks(emit_plot_svg, plot)
+        assert large <= self.PLOT_BOUND + x_texts(self.LARGE)
+        assert large - small < x_texts(self.LARGE) - x_texts(self.SMALL) + self.LARGE - self.SMALL
 
 
 class TestParsePhase:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cbwsim import montecarlo
+from cbwsim._chunks import CHUNK_ROWS
 from cbwsim.analytic import cbw_intensities, expected_coincidence_fraction
 from cbwsim.circuit import CircuitAst, ElementKind, ElementNode, UnboundParameterError, build_cbw_chain
 from cbwsim.config import (
@@ -391,6 +392,13 @@ class TestScanChain:
         np.testing.assert_allclose(powers[0] + powers[1], 1.0, rtol=0, atol=1e-12)
 
 
+def analytic_sweep(scan):
+    """The trace ``cbwsim analytic`` writes: the closed-form powers over the scan."""
+    prediction = cbw_intensities(scan.psi_values(), 0.0, 2)
+    return scan_trace(scan, SourceMode.CLASSICAL_INTENSITY, scan.psi_values(), prediction.i_upper,
+                      prediction.i_lower, np.zeros(scan.points))
+
+
 class TestScanTrace:
     def test_axes_come_from_the_scan(self):
         scan = ScanConfig(points=5, bin_duration=0.1, scan_duration=0.5)
@@ -413,6 +421,64 @@ class TestScanTrace:
         scan = ScanConfig(points=5, bin_duration=0.1, scan_duration=0.5)
         with pytest.raises(ValueError, match=message):
             scan_trace(scan, SourceMode.PHOTON_COUNTING, scan.psi_values(), d1, np.ones(5), coinc)
+
+    # The CSV writes bin indices and photon counts through int64, so a value
+    # that is not a whole number within int64 would be written as another
+    # number; the trace is refused instead, naming the field.
+    @pytest.mark.parametrize("d1, d2, coinc, field", [
+        ([3.7, 2, 1], [4, 4, 4], [0.9, 0, 0], "singles_d1"),
+        ([3, 2, 1], [4, 4, 4], [0.9, 0, 0], "coincidences"),
+        ([3, 2, 1], [4, 4.5, 4], [0, 0, 0], "singles_d2"),
+        ([3, 2, 2.0**63], [4, 4, 2.0**63], [0, 0, 0], "singles_d1"),
+        ([3, 2, 1], np.array([4, 4, 2**63], dtype=np.uint64), [0, 0, 0], "singles_d2"),
+    ])
+    def test_photon_counts_must_be_int64_whole_numbers(self, d1, d2, coinc, field):
+        scan = ScanConfig(points=3, bin_duration=0.1, scan_duration=0.3)
+        with pytest.raises(ValueError, match=f"^{field} must hold whole numbers within int64$"):
+            scan_trace(scan, SourceMode.PHOTON_COUNTING, scan.psi_values(), np.asarray(d1),
+                       np.asarray(d2), np.asarray(coinc))
+
+    @pytest.mark.parametrize("mode", list(SourceMode))
+    def test_bin_index_must_be_whole_numbers_in_both_modes(self, mode):
+        trace = scan_trace(ScanConfig(points=3, bin_duration=0.1, scan_duration=0.3), mode,
+                           np.zeros(3), np.ones(3), np.ones(3), np.zeros(3))
+        trace.bin_index = np.array([0.0, 1.5, 2.0])
+        with pytest.raises(ValueError, match="^bin_index must hold whole numbers within int64$"):
+            trace.validate()
+
+    def test_whole_float_counts_and_fractional_powers_pass(self):
+        scan = ScanConfig(points=3, bin_duration=0.1, scan_duration=0.3)
+        scan_trace(scan, SourceMode.PHOTON_COUNTING, scan.psi_values(), np.array([3.0, 2.0, 1.0]),
+                   np.array([4.0, 4.0, 2.0**62]), np.array([1.0, 0.0, 0.0]))
+        scan_trace(scan, SourceMode.CLASSICAL_INTENSITY, scan.psi_values(), np.array([3.7, 0.5, 1e-300]),
+                   np.array([0.25, 4.0, 2.0**70]), np.zeros(3))
+
+    @pytest.mark.parametrize("points", [2, CHUNK_ROWS * 16 + 1, CHUNK_ROWS * 40])
+    @pytest.mark.parametrize("simulate", [
+        lambda scan: simulate_scan_counts(scan, photon_source(0.3, 1e-6), LAB_NOISE, seed=2),
+        lambda scan: simulate_classical_trace(scan, LAB_NOISE, seed=2),
+        lambda scan: analytic_sweep(scan),
+    ], ids=["photon", "classical", "analytic"])
+    def test_every_simulator_output_validates(self, simulate, points):
+        trace = simulate(ScanConfig(points=points, bin_duration=1e-3, scan_duration=points * 1e-3))
+        trace.validate()
+        assert len(trace) == points
+
+    # Each check runs over every block before the next check starts, so the
+    # first failing check is reported whatever block its row falls in.
+    def test_checks_keep_their_order_across_blocks(self):
+        n = CHUNK_ROWS * 16 + 5
+        scan = ScanConfig(points=n, bin_duration=1e-3, scan_duration=n * 1e-3)
+        d1, coinc = np.ones(n), np.zeros(n)
+        d1[3] = -1.0
+        psi = scan.psi_values()
+        psi[-1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            scan_trace(scan, SourceMode.PHOTON_COUNTING, psi, d1, np.ones(n), coinc)
+        coinc[2] = 0.5
+        d1[3], d1[-1] = 1.0, -1.0
+        with pytest.raises(ValueError, match="negative counts"):
+            scan_trace(scan, SourceMode.PHOTON_COUNTING, scan.psi_values(), d1, np.ones(n), coinc)
 
 
 class TestUnboundParameters:
