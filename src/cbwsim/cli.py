@@ -190,6 +190,13 @@ def _arguments(name: str):
     yield "--out", dict(required=out_help is not _JSON_OUT, help=out_help)
 
 
+def _add_options(parser, name: str):
+    """``parser`` with the options of subcommand ``name`` added."""
+    for flag, keywords in _arguments(name):
+        parser.add_argument(flag, **keywords)
+    return parser
+
+
 def _build_parser(only=None):
     """The ``cbwsim`` parser and its subcommand parsers by name.
 
@@ -200,12 +207,19 @@ def _build_parser(only=None):
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     commands = {}
     for name, (_, help_text, _, _) in _COMMANDS.items():
-        p = commands[name] = sub.add_parser(name, help=help_text)
-        if only is not None and name != only:
-            continue
-        for flag, keywords in _arguments(name):
-            p.add_argument(flag, **keywords)
+        commands[name] = sub.add_parser(name, help=help_text)
+        if only is None or name == only:
+            _add_options(commands[name], name)
     return parser, commands
+
+
+def _command_parser(name: str):
+    """Subcommand ``name``'s parser alone: the ``_Parser`` with this ``prog``
+    that ``sub.add_parser`` makes in the full tree, with ``command`` set as
+    the tree sets it."""
+    parser = _add_options(_Parser(prog=f"cbwsim {name}"), name)
+    parser.set_defaults(command=name)
+    return parser
 
 
 def _join_dash_values(argv: list, command: str) -> list:
@@ -323,7 +337,9 @@ def _cmd_analyze(args) -> int:
     if column not in columns:
         raise ConfigError(f"unknown column {column!r}; choose from {sorted(columns)}")
     stats = experiment.fringe_stats(columns[column], trace.psi, **_given(args, "prominence"))
-    _emit_json({"column": column, "source": str(args.input), **dataclasses.asdict(stats)}, args.out)
+    # vars, not asdict: asdict copies every extremum pair, and JSON writes
+    # the same text for either.
+    _emit_json({"column": column, "source": str(args.input), **vars(stats)}, args.out)
     return 0
 
 
@@ -366,11 +382,24 @@ def dispatch(argv) -> int:
     # subcommand, since the top-level parser has no option taking a value.
     command = next((arg for arg in argv if arg in _COMMANDS), "")
     argv = _join_dash_values(argv, command)
-    parser, commands = _build_parser(command)
+    parser = None
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            parser.error("a subcommand is required")
+        if argv[:1] == [command]:
+            # The full tree hands the command's parser every token after the
+            # command, so that parser alone parses them as the tree would;
+            # a token it leaves over, the tree reports with its own usage.
+            parser = command_parser = _command_parser(command)
+            tokens = argv[1:]
+            args, rest = parser.parse_known_args(tokens)
+            if rest:
+                parser = None
+        if parser is None:
+            parser, commands = _build_parser(command)
+            tokens = argv
+            args = parser.parse_args(tokens)
+            if args.command is None:
+                parser.error("a subcommand is required")
+            command_parser = commands[args.command]
     except _ParserExit as exc:
         status, message = exc.args
         if message:
@@ -383,9 +412,9 @@ def dispatch(argv) -> int:
             # File values become the subcommand's defaults, so every flag
             # still beats them; keys of other subcommands are ignored.
             values = load_config(args.config)
-            commands[args.command].set_defaults(
+            command_parser.set_defaults(
                 **{key: _cast(key, text) for key, text in values.items() if key in vars(args)})
-            args = parser.parse_args(argv)
+            args = parser.parse_args(tokens)
         return _COMMANDS[args.command][0](args)
     except (experiment.InsufficientFringesError, experiment.AmbiguousPeriodError) as exc:
         print(f"cbwsim: analysis error: {exc}", file=sys.stderr)

@@ -6,11 +6,12 @@ acquisition bins (default 0.1 s).  Per window the attenuated source emits
 ``k ~ Poisson(lam)`` photons; each photon independently survives with the
 detector efficiency and lands on detector 1 with the Born-rule probability
 ``I_upper / (I_upper + I_lower)`` evaluated from the circuit at that bin's
-phase.  The chain is evaluated once per scan, as port powers per unit
-input; the intensity-drift walk scales the source's mean photon number
-(or a cw trace's power) once and never enters the routing.  A
-detector "fires" if at least one photon (or dark count) reaches it inside
-the window; a coincidence is both detectors firing in the same window.
+phase.  The chain is evaluated once per bin, a block of bins at a time,
+as port powers per unit input; the intensity-drift walk scales the
+source's mean photon number (or a cw trace's power) once and never
+enters the routing.  A detector "fires" if at least one photon (or dark
+count) reaches it inside the window; a coincidence is both detectors
+firing in the same window.
 
 :func:`sample_window` and :func:`route_photons` define that per-window
 model one draw at a time; they are the test oracle.  The scan simulator
@@ -20,7 +21,7 @@ so detector ``i`` fires with ``q_i = 1 - exp(-(lam*eff*p_i + p_dark))``
 independently of the other.  Within a bin the windows are iid, so the
 counts of the four window outcomes (both, d1 only, d2 only, neither) are
 exactly ``Multinomial(windows, [q1*q2, q1*(1-q2), (1-q1)*q2,
-(1-q1)*(1-q2)])``; one vectorised draw covers every bin of a scan, at a
+(1-q1)*(1-q2)])``; one vectorised draw covers each block of bins, at a
 cost independent of the number of windows.  A bin may hold at most
 :data:`MAX_WINDOWS_PER_BIN` (2**53) windows; larger
 ``bin_duration / window_duration`` ratios are a :class:`ConfigError`.
@@ -46,6 +47,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import circuit as circuit_mod
+from . import experiment
 from ._chunks import CHUNK_ROWS, row_chunks
 from .config import ConfigError, NoiseModel, ScanConfig, SourceMode, SourceModel
 
@@ -225,14 +227,37 @@ def _noise_walks(noise: NoiseModel, scan: ScanConfig, jitter_ss, drift_ss):
     return jitter, np.clip(drift, 0.0, None)
 
 
+def _bin_blocks(points: int) -> list:
+    """Slices of ``experiment._BLOCK_POINTS`` bins (at least 2) that cover a
+    scan of ``points`` bins in order, none of one bin unless the scan has one.
+
+    numpy takes a one-element array as contiguous, so the MZI's
+    ``np.cos(phase, out=e.real)`` on one bin runs the contiguous loop, whose
+    last bit can differ from the strided loop that any longer block runs; a
+    last bin left alone joins the block before it.
+    """
+    blocks = list(row_chunks(points, max(2, experiment._BLOCK_POINTS)))
+    if len(blocks) > 1 and blocks[-1].start == points - 1:
+        blocks[-2:] = [slice(blocks[-2].start, points)]
+    return blocks
+
+
 def _scan_chain(scan: ScanConfig, noise: NoiseModel, seed: int):
     """What both simulators share: check the circuit, draw the noise walks and
-    evaluate the chain once at the jittered phases.  Returns
-    ``(psi_nominal, drift, (i_upper, i_lower), counts_ss)``, the undrifted
-    port powers per unit input (scalars if the chain reads no ``psi``); each
-    simulator scales its source by ``drift`` once.  A parameter other than
-    ``psi``/``phi`` raises :class:`~cbwsim.circuit.UnboundParameterError`,
-    naming each, before any draw.
+    evaluate the chain at the jittered phases.  Returns
+    ``(psi_nominal, drift, powers, counts_ss)``: ``powers`` is a ``(2,
+    points)`` array of the undrifted port powers per unit input, also where
+    the chain reads no ``psi``; each simulator scales its source by ``drift``
+    once.  A parameter other than ``psi``/``phi`` raises
+    :class:`~cbwsim.circuit.UnboundParameterError`, naming each, before any
+    draw.
+
+    The chain is evaluated a block of bins (:func:`_bin_blocks`) at a time,
+    each block by one column fold (``circuit.output_intensities(...,
+    stages=True)``, its last pair), so it holds one block's matrix stack and
+    field column, not an ``(N, 2, 2)`` product.  The fold's last pair has the
+    bits of the whole chain's ``output_intensities``, so the block size
+    changes no bit.
     """
     unbound = scan.circuit.parameters - {"psi", "phi"}
     if unbound:
@@ -240,9 +265,14 @@ def _scan_chain(scan: ScanConfig, noise: NoiseModel, seed: int):
     jitter_ss, drift_ss, counts_ss = np.random.SeedSequence(seed).spawn(3)
     jitter, drift = _noise_walks(noise, scan, jitter_ss, drift_ss)
     psi_nominal = scan.psi_values()
-    i_upper, i_lower = circuit_mod.output_intensities(
-        replace(scan.circuit, source_intensity=1.0), {"psi": psi_nominal + jitter, "phi": scan.phi})
-    return psi_nominal, drift, (i_upper, i_lower), counts_ss
+    chain = replace(scan.circuit, source_intensity=1.0)
+    powers = np.empty((2, scan.points))
+    for rows in _bin_blocks(scan.points):
+        for pair in circuit_mod.output_intensities(
+                chain, {"psi": psi_nominal[rows] + jitter[rows], "phi": scan.phi}, stages=True):
+            pass  # the last stage's pair is the whole chain's
+        powers[0, rows], powers[1, rows] = pair
+    return psi_nominal, drift, powers, counts_ss
 
 
 def scan_trace(scan: ScanConfig, mode: SourceMode, psi, singles_d1, singles_d2, coincidences,
@@ -270,27 +300,42 @@ def simulate_scan_counts(
     ``bin_duration / window_duration`` coincidence windows are drawn as
     one multinomial over the four window outcomes.  Deterministic for a
     given seed.  A mean photon number that the intensity drift overflows
-    is a :class:`ConfigError` naming ``mean_photons_per_window``.
+    is a :class:`ConfigError` naming ``mean_photons_per_window``; every bin
+    is checked before any draw.
+
+    The bins are drawn a block (:func:`_bin_blocks`) at a time, each block's
+    outcome probabilities and one ``multinomial`` call from the one counts
+    generator, into the trace's preallocated int64 columns.  Per-block
+    calls take the stream as one call over every bin would, so the block
+    size changes no count; each count column is an array of its own.
     """
-    psi, drift, (i_upper, i_lower), counts_ss = _scan_chain(scan, noise, seed)
-    # A unitary chain's unit-input powers sum to 1 within rounding, so the
-    # Born ratio is defined and lies in [0, 1].
-    p_upper = i_upper / (i_upper + i_lower)
+    psi, detected, powers, counts_ss = _scan_chain(scan, noise, seed)
     windows = _windows_per_bin(scan, source)
     p_dark = noise.dark_rate * source.window_duration
     with np.errstate(over="ignore"):
-        detected = source.mean_photons_per_window * drift * noise.detector_efficiency
-        if not np.all(np.isfinite(detected)):
-            raise ConfigError(f"mean_photons_per_window {float(source.mean_photons_per_window)!r} "
-                              "overflows the detected photon mean")
-        # A mean that overflows with the dark counts fires its detector in every window.
-        q1 = -np.expm1(-(detected * p_upper + p_dark))
-        q2 = -np.expm1(-(detected * (1.0 - p_upper) + p_dark))
-    pvals = np.stack([q1 * q2, q1 * (1.0 - q2), (1.0 - q1) * q2, (1.0 - q1) * (1.0 - q2)], axis=1)
-    outcomes = np.random.Generator(np.random.PCG64(counts_ss)).multinomial(windows, pvals)
-    coincidences = outcomes[:, 0]
-    return scan_trace(scan, SourceMode.PHOTON_COUNTING, psi, coincidences + outcomes[:, 1],
-                      coincidences + outcomes[:, 2], coincidences, seed,
+        # The drift walk scaled in place to (mean * drift) * efficiency.
+        detected *= source.mean_photons_per_window
+        detected *= noise.detector_efficiency
+    if not np.all(np.isfinite(detected)):
+        raise ConfigError(f"mean_photons_per_window {float(source.mean_photons_per_window)!r} "
+                          "overflows the detected photon mean")
+    rng = np.random.Generator(np.random.PCG64(counts_ss))
+    d1, d2, coincidences = (np.empty(scan.points, dtype=np.int64) for _ in range(3))
+    for rows in _bin_blocks(scan.points):
+        # A unitary chain's unit-input powers sum to 1 within rounding, so the
+        # Born ratio is defined and lies in [0, 1].
+        p_upper = powers[0, rows] / (powers[0, rows] + powers[1, rows])
+        with np.errstate(over="ignore"):
+            # A mean that overflows with the dark counts fires its detector in every window.
+            q1 = -np.expm1(-(detected[rows] * p_upper + p_dark))
+            q2 = -np.expm1(-(detected[rows] * (1.0 - p_upper) + p_dark))
+        pvals = np.stack([q1 * q2, q1 * (1.0 - q2), (1.0 - q1) * q2, (1.0 - q1) * (1.0 - q2)], axis=1)
+        outcomes = rng.multinomial(windows, pvals)
+        coincidences[rows] = outcomes[:, 0]
+        np.add(outcomes[:, 0], outcomes[:, 1], out=d1[rows])
+        np.add(outcomes[:, 0], outcomes[:, 2], out=d2[rows])
+    del powers, detected  # freed before the trace's axes are built
+    return scan_trace(scan, SourceMode.PHOTON_COUNTING, psi, d1, d2, coincidences, seed,
                       source=source, noise=noise, windows_per_bin=windows)
 
 
@@ -302,14 +347,19 @@ def simulate_classical_trace(scan: ScanConfig, noise: NoiseModel, seed: int) -> 
     zero.  Phase jitter and intensity drift apply; detector efficiency and
     dark counts are photon-counting concepts and do not.  A power that
     overflows is a :class:`ConfigError` naming the source intensity.
+    The powers are scaled in place, so the trace's two power columns are
+    the rows of the chain's ``(2, points)`` array.
     """
     intensity = scan.circuit.source_intensity
-    psi, drift, (i_upper, i_lower), _ = _scan_chain(scan, noise, seed)
+    psi, drift, powers, _ = _scan_chain(scan, noise, seed)
     with np.errstate(over="ignore"):  # abs: an intensity of -0 gives powers of +0
-        i_upper, i_lower = abs(intensity) * np.stack([i_upper * drift, i_lower * drift])
-    if not np.all(np.isfinite([i_upper, i_lower])):
+        powers *= drift
+        powers *= abs(intensity)
+    if not np.all(np.isfinite(powers)):
         raise ConfigError(f"source intensity {float(intensity)!r} overflows the "
                           "classical output power")
+    del drift  # freed before the trace's axes are built
+    i_upper, i_lower = powers
     return scan_trace(scan, SourceMode.CLASSICAL_INTENSITY, psi, i_upper, i_lower,
                       np.zeros(scan.points), seed, noise=noise)
 

@@ -8,7 +8,8 @@ chunk with one ``%`` of a row template repeated once per row, applied to
 the row-major sequence of its values; ``%d`` and ``%.17g`` give the same
 bytes as formatting each value on its own.  The reader parses a chunk of
 rows at a time with numpy's C parser (``np.loadtxt``), straight from the
-open file, into integer and float columns.  A file holding anything the
+open file, into integer and float columns; CRLF line ends, which text
+mode reads as LF, are read so too.  A file holding anything else the
 writer does not write (another character or line end, a blank line) is
 read as a whole instead, with its blank and whitespace-only lines
 dropped; it gives the same trace or the same error as the chunked read
@@ -131,11 +132,23 @@ _WRITTEN_BYTES = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ012345678
 
 
 def _data_rows(path):
-    """The number of data rows in ``path`` if it holds only ``_WRITTEN_BYTES``
-    and no blank line, else None.  Read a block of bytes at a time."""
-    lines, last = 0, b"\n"
+    """The number of data rows in ``path`` if it holds only ``_WRITTEN_BYTES``,
+    each LF possibly after a CR, and no blank line, else None.  Read a block
+    of bytes at a time.
+
+    Each CRLF counts as the LF that text mode reads it as.
+    """
+    lines, last, held = 0, b"\n", b""
     with open(path, "rb") as fh:
         while block := fh.read(64 * CHUNK_ROWS):
+            # A CR that ends a block waits for the LF that must start the next.
+            block, held = held + block, b""
+            if block.endswith(b"\r"):
+                block, held = block[:-1], b"\r"
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n")
+            if not block:
+                continue
             # LF offsets with the last byte of the block before in front, so a
             # blank line across the seam shows as two adjacent LFs.
             ends = np.flatnonzero(np.frombuffer(last + block, np.uint8) == ord("\n"))
@@ -143,6 +156,8 @@ def _data_rows(path):
                 return None
             lines += len(ends) - (last == b"\n")
             last = block[-1:]
+    if held:
+        return None
     lines += last != b"\n"
     return lines - 1 if lines else None
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbwsim import _chunks, cli, config, experiment, montecarlo, optics, svgplot
+from cbwsim import _chunks, cli, config, experiment, montecarlo, optics, svgplot, trace_io
 from cbwsim._chunks import CHUNK_ROWS
 from cbwsim.circuit import (
     MAX_ELEMENTS,
@@ -551,6 +551,51 @@ class TestReaderMatchesLineFilter:
         assert outcome[0] is mode
         assert outcome == read_outcome(line_filter_read, path)
 
+    # A CRLF file reads by chunks as its LF copy does; any other CR, and any
+    # fault of the file, goes to the whole-text read with today's message.
+    @pytest.mark.parametrize("rows, chunked", [
+        ("0,0,0,0,5,4,2\r\n1,1,1,1,3,3,1\r\n", True),
+        ("0,0,0,0,5,4,2\r\n1,1,1,1,3,3,1", True),          # no last line end
+        ("0,0,0,0,5,4,2\n1,1,1,1,3,3,1\r\n", True),        # LF and CRLF mixed
+        ("", True),                                         # header only
+        ("0,0,0,0,5,4\r\n", True),                          # short row
+        ("0,0,0,0,5,4,2,9\r\n", True),                      # long row
+        ("0,0,volts,0,5,4,2\r\n", True),                    # non-numeric field
+        ("0,0,0,0,3.5,4,2\r\n", True),                      # non-integer count
+        ("1,1,1,1,3,3,4\r\n", True),                        # coincidences above singles
+        ("\r\n0,0,0,0,5,4,2\r\n", True),                   # blank line
+        ("0,0,0,0,5,4,2\r\r\n", False),                     # CR CR LF
+        ("0,0,0,0,5,4,2\r", False),                         # CR at the end
+        ("0,0,0,0,5,4,2\r1,1,1,1,3,3,1\r\n", False),        # CR between rows
+    ])
+    def test_crlf_files_read_as_before(self, tmp_path, rows, chunked):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes((",".join(PHOTON_HEADER) + "\r\n" + rows).encode())
+        assert read_outcome(read_trace_csv, path) == read_outcome(line_filter_read, path)
+        # The byte scan passes what the chunked read may take; a blank line
+        # and any other CR go to the whole-text read.
+        passes = chunked and "\r\n\r\n" not in ",\r\n" + rows
+        assert (trace_io._data_rows(path) is not None) == passes
+
+    # With blocks of 64 bytes, the CRLFs and blank CRLF lines of traces with
+    # rows of many widths fall across block seams.
+    @pytest.mark.parametrize("blank_at", [None, 1, 7, 30])
+    def test_crlf_across_block_seams(self, monkeypatch, tmp_path, blank_at):
+        monkeypatch.setattr(trace_io, "CHUNK_ROWS", 1)
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        seams = 0
+        for seed in range(10):
+            write_trace_csv(photon_trace(points=40, seed=seed), lf)
+            lines = lf.read_bytes().split(b"\n")
+            if blank_at is not None:
+                lines.insert(blank_at, b"")
+            data = b"\r\n".join(lines)
+            seams += sum(data[i - 1:i + 1] == b"\r\n" for i in range(64, len(data), 64))
+            crlf.write_bytes(data)
+            assert read_outcome(read_trace_csv, crlf) == read_outcome(read_trace_csv, lf)
+            assert trace_io._data_rows(crlf) == (40 if blank_at is None else None)
+        assert seams
+
     def test_a_missing_file_raises_as_before(self, tmp_path):
         path = tmp_path / "absent.csv"
         outcome = read_outcome(read_trace_csv, path)
@@ -820,6 +865,18 @@ class TestMemoryDoesNotGrowWithRows:
 
         self.assert_flat(self.peaks(read_trace_csv, written), self.READ_BOUND)
 
+    # A CRLF copy takes the chunked read too.  Its byte scan holds one more
+    # block, the block without its CRs, before any column is allocated.
+    def test_reader_of_a_crlf_copy(self, tmp_path):
+        def crlf_copy(n):
+            lf, crlf = tmp_path / f"{n}.csv", tmp_path / f"{n}.crlf.csv"
+            write_trace_csv(wide_trace(SourceMode.PHOTON_COUNTING, n), lf)
+            crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+            assert read_outcome(read_trace_csv, crlf) == read_outcome(read_trace_csv, lf)
+            return (crlf,)
+
+        self.assert_flat(self.peaks(read_trace_csv, crlf_copy), self.READ_BOUND)
+
     def test_plot_of_float_series(self, tmp_path):
         def plot(n):
             rng = np.random.default_rng(n)
@@ -1075,6 +1132,97 @@ class TestOptionTable:
         err = capsys.readouterr().err
         assert err.startswith("cbwsim: error: config key 'workers': ") and err.count("\n") == 1
         assert not out.exists()
+
+
+# The arguments each subcommand requires, and a flag that beats the config
+# file in ``TestOneParserMatchesTheTree``.
+REQUIRED = {"analytic": ["--out", "x.csv"], "simulate": ["--out", "x.csv"], "scan": ["--out", "run"],
+            "analyze": ["--in", "t.csv"], "sensitivity": []}
+BEATING_FLAG = {"analytic": ["--points", "50"], "simulate": ["--seed", "4"], "scan": ["--seed", "4"],
+                "analyze": ["--prominence", "0.25"], "sensitivity": ["--max-m", "3"]}
+
+
+def parity_argvs(command: str, config: Path) -> list:
+    """Runs of ``command`` that must read alike through either parser: help,
+    a bad option before and after the required ones, each required option
+    missing, an option without its value, an ambiguous abbreviation (where
+    one exists), a "-" phase as a separate token and a config value beaten
+    by a flag."""
+    flags = [flag for flag, _ in cli._arguments(command)]
+    required = REQUIRED[command]
+    argvs = [["--help"], [], ["--bogus"], [*required, "--bogus", "1"], [*required, "--config"],
+             [*required, "--config", str(config), *BEATING_FLAG[command]]]
+    ambiguous = sorted({flag[:k] for flag in flags for k in range(3, len(flag))
+                        if sum(f.startswith(flag[:k]) for f in flags) > 1})
+    argvs += [[*required, prefix, "1"] for prefix in ambiguous[:2]]
+    if "--phi" in flags:
+        argvs += [[*required, "--phi", "-pi/2"], [*required, "--ph", "-pi/2"]]
+    return [[command, *argv] for argv in argvs]
+
+
+class TestOneParserMatchesTheTree:
+    """``dispatch`` parses a command named first with that command's parser
+    alone; every run must end as it does when the full parser tree parses it:
+    the same exit code, the same help, usage and error text, and the same
+    options handed to the subcommand."""
+
+    @staticmethod
+    def run(monkeypatch, capsys, argv, tree: bool):
+        """``(code, stdout, stderr, options the handler got, tree built)`` of
+        ``dispatch(argv)``, through the full tree if ``tree``.  The handler
+        only records its options."""
+        seen, built = [], []
+        command = argv[0]
+        handler = (lambda args: seen.append(vars(args)) or 0, *cli._COMMANDS[command][1:])
+        monkeypatch.setitem(cli._COMMANDS, command, handler)
+        command_parser, build_parser = cli._command_parser, cli._build_parser
+
+        def one_parser(name):
+            parser = command_parser(name)
+            if tree:  # a token left over hands argv to the tree
+                parser.parse_known_args = lambda args: (None, ["left over"])
+            return parser
+
+        def full_tree(only=None):
+            built.append(only)
+            return build_parser(only)
+
+        monkeypatch.setattr(cli, "_command_parser", one_parser)
+        monkeypatch.setattr(cli, "_build_parser", full_tree)
+        try:
+            code = cli.dispatch(argv)
+        finally:
+            monkeypatch.undo()
+        out, err = capsys.readouterr()
+        return code, out, err, seen, bool(built)
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_run_reads_as_through_the_tree(self, monkeypatch, capsys, tmp_path, command):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=3\npoints=40\nprominence=0.3\nmax_m=2\ngrid=30000\nmodules=3\n")
+        for argv in parity_argvs(command, config):
+            one = self.run(monkeypatch, capsys, argv, tree=False)
+            through_tree = self.run(monkeypatch, capsys, argv, tree=True)
+            assert one[:4] == through_tree[:4], argv
+            assert through_tree[4]
+            # Only a token left over takes the tree.
+            assert one[4] == ("unrecognized arguments" in one[2]), argv
+
+    def test_config_values_and_flags_reach_the_handler(self, monkeypatch, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=3\npoints=40\nmodules=3\n")
+        code, _, _, seen, built = self.run(
+            monkeypatch, capsys, ["scan", "--out", "run", "--config", str(config), "--seed", "4"], tree=False)
+        assert code == 0 and not built
+        assert (seen[0]["command"], seen[0]["seed"], seen[0]["points"], seen[0]["modules"]) == ("scan", 4, 40, 3)
+
+    def test_top_level_help_and_a_missing_command_keep_their_text(self, capsys):
+        assert cli.dispatch(["--help"]) == 0
+        assert capsys.readouterr() == (cli._build_parser()[0].format_help(), "")
+        for argv, error in [([], "a subcommand is required"),
+                            (["--bogus"], "unrecognized arguments: --bogus")]:
+            assert cli.dispatch(argv) == 1
+            assert capsys.readouterr() == ("", f"usage: cbwsim [-h] COMMAND ...\ncbwsim: error: {error}\n")
 
 
 class TestDispatch:

@@ -1,13 +1,22 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cbwsim import montecarlo
+from cbwsim import experiment, montecarlo
 from cbwsim._chunks import CHUNK_ROWS
 from cbwsim.analytic import cbw_intensities, expected_coincidence_fraction
-from cbwsim.circuit import CircuitAst, ElementKind, ElementNode, UnboundParameterError, build_cbw_chain
+from cbwsim.circuit import (
+    CircuitAst,
+    ElementKind,
+    ElementNode,
+    UnboundParameterError,
+    build_cbw_chain,
+    output_intensities,
+    parse_circuit,
+)
 from cbwsim.config import (
     LAB_NOISE,
     ConfigError,
@@ -390,6 +399,145 @@ class TestScanChain:
         for got, quiet in zip(powers, quiet_powers):
             assert np.array_equal(got, quiet)
         np.testing.assert_allclose(powers[0] + powers[1], 1.0, rtol=0, atol=1e-12)
+
+
+TRACE_FIELDS = ("bin_index", "time", "voltage", "psi", "singles_d1", "singles_d2", "coincidences")
+
+# A chain that reads no psi: literal MZI phases, the control phase bound.
+PSI_LESS = parse_circuit("source intensity=2.5\nmzi C1 arm=lower phase=0.7\n"
+                         "phase arm=upper value=phi\nmzi W2 arm=upper phase=1.3\ndetect a b\n")
+
+# (circuit, phi, noise) of the scans whose blocks are checked at their seams.
+BLOCK_CASES = [
+    *[(build_cbw_chain(m), phi, LAB_NOISE) for m in range(1, 6) for phi in (0.0, 1.1)],
+    (build_cbw_chain(2), 1.1, QUIET),
+    (build_cbw_chain(5), 0.0, QUIET),
+    (build_cbw_chain(3, source_intensity=2.5), 1.1, LAB_NOISE),
+    (PSI_LESS, 1.1, LAB_NOISE),
+]
+BLOCK_IDS = [*[f"m{m}-phi{phi}" for m in range(1, 6) for phi in (0.0, 1.1)],
+             "m2-phi1.1-quiet", "m5-phi0.0-quiet", "intensity-2.5", "psi-less"]
+
+SIMULATORS = {
+    "photon": lambda scan, noise: simulate_scan_counts(scan, photon_source(0.3, 1e-6), noise, seed=9),
+    "classical": lambda scan, noise: simulate_classical_trace(scan, noise, seed=9),
+}
+
+
+def block_scan(circuit, phi, points):
+    return ScanConfig(points=points, bin_duration=1e-3, scan_duration=points * 1e-3,
+                      circuit=circuit, phi=phi)
+
+
+def trace_bits(trace):
+    return [(getattr(trace, f).dtype, getattr(trace, f).tobytes()) for f in TRACE_FIELDS]
+
+
+class TestBlockedScan:
+    """The simulators fold the chain and draw the counts
+    ``experiment._BLOCK_POINTS`` bins at a time; the block size changes no
+    bit of a trace."""
+
+    # Blocks of one bin, of a few bins and of half the default, on scans
+    # that leave a last bin over (302 = 43 * 7 + 1) or not; the last scan
+    # also spans the default's seam at 8192 bins.
+    @pytest.mark.parametrize("block, points", [(1, 300), (7, 300), (7, 302), (4096, 2 * 4096 + 1),
+                                               (4096, 2 * 4096 + 11)],
+                             ids=["block-1", "block-7", "block-7-lone-bin", "block-4096-lone-bin",
+                                  "block-4096"])
+    @pytest.mark.parametrize("simulator", list(SIMULATORS))
+    @pytest.mark.parametrize("circuit, phi, noise", BLOCK_CASES, ids=BLOCK_IDS)
+    def test_the_block_size_changes_no_bit(self, monkeypatch, simulator, block, points,
+                                           circuit, phi, noise):
+        scan = block_scan(circuit, phi, points)
+        expected = SIMULATORS[simulator](scan, noise)
+        monkeypatch.setattr(experiment, "_BLOCK_POINTS", block)
+        assert trace_bits(SIMULATORS[simulator](scan, noise)) == trace_bits(expected)
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @pytest.mark.parametrize("simulator", list(SIMULATORS))
+    def test_the_empty_scan_is_empty_in_any_block(self, monkeypatch, simulator, block):
+        scan = ScanConfig(points=0, scan_duration=0.0)
+        expected = SIMULATORS[simulator](scan, LAB_NOISE)
+        monkeypatch.setattr(experiment, "_BLOCK_POINTS", block)
+        trace = SIMULATORS[simulator](scan, LAB_NOISE)
+        assert len(trace) == 0 and trace_bits(trace) == trace_bits(expected)
+
+    # The oracle: the non-stage route, which composes the whole chain's
+    # (N, 2, 2) product, over every jittered phase at once.
+    @pytest.mark.parametrize("block", [7, None], ids=["block-7", "default-block"])
+    @pytest.mark.parametrize("circuit, phi, noise", BLOCK_CASES, ids=BLOCK_IDS)
+    def test_powers_have_the_bits_of_the_whole_chain(self, monkeypatch, block, circuit, phi, noise):
+        if block is not None:
+            monkeypatch.setattr(experiment, "_BLOCK_POINTS", block)
+        scan = block_scan(circuit, phi, 8192 + 1)
+        psi, _, powers, _ = montecarlo._scan_chain(scan, noise, seed=4)
+        jitter_ss, drift_ss, _ = np.random.SeedSequence(4).spawn(3)
+        jitter, _ = montecarlo._noise_walks(noise, scan, jitter_ss, drift_ss)
+        oracle = output_intensities(replace(circuit, source_intensity=1.0),
+                                    {"psi": psi + jitter, "phi": phi})
+        assert powers.shape == (2, scan.points) and powers.dtype == np.float64
+        for got, want in zip(powers, oracle):
+            assert np.array_equal(got.view(np.uint64), np.broadcast_to(want, got.shape).view(np.uint64))
+
+    # numpy runs a one-element array through its contiguous loops, which
+    # can round the MZI's cos and sin otherwise than a longer block does.
+    @pytest.mark.parametrize("block", [1, 2, 7, 8192])
+    @pytest.mark.parametrize("points", [0, 1, 2, 3, 7, 8, 14, 15, 8192, 8193, 8194])
+    def test_blocks_cover_the_scan_with_no_lone_bin(self, monkeypatch, block, points):
+        monkeypatch.setattr(experiment, "_BLOCK_POINTS", block)
+        blocks = montecarlo._bin_blocks(points)
+        assert [i for rows in blocks for i in range(rows.start, rows.stop)] == list(range(points))
+        assert all(rows.stop - rows.start >= min(2, points) for rows in blocks)
+        assert all(rows.stop - rows.start <= max(2, block) + 1 for rows in blocks)
+
+    def test_photon_count_columns_are_arrays_of_their_own(self):
+        trace = SIMULATORS["photon"](block_scan(build_cbw_chain(2), 0.0, 8192 + 11), LAB_NOISE)
+        for column in (trace.singles_d1, trace.singles_d2, trace.coincidences):
+            assert column.base is None and column.dtype == np.int64
+
+
+class TestSimulatorMemory:
+    """Traced peak of each simulator beside the trace it returns, at 2e5 bins.
+
+    The scan-long arrays beside the trace (the noise walks, the port powers,
+    the detected mean) are freed before the trace's axes are built, so
+    beside the trace a simulator holds one block at a time, as float64
+    words per bin of the block:
+
+    * the fold: its 2x2 complex MZI stack (8), the field column and its
+      update (8), the stage pair and the one before it (4) and the bin
+      phases (1);
+    * the draw: the Born ratio, the two firing probabilities and their
+      temporaries (7), the four outcome probabilities and their stack (8)
+      and the outcomes (4).
+
+    That is under 32 words, 256 bytes, a bin of the block.  The trace's
+    checks add ~20 bytes a row over 16 chunks of rows, and the seed
+    sequence, generator and the trace's objects fit in 64 KiB.  One array
+    kept over the scan would add at least 8 bytes a bin, 1.6 MB here.
+    """
+
+    POINTS = 200_000
+
+    @staticmethod
+    def peak_beside_trace(simulate) -> int:
+        tracemalloc.start()
+        try:
+            trace = simulate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(getattr(trace, f).nbytes for f in TRACE_FIELDS)
+
+    @pytest.mark.parametrize("block", [1024, None], ids=["block-1024", "default-block"])
+    @pytest.mark.parametrize("simulator", list(SIMULATORS))
+    def test_the_peak_beside_the_trace_is_one_block(self, monkeypatch, simulator, block):
+        if block is not None:
+            monkeypatch.setattr(experiment, "_BLOCK_POINTS", block)
+        scan = block_scan(build_cbw_chain(2), 0.0, self.POINTS)
+        bound = 256 * experiment._BLOCK_POINTS + 20 * 16 * CHUNK_ROWS + 64 * 1024
+        assert self.peak_beside_trace(lambda: SIMULATORS[simulator](scan, LAB_NOISE)) <= bound
 
 
 def analytic_sweep(scan):
