@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence, Union
@@ -373,32 +374,27 @@ def _element_matrix(element: ElementNode, bindings: Mapping[str, float]) -> np.n
 _OTHER_ARM = {Arm.UPPER: Arm.LOWER, Arm.LOWER: Arm.UPPER}
 
 
-def _element_matrices(ast: CircuitAst, bindings: Mapping[str, float] | None,
-                      *, share_arms: bool = False) -> list:
-    """The bound matrix of every element of ``ast``, in physical order.
+def _bound_matrix(element: ElementNode, bindings: Mapping[str, float], matrices: dict,
+                  share_arms: bool) -> np.ndarray:
+    """The bound matrix of ``element``, built once per distinct ``(kind, arm, phase)``.
 
-    Each distinct ``(kind, arm, phase)`` is built once and shared: phase is
-    a literal or a parameter name, and the bindings are fixed for this call.
-    With ``share_arms``, an MZI whose phase an MZI on the other arm already
-    has is not built: it is that stack read anti-transposed, a view whose
-    (0, 0) and (1, 1) entries are the built (1, 1) and (0, 0) and whose
-    off-diagonal is shared.  That holds bit for bit what ``optics.mzi``
-    builds for its arm, as the two arms' closed forms differ only by the
-    order of their diagonal.
+    ``matrices`` holds what is built so far, keyed so: phase is a literal or
+    a parameter name, and the bindings are fixed for as long as ``matrices``
+    lives.  With ``share_arms``, an MZI whose phase an MZI on the other arm
+    already has is not built: it is that stack read anti-transposed, a view
+    whose (0, 0) and (1, 1) entries are the built (1, 1) and (0, 0) and
+    whose off-diagonal is shared.  That holds bit for bit what
+    ``optics.mzi`` builds for its arm, as the two arms' closed forms differ
+    only by the order of their diagonal.
     """
-    bindings = {} if bindings is None else bindings
-    matrices: dict = {}
-    chain = []
-    for element in ast.elements:
-        key = (element.kind, element.arm, element.phase)
-        if key not in matrices:
-            other = (element.kind, _OTHER_ARM[element.arm], element.phase)
-            if share_arms and element.kind is ElementKind.MZI and other in matrices:
-                matrices[key] = np.swapaxes(matrices[other][..., ::-1, ::-1], -1, -2)
-            else:
-                matrices[key] = _element_matrix(element, bindings)
-        chain.append(matrices[key])
-    return chain
+    key = (element.kind, element.arm, element.phase)
+    if key not in matrices:
+        other = (element.kind, _OTHER_ARM[element.arm], element.phase)
+        if share_arms and element.kind is ElementKind.MZI and other in matrices:
+            matrices[key] = np.swapaxes(matrices[other][..., ::-1, ::-1], -1, -2)
+        else:
+            matrices[key] = _element_matrix(element, bindings)
+    return matrices[key]
 
 
 def evaluate_chain(ast: CircuitAst, bindings: Mapping[str, float] | None = None) -> np.ndarray:
@@ -413,7 +409,9 @@ def evaluate_chain(ast: CircuitAst, bindings: Mapping[str, float] | None = None)
     :func:`output_intensities`, which builds one stack per distinct MZI
     phase and reads the other arm's from it.
     """
-    return optics.compose(_element_matrices(ast, bindings))
+    bindings = {} if bindings is None else bindings
+    matrices: dict = {}
+    return optics.compose([_bound_matrix(e, bindings, matrices, False) for e in ast.elements])
 
 
 def output_intensities(
@@ -426,34 +424,89 @@ def output_intensities(
     second, and so on, the last one bit-equal to the pair of the whole
     chain.  A stage is one MZI and the phase elements after it, up to the
     next MZI; phase elements before the first MZI join the first stage, and
-    a chain with no MZI is one stage.  The element matrices are bound and
-    built at the call, so binding and phase errors raise here, not at the
-    first ``next()``.  Unlike :func:`evaluate_chain`, which builds each
-    arm's MZI, they build one MZI stack per distinct MZI phase; the MZI on
-    the other arm at that phase is the stack read anti-transposed, a view
-    with the same bits, so the cascade's ``psi`` costs one stack, not two.
-    The iterator then folds one field column, the unit input through the
-    first element at the broadcast shape of the whole chain, stage by
-    stage with ``optics.compose(stage, out=column)``; no transfer-matrix
-    product is built.  Every prefix of an m-stage chain costs one fold over
-    it, not one per prefix.  Each pair scales the column by ``sqrt(I0)``
-    last, as ``optics.apply`` scales the first column of the transfer
-    matrix.  Every pair has the shape of the whole chain's pair.
+    a chain with no MZI is one stage.  Every pair has the shape of the
+    whole chain's pair.
+
+    A sweep is folded block by block in one call: with ``stages``, a
+    binding whose value is an iterator (a generator of arrays, say) is read
+    one block at a time, every such binding in step, and the call returns
+    an iterator with one stage iterator per block.  Once per call, every
+    element that no iterator binding reaches is bound and built (literal
+    MZIs, constant phase elements), exact single identities are dropped and
+    the stage cuts are taken, so an unbound parameter or a bad constant
+    phase raises at the call.  Each block then builds only the elements its
+    values reach, when the outer iterator reaches it, so a non-finite phase
+    in block k raises at that block's ``next()``; no block's arrays outlive
+    its stage iterator.  Without an iterator binding, the one stage
+    iterator is returned: the one-block case of the same fold, with every
+    element built at the call.
+
+    Unlike :func:`evaluate_chain`, which builds each arm's MZI, the fold
+    builds one MZI stack per distinct MZI phase; the MZI on the other arm
+    at that phase is the stack read anti-transposed, a view with the same
+    bits, so the cascade's ``psi`` costs one stack per block, not two.  The
+    stage iterator folds one field column, the unit input through the first
+    element (``optics.apply``) at the broadcast shape of the whole chain,
+    stage by stage with ``optics.compose(stage, out=column)``; no
+    transfer-matrix product is built.  Every prefix of an m-stage chain
+    costs one fold over it, not one per prefix.  Each pair scales the
+    column by ``sqrt(I0)`` last, as ``optics.apply`` scales the first
+    column of the transfer matrix.
     """
     amplitude = np.sqrt(ast.source_intensity)
     if not stages:
         return optics.intensities(optics.apply(evaluate_chain(ast, bindings), (amplitude, 0)))
-    chain = _element_matrices(ast, bindings, share_arms=True)
-    shape = np.broadcast_shapes(*(m.shape[:-2] for m in chain))
-    column = optics.apply(np.broadcast_to(chain[0], shape + (2, 2)), (1, 0))
+    bindings = {} if bindings is None else bindings
+    swept = {name: value for name, value in bindings.items() if isinstance(value, Iterator)}
+    fold = _stage_fold(ast, bindings, swept, amplitude)
+    # map, unlike a zip, holds no block's values once its fold is built.
+    return map(fold, *swept.values()) if swept else fold()
+
+
+def _stage_fold(ast: CircuitAst, bindings: Mapping[str, float], swept: Mapping, amplitude: float):
+    """Bind every element of ``ast`` that no name of ``swept`` reaches, and
+    return the fold of one block: a block of each swept name, in the order
+    of ``swept``, to its iterator of stage pairs."""
+    constants: dict = {}
+    # The distinct swept elements, in chain order; an element that one of
+    # them reaches stands in the chain as its index.
+    distinct = {(e.kind, e.arm, e.phase): e for e in ast.elements if e.phase in swept}
+    index = {key: i for i, key in enumerate(distinct)}
+    chain = [index[(e.kind, e.arm, e.phase)] if e.phase in swept
+             else _bound_matrix(e, bindings, constants, True) for e in ast.elements]
+    shape = np.broadcast_shapes(*(m.shape[:-2] for m in constants.values()))
     cuts = [i for i, element in enumerate(ast.elements) if element.kind is ElementKind.MZI][1:]
-    stage_chains = [chain[start:stop] for start, stop in zip([1] + cuts, cuts + [len(chain)])]
-    return _stage_intensities(column, stage_chains, amplitude)
+    # compose would skip the identities (a zero phase shifter, say) at
+    # every block; they are dropped here once.
+    stage_chains = [[m for m in chain[start:stop] if not _is_identity(m)]
+                    for start, stop in zip([1] + cuts, cuts + [len(chain)])]
+
+    def fold(*blocks) -> Iterator:
+        values = dict(zip(swept, blocks))
+        matrices: dict = {}
+        built = [_bound_matrix(e, values, matrices, True) for e in distinct.values()]
+
+        def bound(item):
+            return built[item] if isinstance(item, int) else item
+        first = bound(chain[0])
+        stages = [[bound(item) for item in stage] for stage in stage_chains]
+        block_shape = np.broadcast_shapes(shape, *(m.shape[:-2] for m in built))
+        column = optics.apply(np.broadcast_to(first, block_shape + (2, 2)), (1, 0))
+        return _stage_intensities(column, stages, amplitude)
+    return fold
+
+
+def _is_identity(item) -> bool:
+    """Whether ``item`` is a single exact identity, which compose skips."""
+    return (isinstance(item, np.ndarray) and item.shape == (2, 2)
+            and np.array_equal(item, np.eye(2)))
 
 
 def _stage_intensities(column: np.ndarray, stage_chains: list, amplitude: float):
+    out = column[..., None]
     for stage in stage_chains:
-        optics.compose(stage, out=column[..., None])
+        if stage:
+            optics.compose(stage, out=out)
         # Scaled last, as apply scales a matrix's first column by the field
         # (amplitude, 0), so the pairs keep the non-stage route's bits; at
         # amplitude 1 the multiply could only flip the sign of a zero.

@@ -51,8 +51,8 @@ _BLOCK_POINTS = 8192
 # Default sensitivity grid, and the largest: ten times the default.  A
 # sweep holds one block's fold and 16 bytes per order and block point, so
 # its memory does not grow with the grid.  Traced peaks at (max_m, grid):
-# 2.4 MB at (5, 1e5) and (5, 1e6), 4.4 MB at (20, 2e5), 8.6 MB at
-# (50, 5e5) and 16 MB at the cap with max_m = 100.
+# 1.9 MB at (5, 1e5) and (5, 1e6), 3.9 MB at (20, 2e5), 8.1 MB at
+# (50, 5e5) and 15.4 MB at the cap with max_m = 100.
 DEFAULT_GRID_POINTS = 100_000
 MAX_GRID_POINTS = 1_000_000
 
@@ -251,13 +251,16 @@ def estimate_sensitivity(
     central differences inside, one-sided ones at the grid's two ends.
 
     The grid ``k * step`` (the points ``linspace`` gives) is folded in
-    contiguous blocks of ``_BLOCK_POINTS`` points, one fold per block, and
-    each block is reduced as it is folded, so the sweep holds one block
-    and no full-grid array.  The last two ``dI`` of each order carry into
-    the next block for its central differences.  Each order keeps a running
-    ``eta`` and the points within the tolerance of it; as the running
-    ``eta`` never exceeds the final one, the first of those points that
-    reaches the final tolerance is the first on the whole grid.
+    contiguous blocks of ``_BLOCK_POINTS`` points by one
+    ``output_intensities`` call, which reads each block's ``psi`` from a
+    generator: the call binds the chain's control phases once for the
+    sweep, and each block builds only its ``psi`` stack.  Each block is
+    reduced as it is folded, so the sweep holds one block and no full-grid
+    array.  The last two ``dI`` of each order carry into the next block for
+    its central differences.  Each order keeps a running ``eta`` and the
+    points within the tolerance of it; as the running ``eta`` never exceeds
+    the final one, the first of those points that reaches the final
+    tolerance is the first on the whole grid.
 
     Every bound is checked before any order is evaluated: ``max_m`` and
     ``grid_points`` are integers, ``max_m >= 1``,
@@ -280,11 +283,12 @@ def estimate_sensitivity(
     eta = np.zeros(max_m)
     kept: list = [[] for _ in range(max_m)]
     held = 0
-    for start in range(0, grid_points, _BLOCK_POINTS):
-        stop = min(start + _BLOCK_POINTS, grid_points)
+    blocks = list(row_chunks(grid_points, _BLOCK_POINTS))
+    psi = (np.arange(rows.start, rows.stop) * step for rows in blocks)
+    folds = circuit_mod.output_intensities(chain, {"psi": psi}, stages=True)
+    for rows, pairs in zip(blocks, folds):
+        start, stop = rows.start, rows.stop
         width = held + stop - start
-        psi = np.arange(start, stop) * step
-        pairs = circuit_mod.output_intensities(chain, {"psi": psi}, stages=True)
         # The fold leads the zip, so it runs out and frees its stacks
         # before the next block builds its own.
         for (upper, lower), row in zip(pairs, differences):

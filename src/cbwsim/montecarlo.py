@@ -252,10 +252,12 @@ def _scan_chain(scan: ScanConfig, noise: NoiseModel, seed: int):
     :class:`~cbwsim.circuit.UnboundParameterError`, naming each, before any
     draw.
 
-    The chain is evaluated a block of bins (:func:`_bin_blocks`) at a time,
-    each block by one column fold (``circuit.output_intensities(...,
-    stages=True)``, its last pair), so it holds one block's matrix stack and
-    field column, not an ``(N, 2, 2)`` product.  The fold's last pair has the
+    The chain is evaluated a block of bins (:func:`_bin_blocks`) at a time
+    by one column fold (``circuit.output_intensities(..., stages=True)``,
+    the last pair of each block), which reads each block's jittered ``psi``
+    from a generator and binds ``phi`` once for the scan.  So the scan holds
+    one block's jittered phases, matrix stack and field column, not an
+    ``(N, 2, 2)`` product.  The fold's last pair has the
     bits of the whole chain's ``output_intensities``, so the block size
     changes no bit.
     """
@@ -267,9 +269,11 @@ def _scan_chain(scan: ScanConfig, noise: NoiseModel, seed: int):
     psi_nominal = scan.psi_values()
     chain = replace(scan.circuit, source_intensity=1.0)
     powers = np.empty((2, scan.points))
-    for rows in _bin_blocks(scan.points):
-        for pair in circuit_mod.output_intensities(
-                chain, {"psi": psi_nominal[rows] + jitter[rows], "phi": scan.phi}, stages=True):
+    blocks = _bin_blocks(scan.points)
+    psi = (psi_nominal[rows] + jitter[rows] for rows in blocks)
+    folds = circuit_mod.output_intensities(chain, {"psi": psi, "phi": scan.phi}, stages=True)
+    for rows, pairs in zip(blocks, folds):
+        for pair in pairs:
             pass  # the last stage's pair is the whole chain's
         powers[0, rows], powers[1, rows] = pair
     return psi_nominal, drift, powers, counts_ss

@@ -95,7 +95,7 @@ def beam_splitter() -> np.ndarray:
 def _checked_phase(arm: Arm, phase) -> np.ndarray:
     """``phase`` as a float array, after checking it is finite and ``arm`` an :class:`Arm`."""
     phase = np.asarray(phase, dtype=float)
-    if not np.all(np.isfinite(phase)):
+    if not np.isfinite(phase).all():
         raise ValueError("phase must be finite")
     if not isinstance(arm, Arm):
         raise TypeError(f"arm must be an Arm, got {arm!r}")
@@ -155,7 +155,7 @@ def mzi(arm: Arm, phase) -> np.ndarray:
 
 def _empty_stack(shape: tuple) -> np.ndarray:
     """An uninitialised complex ``shape + (2, 2)`` stack with contiguous entries."""
-    return np.moveaxis(np.empty((2, 2) + shape, dtype=complex), (0, 1), (-2, -1))
+    return np.empty((2, 2) + shape, dtype=complex).transpose(*range(2, 2 + len(shape)), 0, 1)
 
 
 def _as_matrix(matrix) -> np.ndarray:
@@ -165,9 +165,8 @@ def _as_matrix(matrix) -> np.ndarray:
     return matrix
 
 
-def _entries(matrix) -> tuple:
-    """The entries ``(m00, m01, m10, m11)`` of a ``(..., 2, 2)`` stack, as views."""
-    matrix = _as_matrix(matrix)
+def _entries(matrix: np.ndarray) -> tuple:
+    """The entries ``(m00, m01, m10, m11)`` of a ``(..., 2, 2)`` array, as views."""
     return matrix[..., 0, 0], matrix[..., 0, 1], matrix[..., 1, 0], matrix[..., 1, 1]
 
 
@@ -206,7 +205,8 @@ def compose(elements: Sequence[np.ndarray], out: np.ndarray | None = None) -> np
         if not isinstance(out, np.ndarray) or out.dtype != complex or out.shape[-2:] != (2, 1):
             raise ValueError("out must be a complex (..., 2, 1) column")
         shape = out.shape[:-2]
-        if np.broadcast_shapes(shape, *(m.shape[:-2] for m in matrices)) != shape:
+        if (any(m.shape[:-2] != shape for m in matrices)
+                and np.broadcast_shapes(shape, *(m.shape[:-2] for m in matrices)) != shape):
             raise ValueError(f"elements broadcast wider than out's batch shape {shape}")
         if any(np.may_share_memory(m, out) for m in matrices):
             raise ValueError("an element shares memory with out")
@@ -234,7 +234,7 @@ def apply(matrix: np.ndarray, field) -> np.ndarray:
     input ``(E0, 0)``, is skipped; with a finite ``matrix`` its terms are
     signed zeros.
     """
-    m00, m01, m10, m11 = _entries(matrix)
+    m00, m01, m10, m11 = _entries(_as_matrix(matrix))
     field = np.asarray(field, dtype=complex)
     if field.shape[-1:] != (2,):
         raise ValueError(f"expected a (..., 2) field, got shape {field.shape}")
@@ -247,7 +247,7 @@ def apply(matrix: np.ndarray, field) -> np.ndarray:
         if not skip_lower:
             np.multiply(m_lower, lower, out=scratch)
             row += scratch
-    return np.moveaxis(out, 0, -1)
+    return out.transpose(*range(1, out.ndim), 0)
 
 
 def intensities(field) -> tuple:

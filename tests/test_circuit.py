@@ -392,6 +392,23 @@ def staged_circuits(draw):
     return CircuitAst(intensity, tuple(elements), ("a", "b"))
 
 
+def random_staged_chain(rng):
+    """A chain of 1-11 elements over ``psi``/``phi``, zero and other literals,
+    at a source intensity from 1e-3 to 7.  Literals come from a small pool,
+    so that literal MZIs often sit on both arms."""
+    literals = [0.0, -1.25, float(rng.uniform(-7, 7))]
+    elements = []
+    for i in range(int(rng.integers(1, 12))):
+        arm = Arm.UPPER if rng.random() < 0.5 else Arm.LOWER
+        phase = ["psi", "phi", *literals][int(rng.integers(5))]
+        if rng.random() < 0.5:
+            elements.append(ElementNode(ElementKind.MZI, arm, phase, f"s{i}"))
+        else:
+            elements.append(ElementNode(ElementKind.PHASE, arm, phase))
+    intensity = [1e-3, 1.0, 7.0, float(rng.uniform(1e-3, 7))][int(rng.integers(4))]
+    return CircuitAst(intensity, tuple(elements), ("a", "b"))
+
+
 def stage_cuts(ast):
     """Element counts of the chain's prefixes that end one stage each."""
     mzis = [i for i, e in enumerate(ast.elements) if e.kind is ElementKind.MZI]
@@ -494,6 +511,57 @@ class TestStages:
             assert_bit_equal_pairs(pair, output_intensities(build_cbw_chain(m, phi=0.0), {"psi": psi}))
             count = m
         assert count == max_m
+
+    # The block form reads psi, and in some cases phi too, one block at a
+    # time from an iterator.  The blocks are uneven, the last one short,
+    # and none has one point: numpy rounds cos/sin of a one-element array
+    # through another loop, as montecarlo._bin_blocks notes.
+    BLOCKS = [slice(0, 5), slice(5, 10), slice(10, 13)]
+    PHIS = [1.1, 0.0, BINDINGS[2]["phi"], np.random.default_rng(74).uniform(-7, 7, 13)]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_the_block_form_keeps_the_one_block_bits(self, seed):
+        rng = np.random.default_rng([75, seed])
+        for _ in range(10):
+            ast = random_staged_chain(rng)
+            phi = self.PHIS[int(rng.integers(len(self.PHIS)))]
+            bindings = {"psi": self.PSI, "phi": phi}
+            whole = list(output_intensities(ast, bindings, stages=True))
+            field = optics.apply(evaluate_chain(ast, bindings), (np.sqrt(ast.source_intensity), 0))
+            assert_bit_equal_pairs(whole[-1], optics.intensities(field))
+            swept = {name: map(value.__getitem__, self.BLOCKS)
+                     for name, value in bindings.items() if np.shape(value) == self.PSI.shape}
+            folds = output_intensities(ast, {**bindings, **swept}, stages=True)
+            count = 0
+            for rows, pairs in zip(self.BLOCKS, folds):
+                pairs = list(pairs)
+                assert len(pairs) == len(whole)
+                for got, expected in zip(pairs, whole):
+                    if np.shape(expected[0])[-1:] == self.PSI.shape:
+                        expected = tuple(e[..., rows] for e in expected)
+                    assert_bit_equal_pairs(got, expected)
+                count += 1
+            assert count == len(self.BLOCKS)
+
+    def test_the_block_form_raises_a_bad_constant_at_the_call_and_a_bad_block_at_its_fold(self):
+        ast = parse_circuit(FIG1_TEXT)
+        read = []
+
+        def blocks():
+            for block in ([0.1, 0.2], [0.3, 0.4], [0.5, np.nan], [0.7, 0.8]):
+                read.append(block)
+                yield np.array(block)
+        for bindings, error in [({}, UnboundParameterError), ({"phi": np.inf}, ValueError),
+                                ({"phi": np.array([0.0, np.nan])}, ValueError)]:
+            with pytest.raises(error):
+                output_intensities(ast, {"psi": blocks(), **bindings}, stages=True)
+        assert read == []
+        folds = output_intensities(ast, {"psi": blocks(), "phi": 0.3}, stages=True)
+        for _ in range(2):
+            assert len(list(next(folds))) == 2
+        with pytest.raises(ValueError, match="phase must be finite"):
+            next(folds)
+        assert len(read) == 3
 
     @pytest.mark.parametrize("bindings, error", [
         ({"psi": 0.3}, UnboundParameterError),
