@@ -6,14 +6,14 @@ goes one chunk of rows (``CHUNK_ROWS``) at a time through the open file:
 it converts each column's chunk to Python numbers once and formats the
 chunk with one ``%`` of a row template repeated once per row, applied to
 the row-major sequence of its values; ``%d`` and ``%.17g`` give the same
-bytes as formatting each value on its own.  The reader parses a chunk of
-rows at a time with numpy's C parser (``np.loadtxt``), straight from the
-open file, into integer and float columns; CRLF line ends, which text
-mode reads as LF, are read so too.  A file holding anything else the
-writer does not write (another character or line end, a blank line) is
-read as a whole instead, with its blank and whitespace-only lines
-dropped; it gives the same trace or the same error as the chunked read
-would if that could take it.
+bytes as formatting each value on its own.  The reader opens the file
+once, as UTF-8 text without newline translation, and goes through it
+twice a block of text at a time: it counts the lines, then parses a chunk
+of rows at a time with numpy's C parser (``np.loadtxt``) into
+preallocated integer and float columns.  Lines are split as
+``str.splitlines`` splits them, and blank and whitespace-only lines are
+dropped, so a CRLF copy of a trace, or one with blank lines added, reads
+as the trace does.
 
 ``_COLUMNS`` says, per source mode, which column holds which ``CountTrace``
 field; the writer, the reader, the headers and :func:`measured_columns`
@@ -23,6 +23,7 @@ field; the writer, the reader, the headers and :func:`measured_columns`
 from __future__ import annotations
 
 import json
+import re
 from itertools import chain
 from pathlib import Path
 
@@ -106,18 +107,25 @@ def write_trace_csv(trace: CountTrace, path) -> None:
 
 
 def read_trace_csv(path) -> CountTrace:
-    """Read a trace CSV written by :func:`write_trace_csv`.
+    """Read a trace CSV: a file that :func:`write_trace_csv` writes, or any
+    UTF-8 text whose lines, split as ``str.splitlines`` splits them and with
+    blank and whitespace-only lines dropped, are a trace header and its rows.
 
-    Blank and whitespace-only lines are skipped.  Every row must have the
-    header's column count, and the ``bin``/``d1``/``d2``/``coinc`` columns
-    must hold integer literals; a malformed row raises ``ValueError``
-    naming the file.  A header-only file reads as an empty trace.
+    Every row must have the header's column count, and the
+    ``bin``/``d1``/``d2``/``coinc`` columns must hold integer literals; a
+    malformed row raises ``ValueError`` naming the file and the row.  A
+    header-only file reads as an empty trace.
     """
     try:
-        read = _read_chunks(path)
-    except (OSError, ValueError):
-        read = None
-    mode, columns = read or _read_lines(path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            mode, columns = _read_columns(fh, path)
+    except UnicodeDecodeError:
+        # The decoder counts bytes within its own buffer; decoding the whole
+        # file names the place of the bad byte in the file.
+        Path(path).read_text(encoding="utf-8")
+        raise
+    except OSError as exc:
+        raise OSError(f"cannot read trace CSV {path}: {exc}") from exc
     fields = {field: columns[name] for name, field in _COLUMNS[mode].items()}
     if "coincidences" not in fields:
         fields["coincidences"] = np.zeros(len(columns["bin"]))
@@ -126,94 +134,47 @@ def read_trace_csv(path) -> CountTrace:
     return trace
 
 
-# Every byte the writer writes: header letters, digits, signs, points,
-# exponents, commas and LF.
-_WRITTEN_BYTES = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_+-.,\n"
+def _blocks(fh):
+    """The non-blank lines of ``fh``, one list per block of text.
 
-
-def _data_rows(path):
-    """The number of data rows in ``path`` if it holds only ``_WRITTEN_BYTES``,
-    each LF possibly after a CR, and no blank line, else None.  Read a block
-    of bytes at a time.
-
-    Each CRLF counts as the LF that text mode reads it as.
+    A block is ``16 * CHUNK_ROWS`` characters and the rest of the line they
+    end in, so every block ends where a line ends and the blocks split into
+    the lines of the whole text.
     """
-    lines, last, held = 0, b"\n", b""
-    with open(path, "rb") as fh:
-        while block := fh.read(64 * CHUNK_ROWS):
-            # A CR that ends a block waits for the LF that must start the next.
-            block, held = held + block, b""
-            if block.endswith(b"\r"):
-                block, held = block[:-1], b"\r"
-            if b"\r" in block:
-                block = block.replace(b"\r\n", b"\n")
-            if not block:
-                continue
-            # LF offsets with the last byte of the block before in front, so a
-            # blank line across the seam shows as two adjacent LFs.
-            ends = np.flatnonzero(np.frombuffer(last + block, np.uint8) == ord("\n"))
-            if block.translate(None, _WRITTEN_BYTES) or np.any(np.diff(ends) == 1):
-                return None
-            lines += len(ends) - (last == b"\n")
-            last = block[-1:]
-    if held:
-        return None
-    lines += last != b"\n"
-    return lines - 1 if lines else None
+    while text := fh.read(16 * CHUNK_ROWS) + fh.readline():
+        yield list(filter(str.strip, text.splitlines()))
 
 
-def _read_chunks(path):
-    """``(mode, columns)`` of a file as the writer writes it, parsed a chunk
-    of rows at a time into preallocated columns, or None for any other file.
-
-    On such a file numpy splits the same lines as :func:`_read_lines` and
-    skips none, so where this read succeeds, that one gives the same columns.
-    Beside the columns it holds one chunk's table and one block of bytes.
-    """
-    rows = _data_rows(path)
-    if rows is None:
-        return None
-    with open(path, encoding="utf-8") as fh:
-        header = tuple(fh.readline().rstrip("\n").split(","))
-        mode = _header_mode(header)
-        if mode is None:
-            return None
-        dtype = _dtype(header)
-        columns = {name: np.empty(rows, dtype[name]) for name in header}
-        for chunk in row_chunks(rows):
-            table = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1,
-                               max_rows=chunk.stop - chunk.start)
-            for name, column in columns.items():
-                column[chunk] = table[name]
-    return mode, columns
-
-
-def _read_lines(path):
-    """``(mode, columns)`` of any trace file: the whole text split into lines,
-    blank and whitespace-only lines dropped, and the rest parsed at once."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot read trace CSV {path}: {exc}") from exc
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+def _read_columns(fh, path):
+    """``(mode, columns)`` of the trace file open as ``fh``: its lines counted
+    in one pass, then parsed a chunk of rows at a time into preallocated
+    columns."""
+    rows = sum(map(len, _blocks(fh))) - 1
+    if rows < 0:
         raise ValueError(f"{path}: empty trace file")
-    header = tuple(lines[0].split(","))
+    fh.seek(0)
+    lines = chain.from_iterable(_blocks(fh))
+    first = next(lines)
+    header = tuple(first.split(","))
     mode = _header_mode(header)
     if mode is None:
-        raise ValueError(f"{path}: unrecognised trace header {lines[0]!r}")
+        raise ValueError(f"{path}: unrecognised trace header {first!r}")
 
     dtype = _dtype(header)
-    if len(lines) > 1:
+    columns = {name: np.empty(rows, dtype[name]) for name in header}
+    for chunk in row_chunks(rows):
         try:
-            table = np.loadtxt(lines[1:], delimiter=",", dtype=dtype, comments=None, ndmin=1)
+            table = np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None, ndmin=1,
+                               max_rows=chunk.stop - chunk.start)
         except ValueError as exc:
-            # numpy's message counts data rows and may append advice on ``usecols``.
-            reason = str(exc).split("; use `usecols`")[0]
+            # numpy counts rows from the chunk's first and may append advice
+            # on ``usecols``.
+            reason = re.sub(r"(?<=at row )\d+", lambda row: str(int(row[0]) + chunk.start),
+                            str(exc).split("; use `usecols`")[0], count=1)
             raise ValueError(f"{path}: malformed trace data: {reason}") from None
-    else:
-        table = np.zeros(0, dtype=dtype)
-    return mode, {name: np.array(table[name]) for name in header}
+        for name, column in columns.items():
+            column[chunk] = table[name]
+    return mode, columns
 
 
 def write_json_report(payload: dict, path) -> None:

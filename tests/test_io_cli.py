@@ -359,15 +359,18 @@ class TestBatchedWriterMatchesOracle:
             np.testing.assert_array_equal(getattr(back, field), getattr(trace, field))
 
 
+MALFORMED_ROWS = [
+    "1,0.1,0.2,0.3,5,4",          # short row
+    "1,0.1,0.2,0.3,5,4,2,9",      # long row
+    "1,0.1,volts,0.3,5,4,2",      # non-numeric field
+    "1,0.1,0.2,0.3,3.5,4,2",      # non-integer count
+]
+
+
 class TestReaderRejects:
     GOOD = "0,0,0,0,5,4,2"
 
-    @pytest.mark.parametrize("row", [
-        "1,0.1,0.2,0.3,5,4",          # short row
-        "1,0.1,0.2,0.3,5,4,2,9",      # long row
-        "1,0.1,volts,0.3,5,4,2",      # non-numeric field
-        "1,0.1,0.2,0.3,3.5,4,2",      # non-integer count
-    ])
+    @pytest.mark.parametrize("row", MALFORMED_ROWS)
     @pytest.mark.parametrize("first", [True, False])
     def test_malformed_row_names_the_file(self, tmp_path, row, first):
         path = tmp_path / "bad.csv"
@@ -512,8 +515,32 @@ def trace_files(draw) -> bytes:
     return data
 
 
+def read_ends(data: bytes, size: int) -> list:
+    """Where in the ASCII text ``data`` the reader's reads of ``size``
+    characters end: each block of text is such a read and the rest of the
+    line it ends in."""
+    ends, start = [], 0
+    while start + size < len(data):
+        ends.append(start + size)
+        start = data.find(b"\n", start + size) + 1 or len(data)
+    return ends
+
+
+def line_end_at(offset: int, end: str) -> str:
+    """A photon trace CSV whose character ``offset`` starts the line end
+    ``end``, with rows before and after."""
+    lines, size = [",".join(PHOTON_HEADER)], len(",".join(PHOTON_HEADER))
+    while size + 20 < offset:
+        lines.append(f"{len(lines)},0.5,1,2,3,4,1")
+        size += 1 + len(lines[-1])
+    # Trailing zeros of the last row's time field move its end to ``offset``.
+    lines[-1] = lines[-1].replace(",0.5,", ",0.5" + "0" * (offset - size) + ",")
+    after = [f"{i},0.25,1,2,3,4,1" for i in range(len(lines), len(lines) + 20)]
+    return "\n".join(lines) + end + "\n".join(after) + "\n"
+
+
 class TestReaderMatchesLineFilter:
-    """The chunked reader against the whole-text line filter it replaces:
+    """The block-by-block reader against the whole-text line filter:
     the same trace bit for bit, or the same exception type and message."""
 
     @settings(max_examples=250, deadline=None)
@@ -551,37 +578,32 @@ class TestReaderMatchesLineFilter:
         assert outcome[0] is mode
         assert outcome == read_outcome(line_filter_read, path)
 
-    # A CRLF file reads by chunks as its LF copy does; any other CR, and any
-    # fault of the file, goes to the whole-text read with today's message.
-    @pytest.mark.parametrize("rows, chunked", [
-        ("0,0,0,0,5,4,2\r\n1,1,1,1,3,3,1\r\n", True),
-        ("0,0,0,0,5,4,2\r\n1,1,1,1,3,3,1", True),          # no last line end
-        ("0,0,0,0,5,4,2\n1,1,1,1,3,3,1\r\n", True),        # LF and CRLF mixed
-        ("", True),                                         # header only
-        ("0,0,0,0,5,4\r\n", True),                          # short row
-        ("0,0,0,0,5,4,2,9\r\n", True),                      # long row
-        ("0,0,volts,0,5,4,2\r\n", True),                    # non-numeric field
-        ("0,0,0,0,3.5,4,2\r\n", True),                      # non-integer count
-        ("1,1,1,1,3,3,4\r\n", True),                        # coincidences above singles
-        ("\r\n0,0,0,0,5,4,2\r\n", True),                   # blank line
-        ("0,0,0,0,5,4,2\r\r\n", False),                     # CR CR LF
-        ("0,0,0,0,5,4,2\r", False),                         # CR at the end
-        ("0,0,0,0,5,4,2\r1,1,1,1,3,3,1\r\n", False),        # CR between rows
+    # A CRLF file reads as its LF copy does; any other CR, and any fault of
+    # the file, raises the line filter's message.
+    @pytest.mark.parametrize("rows", [
+        "0,0,0,0,5,4,2\r\n1,1,1,1,3,3,1\r\n",
+        "0,0,0,0,5,4,2\r\n1,1,1,1,3,3,1",          # no last line end
+        "0,0,0,0,5,4,2\n1,1,1,1,3,3,1\r\n",        # LF and CRLF mixed
+        "",                                         # header only
+        "0,0,0,0,5,4\r\n",                          # short row
+        "0,0,0,0,5,4,2,9\r\n",                      # long row
+        "0,0,volts,0,5,4,2\r\n",                    # non-numeric field
+        "0,0,0,0,3.5,4,2\r\n",                      # non-integer count
+        "1,1,1,1,3,3,4\r\n",                        # coincidences above singles
+        "\r\n0,0,0,0,5,4,2\r\n",                   # blank line
+        "0,0,0,0,5,4,2\r\r\n",                     # CR CR LF
+        "0,0,0,0,5,4,2\r",                         # CR at the end
+        "0,0,0,0,5,4,2\r1,1,1,1,3,3,1\r\n",        # CR between rows
     ])
-    def test_crlf_files_read_as_before(self, tmp_path, rows, chunked):
+    def test_crlf_files_read_as_before(self, tmp_path, rows):
         path = tmp_path / "crlf.csv"
         path.write_bytes((",".join(PHOTON_HEADER) + "\r\n" + rows).encode())
         assert read_outcome(read_trace_csv, path) == read_outcome(line_filter_read, path)
-        # The byte scan passes what the chunked read may take; a blank line
-        # and any other CR go to the whole-text read.
-        passes = chunked and "\r\n\r\n" not in ",\r\n" + rows
-        assert (trace_io._data_rows(path) is not None) == passes
 
-    # With blocks of 64 bytes, the CRLFs and blank CRLF lines of traces with
-    # rows of many widths fall across block seams.
+    # With blocks of 16 to 144 characters and the rest of their line, some
+    # reads of traces with rows of many widths end between a CR and its LF.
     @pytest.mark.parametrize("blank_at", [None, 1, 7, 30])
     def test_crlf_across_block_seams(self, monkeypatch, tmp_path, blank_at):
-        monkeypatch.setattr(trace_io, "CHUNK_ROWS", 1)
         lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
         seams = 0
         for seed in range(10):
@@ -590,11 +612,60 @@ class TestReaderMatchesLineFilter:
             if blank_at is not None:
                 lines.insert(blank_at, b"")
             data = b"\r\n".join(lines)
-            seams += sum(data[i - 1:i + 1] == b"\r\n" for i in range(64, len(data), 64))
             crlf.write_bytes(data)
-            assert read_outcome(read_trace_csv, crlf) == read_outcome(read_trace_csv, lf)
-            assert trace_io._data_rows(crlf) == (40 if blank_at is None else None)
+            expected = read_outcome(line_filter_read, lf)
+            for chunk_rows in range(1, 10):
+                monkeypatch.setattr(trace_io, "CHUNK_ROWS", chunk_rows)
+                seams += sum(data[end - 1:end + 1] == b"\r\n"
+                             for end in read_ends(data, 16 * trace_io.CHUNK_ROWS))
+                assert read_outcome(read_trace_csv, crlf) == expected
         assert seams
+
+    # Line ends that ``str.splitlines`` takes, and blank lines, just before,
+    # at and just after the end of the first block's read.
+    @pytest.mark.parametrize("end", ["\r\n", "\r", "\x0b", "\x85", "\n\n", "\r\n\r\n", "\n  \n",
+                                     "\n\t\n"])
+    @pytest.mark.parametrize("shift", range(-3, 4))
+    def test_line_ends_at_a_block_seam_read_as_before(self, tmp_path, end, shift):
+        path = tmp_path / "seam.csv"
+        path.write_bytes(line_end_at(16 * trace_io.CHUNK_ROWS + shift, end).encode())
+        outcome = read_outcome(read_trace_csv, path)
+        assert outcome[0] is SourceMode.PHOTON_COUNTING
+        assert outcome == read_outcome(line_filter_read, path)
+
+    @pytest.mark.parametrize("line", ["1,0.5{},1,2,3,4,1", "1,0.5,x{},1,2,3,4,1"])
+    def test_a_line_longer_than_a_block_reads_as_before(self, tmp_path, line):
+        line = line.format("0" * 40 * CHUNK_ROWS)
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join([",".join(PHOTON_HEADER), "0,0,0,0,5,4,2", line,
+                                    "2,1,1,1,3,3,1"]) + "\n")
+        assert read_outcome(read_trace_csv, path) == read_outcome(line_filter_read, path)
+
+    # Rows past the first chunk: numpy counts rows within the chunk it reads.
+    @pytest.mark.parametrize("row", MALFORMED_ROWS)
+    @pytest.mark.parametrize("at", [CHUNK_ROWS - 1, CHUNK_ROWS, 1500, 4999])
+    def test_a_malformed_row_far_into_the_file_is_named_as_before(self, tmp_path, row, at):
+        rows = [TestReaderRejects.GOOD] * 5000
+        rows[at] = row
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([",".join(PHOTON_HEADER), *rows]) + "\n")
+        outcome = read_outcome(read_trace_csv, path)
+        assert outcome[0] is ValueError
+        assert outcome == read_outcome(line_filter_read, path)
+
+    # Bytes that are not UTF-8 past the first block and past 64 KiB, where
+    # the decoder of the open file counts bytes from its own buffer.
+    @pytest.mark.parametrize("invalid", [b"\xff", b"\xe2\x80"])
+    @pytest.mark.parametrize("at", [8191, 20_000, 70_000, None])
+    def test_bytes_far_into_the_file_that_are_not_utf8_raise_as_before(self, tmp_path,
+                                                                       invalid, at):
+        data = (",".join(PHOTON_HEADER) + "\n" + (TestReaderRejects.GOOD + "\n") * 6000).encode()
+        at = len(data) if at is None else at
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data[:at] + invalid + data[at:])
+        outcome = read_outcome(read_trace_csv, path)
+        assert outcome[0] is UnicodeDecodeError and f"position {at}" in outcome[1]
+        assert outcome == read_outcome(line_filter_read, path)
 
     def test_a_missing_file_raises_as_before(self, tmp_path):
         path = tmp_path / "absent.csv"
@@ -826,9 +897,12 @@ class TestMemoryDoesNotGrowWithRows:
       encoding (<= 2 x 159: 4 x 20 digits, 3 x 24-character floats and 7
       separators), the int64 copy (8) and the checks' masks over 16
       chunks (3 per row: 48); <= 768, within 1 KiB per row;
-    * reader: the chunk's table (56), the checks' masks (48) and two
-      blocks of the byte scan of 64 bytes per row (128); <= 232, plus
-      64 KiB for numpy's parser and the file buffers;
+    * reader: the chunk's table (56), the checks' masks (48), one block
+      of text of 16 characters per row, held at most three times while
+      the next block is read and joined to the rest of its last line
+      (48), and the block's line list, the same characters again and 65
+      bytes per line of at least 100 characters (<= 27); <= 179, within
+      232, plus 64 KiB for numpy's parser and the file buffers;
     * plot: x and y as arrays, Python floats with list slots, a flat
       tuple, the template and text and its encoding, or an integer
       chunk's distinct-value texts (<= 57 each); within 256 bytes per
@@ -857,25 +931,24 @@ class TestMemoryDoesNotGrowWithRows:
                            lambda n: (wide_trace(SourceMode.PHOTON_COUNTING, n), tmp_path / "t.csv"))
         self.assert_flat(peaks, self.WRITE_BOUND)
 
-    def test_reader(self, tmp_path):
-        def written(n):
-            path = tmp_path / f"{n}.csv"
-            write_trace_csv(wide_trace(SourceMode.PHOTON_COUNTING, n), path)
-            return (path,)
-
-        self.assert_flat(self.peaks(read_trace_csv, written), self.READ_BOUND)
-
-    # A CRLF copy takes the chunked read too.  Its byte scan holds one more
-    # block, the block without its CRs, before any column is allocated.
-    def test_reader_of_a_crlf_copy(self, tmp_path):
-        def crlf_copy(n):
-            lf, crlf = tmp_path / f"{n}.csv", tmp_path / f"{n}.crlf.csv"
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        """Per row count, a written trace of photon rows and its CRLF copy."""
+        root, files = tmp_path_factory.mktemp("rows"), {}
+        for n in (self.SMALL, self.LARGE):
+            lf, crlf = root / f"{n}.csv", root / f"{n}.crlf.csv"
             write_trace_csv(wide_trace(SourceMode.PHOTON_COUNTING, n), lf)
             crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-            assert read_outcome(read_trace_csv, crlf) == read_outcome(read_trace_csv, lf)
-            return (crlf,)
+            files[n] = lf, crlf
+        return files
 
-        self.assert_flat(self.peaks(read_trace_csv, crlf_copy), self.READ_BOUND)
+    def test_reader(self, written):
+        self.assert_flat(self.peaks(read_trace_csv, lambda n: written[n][:1]), self.READ_BOUND)
+
+    def test_reader_of_a_crlf_copy(self, written):
+        for lf, crlf in written.values():
+            assert read_outcome(read_trace_csv, crlf) == read_outcome(read_trace_csv, lf)
+        self.assert_flat(self.peaks(read_trace_csv, lambda n: written[n][1:]), self.READ_BOUND)
 
     def test_plot_of_float_series(self, tmp_path):
         def plot(n):
