@@ -1,8 +1,9 @@
-"""Fixed chunks of rows.
+"""Fixed chunks of rows, and the blocks of the column fold.
 
 A trace is checked, written and read one chunk of rows at a time, and a
 plot's points are formatted a chunk at a time, so what these steps hold
-beside their inputs and results does not grow with the number of rows.
+beside their inputs and results does not grow with the number of rows;
+the column fold takes its points in the blocks of :func:`fold_blocks`.
 """
 
 from __future__ import annotations
@@ -14,11 +15,38 @@ from pathlib import Path
 # measurable time.
 CHUNK_ROWS = 1024
 
+# Points that the column fold takes at once (at least 2): the grid points a
+# sensitivity sweep folds and reduces, and the bins a scan folds and draws.
+# A block's fold, ~1.2 MB traced at 8192 points (its MZI stack, field
+# column and pairs), is taken and freed block after block.  Minor page
+# faults and wall time per `sensitivity --max-m 5` dispatch at 4096, 8192
+# and 16384 points (`resource.getrusage`, 2-core shared x86, numpy 2.4):
+# in a fresh process, as the CLI runs, 2.1k, 3.1k and 3.7k faults and 35,
+# 33 and 33 ms; dispatched again in one process, 2.1k, 3.1k and 2.1k faults
+# and 32, 31 and 27 ms, as glibc returns each freed fold to the system and
+# the next block faults it in again.  16384 points would double the
+# traced peak.
+FOLD_POINTS = 8192
+
 
 def row_chunks(n: int, size: int = CHUNK_ROWS):
     """Slices of at most ``size`` rows that cover ``range(n)`` in order,
     each with a stop of at most ``n``."""
     return (slice(start, min(start + size, n)) for start in range(0, n, size))
+
+
+def fold_blocks(n: int) -> list:
+    """Slices of :data:`FOLD_POINTS` points (at least 2) that cover
+    ``range(n)`` in order; a lone last point joins the block before it.
+
+    numpy runs the MZI's cos and sin of a one-element array through its
+    contiguous loop, whose last bit can differ from the strided loop of a
+    longer block.
+    """
+    blocks = list(row_chunks(n, max(2, FOLD_POINTS)))
+    if len(blocks) > 1 and blocks[-1].start == n - 1:
+        blocks[-2:] = [slice(blocks[-2].start, n)]
+    return blocks
 
 
 def write_text(path, parts, what: str) -> None:

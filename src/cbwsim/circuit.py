@@ -468,12 +468,9 @@ def _stage_fold(ast: CircuitAst, bindings: Mapping[str, float], swept: Mapping, 
     return the fold of one block: a block of each swept name, in the order
     of ``swept``, to its iterator of stage pairs."""
     constants: dict = {}
-    # The distinct swept elements, in chain order; an element that one of
-    # them reaches stands in the chain as its index.
-    distinct = {(e.kind, e.arm, e.phase): e for e in ast.elements if e.phase in swept}
-    index = {key: i for i, key in enumerate(distinct)}
-    chain = [index[(e.kind, e.arm, e.phase)] if e.phase in swept
-             else _bound_matrix(e, bindings, constants, True) for e in ast.elements]
+    # An element that a name of swept reaches stands in the chain as itself.
+    chain = [e if e.phase in swept else _bound_matrix(e, bindings, constants, True)
+             for e in ast.elements]
     shape = np.broadcast_shapes(*(m.shape[:-2] for m in constants.values()))
     cuts = [i for i, element in enumerate(ast.elements) if element.kind is ElementKind.MZI][1:]
     # compose would skip the identities (a zero phase shifter, say) at
@@ -484,13 +481,12 @@ def _stage_fold(ast: CircuitAst, bindings: Mapping[str, float], swept: Mapping, 
     def fold(*blocks) -> Iterator:
         values = dict(zip(swept, blocks))
         matrices: dict = {}
-        built = [_bound_matrix(e, values, matrices, True) for e in distinct.values()]
 
         def bound(item):
-            return built[item] if isinstance(item, int) else item
+            return _bound_matrix(item, values, matrices, True) if isinstance(item, ElementNode) else item
         first = bound(chain[0])
         stages = [[bound(item) for item in stage] for stage in stage_chains]
-        block_shape = np.broadcast_shapes(shape, *(m.shape[:-2] for m in built))
+        block_shape = np.broadcast_shapes(shape, *(m.shape[:-2] for m in matrices.values()))
         column = optics.apply(np.broadcast_to(first, block_shape + (2, 2)), (1, 0))
         return _stage_intensities(column, stages, amplitude)
     return fold

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit as circuit_mod
-from ._chunks import row_chunks
+from ._chunks import fold_blocks, row_chunks
 
 __all__ = [
     "AmbiguousPeriodError",
@@ -34,19 +34,6 @@ __all__ = [
 
 # Relative tolerance under which two slope peaks count as equally high.
 _PEAK_TIE_RTOL = 1e-9
-
-# Phase points that estimate_sensitivity folds and reduces at once (at
-# least 2), and the bins that the scan simulators fold and draw at once.
-# A block's fold, ~1.2 MB traced at 8192 points (its MZI stack, field
-# column and pairs), is taken and freed block after block.  Minor page
-# faults and wall time per `sensitivity --max-m 5` dispatch at 4096, 8192
-# and 16384 points (`resource.getrusage`, 2-core shared x86, numpy 2.4):
-# in a fresh process, as the CLI runs, 2.1k, 3.1k and 3.7k faults and 35,
-# 33 and 33 ms; dispatched again in one process, 2.1k, 3.1k and 2.1k faults
-# and 32, 31 and 27 ms, as glibc returns each freed fold to the system and
-# the next block faults it in again.  16384 points would double the
-# traced peak.
-_BLOCK_POINTS = 8192
 
 # Default sensitivity grid, and the largest: ten times the default.  A
 # sweep holds one block's fold and 16 bytes per order and block point, so
@@ -250,14 +237,14 @@ def estimate_sensitivity(
     ``dI`` with the grid's uniform step ``2*pi/grid_points``, bit for bit:
     central differences inside, one-sided ones at the grid's two ends.
 
-    The grid ``k * step`` (the points ``linspace`` gives) is folded in
-    contiguous blocks of ``_BLOCK_POINTS`` points by one
+    The grid ``k * step`` (the points ``linspace`` gives) is cut once by
+    ``_chunks.fold_blocks``, as a scan's bins are, and folded by one
     ``output_intensities`` call, which reads each block's ``psi`` from a
     generator: the call binds the chain's control phases once for the
     sweep, and each block builds only its ``psi`` stack.  Each block is
-    reduced as it is folded, so the sweep holds one block and no full-grid
-    array.  The last two ``dI`` of each order carry into the next block for
-    its central differences.  Each order keeps a running ``eta`` and the
+    reduced as it is folded, so the sweep holds one (the widest) block and
+    no full-grid array.  The last two ``dI`` of each order carry into the
+    next block for its central differences.  Each order keeps a running ``eta`` and the
     points within the tolerance of it; as the running ``eta`` never exceeds
     the final one, the first of those points that reaches the final
     tolerance is the first on the whole grid.
@@ -277,13 +264,14 @@ def estimate_sensitivity(
 
     step = 2.0 * np.pi / grid_points
     chain = circuit_mod.build_cbw_chain(max_m, phi=0.0)
+    blocks = fold_blocks(grid_points)
+    widest = max(rows.stop - rows.start for rows in blocks)
     # Each order's dI over one block, after the last two of the block before.
-    differences = np.empty((max_m, _BLOCK_POINTS + 2))
-    central = np.empty((max_m, _BLOCK_POINTS))
+    differences = np.empty((max_m, widest + 2))
+    central = np.empty((max_m, widest))
     eta = np.zeros(max_m)
     kept: list = [[] for _ in range(max_m)]
     held = 0
-    blocks = list(row_chunks(grid_points, _BLOCK_POINTS))
     psi = (np.arange(rows.start, rows.stop) * step for rows in blocks)
     folds = circuit_mod.output_intensities(chain, {"psi": psi}, stages=True)
     for rows, pairs in zip(blocks, folds):

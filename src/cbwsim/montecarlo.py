@@ -6,12 +6,12 @@ acquisition bins (default 0.1 s).  Per window the attenuated source emits
 ``k ~ Poisson(lam)`` photons; each photon independently survives with the
 detector efficiency and lands on detector 1 with the Born-rule probability
 ``I_upper / (I_upper + I_lower)`` evaluated from the circuit at that bin's
-phase.  The chain is evaluated once per bin, a block of bins at a time,
-as port powers per unit input; the intensity-drift walk scales the
-source's mean photon number (or a cw trace's power) once and never
-enters the routing.  A detector "fires" if at least one photon (or dark
-count) reaches it inside the window; a coincidence is both detectors
-firing in the same window.
+phase.  The chain is evaluated once per bin, as port powers per unit
+input, a block of :func:`cbwsim._chunks.fold_blocks` at a time; the
+intensity-drift walk scales the source's mean photon number (or a cw
+trace's power) once and never enters the routing.  A detector "fires" if
+at least one photon (or dark count) reaches it inside the window; a
+coincidence is both detectors firing in the same window.
 
 :func:`sample_window` and :func:`route_photons` define that per-window
 model one draw at a time; they are the test oracle.  The scan simulator
@@ -42,13 +42,13 @@ streams and no threads, so a seed fixes the whole trace.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import circuit as circuit_mod
-from . import experiment
-from ._chunks import CHUNK_ROWS, row_chunks
+from ._chunks import CHUNK_ROWS, fold_blocks, row_chunks
 from .config import ConfigError, NoiseModel, ScanConfig, SourceMode, SourceModel
 
 __all__ = [
@@ -227,37 +227,22 @@ def _noise_walks(noise: NoiseModel, scan: ScanConfig, jitter_ss, drift_ss):
     return jitter, np.clip(drift, 0.0, None)
 
 
-def _bin_blocks(points: int) -> list:
-    """Slices of ``experiment._BLOCK_POINTS`` bins (at least 2) that cover a
-    scan of ``points`` bins in order, none of one bin unless the scan has one.
-
-    numpy takes a one-element array as contiguous, so the MZI's
-    ``np.cos(phase, out=e.real)`` on one bin runs the contiguous loop, whose
-    last bit can differ from the strided loop that any longer block runs; a
-    last bin left alone joins the block before it.
-    """
-    blocks = list(row_chunks(points, max(2, experiment._BLOCK_POINTS)))
-    if len(blocks) > 1 and blocks[-1].start == points - 1:
-        blocks[-2:] = [slice(blocks[-2].start, points)]
-    return blocks
-
-
 def _scan_chain(scan: ScanConfig, noise: NoiseModel, seed: int):
     """What both simulators share: check the circuit, draw the noise walks and
-    evaluate the chain at the jittered phases.  Returns
-    ``(psi_nominal, drift, powers, counts_ss)``: ``powers`` is a ``(2,
-    points)`` array of the undrifted port powers per unit input, also where
-    the chain reads no ``psi``; each simulator scales its source by ``drift``
-    once.  A parameter other than ``psi``/``phi`` raises
+    evaluate the chain at the jittered phases.  Returns ``(psi_nominal,
+    drift, blocks, counts_ss)``: ``blocks`` yields ``(rows, (upper,
+    lower))``, each block's rows and undrifted port powers per unit input,
+    also where the chain reads no ``psi``; each simulator scales its source
+    by ``drift`` once.  A parameter other than ``psi``/``phi`` raises
     :class:`~cbwsim.circuit.UnboundParameterError`, naming each, before any
     draw.
 
-    The chain is evaluated a block of bins (:func:`_bin_blocks`) at a time
-    by one column fold (``circuit.output_intensities(..., stages=True)``,
-    the last pair of each block), which reads each block's jittered ``psi``
-    from a generator and binds ``phi`` once for the scan.  So the scan holds
-    one block's jittered phases, matrix stack and field column, not an
-    ``(N, 2, 2)`` product.  The fold's last pair has the
+    The bins are cut once by :func:`~cbwsim._chunks.fold_blocks`.  As
+    ``blocks`` is read, one column fold (``circuit.output_intensities(...,
+    stages=True)``, the last pair of each block) reads each block's
+    jittered ``psi`` from a generator and binds ``phi`` once for the scan.
+    So the scan holds one block's jittered phases, matrix stack and field
+    column, not an ``(N, 2, 2)`` product.  The fold's last pair has the
     bits of the whole chain's ``output_intensities``, so the block size
     changes no bit.
     """
@@ -268,15 +253,13 @@ def _scan_chain(scan: ScanConfig, noise: NoiseModel, seed: int):
     jitter, drift = _noise_walks(noise, scan, jitter_ss, drift_ss)
     psi_nominal = scan.psi_values()
     chain = replace(scan.circuit, source_intensity=1.0)
-    powers = np.empty((2, scan.points))
-    blocks = _bin_blocks(scan.points)
+    blocks = fold_blocks(scan.points)
     psi = (psi_nominal[rows] + jitter[rows] for rows in blocks)
     folds = circuit_mod.output_intensities(chain, {"psi": psi, "phi": scan.phi}, stages=True)
-    for rows, pairs in zip(blocks, folds):
-        for pair in pairs:
-            pass  # the last stage's pair is the whole chain's
-        powers[0, rows], powers[1, rows] = pair
-    return psi_nominal, drift, powers, counts_ss
+    # The last stage's pair is the whole chain's.  The fold leads the zip, so
+    # it runs out after the last block and frees the jitter walk psi holds.
+    pairs = ((rows, deque(stages, maxlen=1).pop()) for stages, rows in zip(folds, blocks))
+    return psi_nominal, drift, pairs, counts_ss
 
 
 def scan_trace(scan: ScanConfig, mode: SourceMode, psi, singles_d1, singles_d2, coincidences,
@@ -307,13 +290,13 @@ def simulate_scan_counts(
     is a :class:`ConfigError` naming ``mean_photons_per_window``; every bin
     is checked before any draw.
 
-    The bins are drawn a block (:func:`_bin_blocks`) at a time, each block's
-    outcome probabilities and one ``multinomial`` call from the one counts
-    generator, into the trace's preallocated int64 columns.  Per-block
-    calls take the stream as one call over every bin would, so the block
-    size changes no count; each count column is an array of its own.
+    The bins are drawn as the chain's fold yields each block: its outcome
+    probabilities and one ``multinomial`` call from the one counts generator,
+    into the trace's preallocated int64 columns.  Per-block calls take the
+    stream as one call over every bin would, so the block size changes no
+    count; each count column is an array of its own.
     """
-    psi, detected, powers, counts_ss = _scan_chain(scan, noise, seed)
+    psi, detected, blocks, counts_ss = _scan_chain(scan, noise, seed)
     windows = _windows_per_bin(scan, source)
     p_dark = noise.dark_rate * source.window_duration
     with np.errstate(over="ignore"):
@@ -325,10 +308,11 @@ def simulate_scan_counts(
                           "overflows the detected photon mean")
     rng = np.random.Generator(np.random.PCG64(counts_ss))
     d1, d2, coincidences = (np.empty(scan.points, dtype=np.int64) for _ in range(3))
-    for rows in _bin_blocks(scan.points):
+    for rows, (upper, lower) in blocks:
         # A unitary chain's unit-input powers sum to 1 within rounding, so the
         # Born ratio is defined and lies in [0, 1].
-        p_upper = powers[0, rows] / (powers[0, rows] + powers[1, rows])
+        p_upper = upper / (upper + lower)
+        del upper, lower  # the fold's pair, freed before the draw
         with np.errstate(over="ignore"):
             # A mean that overflows with the dark counts fires its detector in every window.
             q1 = -np.expm1(-(detected[rows] * p_upper + p_dark))
@@ -338,7 +322,8 @@ def simulate_scan_counts(
         coincidences[rows] = outcomes[:, 0]
         np.add(outcomes[:, 0], outcomes[:, 1], out=d1[rows])
         np.add(outcomes[:, 0], outcomes[:, 2], out=d2[rows])
-    del powers, detected  # freed before the trace's axes are built
+        del p_upper, q1, q2, pvals, outcomes  # freed before the next block's fold
+    del detected  # freed before the trace's axes are built
     return scan_trace(scan, SourceMode.PHOTON_COUNTING, psi, d1, d2, coincidences, seed,
                       source=source, noise=noise, windows_per_bin=windows)
 
@@ -351,11 +336,14 @@ def simulate_classical_trace(scan: ScanConfig, noise: NoiseModel, seed: int) -> 
     zero.  Phase jitter and intensity drift apply; detector efficiency and
     dark counts are photon-counting concepts and do not.  A power that
     overflows is a :class:`ConfigError` naming the source intensity.
-    The powers are scaled in place, so the trace's two power columns are
-    the rows of the chain's ``(2, points)`` array.
+    The fold fills a ``(2, points)`` array of unit-input powers, scaled in
+    place; its rows are the trace's two power columns.
     """
     intensity = scan.circuit.source_intensity
-    psi, drift, powers, _ = _scan_chain(scan, noise, seed)
+    psi, drift, blocks, _ = _scan_chain(scan, noise, seed)
+    powers = np.empty((2, scan.points))
+    for rows, pair in blocks:
+        powers[0, rows], powers[1, rows] = pair
     with np.errstate(over="ignore"):  # abs: an intensity of -0 gives powers of +0
         powers *= drift
         powers *= abs(intensity)

@@ -515,7 +515,7 @@ class TestStages:
     # The block form reads psi, and in some cases phi too, one block at a
     # time from an iterator.  The blocks are uneven, the last one short,
     # and none has one point: numpy rounds cos/sin of a one-element array
-    # through another loop, as montecarlo._bin_blocks notes.
+    # through another loop, as _chunks.fold_blocks notes.
     BLOCKS = [slice(0, 5), slice(5, 10), slice(10, 13)]
     PHIS = [1.1, 0.0, BINDINGS[2]["phi"], np.random.default_rng(74).uniform(-7, 7, 13)]
 

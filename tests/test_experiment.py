@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cbwsim import experiment
+from cbwsim import _chunks, experiment
 from cbwsim.circuit import build_cbw_chain, output_intensities, parse_circuit
 from cbwsim.config import (
     DEFAULT_CYCLES_PER_RAMP,
@@ -27,7 +27,7 @@ from cbwsim.experiment import (
 from cbwsim.montecarlo import simulate_classical_trace, simulate_scan_counts
 
 QUIET = NoiseModel()
-BLOCK = experiment._BLOCK_POINTS
+BLOCK = _chunks.FOLD_POINTS
 
 
 def classical_scan(points, modules, phi=0.0, cycles=DEFAULT_CYCLES_PER_RAMP):
@@ -498,13 +498,14 @@ class TestSlopeKernel:
         if grid_points == 111_590:
             assert reference_slope(3, grid_points, uniform=False) == reference_slope(3, grid_points)
 
-    # The grid is folded in blocks of _BLOCK_POINTS points; the block edges
-    # must not show in any order.  The first case patches the block wider
-    # than the grid (every valid grid is wider than the real block), the
-    # sixth narrow and odd, so that the final block is a ragged tail.  On
+    # The grid is folded in the blocks of _chunks.fold_blocks; the block
+    # edges must not show in any order.  The first case patches the block
+    # wider than the grid (every valid grid is wider than the real block),
+    # the sixth narrow and odd, so that the final block is a ragged tail.  On
     # 1e5 points the first peaks of orders 1..5 sit at indices 25000, 12500,
     # 25000, 6250 and 5000: blocks of 6250 start on those of orders 1..4,
-    # and the first block of 12501 ends on order 2's.
+    # and the first block of 12501 ends on order 2's.  Blocks of 6250 leave
+    # one point of 100001 past the last, which joins the block before it.
     @pytest.mark.parametrize("block, grid_points, max_m", [
         (20_000, 10_000, 1),
         (BLOCK, 3 * BLOCK, 2),
@@ -514,10 +515,11 @@ class TestSlopeKernel:
         (997, 20_000, 2),
         (6_250, 100_000, 5),
         (12_501, 100_000, 2),
+        (6_250, 100_001, 5),
     ], ids=["shorter-than-a-block", "3-blocks", "4-blocks-plus-1", "111590", "123457",
-            "ragged-tail", "peaks-on-block-starts", "peak-on-a-block-end"])
+            "ragged-tail", "peaks-on-block-starts", "peak-on-a-block-end", "lone-last-point"])
     def test_block_edges_keep_every_order_bits(self, monkeypatch, block, grid_points, max_m):
-        monkeypatch.setattr(experiment, "_BLOCK_POINTS", block)
+        monkeypatch.setattr(_chunks, "FOLD_POINTS", block)
         reports = estimate_sensitivity(max_m, grid_points)
         assert [(r.eta, r.max_slope_psi) for r in reports] == [
             reference_slope(m, grid_points) for m in range(1, max_m + 1)]
@@ -598,7 +600,7 @@ class TestPeakReduction:
                 assert np.array_equal(block_psi, psi[start:folded[0]])
                 yield iter([(row[start:folded[0]], np.zeros(len(block_psi))) for row in rows])
 
-        monkeypatch.setattr(experiment, "_BLOCK_POINTS", block)
+        monkeypatch.setattr(_chunks, "FOLD_POINTS", block)
         monkeypatch.setattr(experiment.circuit_mod, "output_intensities", output_intensities)
         reports = estimate_sensitivity(len(rows), self.GRID)
         assert folded[0] == self.GRID

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cbwsim import experiment, montecarlo
+from cbwsim import _chunks, montecarlo
 from cbwsim._chunks import CHUNK_ROWS
 from cbwsim.analytic import cbw_intensities, expected_coincidence_fraction
 from cbwsim.circuit import (
@@ -393,12 +393,13 @@ class TestScanChain:
 
     def test_the_chain_is_read_as_undrifted_unit_input_powers(self):
         scan = ScanConfig(points=64, bin_duration=1e-3, scan_duration=0.064, phi=0.7)
-        _, drift, powers, _ = montecarlo._scan_chain(scan, NoiseModel(intensity_drift_fraction=0.5), seed=3)
-        _, quiet_drift, quiet_powers, _ = montecarlo._scan_chain(scan, QUIET, seed=3)
+        _, drift, blocks, _ = montecarlo._scan_chain(scan, NoiseModel(intensity_drift_fraction=0.5), seed=3)
+        _, quiet_drift, quiet_blocks, _ = montecarlo._scan_chain(scan, QUIET, seed=3)
         assert not np.array_equal(drift, quiet_drift)
-        for got, quiet in zip(powers, quiet_powers):
-            assert np.array_equal(got, quiet)
-        np.testing.assert_allclose(powers[0] + powers[1], 1.0, rtol=0, atol=1e-12)
+        for (rows, (upper, lower)), (quiet_rows, quiet_pair) in zip(blocks, quiet_blocks, strict=True):
+            assert rows == quiet_rows
+            assert np.array_equal(upper, quiet_pair[0]) and np.array_equal(lower, quiet_pair[1])
+            np.testing.assert_allclose(upper + lower, 1.0, rtol=0, atol=1e-12)
 
 
 TRACE_FIELDS = ("bin_index", "time", "voltage", "psi", "singles_d1", "singles_d2", "coincidences")
@@ -434,9 +435,8 @@ def trace_bits(trace):
 
 
 class TestBlockedScan:
-    """The simulators fold the chain and draw the counts
-    ``experiment._BLOCK_POINTS`` bins at a time; the block size changes no
-    bit of a trace."""
+    """The simulators fold the chain and draw the counts in the blocks of
+    ``_chunks.fold_blocks``; the block size changes no bit of a trace."""
 
     # Blocks of one bin, of a few bins and of half the default, on scans
     # that leave a last bin over (302 = 43 * 7 + 1) or not; the last scan
@@ -451,7 +451,7 @@ class TestBlockedScan:
                                            circuit, phi, noise):
         scan = block_scan(circuit, phi, points)
         expected = SIMULATORS[simulator](scan, noise)
-        monkeypatch.setattr(experiment, "_BLOCK_POINTS", block)
+        monkeypatch.setattr(_chunks, "FOLD_POINTS", block)
         assert trace_bits(SIMULATORS[simulator](scan, noise)) == trace_bits(expected)
 
     @pytest.mark.parametrize("block", [1, 7, 4096])
@@ -459,7 +459,7 @@ class TestBlockedScan:
     def test_the_empty_scan_is_empty_in_any_block(self, monkeypatch, simulator, block):
         scan = ScanConfig(points=0, scan_duration=0.0)
         expected = SIMULATORS[simulator](scan, LAB_NOISE)
-        monkeypatch.setattr(experiment, "_BLOCK_POINTS", block)
+        monkeypatch.setattr(_chunks, "FOLD_POINTS", block)
         trace = SIMULATORS[simulator](scan, LAB_NOISE)
         assert len(trace) == 0 and trace_bits(trace) == trace_bits(expected)
 
@@ -469,24 +469,29 @@ class TestBlockedScan:
     @pytest.mark.parametrize("circuit, phi, noise", BLOCK_CASES, ids=BLOCK_IDS)
     def test_powers_have_the_bits_of_the_whole_chain(self, monkeypatch, block, circuit, phi, noise):
         if block is not None:
-            monkeypatch.setattr(experiment, "_BLOCK_POINTS", block)
+            monkeypatch.setattr(_chunks, "FOLD_POINTS", block)
         scan = block_scan(circuit, phi, 8192 + 1)
-        psi, _, powers, _ = montecarlo._scan_chain(scan, noise, seed=4)
+        psi, _, blocks, _ = montecarlo._scan_chain(scan, noise, seed=4)
         jitter_ss, drift_ss, _ = np.random.SeedSequence(4).spawn(3)
         jitter, _ = montecarlo._noise_walks(noise, scan, jitter_ss, drift_ss)
-        oracle = output_intensities(replace(circuit, source_intensity=1.0),
-                                    {"psi": psi + jitter, "phi": phi})
-        assert powers.shape == (2, scan.points) and powers.dtype == np.float64
-        for got, want in zip(powers, oracle):
-            assert np.array_equal(got.view(np.uint64), np.broadcast_to(want, got.shape).view(np.uint64))
+        oracle = [np.broadcast_to(want, psi.shape) for want in output_intensities(
+            replace(circuit, source_intensity=1.0), {"psi": psi + jitter, "phi": phi})]
+        pairs = list(blocks)
+        assert [rows for rows, _ in pairs] == _chunks.fold_blocks(scan.points)
+        for rows, pair in pairs:
+            for got, want in zip(pair, oracle, strict=True):
+                # A chain that reads no psi gives each block one power per port.
+                got = np.broadcast_to(got, want[rows].shape)
+                assert got.dtype == np.float64
+                assert np.array_equal(got.view(np.uint64), want[rows].view(np.uint64))
 
     # numpy runs a one-element array through its contiguous loops, which
     # can round the MZI's cos and sin otherwise than a longer block does.
     @pytest.mark.parametrize("block", [1, 2, 7, 8192])
     @pytest.mark.parametrize("points", [0, 1, 2, 3, 7, 8, 14, 15, 8192, 8193, 8194])
     def test_blocks_cover_the_scan_with_no_lone_bin(self, monkeypatch, block, points):
-        monkeypatch.setattr(experiment, "_BLOCK_POINTS", block)
-        blocks = montecarlo._bin_blocks(points)
+        monkeypatch.setattr(_chunks, "FOLD_POINTS", block)
+        blocks = _chunks.fold_blocks(points)
         assert [i for rows in blocks for i in range(rows.start, rows.stop)] == list(range(points))
         assert all(rows.stop - rows.start >= min(2, points) for rows in blocks)
         assert all(rows.stop - rows.start <= max(2, block) + 1 for rows in blocks)
@@ -500,10 +505,12 @@ class TestBlockedScan:
 class TestSimulatorMemory:
     """Traced peak of each simulator beside the trace it returns, at 2e5 bins.
 
-    The scan-long arrays beside the trace (the noise walks, the port powers,
-    the detected mean) are freed before the trace's axes are built, so
-    beside the trace a simulator holds one block at a time, as float64
-    words per bin of the block:
+    The scan-long arrays beside the trace (the noise walks, the detected
+    mean) are freed before the trace's axes are built.  The photon path
+    has no port-power array: its draw takes each block's powers as the
+    fold yields them, and a classical trace's power columns are the ones
+    the fold fills.  So beside the trace a simulator holds one block at a
+    time, as float64 words per bin of the block:
 
     * the fold: its 2x2 complex MZI stack (8), the field column and its
       update (8), the stage pair and the one before it (4) and the bin
@@ -534,9 +541,9 @@ class TestSimulatorMemory:
     @pytest.mark.parametrize("simulator", list(SIMULATORS))
     def test_the_peak_beside_the_trace_is_one_block(self, monkeypatch, simulator, block):
         if block is not None:
-            monkeypatch.setattr(experiment, "_BLOCK_POINTS", block)
+            monkeypatch.setattr(_chunks, "FOLD_POINTS", block)
         scan = block_scan(build_cbw_chain(2), 0.0, self.POINTS)
-        bound = 256 * experiment._BLOCK_POINTS + 20 * 16 * CHUNK_ROWS + 64 * 1024
+        bound = 256 * _chunks.FOLD_POINTS + 20 * 16 * CHUNK_ROWS + 64 * 1024
         assert self.peak_beside_trace(lambda: SIMULATORS[simulator](scan, LAB_NOISE)) <= bound
 
 
