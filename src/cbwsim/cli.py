@@ -15,9 +15,12 @@ the circuit language): a key is its flag's name with underscores
 the flag's would be, keys of other subcommands are ignored, and explicit
 command-line flags override file values.  An option set by neither takes
 the library default.  Phase-valued flags accept plain radians, ``pi``
-fractions such as ``pi/2`` or ``3pi/4``, or ``deg:<x>``; ``--phi -pi/2``
-reads as ``--phi=-pi/2``, as does any numeric flag, or an abbreviation
-argparse resolves to one (``--ramp-s -25``), before a ``-`` token.
+fractions such as ``pi/2`` or ``3pi/4``, or ``deg:<x>``.  A token that is
+``-`` and then a digit, ``.digit``, ``inf``, ``nan`` or ``pi`` (any case)
+is a value, not a flag: ``--phi -pi/2`` reads as ``--phi=-pi/2``, after an
+abbreviation argparse resolves too (``--ph -pi/2``), and ``--out -1.csv``
+as ``--out=-1.csv``.  Any other ``-`` token leaves the flag before it
+without its value (``--phi -x``).
 
 Exit codes: 0 success (``--help`` too), 1 configuration/usage error, 2
 analysis error (e.g. no fringes in the trace).  ``dispatch`` returns the
@@ -172,6 +175,13 @@ class _ParserExit(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a "-" token as a value, not a flag, if this matches
+        # it: "-" then a digit, ".digit", inf, nan or pi, in any case.  Its
+        # own pattern takes "-1" and "-.5" but not "-1e-3" or "-pi/2".
+        self._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan|pi)", re.IGNORECASE)
+
     def exit(self, status=0, message=None):  # dispatch returns it (0 after --help)
         raise _ParserExit(status, message, self)
 
@@ -220,28 +230,6 @@ def _command_parser(name: str):
     parser = _add_options(_Parser(prog=f"cbwsim {name}"), name)
     parser.set_defaults(command=name)
     return parser
-
-
-def _join_dash_values(argv: list, command: str) -> list:
-    """``argv`` with each "-" value joined by "=" to its numeric or phase flag.
-
-    argparse takes a "-" token as a value only if it looks like a negative
-    number, as "-pi/2" does not.  A flag is resolved as argparse resolves
-    it among ``command``'s options: exactly, or as the unique flag it
-    abbreviates.  An ambiguous or unknown flag is left for argparse to refuse.
-    """
-    arguments = list(_arguments(command)) if command else []
-    flags = ["--help"] + [flag for flag, _ in arguments]
-    value_flags = {flag for flag, keywords in arguments if "type" in keywords or flag == "--phi"}
-    argv = list(argv)
-    for i in range(len(argv) - 1, 0, -1):
-        flag, value = argv[i - 1], argv[i]
-        if not flag.startswith("--") or not value.startswith("-") or value[1:2] == "-":
-            continue
-        matches = [flag] if flag in flags else [f for f in flags if f.startswith(flag)]
-        if len(matches) == 1 and matches[0] in value_flags:
-            argv[i - 1:i + 1] = [f"{flag}={value}"]
-    return argv
 
 
 def _given(args, *keys, **renamed) -> dict:
@@ -381,7 +369,6 @@ def dispatch(argv) -> int:
     # argparse takes the first token that names a subcommand as the
     # subcommand, since the top-level parser has no option taking a value.
     command = next((arg for arg in argv if arg in _COMMANDS), "")
-    argv = _join_dash_values(argv, command)
     parser = None
     try:
         if argv[:1] == [command]:

@@ -315,7 +315,11 @@ def _keep_peaks(slopes: np.ndarray, offset: int, eta: np.ndarray, kept: list) ->
     and the order keeps the indices and slopes of the row's points within
     ``_PEAK_TIE_RTOL`` of its running ``eta``.  That never exceeds the final
     ``eta``, so every point within the tolerance of the final one is kept.
+    An empty run, the central differences of a first block of two points,
+    changes nothing.
     """
+    if not slopes.shape[1]:
+        return
     np.abs(slopes, out=slopes)
     peaks = np.max(slopes, axis=1)
     np.maximum(eta, peaks, out=eta)

@@ -506,6 +506,8 @@ class TestSlopeKernel:
     # 25000, 6250 and 5000: blocks of 6250 start on those of orders 1..4,
     # and the first block of 12501 ends on order 2's.  Blocks of 6250 leave
     # one point of 100001 past the last, which joins the block before it.
+    # The last two cases fold the smallest block, two points (a block of 1
+    # is cut as 2), whose first block has no central difference.
     @pytest.mark.parametrize("block, grid_points, max_m", [
         (20_000, 10_000, 1),
         (BLOCK, 3 * BLOCK, 2),
@@ -516,8 +518,11 @@ class TestSlopeKernel:
         (6_250, 100_000, 5),
         (12_501, 100_000, 2),
         (6_250, 100_001, 5),
+        (1, 10_000, 1),
+        (2, 10_001, 1),
     ], ids=["shorter-than-a-block", "3-blocks", "4-blocks-plus-1", "111590", "123457",
-            "ragged-tail", "peaks-on-block-starts", "peak-on-a-block-end", "lone-last-point"])
+            "ragged-tail", "peaks-on-block-starts", "peak-on-a-block-end", "lone-last-point",
+            "smallest-block", "smallest-block-lone-last-point"])
     def test_block_edges_keep_every_order_bits(self, monkeypatch, block, grid_points, max_m):
         monkeypatch.setattr(_chunks, "FOLD_POINTS", block)
         reports = estimate_sensitivity(max_m, grid_points)

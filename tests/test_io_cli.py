@@ -1033,7 +1033,8 @@ class TestDashValues:
             results.append((code, capsys.readouterr(), written))
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize("value", ["pi/2", "3pi/4", "1e-3", "2.5e1", "inf"])
+    @pytest.mark.parametrize("value", ["pi/2", "3pi/4", "1e-3", "2.5e1", "inf", ".5", "1_000",
+                                       "nan", "Inf", "PI/2"])
     @pytest.mark.parametrize("key", list(DASH_KEYS))
     def test_separate_and_attached_values_give_the_same_run(self, tmp_path, capsys, trace,
                                                             key, value):
@@ -1066,6 +1067,27 @@ class TestDashValues:
         out = tmp_path / "x.csv"
         assert cli.dispatch(["analytic", "--phi", "--points", "10", "--out", str(out)]) == 1
         assert capsys.readouterr().err.endswith("error: argument --phi: expected one argument\n")
+
+    # A "-" token that is not a number or a phase is a flag, so the flag
+    # before it has no value.
+    def test_a_dash_token_that_is_no_number_leaves_its_flag_without_a_value(self, tmp_path,
+                                                                            capsys):
+        out = tmp_path / "x.csv"
+        assert cli.dispatch(["analytic", "--points", "10", "--phi", "-x", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("\ncbwsim: error: argument --phi: expected one argument\n")
+        assert err.count("error:") == 1 and not out.exists()
+
+    # A number-like "-" token is a value after any flag, a string flag too.
+    def test_a_number_like_token_is_a_string_flags_value(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("-2.mzi").write_text("mzi C arm=lower phase=psi\ndetect a b\n")
+        written = []
+        for form in (["--circuit", "-2.mzi", "--out", "-1.csv"], ["--circuit=-2.mzi", "--out=-1.csv"]):
+            assert cli.dispatch(["simulate", *SMALL_RUNS["simulate"], *form]) == 0
+            written.append(Path("-1.csv").read_bytes())
+            Path("-1.csv").unlink()
+        assert written[0] == written[1] and capsys.readouterr() == ("", "")
 
 
 class TestLoadConfig:
@@ -1213,14 +1235,18 @@ REQUIRED = {"analytic": ["--out", "x.csv"], "simulate": ["--out", "x.csv"], "sca
             "analyze": ["--in", "t.csv"], "sensitivity": []}
 BEATING_FLAG = {"analytic": ["--points", "50"], "simulate": ["--seed", "4"], "scan": ["--seed", "4"],
                 "analyze": ["--prominence", "0.25"], "sensitivity": ["--max-m", "3"]}
+# A numeric "-" value with an exponent, as a separate token.
+DASH_NUMBER = {"analytic": ["--ramp-start", "-2.5e1"], "simulate": ["--dark-rate", "-1e-3"],
+               "scan": ["--ramp-end", "-1e2"], "analyze": ["--prominence", "-1e-1"],
+               "sensitivity": ["--grid", "-1e4"]}
 
 
 def parity_argvs(command: str, config: Path) -> list:
     """Runs of ``command`` that must read alike through either parser: help,
     a bad option before and after the required ones, each required option
     missing, an option without its value, an ambiguous abbreviation (where
-    one exists), a "-" phase as a separate token and a config value beaten
-    by a flag."""
+    one exists), a numeric "-" value and a "-" phase as a separate token and
+    a config value beaten by a flag."""
     flags = [flag for flag, _ in cli._arguments(command)]
     required = REQUIRED[command]
     argvs = [["--help"], [], ["--bogus"], [*required, "--bogus", "1"], [*required, "--config"],
@@ -1228,6 +1254,7 @@ def parity_argvs(command: str, config: Path) -> list:
     ambiguous = sorted({flag[:k] for flag in flags for k in range(3, len(flag))
                         if sum(f.startswith(flag[:k]) for f in flags) > 1})
     argvs += [[*required, prefix, "1"] for prefix in ambiguous[:2]]
+    argvs.append([*required, *DASH_NUMBER[command]])
     if "--phi" in flags:
         argvs += [[*required, "--phi", "-pi/2"], [*required, "--ph", "-pi/2"]]
     return [[command, *argv] for argv in argvs]
