@@ -723,6 +723,19 @@ class TestSvg:
             got = re.findall(r'points="([^"]*)"', path.read_text())
             assert got == oracle_points(x, [np.asarray(y, dtype=float) for _, y in series])
 
+    # With x = 0..1024 the plot is 864 px wide, so px = 72 + 27x/32 exactly:
+    # every x = 4 (mod 8) is an exact half-hundredth, which rounds to even:
+    # up at x = 4 (75.375 -> 75.38), down at x = 12 (82.125 -> 82.12).
+    def test_points_on_exact_half_hundredths(self, tmp_path):
+        x = np.arange(1025)
+        series = [("d1", (37 * x) % 1001), ("model", np.sin(x / 50.0))]
+        path = tmp_path / "p.svg"
+        emit_plot_svg(x, series, path)
+        got = re.findall(r'points="([^"]*)"', path.read_text())
+        assert got == oracle_points(x, [np.asarray(y, dtype=float) for _, y in series])
+        assert all(points.startswith("72.00,") and " 75.38," in points and " 82.12," in points
+                   for points in got)
+
     # Each chunk of points is formatted on its own and joined to the one
     # before by one space; a missing or doubled space changes the points.
     @pytest.mark.parametrize("n", SEAM_LENGTHS)
