@@ -4,28 +4,92 @@ Hand-rolled on purpose: no plotting dependency, and identical input always
 produces byte-identical output, so rendered scans can be diffed in CI.
 
 Every check runs before the file is opened; the file is then written
-through, each polyline's points a chunk of rows (``_chunks.CHUNK_ROWS``
-points) at a time.  A series of integers (photon counts) takes few distinct values,
-so in each chunk each distinct value is mapped and formatted once, and
-the x coordinates are formatted once per plot for all such series, held
-as one string per chunk; the points keep the bytes of per-point
-formatting.
+through, each polyline's points a chunk at a time, and nothing is held
+from one chunk to the next.  Every series, of counts or of floats, goes
+through one numpy formatter, :func:`_points_text`, which writes the bytes
+that ``"%.2f,%.2f"`` writes for each point.  Its rounding to hundredths is
+exact (:func:`_hundredths`): ``v*100`` decides it unless it lands on a
+half, where the product's exact residual does, with ties to even as
+``%.2f`` has them.  Its rows take values in ``[0, 1e5)``; every coordinate
+lies in the canvas, ``48 <= v <= 936``, as ``px`` and ``py`` map the
+bounds of the data onto the plot area with IEEE operations that keep order.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 import numpy as np
 
-from ._chunks import row_chunks, write_text
+from ._chunks import CHUNK_ROWS, row_chunks, write_text
 
 __all__ = ["emit_plot_svg"]
 
 _WIDTH, _HEIGHT = 960, 540
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 48, 56
 _PALETTE = ("#000000", "#c62828", "#1565c0", "#2e7d32", "#ef6c00", "#6a1b9a")
+# Points formatted at once.  A chunk's traced peak is ~193 kB at 2 x
+# CHUNK_ROWS and ~283 kB at 3 x: larger chunks are faster but pass the
+# 256 bytes per CHUNK_ROWS point that the plot's memory tests allow.
+_POINTS_ROWS = 2 * CHUNK_ROWS
+
+
+def _hundredths(v: np.ndarray) -> np.ndarray:
+    """``v`` (doubles in ``[0, 2**32/100)``) as uint32 whole hundredths,
+    rounded as ``"%.2f"`` rounds the exact value: to nearest, ties to even.
+
+    With ``p = v*100`` rounded and ``e`` its error (``v*100 == p + e``
+    exactly, ``|e| <= ulp(p)/2``), ``d = (p - floor(p)) - 0.5`` has the sign
+    of ``p - (floor(p) + 0.5)``, and ``p`` lies a whole ulp or more from
+    ``floor(p) + 0.5`` unless ``d == 0``; so only then does ``e`` decide:
+    its sign, or half to even if it is 0.
+    """
+    p = v * 100.0
+    q = np.floor(p)
+    d = p - q
+    d -= 0.5
+    up = d > 0
+    ties = np.flatnonzero(d == 0)
+    q = q.astype(np.uint32)
+    if ties.size:
+        # Dekker's product of t and 100: t splits into two halves of at
+        # most 26 bits, 100 takes 7, so both products and e are exact.
+        t = v[ties]
+        hi = t * 134217729.0
+        hi -= hi - t
+        e = (hi * 100.0 - p[ties]) + (t - hi) * 100.0
+        up[ties] = (e > 0) | ((e == 0) & (q[ties] % 2 == 1))
+    q += up
+    return q
+
+
+def _points_text(xs: np.ndarray, ys: np.ndarray) -> str:
+    """The points ``"x,y x,y ..."``, each pair as ``"%.2f,%.2f"`` formats
+    it, for ``xs`` and ``ys`` in ``[0, 1e5)``.
+
+    Each point is an ASCII row ``IIIII.FF,IIIII.FF `` of fixed width; a
+    keep mask drops the leading zeros of each whole part (its last digit
+    stays) and the last point's space, and one compaction gives the text.
+    """
+    q = np.stack([_hundredths(xs), _hundredths(ys)], axis=1)
+    rows = np.empty((len(q), 18), dtype=np.uint8)
+    keep = np.ones(rows.shape, dtype=bool)
+    # Column c of the x field is column c + 9 of the y field, so
+    # rows[:, c::9] holds that column of both, as q holds both values.
+    # The digit at 10**(4 - col) of the rounded whole part is kept once
+    # q >= 10**(6 - col), so a carry (9.996 -> 10.00) widens the field.
+    for col, least in enumerate((1000000, 100000, 10000, 1000)):
+        np.greater_equal(q, least, out=keep[:, col::9])
+    for col in (7, 6, 4, 3, 2, 1, 0):
+        tens = q // 10
+        np.subtract(q, tens * 10, out=rows[:, col::9], casting="unsafe")
+        q = tens
+    rows += ord("0")
+    rows[:, 5::9] = ord(".")
+    rows[:, 8] = ord(",")
+    rows[:, 17] = ord(" ")
+    keep[-1, -1] = False
+    return str(rows[keep], "ascii")
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> np.ndarray:
@@ -150,28 +214,14 @@ def emit_plot_svg(x, series, path, *, xlabel: str = "", ylabel: str = "", title:
     legend.append("</svg>")
 
     # px/py apply the same IEEE operations, in the same order, to a whole
-    # array as to one value, so the chunked points match per-point output,
-    # and py of a chunk's distinct values has the bits of py of the chunk.
+    # array as to one value, so the chunked points match per-point output.
     # Each chunk's points are written as one string, joined to the chunk
     # before by one space.
-    x_slots = None
-    if any(y.dtype.kind in "iu" for y in arrays):
-        # "%.2f,%%s" formats x and leaves a "%s" for the y text: one
-        # template per chunk, filled by every integer series.
-        x_slots = [" ".join(["%.2f,%%s"] * (rows.stop - rows.start)) % tuple(px(x[rows]).tolist())
-                   for rows in row_chunks(len(x))]
-
     def points(y):
-        for index, rows in enumerate(row_chunks(len(x))):
+        for index, rows in enumerate(row_chunks(len(x), _POINTS_ROWS)):
             if index:
                 yield " "
-            if y.dtype.kind in "iu":
-                distinct, inverse = np.unique(y[rows].astype(float), return_inverse=True)
-                y_texts = ("%.2f\n" * len(distinct) % tuple(py(distinct).tolist())).split("\n")
-                yield x_slots[index] % tuple(map(y_texts.__getitem__, inverse.tolist()))
-            else:
-                pairs = zip(px(x[rows]).tolist(), py(y[rows]).tolist())
-                yield " ".join(["%.2f,%.2f"] * (rows.stop - rows.start)) % tuple(chain.from_iterable(pairs))
+            yield _points_text(px(x[rows]), py(np.asarray(y[rows], dtype=float)))
 
     def text():
         yield "".join(part + "\n" for part in parts)
