@@ -707,7 +707,7 @@ class TestSvg:
         rng = np.random.default_rng(seed)
         x = np.sort(rng.uniform(-3.0, 50.0, 500))
         floats = [("a", rng.normal(0.0, 1e3, 500)), ("b", np.sin(x)), ("c", np.full(500, 7.0))]
-        # Integer series take the formatted-once-per-distinct-value path.
+        # Integer series are converted to float a chunk at a time.
         counts = rng.poisson(300.0, 500)
         plots = [
             floats,
@@ -740,8 +740,9 @@ class TestSvg:
     # yet v*100 rounds onto the half for 81489 of these 90299 (48.005 lies
     # above it and prints 48.01), so only the product's exact residual
     # rounds them; exact halves (82.125) round to even.  With their
-    # neighbours and the carries into a new digit (9.995..., 99.995 ->
-    # 100.00, 999.995 -> 1000.00), up to the last row width (99999.99).
+    # neighbours and the carries into a new digit (just above 9.995 ->
+    # 10.00, 99.995 -> 100.00, 999.995 -> 1000.00), up to the widest row
+    # (99999.99).
     def test_formatter_matches_percent_format(self):
         halves = (np.r_[0:1200, 4800:93600, 999900:1000100, 9999900:9999999] + 0.5) / 100
         assert np.count_nonzero(halves * 100 % 1 == 0.5) == 81489
