@@ -131,12 +131,18 @@ _SOURCE_NOISE_KEYS = ("mean_photons", "window_duration", "seed", "workers", "noi
                       "phase_jitter_correlation", "intensity_drift_fraction")
 
 
+def _read_text(path, what: str) -> str:
+    """The UTF-8 text of file ``path``; a failed read is a ConfigError naming
+    the file as ``what``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_config(path) -> dict:
     """Load a flat ``key=value`` config file; unknown keys are errors."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    text = _read_text(path, "config")
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -200,36 +206,26 @@ def _arguments(name: str):
     yield "--out", dict(required=out_help is not _JSON_OUT, help=out_help)
 
 
-def _add_options(parser, name: str):
-    """``parser`` with the options of subcommand ``name`` added."""
-    for flag, keywords in _arguments(name):
-        parser.add_argument(flag, **keywords)
-    return parser
+def _build_parser(argv=()):
+    """The ``cbwsim`` parser for ``argv`` and its subcommand parsers by name.
 
-
-def _build_parser(only=None):
-    """The ``cbwsim`` parser and its subcommand parsers by name.
-
-    Every subcommand parser is created, so the top-level help and usage
-    are complete; with ``only`` set, just that subcommand gets its options.
+    argparse takes the first token that names a subcommand as the
+    subcommand, since the top-level parser has no option taking a value, and
+    hands its parser every later token.  So a command named first gets a
+    tree of its own subparser alone: the top-level usage,
+    ``cbwsim [-h] COMMAND ...``, does not list the choices, and the run
+    reads as through the full tree.  Any other ``argv`` (help, no command,
+    a command not named first) gets every subparser, so the top-level help
+    and an invalid choice list them all.
     """
     parser = _Parser(prog="cbwsim", description="Cascaded-MZI interference lab")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     commands = {}
-    for name, (_, help_text, _, _) in _COMMANDS.items():
-        commands[name] = sub.add_parser(name, help=help_text)
-        if only is None or name == only:
-            _add_options(commands[name], name)
+    for name in [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        commands[name] = sub.add_parser(name, help=_COMMANDS[name][1])
+        for flag, keywords in _arguments(name):
+            commands[name].add_argument(flag, **keywords)
     return parser, commands
-
-
-def _command_parser(name: str):
-    """Subcommand ``name``'s parser alone: the ``_Parser`` with this ``prog``
-    that ``sub.add_parser`` makes in the full tree, with ``command`` set as
-    the tree sets it."""
-    parser = _add_options(_Parser(prog=f"cbwsim {name}"), name)
-    parser.set_defaults(command=name)
-    return parser
 
 
 def _given(args, *keys, **renamed) -> dict:
@@ -246,7 +242,7 @@ def _scan_config(args) -> ScanConfig:
     fields = _given(args, "ramp_start", "ramp_end", "scan_duration", "points", "bin_duration",
                     "cycles_per_ramp")
     if args.circuit:
-        fields["circuit"] = circuit.parse_circuit(Path(args.circuit).read_text(encoding="utf-8"))
+        fields["circuit"] = circuit.parse_circuit(_read_text(args.circuit, "circuit"))
     else:
         fields["circuit"] = circuit.build_cbw_chain(args.modules)
     if args.phi is not None:
@@ -300,7 +296,10 @@ def _cmd_scan(args) -> int:
     series = list(trace_io.measured_columns(trace).items())
     ylabel = "counts per bin" if mode is SourceMode.PHOTON_COUNTING else "output power"
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     # Both files are written under staging names and renamed into place only
     # once both succeeded, so a failed scan leaves neither output behind.
     names = ("trace.csv", "trace.svg")
@@ -366,27 +365,13 @@ _COMMANDS = {
 
 def dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    # argparse takes the first token that names a subcommand as the
-    # subcommand, since the top-level parser has no option taking a value.
-    command = next((arg for arg in argv if arg in _COMMANDS), "")
-    parser = None
+    # One tree parses argv, built for it: the named command's subparser
+    # alone when argv starts with one, every subparser otherwise.
+    parser, commands = _build_parser(argv)
     try:
-        if argv[:1] == [command]:
-            # The full tree hands the command's parser every token after the
-            # command, so that parser alone parses them as the tree would;
-            # a token it leaves over, the tree reports with its own usage.
-            parser = command_parser = _command_parser(command)
-            tokens = argv[1:]
-            args, rest = parser.parse_known_args(tokens)
-            if rest:
-                parser = None
-        if parser is None:
-            parser, commands = _build_parser(command)
-            tokens = argv
-            args = parser.parse_args(tokens)
-            if args.command is None:
-                parser.error("a subcommand is required")
-            command_parser = commands[args.command]
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.error("a subcommand is required")
     except _ParserExit as exc:
         status, message = exc.args
         if message:
@@ -396,12 +381,13 @@ def dispatch(argv) -> int:
         return status
     try:
         if args.config:
-            # File values become the subcommand's defaults, so every flag
-            # still beats them; keys of other subcommands are ignored.
+            # File values become the subcommand's defaults, and the same
+            # tree parses argv again, so every flag still beats them; keys of
+            # other subcommands are ignored.
             values = load_config(args.config)
-            command_parser.set_defaults(
+            commands[args.command].set_defaults(
                 **{key: _cast(key, text) for key, text in values.items() if key in vars(args)})
-            args = parser.parse_args(tokens)
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command][0](args)
     except (experiment.InsufficientFringesError, experiment.AmbiguousPeriodError) as exc:
         print(f"cbwsim: analysis error: {exc}", file=sys.stderr)

@@ -1193,12 +1193,30 @@ class TestOptionTable:
         assert got == expected
 
     def test_only_the_named_subcommand_gets_options(self):
-        _, commands = cli._build_parser("scan")
-        assert set(commands) == set(cli._COMMANDS)
+        _, commands = cli._build_parser(["scan", "--out", "run"])
         got = {name: {s for action in p._actions for s in action.option_strings}
                for name, p in commands.items()}
-        assert got.pop("scan") == COMMON_FLAGS | SCAN_FLAGS | SOURCE_NOISE_FLAGS | {"--mode"}
-        assert all(flags == {"-h", "--help"} for flags in got.values())
+        assert got == {"scan": COMMON_FLAGS | SCAN_FLAGS | SOURCE_NOISE_FLAGS | {"--mode"}}
+
+    @pytest.mark.parametrize("argv, built", [
+        (["scan", "--out", "run"], ["scan"]),
+        (["analyze", "--in", "scan"], ["analyze"]),
+        (["sensitivity", "scan"], ["sensitivity"]),
+        (["-h", "scan"], list(cli._COMMANDS)),
+        (["--bogus", "scan"], list(cli._COMMANDS)),
+        ([], list(cli._COMMANDS)),
+        ([""], list(cli._COMMANDS)),
+        (["Scan"], list(cli._COMMANDS)),
+    ], ids=["scan", "analyze-in-scan", "sensitivity-scan", "help-scan", "bogus-scan", "empty",
+            "empty-command", "capitalised"])
+    def test_which_tree_is_built(self, argv, built):
+        """A command named first builds a tree of its subparser alone; any
+        other argv builds every subparser, each with its options."""
+        _, commands = cli._build_parser(argv)
+        assert list(commands) == built
+        for name, command_parser in commands.items():
+            got = {s for action in command_parser._actions for s in action.option_strings}
+            assert got == {"-h", "--help", *(flag for flag, _ in cli._arguments(name))}
 
     def test_top_level_help_lists_every_command(self, capsys):
         assert cli.dispatch(["--help"]) == 0
@@ -1263,14 +1281,19 @@ BEATING_FLAG = {"analytic": ["--points", "50"], "simulate": ["--seed", "4"], "sc
 DASH_NUMBER = {"analytic": ["--ramp-start", "-2.5e1"], "simulate": ["--dark-rate", "-1e-3"],
                "scan": ["--ramp-end", "-1e2"], "analyze": ["--prominence", "-1e-1"],
                "sensitivity": ["--grid", "-1e4"]}
+# A value that names another command.
+COMMAND_VALUE = {"analytic": ["--out", "scan"], "simulate": ["--out", "analyze"],
+                 "scan": ["--out", "simulate"], "analyze": ["--in", "scan"],
+                 "sensitivity": ["--out", "analytic"]}
 
 
 def parity_argvs(command: str, config: Path) -> list:
-    """Runs of ``command`` that must read alike through either parser: help,
+    """Runs of ``command`` that must read alike through either tree: help,
     a bad option before and after the required ones, each required option
     missing, an option without its value, an ambiguous abbreviation (where
-    one exists), a numeric "-" value and a "-" phase as a separate token and
-    a config value beaten by a flag."""
+    one exists), a numeric "-" value and a "-" phase as a separate token, a
+    config value beaten by a flag, the command repeated as a stray
+    positional, a value that names another command and a ``--`` token."""
     flags = [flag for flag, _ in cli._arguments(command)]
     required = REQUIRED[command]
     argvs = [["--help"], [], ["--bogus"], [*required, "--bogus", "1"], [*required, "--config"],
@@ -1278,47 +1301,42 @@ def parity_argvs(command: str, config: Path) -> list:
     ambiguous = sorted({flag[:k] for flag in flags for k in range(3, len(flag))
                         if sum(f.startswith(flag[:k]) for f in flags) > 1})
     argvs += [[*required, prefix, "1"] for prefix in ambiguous[:2]]
-    argvs.append([*required, *DASH_NUMBER[command]])
+    argvs += [[*required, *DASH_NUMBER[command]], [*required, command],
+              [*required, *COMMAND_VALUE[command]], [*required, "--", "1"]]
     if "--phi" in flags:
         argvs += [[*required, "--phi", "-pi/2"], [*required, "--ph", "-pi/2"]]
     return [[command, *argv] for argv in argvs]
 
 
 class TestOneParserMatchesTheTree:
-    """``dispatch`` parses a command named first with that command's parser
-    alone; every run must end as it does when the full parser tree parses it:
-    the same exit code, the same help, usage and error text, and the same
-    options handed to the subcommand."""
+    """``dispatch`` parses a command named first with a tree of that
+    command's subparser alone; every run must end as it does when the tree of
+    every subcommand parses it: the same exit code, the same help, usage and
+    error text, and the same options handed to the subcommand."""
 
     @staticmethod
     def run(monkeypatch, capsys, argv, tree: bool):
-        """``(code, stdout, stderr, options the handler got, tree built)`` of
-        ``dispatch(argv)``, through the full tree if ``tree``.  The handler
-        only records its options."""
+        """``(code, stdout, stderr, options the handler got, subcommands of
+        each tree built)`` of ``dispatch(argv)``, through the tree of every
+        subcommand if ``tree``.  The handler only records its options."""
         seen, built = [], []
         command = argv[0]
         handler = (lambda args: seen.append(vars(args)) or 0, *cli._COMMANDS[command][1:])
         monkeypatch.setitem(cli._COMMANDS, command, handler)
-        command_parser, build_parser = cli._command_parser, cli._build_parser
+        build_parser = cli._build_parser
 
-        def one_parser(name):
-            parser = command_parser(name)
-            if tree:  # a token left over hands argv to the tree
-                parser.parse_known_args = lambda args: (None, ["left over"])
-            return parser
+        def recorded(argv):
+            parser, commands = build_parser(() if tree else argv)
+            built.append(list(commands))
+            return parser, commands
 
-        def full_tree(only=None):
-            built.append(only)
-            return build_parser(only)
-
-        monkeypatch.setattr(cli, "_command_parser", one_parser)
-        monkeypatch.setattr(cli, "_build_parser", full_tree)
+        monkeypatch.setattr(cli, "_build_parser", recorded)
         try:
             code = cli.dispatch(argv)
         finally:
             monkeypatch.undo()
         out, err = capsys.readouterr()
-        return code, out, err, seen, bool(built)
+        return code, out, err, seen, built
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_every_run_reads_as_through_the_tree(self, monkeypatch, capsys, tmp_path, command):
@@ -1328,25 +1346,35 @@ class TestOneParserMatchesTheTree:
             one = self.run(monkeypatch, capsys, argv, tree=False)
             through_tree = self.run(monkeypatch, capsys, argv, tree=True)
             assert one[:4] == through_tree[:4], argv
-            assert through_tree[4]
-            # Only a token left over takes the tree.
-            assert one[4] == ("unrecognized arguments" in one[2]), argv
+            # One tree a run, of the named subcommand alone.
+            assert one[4] == [[command]] and through_tree[4] == [list(cli._COMMANDS)], argv
 
     def test_config_values_and_flags_reach_the_handler(self, monkeypatch, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("seed=3\npoints=40\nmodules=3\n")
         code, _, _, seen, built = self.run(
             monkeypatch, capsys, ["scan", "--out", "run", "--config", str(config), "--seed", "4"], tree=False)
-        assert code == 0 and not built
+        assert code == 0 and built == [["scan"]]
         assert (seen[0]["command"], seen[0]["seed"], seen[0]["points"], seen[0]["modules"]) == ("scan", 4, 40, 3)
 
     def test_top_level_help_and_a_missing_command_keep_their_text(self, capsys):
-        assert cli.dispatch(["--help"]) == 0
-        assert capsys.readouterr() == (cli._build_parser()[0].format_help(), "")
+        for argv in (["--help"], ["-h", "scan"]):
+            assert cli.dispatch(argv) == 0
+            assert capsys.readouterr() == (cli._build_parser()[0].format_help(), ""), argv
         for argv, error in [([], "a subcommand is required"),
                             (["--bogus"], "unrecognized arguments: --bogus")]:
             assert cli.dispatch(argv) == 1
             assert capsys.readouterr() == ("", f"usage: cbwsim [-h] COMMAND ...\ncbwsim: error: {error}\n")
+
+    @pytest.mark.parametrize("argv", [[""], ["", "--help"]])
+    def test_an_empty_command_is_an_invalid_choice(self, capsys, argv):
+        assert cli.dispatch(argv) == 1
+        parser, _ = cli._build_parser()
+        with pytest.raises(cli._ParserExit) as tree_exit:
+            parser.parse_args(argv)
+        message = tree_exit.value.args[1]
+        assert "invalid choice: ''" in message and all(name in message for name in cli._COMMANDS)
+        assert capsys.readouterr() == ("", f"usage: cbwsim [-h] COMMAND ...\ncbwsim: error: {message}\n")
 
 
 class TestDispatch:
@@ -1989,3 +2017,40 @@ class TestDispatch:
         out = tmp_path / "x"
         assert cli.dispatch(["scan", "--circuit", str(bad), "--out", str(out)]) == 1
         capsys.readouterr()
+
+
+class TestFileErrorsNameTheFile:
+    """A file the CLI fails to read or create exits 1 on one line that names it."""
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed=\xff\n")
+        assert cli.dispatch(["sensitivity", "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"cbwsim: error: cannot read config {cfg}: 'utf-8' codec can't decode "
+                       "byte 0xff in position 5: invalid start byte\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "scan"])
+    @pytest.mark.parametrize("content", [None, b"mzi C arm=\xff phase=psi\ndetect a b\n"],
+                             ids=["missing", "not-utf8"])
+    def test_circuit_that_cannot_be_read(self, tmp_path, capsys, command, content):
+        path = tmp_path / "chain.mzi"
+        if content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "out"
+        assert cli.dispatch([command, "--circuit", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cbwsim: error: cannot read circuit {path}: ") and err.count("\n") == 1
+        assert ("[Errno 2]" if content is None else "can't decode byte 0xff") in err
+        assert not out.exists()
+
+    def test_output_directory_that_cannot_be_created(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "run"
+        assert cli.dispatch(["scan", "--points", "20", "--scan-duration", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cbwsim: error: cannot create output directory {out}: [Errno ")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == ""
