@@ -317,7 +317,11 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    trace = trace_io.read_trace_csv(args.input)
+    try:
+        trace = trace_io.read_trace_csv(args.input)
+    except UnicodeDecodeError as exc:
+        # Named as the reader names a file it cannot open.
+        raise OSError(f"cannot read trace CSV {args.input}: {exc}") from exc
     columns = trace_io.measured_columns(trace)
     photon = trace.mode is SourceMode.PHOTON_COUNTING
     column = args.column if args.column is not None else ("coinc" if photon else "i_gamma")

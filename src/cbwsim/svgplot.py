@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from ._chunks import CHUNK_ROWS, row_chunks, write_text
+from ._chunks import CHUNK_ROWS, halves, put_digits, row_chunks, write_text
 
 __all__ = ["emit_plot_svg"]
 
@@ -54,10 +54,8 @@ def _hundredths(v: np.ndarray) -> np.ndarray:
     if ties.size:
         # Dekker's product of t and 100: t splits into two halves of at
         # most 26 bits, 100 takes 7, so both products and e are exact.
-        t = v[ties]
-        hi = t * 134217729.0
-        hi -= hi - t
-        e = (hi * 100.0 - p[ties]) + (t - hi) * 100.0
+        hi, lo = halves(v[ties])
+        e = (hi * 100.0 - p[ties]) + lo * 100.0
         up[ties] = (e > 0) | ((e == 0) & (q[ties] % 2 == 1))
     q += up
     return q
@@ -72,23 +70,19 @@ def _points_text(xs: np.ndarray, ys: np.ndarray) -> str:
     stays) and the last point's space, and one compaction gives the text.
     """
     q = np.stack([_hundredths(xs), _hundredths(ys)], axis=1)
-    rows = np.empty((len(q), 18), dtype=np.uint8)
+    # rows[:, 0] is the x field of each point and rows[:, 1] its y field.
+    rows = np.empty((len(q), 2, 9), dtype=np.uint8)
     keep = np.ones(rows.shape, dtype=bool)
-    # Column c of the x field is column c + 9 of the y field, so
-    # rows[:, c::9] holds that column of both, as q holds both values.
     # The digit at 10**(4 - col) of the rounded whole part is kept once
     # q >= 10**(6 - col), so a carry (9.996 -> 10.00) widens the field.
     for col, least in enumerate((1000000, 100000, 10000, 1000)):
-        np.greater_equal(q, least, out=keep[:, col::9])
-    for col in (7, 6, 4, 3, 2, 1, 0):
-        tens = q // 10
-        np.subtract(q, tens * 10, out=rows[:, col::9], casting="unsafe")
-        q = tens
+        np.greater_equal(q, least, out=keep[..., col])
+    put_digits(put_digits(q, rows[..., 6:8]), rows[..., :5])
     rows += ord("0")
-    rows[:, 5::9] = ord(".")
-    rows[:, 8] = ord(",")
-    rows[:, 17] = ord(" ")
-    keep[-1, -1] = False
+    rows[..., 5] = ord(".")
+    rows[:, 0, 8] = ord(",")
+    rows[:, 1, 8] = ord(" ")
+    keep[-1, -1, -1] = False
     return str(rows[keep], "ascii")
 
 

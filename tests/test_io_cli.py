@@ -173,10 +173,17 @@ SEAM_LENGTHS = [0, 1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_R
                 3 * CHUNK_ROWS + 7]
 
 
-def wide_trace(mode, n, seed=0, counts=np.int64):
-    """A trace whose every field formats as wide as it can: 17-digit floats of
-    every exponent, and in photon mode 19-digit counts and bin indices
-    (integral doubles below 2**53 when ``counts`` is float)."""
+def fixed_notation_doubles(rng, n):
+    """Doubles of 17 significant digits that %.17g writes in fixed notation:
+    log-uniform in [1e-4, 1e17), of either sign."""
+    return 10.0 ** rng.uniform(-4, 17, n) * rng.choice([-1.0, 1.0], n)
+
+
+def wide_trace(mode, n, seed=0, counts=np.int64, floats=random_doubles):
+    """A trace whose every field formats as wide as it can: 17-digit floats
+    (of every exponent, or as ``floats`` draws them), and in photon mode
+    19-digit counts and bin indices (integral doubles below 2**53 when
+    ``counts`` is float)."""
     rng = np.random.default_rng(seed)
     if mode is SourceMode.PHOTON_COUNTING:
         top = 2**53 if counts is float else 2**62
@@ -184,9 +191,8 @@ def wide_trace(mode, n, seed=0, counts=np.int64):
         d2 = rng.integers(top // 2, top, n).astype(counts)
         coinc = np.minimum(d1, d2) // 2
     else:
-        d1, d2, coinc = np.abs(random_doubles(rng, n)), np.abs(random_doubles(rng, n)), None
-    trace = make_trace(mode, random_doubles(rng, n), random_doubles(rng, n),
-                       random_doubles(rng, n), d1, d2, coinc)
+        d1, d2, coinc = np.abs(floats(rng, n)), np.abs(floats(rng, n)), None
+    trace = make_trace(mode, floats(rng, n), floats(rng, n), floats(rng, n), d1, d2, coinc)
     if mode is SourceMode.PHOTON_COUNTING and counts is not float:
         trace.bin_index = trace.bin_index + 2**62
     return trace
@@ -357,6 +363,74 @@ class TestBatchedWriterMatchesOracle:
             assert_bits_equal(getattr(back, field), getattr(trace, field))
         for field in ("singles_d1", "singles_d2"):
             np.testing.assert_array_equal(getattr(back, field), getattr(trace, field))
+
+    # The formatter's own rounding: where %.17g uses fixed notation, the 17
+    # digits, the decimal exponent and the point come from numpy, not from
+    # %-formatting, so each decision below is checked against the oracle.
+    def assert_floats_match_oracle(self, tmp_path, values):
+        """Every float column of a classical trace holds ``values`` (the
+        intensities their magnitudes), and the file is the oracle's."""
+        values = np.asarray(values, dtype=float)
+        trace = make_trace(SourceMode.CLASSICAL_INTENSITY, values, -values[::-1], values[::-1],
+                           np.abs(values), np.abs(values[::-1]))
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes().split(b"\n") == oracle_csv(trace).split(b"\n")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_log_uniform_doubles_of_fixed_notation(self, tmp_path, seed):
+        values = fixed_notation_doubles(np.random.default_rng(seed), 3 * CHUNK_ROWS)
+        self.assert_floats_match_oracle(tmp_path, values[np.abs(values) < 1e17])
+
+    def test_ties_at_the_17th_digit_round_half_to_even(self, tmp_path):
+        # 1 + k * 2**-17 has 18 significant digits, its last a 5.
+        k = np.arange(1, 2**17, 2)
+        self.assert_floats_match_oracle(tmp_path, 1.0 + k * 2.0**-17)
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        # Where floor(log10) of the value may be one off its exponent.
+        powers = 10.0 ** np.arange(-4, 17)
+        below, above = np.nextafter(powers, 0), np.nextafter(powers, np.inf)
+        self.assert_floats_match_oracle(tmp_path, np.concatenate(
+            [powers, below, above, np.nextafter(below, 0), np.nextafter(above, np.inf)]))
+
+    def test_both_switches_of_notation(self, tmp_path):
+        # The doubles just below 1e-4 keep exponent notation (none rounds
+        # up to 0.0001 at 17 digits); from 1e17 up every value takes it.
+        low = np.nextafter(1e-4, 0) - np.arange(64) * 2.0**-66
+        high = np.array([1e17, np.nextafter(1e17, np.inf), np.nextafter(1e17, 0), 2.0**57, 1e18])
+        self.assert_floats_match_oracle(tmp_path, np.concatenate([low, high]))
+
+    def test_whole_values(self, tmp_path):
+        self.assert_floats_match_oracle(
+            tmp_path, [123.0, 2.0**53, 2.0**53 + 2, 1.0, 10.0, 100.0, 1e15, 5e16, 12345678.0])
+
+    def test_seventeen_digit_integers(self, tmp_path):
+        rng = np.random.default_rng(3)
+        self.assert_floats_match_oracle(
+            tmp_path, rng.integers(10**16, 10**17, 2000).astype(float))
+
+    def test_negative_zero(self, tmp_path):
+        self.assert_floats_match_oracle(tmp_path, [-0.0, 0.0, -0.0, -1e-300, -1.5])
+
+    def test_a_chunk_of_both_notations(self, tmp_path):
+        # Rows alternate between fixed and exponent notation across two
+        # chunk seams.
+        n = 2 * CHUNK_ROWS + 2
+        rng = np.random.default_rng(4)
+        fixed = 10.0 ** rng.uniform(-4, 16, n)
+        wide = 10.0 ** rng.uniform(17, 300, n) * rng.choice([1e-320, 1.0], n)
+        self.assert_floats_match_oracle(tmp_path, np.where(np.arange(n) % 3 == 0, wide, fixed))
+
+    def test_negative_and_extreme_bin_indices(self, tmp_path):
+        bins = np.array([-2**63, -1, 0, -10**9, 10**9 - 1, 10**9, -9, 2**63 - 1], dtype=np.int64)
+        counts = np.array([0, 1, 9, 10, 999999999, 1000000000, 2**62, 2**63 - 1], dtype=np.int64)
+        trace = make_trace(SourceMode.PHOTON_COUNTING, np.zeros(8), np.zeros(8), np.zeros(8),
+                           counts, counts, counts)
+        trace.bin_index = bins
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == oracle_csv(trace)
 
 
 MALFORMED_ROWS = [
@@ -920,12 +994,14 @@ class TestMemoryDoesNotGrowWithRows:
     that grows by less than 1 byte per added row keeps nothing per row.
     The bounds on one chunk, per row of the chunk:
 
-    * writer: 7 values as Python objects with their list slots (<= 44
-      bytes each for a 19-digit int, 32 for a float: <= 308), the flat
-      tuple (56), the row template (<= 30), the text and its UTF-8
-      encoding (<= 2 x 159: 4 x 20 digits, 3 x 24-character floats and 7
-      separators), the int64 copy (8) and the checks' masks over 16
-      chunks (3 per row: 48); <= 768, within 1 KiB per row;
+    * writer: the chunk's 7 values, stacked a run of columns of one kind
+      at a time (56), and its table of bytes and their keep mask (2 x 155
+      places: 20 for the bin, 25 per float and 20 per count: 310), beside,
+      at most, the float run's temporaries while its 17 digits are rounded
+      (3 floats of ~13 doubles: <= 312) or the kept text and its str (<= 2
+      x 155); <= 678, within 896 bytes per row for numpy's and the file's
+      buffers.  Floats in fixed and in exponent notation take the same
+      table;
     * reader: the chunk's table (56), the checks' masks (48), one block
       of text of 16 characters per row, held at most three times while
       the next block is read and joined to the rest of its last line
@@ -941,7 +1017,7 @@ class TestMemoryDoesNotGrowWithRows:
     """
 
     SMALL, LARGE = 20_000, 200_000
-    WRITE_BOUND = CHUNK_ROWS * 1024
+    WRITE_BOUND = CHUNK_ROWS * 896
     READ_BOUND = CHUNK_ROWS * 232 + 64 * 1024
     PLOT_BOUND = CHUNK_ROWS * 256
 
@@ -953,31 +1029,43 @@ class TestMemoryDoesNotGrowWithRows:
         assert large <= bound
         assert large - small < self.LARGE - self.SMALL
 
-    # Photon rows are the widest, in objects and in text; classical rows
-    # take the same code.
-    def test_writer(self, tmp_path):
-        peaks = self.peaks(write_trace_csv,
-                           lambda n: (wide_trace(SourceMode.PHOTON_COUNTING, n), tmp_path / "t.csv"))
-        self.assert_flat(peaks, self.WRITE_BOUND)
-
+    # Photon rows are the widest in text and peak the highest in the
+    # writer (classical rows, with two floats more and no 19-digit counts,
+    # peak lower); classical rows take the same code.  The writer's traced
+    # runs write the files that the reader's tests read.
     @pytest.fixture(scope="class")
     def written(self, tmp_path_factory):
-        """Per row count, a written trace of photon rows and its CRLF copy."""
-        root, files = tmp_path_factory.mktemp("rows"), {}
+        """Per row count, a trace of the widest photon rows, written while
+        traced, and its CRLF copy; and the writer's peaks."""
+        root, files, peaks = tmp_path_factory.mktemp("rows"), {}, []
         for n in (self.SMALL, self.LARGE):
             lf, crlf = root / f"{n}.csv", root / f"{n}.crlf.csv"
-            write_trace_csv(wide_trace(SourceMode.PHOTON_COUNTING, n), lf)
+            peaks.append(traced_peak_above(write_trace_csv,
+                                           wide_trace(SourceMode.PHOTON_COUNTING, n), lf))
             crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
             files[n] = lf, crlf
-        return files
+        return files, peaks
+
+    def test_writer(self, written):
+        self.assert_flat(written[1], self.WRITE_BOUND)
+
+    def test_writer_of_fixed_notation(self, tmp_path):
+        # 19-digit counts and 17-digit floats that all take the numpy digits.
+        def make(n):
+            return (wide_trace(SourceMode.PHOTON_COUNTING, n, floats=fixed_notation_doubles),
+                    tmp_path / "t.csv")
+
+        self.assert_flat(self.peaks(write_trace_csv, make), self.WRITE_BOUND)
 
     def test_reader(self, written):
-        self.assert_flat(self.peaks(read_trace_csv, lambda n: written[n][:1]), self.READ_BOUND)
+        files, _ = written
+        self.assert_flat(self.peaks(read_trace_csv, lambda n: files[n][:1]), self.READ_BOUND)
 
     def test_reader_of_a_crlf_copy(self, written):
-        for lf, crlf in written.values():
+        files, _ = written
+        for lf, crlf in files.values():
             assert read_outcome(read_trace_csv, crlf) == read_outcome(read_trace_csv, lf)
-        self.assert_flat(self.peaks(read_trace_csv, lambda n: written[n][1:]), self.READ_BOUND)
+        self.assert_flat(self.peaks(read_trace_csv, lambda n: files[n][1:]), self.READ_BOUND)
 
     def test_plot_of_float_series(self, tmp_path):
         def plot(n):
@@ -2044,6 +2132,19 @@ class TestFileErrorsNameTheFile:
         assert err.startswith(f"cbwsim: error: cannot read circuit {path}: ") and err.count("\n") == 1
         assert ("[Errno 2]" if content is None else "can't decode byte 0xff") in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [0, 3000], ids=["first-line", "far-into-the-file"])
+    def test_trace_that_is_not_utf8(self, tmp_path, capsys, rows):
+        trace_csv = tmp_path / "a.csv"
+        if rows:
+            write_trace_csv(photon_trace(points=rows), trace_csv)
+        trace_csv.write_bytes(trace_csv.read_bytes() + b"a\xff" if rows else b"a\xff")
+        position = trace_csv.stat().st_size - 1
+        assert cli.dispatch(["analyze", "--in", str(trace_csv)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"cbwsim: error: cannot read trace CSV {trace_csv}: 'utf-8' codec can't "
+                       f"decode byte 0xff in position {position}: invalid start byte\n")
 
     def test_output_directory_that_cannot_be_created(self, tmp_path, capsys):
         blocker = tmp_path / "file"
