@@ -103,30 +103,39 @@ class CountTrace:
         if len({len(a) for a in arrays}) > 1:
             raise ValueError("trace arrays have mismatched lengths")
 
-        def holds(test, *columns) -> bool:
-            return all(np.all(test(*(np.asarray(c[rows]) for c in columns)))
-                       for rows in row_chunks(len(self), 16 * CHUNK_ROWS))
+        windows = list(row_chunks(len(self), 16 * CHUNK_ROWS))
 
-        if not all(holds(np.isfinite, a) for a in arrays):
+        def holds(test, *columns) -> bool:
+            for rows in windows:
+                if not test(*(np.asarray(c[rows]) for c in columns)).all():
+                    return False
+            return True
+
+        # A check that no value of a column's dtype can fail is skipped:
+        # integers and bools hold no NaN or infinity, unsigned integers and
+        # bools no negative count, and signed integers and bools only whole
+        # numbers within int64.
+        def kind(values) -> str:
+            return np.asarray(values).dtype.kind
+
+        if any(kind(a) not in "biu" and not holds(np.isfinite, a) for a in arrays):
             raise ValueError("non-finite values in trace")
         counts = {"singles_d1": self.singles_d1, "singles_d2": self.singles_d2,
                   "coincidences": self.coincidences}
-        if not all(holds(lambda a: a >= 0, a) for a in counts.values()):
+        if any(kind(a) not in "bu" and not holds(lambda v: v >= 0, a) for a in counts.values()):
             raise ValueError("negative counts in trace")
         photon = self.mode is SourceMode.PHOTON_COUNTING
         for name, values in {"bin_index": self.bin_index, **(counts if photon else {})}.items():
-            if not holds(_whole_int64, values):
+            if kind(values) not in "bi" and not holds(_whole_int64, values):
                 raise ValueError(f"{name} must hold whole numbers within int64")
         if photon and not holds(lambda c, d1, d2: (c <= d1) & (c <= d2),
                                 self.coincidences, self.singles_d1, self.singles_d2):
             raise ValueError("coincidences exceed singles in some bin")
 
 
-def _whole_int64(values: np.ndarray):
-    """Where ``values`` are whole numbers that int64 holds exactly (the
-    CSV writes integer columns through int64)."""
-    if values.dtype.kind in "bi":
-        return True
+def _whole_int64(values: np.ndarray) -> np.ndarray:
+    """Where ``values``, unsigned integers or floats, are whole numbers that
+    int64 holds exactly (the CSV writes integer columns through int64)."""
     if values.dtype.kind == "u":
         return values <= np.iinfo(np.int64).max
     return (np.trunc(values) == values) & (np.abs(values) < 2.0**63)

@@ -8,11 +8,12 @@ through, each polyline's points a chunk at a time, and nothing is held
 from one chunk to the next.  Every series, of counts or of floats, goes
 through one numpy formatter, :func:`_points_text`, which writes the bytes
 that ``"%.2f,%.2f"`` writes for each point.  Its rounding to hundredths is
-exact (:func:`_hundredths`): ``v*100`` decides it unless it lands on a
-half, where the product's exact residual does, with ties to even as
-``%.2f`` has them.  Its rows take values in ``[0, 1e5)``; every coordinate
-lies in the canvas, ``48 <= v <= 936``, as ``px`` and ``py`` map the
-bounds of the data onto the plot area with IEEE operations that keep order.
+exact (:func:`_hundredths`), for a chunk's x and y at once: ``v*100``
+decides it unless it lands on a half, where the product's exact residual
+does, with ties to even as ``%.2f`` has them.  Its rows take values in
+``[0, 1e5)``; every coordinate lies in the canvas, ``48 <= v <= 936``, as
+``px`` and ``py`` map the bounds of the data onto the plot area with IEEE
+operations that keep order.
 """
 
 from __future__ import annotations
@@ -28,28 +29,27 @@ __all__ = ["emit_plot_svg"]
 _WIDTH, _HEIGHT = 960, 540
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 48, 56
 _PALETTE = ("#000000", "#c62828", "#1565c0", "#2e7d32", "#ef6c00", "#6a1b9a")
-# Points formatted at once.  A chunk's traced peak is ~193 kB at 2 x
-# CHUNK_ROWS and ~283 kB at 3 x: larger chunks are faster but pass the
+# Points formatted at once.  A chunk's traced peak is ~207 kB at 2 x
+# CHUNK_ROWS and ~299 kB at 3 x: larger chunks are faster but pass the
 # 256 bytes per CHUNK_ROWS point that the plot's memory tests allow.
 _POINTS_ROWS = 2 * CHUNK_ROWS
 
 
 def _hundredths(v: np.ndarray) -> np.ndarray:
-    """``v`` (doubles in ``[0, 2**32/100)``) as uint32 whole hundredths,
-    rounded as ``"%.2f"`` rounds the exact value: to nearest, ties to even.
+    """``v`` (1-D doubles in ``[0, 2**32/100)``) as uint32 whole
+    hundredths, rounded as ``"%.2f"`` rounds the exact value: to nearest,
+    ties to even.
 
     With ``p = v*100`` rounded and ``e`` its error (``v*100 == p + e``
-    exactly, ``|e| <= ulp(p)/2``), ``d = (p - floor(p)) - 0.5`` has the sign
-    of ``p - (floor(p) + 0.5)``, and ``p`` lies a whole ulp or more from
-    ``floor(p) + 0.5`` unless ``d == 0``; so only then does ``e`` decide:
-    its sign, or half to even if it is 0.
+    exactly, ``|e| <= ulp(p)/2``), ``d = p - floor(p)`` is exact, and ``p``
+    lies a whole ulp or more from ``floor(p) + 0.5`` unless ``d == 0.5``; so
+    only then does ``e`` decide: its sign, or half to even if it is 0.
     """
     p = v * 100.0
     q = np.floor(p)
     d = p - q
-    d -= 0.5
-    up = d > 0
-    ties = np.flatnonzero(d == 0)
+    up = d > 0.5
+    ties = np.flatnonzero(d == 0.5)
     q = q.astype(np.uint32)
     if ties.size:
         # Dekker's product of t and 100: t splits into two halves of at
@@ -65,19 +65,25 @@ def _points_text(xs: np.ndarray, ys: np.ndarray) -> str:
     """The points ``"x,y x,y ..."``, each pair as ``"%.2f,%.2f"`` formats
     it, for ``xs`` and ``ys`` in ``[0, 1e5)``.
 
-    Each point is an ASCII row ``IIIII.FF,IIIII.FF `` of fixed width; a
-    keep mask drops the leading zeros of each whole part (its last digit
-    stays) and the last point's space, and one compaction gives the text.
+    Each point is an ASCII row ``IIIII.FF,IIIII.FF `` of fixed width, its x
+    and y rounded at once; a keep mask drops the leading zeros of each whole
+    part (its last digit stays) and the last point's space, and one
+    compaction gives the text.
     """
-    q = np.stack([_hundredths(xs), _hundredths(ys)], axis=1)
-    # rows[:, 0] is the x field of each point and rows[:, 1] its y field.
+    # q[:, 0] is the x of each point and q[:, 1] its y, as are rows[:, 0]
+    # and rows[:, 1] their fields.
+    q = _hundredths(np.stack([xs, ys], axis=-1).reshape(-1)).reshape(-1, 2)
     rows = np.empty((len(q), 2, 9), dtype=np.uint8)
     keep = np.ones(rows.shape, dtype=bool)
     # The digit at 10**(4 - col) of the rounded whole part is kept once
     # q >= 10**(6 - col), so a carry (9.996 -> 10.00) widens the field.
+    # Each place is written across all points: a write across the places of
+    # a point would run numpy's loops over a handful of bytes at a time.
     for col, least in enumerate((1000000, 100000, 10000, 1000)):
         np.greater_equal(q, least, out=keep[..., col])
-    put_digits(put_digits(q, rows[..., 6:8]), rows[..., :5])
+    # The whole part is below 10**5, so its first digit is what is left
+    # above the other four.
+    rows[..., 0] = put_digits(put_digits(q, rows[..., 6:8]), rows[..., 1:5])
     rows += ord("0")
     rows[..., 5] = ord(".")
     rows[:, 0, 8] = ord(",")

@@ -6,13 +6,18 @@ goes one chunk of rows (``CHUNK_ROWS``) at a time through the open file
 and formats each chunk in numpy (:func:`_rows_text`) with the bytes that
 ``%d`` and ``%.17g`` write for each value: every field is a fixed-width
 run of ASCII bytes, built one byte place across the chunk's rows at a
-time, a keep mask drops what a value does not write, and one compaction
-gives the chunk's text.  Integers are written from their int64 digits.  A
-float whose decimal exponent after rounding to 17 digits lies in -4..16
-takes ``%g``'s fixed notation from its 17 digits, rounded exactly
-(:func:`_seventeen_digits`); every other float but 0 (below about 1e-4,
-subnormals too, or from 1e17 up) takes exponent notation, which ``%.17g``
-itself writes.  The reader opens the file once, as UTF-8 text without
+time from a template of the bytes no value changes, a keep mask drops
+what a value does not write, and one compaction gives the chunk's text.
+The integer columns share one width and are formatted at once, and so
+are the float columns, so a chunk takes the same numpy calls whatever
+its columns hold; every digit comes from a lookup of four digits at a
+time (:func:`_put_ascii`).  Integers are written from their int64
+digits.  A float whose decimal exponent after rounding to 17 digits lies
+in -4..16 takes ``%g``'s fixed notation from its 17 digits, rounded
+exactly (:func:`_seventeen_digits`); every other float but 0 (below
+about 1e-4, subnormals too, or from 1e17 up) takes exponent notation,
+which ``%.17g`` itself writes, only in the fields of a chunk that hold
+such values.  The reader opens the file once, as UTF-8 text without
 newline translation, and goes through it twice a block of text at a time:
 it counts the lines, then parses a chunk of rows at a time with numpy's C
 parser (``np.loadtxt``) into preallocated integer and float columns.
@@ -28,6 +33,7 @@ field; the writer, the reader, the headers and :func:`measured_columns`
 from __future__ import annotations
 
 import json
+import math
 import re
 from itertools import chain, groupby
 from pathlib import Path
@@ -66,10 +72,19 @@ _INTEGER_COLUMNS = frozenset({"bin", "d1", "d2", "coinc"})
 
 # The powers of ten 10**0 .. 10**18 as uint64.
 _POW10_INT = np.array([10**k for k in range(19)], dtype=np.uint64)
-# Byte places of a float field: the sign, the ``0.000`` of a value below 1,
-# 17 digits with a place for the point among or after them, and the comma.
-# A value in exponent notation takes at most the first 24.
-_FLOAT_WIDTH = 25
+
+
+def _digit_table() -> np.ndarray:
+    """The ASCII digits of 0 .. 9999, four places wide, each as the uint32
+    that holds those four bytes in order; no temporary outgrows the 40 kB
+    table, and the digits take the uint32 loops the SVG writer runs."""
+    table = np.empty((10_000, 4), dtype=np.uint8)
+    put_digits(np.arange(10_000, dtype=np.uint32), table)
+    table += ord("0")
+    return table.view(np.uint32).ravel()
+
+
+_DIGITS = _digit_table()
 # The places 0-17 of a float's digits and point (places 6-23 of its field),
 # as a column that broadcasts against values by field and row.
 _DIGIT_PLACES = np.arange(18, dtype=np.int8)[:, None]
@@ -77,51 +92,79 @@ _DIGIT_PLACES = np.arange(18, dtype=np.int8)[:, None]
 # each place of ``0.000`` is kept.
 _PREFIX_EXPONENTS = np.array([-1, -1, -2, -3, -4], dtype=np.int8)[:, None]
 
-
-def _int_width(values: np.ndarray) -> int:
-    """Bytes of each integer field of int64 ``values``: a sign place if any
-    value is negative, as many digit places as the widest value has digits,
-    and a comma."""
-    sign = int(values.min(initial=0) < 0)
-    return sign + len(str(np.abs(values).view(np.uint64).max(initial=0))) + 1
-
-
-def _int_fields(values: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
-    """Write int64 ``values`` (fields by rows) as ``%d`` does, each followed
-    by a comma, into ``chars`` and ``keep``: the ASCII bytes by field,
-    byte place and row of fields :func:`_int_width` wide, and which of
-    them are kept."""
-    sign = int(values.min(initial=0) < 0)
-    places = chars.shape[1] - sign - 1
-    # abs of int64's minimum wraps to itself, which is 2**63 as uint64.
-    magnitude = np.abs(values).view(np.uint64)
-    digits = chars[:, sign:-1]
-    # The digit at 10**k is kept once the value reaches 10**k; the units
-    # digit always.
-    np.greater_equal(magnitude[:, None], _POW10_INT[places - 1:0:-1, None], out=keep[:, sign:-2])
-    keep[:, -2:] = True
-    if places > 9:
-        # Digits past the 9th take the slower uint64 division.
-        high, magnitude = np.divmod(magnitude, 10**9)
-        put_digits(high, np.moveaxis(digits[:, :-9], 1, -1))
-    put_digits(magnitude.astype(np.uint32), np.moveaxis(digits[:, -9:], 1, -1))
-    digits += ord("0")
-    if sign:
-        chars[:, 0] = ord("-")
-        keep[:, 0] = values < 0
-    chars[:, -1] = ord(",")
-
-
 # The powers of ten 10**0 .. 10**22, exact doubles, and their splits.
 _POW10 = np.array([float(10**k) for k in range(23)])
 _POW10_HI, _POW10_LO = halves(_POW10)
 
 
-def _scaled(a: np.ndarray, exponent: np.ndarray):
-    """``(p, e)`` with ``a * 10**(16 - exponent) == p + e`` exactly: ``p``
-    the rounded product and ``e`` its error, by Dekker's product of the
-    halves of ``a`` and of the power of ten."""
-    power = 16 - exponent
+def _decimal_exponent(x: float) -> int:
+    """The decimal exponent X of ``x`` after rounding to 17 significant
+    digits, clamped to -5..17: -5 and 17 stand for every X of exponent
+    notation."""
+    return min(max(int(f"{x:.16e}".partition("e")[2]), -5), 17)
+
+
+def _exponent_tables():
+    """Per binary exponent E of ``np.frexp`` (the binade ``[2**(E-1),
+    2**E)``; a negative E indexes from the end): the clamped decimal
+    exponent of the binade's least double, and the least double of the
+    binade whose clamped decimal exponent is one more, or inf.  A decade is
+    wider than a binade, so no binade spans more than two."""
+    # frexp's exponents of finite doubles run from -1073 to 1024.  Binades
+    # below 2**-21 hold X <= -7 and those from 2**60 up X >= 18, so only
+    # the binades between are worked out.
+    exponent, step = np.full(2100, -5, dtype=np.intp), np.full(2100, np.inf)
+    exponent[61:1025] = 17
+    for binary in range(-20, 61):
+        low = math.ldexp(0.5, binary)
+        exponent[binary] = _decimal_exponent(low)
+        if _decimal_exponent(math.nextafter(2 * low, 0.0)) > exponent[binary]:
+            # The double nearest the next power of ten, or a neighbour.
+            first = float(f"1e{exponent[binary] + 1}")
+            while _decimal_exponent(first) <= exponent[binary]:
+                first = math.nextafter(first, math.inf)
+            while _decimal_exponent(math.nextafter(first, 0.0)) > exponent[binary]:
+                first = math.nextafter(first, 0.0)
+            step[binary] = first
+    return exponent, step
+
+
+_BINADE_EXPONENT, _BINADE_STEP = _exponent_tables()
+# Per clamped decimal exponent X (a negative X indexes from the end): the
+# power of ten that scales a double of X to 17 digits, ``16 - X`` within the
+# exact powers (a value of exponent notation is scaled as X = -5 or 16);
+# the place of the point among the digits (17, past them all, below 1); and
+# whether ``%.17g`` writes exponent notation.
+_EXPONENTS = [*range(18), *range(-5, 0)]
+_SCALE = np.array([min(max(16 - x, 0), 21) for x in _EXPONENTS], dtype=np.intp)
+_POINT = np.array([17 if x < 0 else min(x + 1, 17) for x in _EXPONENTS], dtype=np.int8)
+_SCIENTIFIC = np.array([not -4 <= x <= 16 for x in _EXPONENTS])
+
+
+def _seventeen_digits(values: np.ndarray):
+    """``(digits, exponent)`` of doubles ``values``: the 17 digits D that
+    ``%.17g`` writes in fixed notation (0 for 0), as uint64, and each
+    value's decimal exponent X after rounding to 17 digits, clamped to
+    -5..17.
+
+    X is exact: the binade of ``|v|`` gives it or one less, and one
+    comparison with the least double of the binade that rounds to a higher
+    decade tells which.  D is ``|v| * 10**(16 - X)`` rounded half to even,
+    from the rounded product and its exact error (Dekker's product of the
+    halves of ``|v|`` and of the power of ten); it lies in
+    ``[10**16, 10**17)``, as X is the exponent after rounding.  Values of
+    exponent notation get a D of at most ``10**17`` that is never written.
+    """
+    a = np.abs(values)
+    # A table lookup by intp is several times faster than by int32.
+    binary = np.frexp(a)[1].astype(np.intp)
+    exponent = _BINADE_EXPONENT[binary]
+    # 0 shares the binade of [0.5, 1), X = -1, and is written as X = 0.
+    up = a >= _BINADE_STEP[binary]
+    up |= a == 0
+    exponent += up
+    np.minimum(a, 1e17, out=a)
+    power = _SCALE[exponent]
     p = a * _POW10[power]
     a_hi, a_lo = halves(a)
     s_hi, s_lo = _POW10_HI[power], _POW10_LO[power]
@@ -133,105 +176,97 @@ def _scaled(a: np.ndarray, exponent: np.ndarray):
     e += s_hi
     a_lo *= s_lo
     e += a_lo
-    return p, e
-
-
-def _seventeen_digits(a: np.ndarray):
-    """``(digits, exponent)`` of doubles ``a`` in ``[1e-5, 1e17)``: the
-    decimal exponent X of each after rounding to 17 significant digits, and
-    those digits D, ``a * 10**(16 - X)`` rounded half to even."""
-    # The guess is X or one off it, and every power of ten that scales a
-    # value to 17 digits is an exact double.
-    guess = np.log10(a)
-    np.floor(guess, out=guess)
-    exponent = np.clip(guess, -5, 16, out=guess).astype(np.int8)
-    del guess
-    p, e = _scaled(a, exponent)
-    # p + e is below 1e16 when the guess is one too high, and 1e17 or more
-    # when it is one too low.
-    off = ((p > 1e17) | ((p == 1e17) & (e >= 0))).astype(np.int8)
-    off -= (p < 1e16) | ((p == 1e16) & (e < 0))
-    redo = np.nonzero(off)
-    exponent[redo] += off[redo]
-    p[redo], e[redo] = _scaled(a[redo], exponent[redo])
     # p is a whole number and even (its ulp is 2 or more from 2**53 up), so
     # rounding e half to even rounds p + e half to even.
-    digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    # A value just below a power of ten can round up to it.
-    carry = digits == 10**17
-    digits[carry] = 10**16
-    exponent += carry
-    return digits, exponent
+    digits = p.astype(np.int64)
+    np.add(digits, np.rint(e, out=e), out=digits, dtype=np.int64, casting="unsafe")
+    return digits.view(np.uint64), exponent
 
 
-def _fixed_notation(digits: np.ndarray, exponent: np.ndarray, chars: np.ndarray,
-                    keep: np.ndarray) -> None:
-    """Write magnitudes given by their 17 digits D and decimal exponent X
-    (``-4 <= X <= 16``, or D and X both 0 for 0) in ``%g``'s fixed notation
-    into places 1-23 of float fields ``chars`` and ``keep``."""
-    # Places 1-17 of ``ascii`` hold the 17 digits, so ascii[:, 1:] has digit
-    # j at place j and ascii[:, :-1] at place j + 1.
-    ascii = np.empty((len(digits), 19, digits.shape[1]), dtype=np.uint8)
-    high, low = np.divmod(digits.view(np.uint64), 10**9)
-    put_digits(low.astype(np.uint32), np.moveaxis(ascii[:, 9:18], 1, -1))
-    put_digits(high.astype(np.uint32), np.moveaxis(ascii[:, 1:9], 1, -1))
-    del high, low
-    ascii += ord("0")
+def _put_ascii(q: np.ndarray, out: np.ndarray) -> None:
+    """Write the lowest ``out.shape[1]`` (a multiple of 4) decimal digits of
+    the unsigned integers ``q`` (fields by rows) into ``out`` as ASCII, by
+    field, place and row: the places are cut into limbs of 4 digits, and one
+    lookup in ``_DIGITS`` gives the four bytes of every limb."""
+    limbs = np.empty((len(q), out.shape[1] // 4, q.shape[1]), dtype=np.intp)
+    # The highest limb takes what is left above the others, which fits.
+    limbs[:, 0] = put_digits(q, limbs[:, 1:].transpose(0, 2, 1), base=10_000)
+    ascii = _DIGITS[limbs].view(np.uint8).reshape(limbs.shape + (4,))
+    out.reshape(limbs.shape[:2] + (4, -1))[...] = ascii.transpose(0, 1, 3, 2)
+
+
+def _int_fields(values, magnitude, digits, sign, chars, keep) -> None:
+    """Write int64 ``values`` (fields by rows, ``magnitude`` their absolute
+    values as uint64 and ``digits`` the ASCII of their lowest ``places``
+    digits, by field, place and row) as ``%d`` does into the digit and sign
+    places of ``chars`` and ``keep``: the ASCII bytes by field, byte place
+    and row of fields ``sign + places + 1`` wide, and which of them are
+    kept."""
+    chars[:, sign:-1] = digits
+    places = digits.shape[1]
+    # The digit at 10**k is kept once the value reaches 10**k; the units
+    # digit always.  A place at a time: a comparison broadcast across the
+    # places would buffer 8-byte operands.
+    for place, power in enumerate(_POW10_INT[places - 1:0:-1], start=sign):
+        np.greater_equal(magnitude, power, out=keep[:, place])
+    if sign:
+        np.less(values, 0, out=keep[:, 0])
+
+
+def _float_fields(values, ascii, exponent, chars, keep) -> None:
+    """Write doubles ``values`` (fields by rows) as ``%.17g`` does into the
+    sign, digit and point places of ``chars`` and ``keep``: the ASCII bytes
+    by field, byte place and row of float fields, and which of them are
+    kept.
+
+    A value whose decimal exponent X after rounding to 17 digits lies in
+    ``-4 <= X <= 16`` is written in ``%g``'s fixed notation from X and its
+    17 digits D (:func:`_seventeen_digits`), and so is 0: places 3-19 of
+    ``ascii`` (by field, place and row) hold D, place 2 a 0, and place 20
+    any byte.  Every other value is then written over by
+    :func:`_exponent_notation`.
+    """
     # Places 6-23: the units digit at place 6 + X, the point after it, then
-    # the rest of the digits; below 1, all 17 after ``0.000``.
-    point = np.where(exponent < 0, 17, exponent + 1).astype(np.int8)
+    # the rest of the digits; below 1, all 17 after ``0.000``.  ascii[:, 3:]
+    # has digit j at place j and ascii[:, 2:-1] at place j + 1, so past the
+    # point, in bytes modulo 256, ascii[:, 3:] + (ascii[:, 2:-1] -
+    # ascii[:, 3:]) * after moves each digit up one place; the point's byte
+    # is then made a ``.`` the same way.  One buffer holds each step's
+    # bytes in turn.
+    point = _POINT[exponent][:, None]
+    # Compared as int8, so that numpy's buffers for the broadcasts stay small.
+    exponent = exponent.astype(np.int8)
+    body = chars[:, 6:-1]
+    step = np.subtract(ascii[:, 2:-1], ascii[:, 3:])
+    step *= _DIGIT_PLACES > point
+    np.add(ascii[:, 3:], step, out=body)
+    np.subtract(ord("."), body, out=step)
+    step *= _DIGIT_PLACES == point
+    body += step
     # Kept: through the units digit, and on to the last nonzero digit.
-    last = np.max((ascii[:, 1:18] != ord("0")) * _DIGIT_PLACES[:17], axis=1)
-    last += last >= point
+    places = step.view(np.int8)
+    np.multiply(body > ord("0"), _DIGIT_PLACES, out=places)
+    last = np.max(places, axis=1)
+    del step, places
     np.maximum(last, exponent, out=last)
     np.less_equal(_DIGIT_PLACES, last[:, None], out=keep[:, 6:-1])
     np.less_equal(exponent[:, None], _PREFIX_EXPONENTS, out=keep[:, 1:6])
-    # Past the point each digit moves up one place: in bytes modulo 256,
-    # ascii[:, 1:] + (ascii[:, :-1] - ascii[:, 1:]) * after takes each
-    # place's byte from ascii[:, :-1] after the point, from ascii[:, 1:]
-    # before it.
-    shift = ascii[:, :-1] - ascii[:, 1:]
-    shift *= _DIGIT_PLACES > point[:, None]
-    np.add(ascii[:, 1:], shift, out=chars[:, 6:-1])
-    fields, rows = np.indices(point.shape, sparse=True)
-    chars[fields, 6 + point, rows] = ord(".")
-    chars[:, 1:6] = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+    np.signbit(values, out=keep[:, 0])
 
 
-def _float_fields(values: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
-    """Write doubles ``values`` (fields by rows) as ``%.17g`` does, each
-    followed by a comma, into ``chars`` and ``keep``: the ASCII bytes by
-    field, byte place and row of fields ``_FLOAT_WIDTH`` wide, and which of
-    them are kept.
-
-    A value whose decimal exponent X after rounding to 17 digits lies in
-    ``-4 <= X <= 16`` is written in ``%g``'s fixed notation from its 17
-    digits D (:func:`_seventeen_digits`), and so is 0.  Every other value
-    takes exponent notation, written by ``%.17g`` itself: the digits are
-    exact only where the powers of ten that scale them are.
-    """
-    a = np.abs(values)
-    zero = a == 0
-    # Fixed notation starts at 1e-4 once rounded, so only [1e-5, 1e17) is
-    # scaled to 17 digits; the rest is scaled as 1.0 and left to %.17g.
-    fixed = (a >= 1e-5) & (a < 1e17)
-    a[~fixed] = 1.0
-    digits, exponent = _seventeen_digits(a)
-    del a
-    digits[zero] = 0
-    exponent[zero] = 0
-    _fixed_notation(digits, exponent, chars, keep)
-    keep[:, 0] = np.signbit(values)
-    chars[:, 0] = ord("-")
-    chars[:, -1] = ord(",")
-    keep[:, -1] = True
-
-    scientific = np.nonzero(~(fixed & (exponent >= -4) | zero))
-    text = np.fromiter(("%.17g" % v for v in values[scientific]), dtype="S24",
-                       count=len(scientific[0]))
-    text = text.view(np.uint8).reshape(len(text), 24)
-    chars[scientific[0], :24, scientific[1]] = text
-    keep[scientific[0], :24, scientific[1]] = text != 0
+def _exponent_notation(values, exponent, chars, keep) -> None:
+    """Write the doubles of ``values`` (fields by rows) whose decimal
+    exponents ``exponent`` (:func:`_seventeen_digits`) take ``%.17g``'s
+    exponent notation into places 0-23 of their fields of ``chars`` and
+    ``keep``, a field at a time, as ``%.17g`` writes them."""
+    scientific = _SCIENTIFIC[exponent]
+    for field in np.flatnonzero(scientific.any(axis=1)):
+        rows = np.flatnonzero(scientific[field])
+        text = np.fromiter(("%.17g" % v for v in values[field, rows]), dtype="S24",
+                           count=len(rows))
+        text = text.view(np.uint8).reshape(len(rows), 24)
+        chars[field, :24, rows] = text
+        keep[field, :24, rows] = text != 0
 
 
 def _header_mode(header: tuple):
@@ -271,28 +306,73 @@ def write_trace_csv(trace: CountTrace, path) -> None:
 
 def _rows_text(names, columns) -> str:
     """The CSV rows of ``columns``, equal-length arrays named ``names``, each
-    value as ``%d`` (integer columns) or ``%.17g`` formats it.
+    value as ``%d`` (integer columns) or ``%.17g`` formats it: the bytes of
+    :func:`_rows_table` that are kept, taken row by row.  Everything else the
+    table was made from is let go before this one compaction."""
+    chars, keep = _rows_table(names, columns)
+    return str(chars.T[keep.T], "ascii")
 
-    Each run of columns of one kind is formatted at once into fixed-width
-    fields of ASCII bytes, a byte place by all rows at a time; a keep mask
-    drops what a field's value does not write, and one compaction of the
-    places taken row by row gives the text.
+
+def _rows_table(names, columns):
+    """``(chars, keep)``: the CSV rows of ``columns`` as fixed-width fields
+    of ASCII bytes, by byte place and row, and which of the bytes are kept.
+
+    The fields are built a byte place by all rows at a time from a template
+    of the bytes no value changes (a sign, ``0.000``, commas and the line
+    end).  The integer columns share one width and are formatted at once,
+    and so are the float columns.
     """
     n = len(columns[0])
-    runs = []
-    for integer, run in groupby(zip(names, columns), lambda field: field[0] in _INTEGER_COLUMNS):
-        values = np.array([column for _, column in run], dtype=np.int64 if integer else float)
-        runs.append((_int_fields if integer else _float_fields, values,
-                     _int_width(values) if integer else _FLOAT_WIDTH))
-    ends = np.cumsum([len(values) * width for _, values, width in runs])
-    chars = np.empty((ends[-1], n), dtype=np.uint8)
+    integer = [name in _INTEGER_COLUMNS for name in names]
+    ints = np.array([column for column, whole in zip(columns, integer) if whole], dtype=np.int64)
+    floats = np.array([column for column, whole in zip(columns, integer) if not whole], dtype=float)
+    # abs of int64's minimum wraps to itself, which is 2**63 as uint64.
+    magnitude = np.abs(ints).view(np.uint64)
+    places = len(str(magnitude.max()))
+    sign = int(ints.min() < 0)
+    # Every digit is written before the tables of bytes are made.
+    int_digits = np.empty((len(ints), -(-places // 4) * 4, n), dtype=np.uint8)
+    _put_ascii(magnitude, int_digits)
+    digits, exponent = _seventeen_digits(floats)
+    float_digits = np.empty((len(floats), 21, n), dtype=np.uint8)
+    _put_ascii(digits, float_digits[:, :20])
+    del digits
+
+    # Per kind of column (integer or not): a field's bytes that no value
+    # changes, and which of them every value keeps.  An integer field: a
+    # sign if any value is negative, the digits of the widest value, and
+    # the comma.  A float field: the sign, the ``0.000`` of a value below 1,
+    # 17 digits with a place for the point among or after them, and the
+    # comma; a value in exponent notation takes at most the first 24.
+    fields = {True: (b"-" * sign + b"0" * places + b",", b"\0" * (sign + places - 1) + b"\1\1"),
+              False: (b"-0.000" + b"0" * 18 + b",", b"\0" * 24 + b"\1")}
+    template, kept = (b"".join(fields[whole][part] for whole in integer) for part in (0, 1))
+    chars = np.empty((len(template), n), dtype=np.uint8)
+    chars[...] = np.frombuffer(template[:-1] + b"\n", dtype=np.uint8)[:, None]
     keep = np.empty(chars.shape, dtype=bool)
-    for (write, values, width), end in zip(runs, ends):
-        places = slice(end - len(values) * width, end)
-        shape = (len(values), width, n)
-        write(values, chars[places].reshape(shape), keep[places].reshape(shape))
-    chars[-1] = ord("\n")
-    return str(chars.T[keep.T], "ascii")
+    keep[...] = np.frombuffer(kept, dtype=bool)[:, None]
+    # Each run of columns of one kind: its fields (rows of ``ints`` or
+    # ``floats``) and their places in the tables.
+    runs, start, taken = {True: [], False: []}, 0, {True: 0, False: 0}
+    for whole, run in groupby(integer):
+        count, first = len(list(run)), taken[whole]
+        shape = (count, len(fields[whole][0]), n)
+        stop = start + shape[0] * shape[1]
+        runs[whole].append((slice(first, first + count), chars[start:stop].reshape(shape),
+                            keep[start:stop].reshape(shape)))
+        start, taken[whole] = stop, first + count
+
+    for rows, run_chars, run_keep in runs[True]:
+        _int_fields(ints[rows], magnitude[rows], int_digits[rows, -places:], sign,
+                    run_chars, run_keep)
+    del ints, magnitude, int_digits
+    for rows, run_chars, run_keep in runs[False]:
+        _float_fields(floats[rows], float_digits[rows], exponent[rows], run_chars, run_keep)
+    # Exponent notation, in Python, last: every digit table is let go by then.
+    del float_digits
+    for rows, run_chars, run_keep in runs[False]:
+        _exponent_notation(floats[rows], exponent[rows], run_chars, run_keep)
+    return chars, keep
 
 
 def read_trace_csv(path) -> CountTrace:

@@ -433,6 +433,54 @@ class TestBatchedWriterMatchesOracle:
         assert path.read_bytes() == oracle_csv(trace)
 
 
+    # The integer columns share one field width and one sign place, so a
+    # narrow column beside a wide one is padded and trimmed like the wide one.
+    @pytest.mark.parametrize("bins, counts", [
+        (np.arange(8) * 10**17, np.arange(8) % 3),                      # bins wider
+        (np.arange(8), np.array([2**63 - 1, 10**18, 0, 1, 9, 10, 99999, 2**62])),  # counts wider
+        (-np.arange(8) * 7, np.arange(8) * 10**15),                     # negative bins
+        (np.array([-2**63, 3, -1, 0, -10**18, 5, -9, 1]), np.arange(8)),
+    ], ids=["wide-bins", "wide-counts", "negative-bins", "extreme-negative-bins"])
+    def test_integer_columns_of_other_widths_and_signs(self, tmp_path, bins, counts):
+        counts = np.asarray(counts, dtype=np.int64)
+        trace = make_trace(SourceMode.PHOTON_COUNTING, np.zeros(8), np.zeros(8), np.zeros(8),
+                           counts, counts[::-1].copy(), np.minimum(counts, counts[::-1]))
+        trace.bin_index = np.asarray(bins, dtype=np.int64)
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == oracle_csv(trace)
+
+    # Each chunk takes its integer width and sign from its own rows: int64's
+    # extremes on one side of a seam, small values on the other.
+    @pytest.mark.parametrize("extreme_first", [True, False])
+    def test_int64_extremes_beside_a_chunk_seam(self, tmp_path, extreme_first):
+        n = 2 * CHUNK_ROWS
+        extreme = (np.arange(n) < CHUNK_ROWS) == extreme_first
+        bins = np.where(extreme, np.where(np.arange(n) % 2, 2**63 - 1, -2**63), np.arange(n))
+        counts = np.where(extreme, 2**63 - 1 - np.arange(n), np.arange(n) % 7).astype(np.int64)
+        trace = make_trace(SourceMode.PHOTON_COUNTING, np.zeros(n), np.zeros(n), np.zeros(n),
+                           counts, counts, counts // 2)
+        trace.bin_index = bins.astype(np.int64)
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == oracle_csv(trace)
+
+    # Every chunk is formatted on its own, so the chunk size changes no byte.
+    @pytest.mark.parametrize("mode, counts", [
+        (SourceMode.PHOTON_COUNTING, np.int64),
+        (SourceMode.CLASSICAL_INTENSITY, float),
+    ], ids=["photon", "classical"])
+    def test_bytes_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, mode, counts):
+        trace = wide_trace(mode, 1500, seed=9, counts=counts)
+        files = []
+        for size in (1, 7, 1024):
+            monkeypatch.setattr(trace_io, "row_chunks", lambda n, size=size: _chunks.row_chunks(n, size))
+            files.append(tmp_path / f"{size}.csv")
+            write_trace_csv(trace, files[-1])
+        assert files[0].read_bytes() == files[1].read_bytes() == files[2].read_bytes()
+        assert files[0].read_bytes() == oracle_csv(trace)
+
+
 MALFORMED_ROWS = [
     "1,0.1,0.2,0.3,5,4",          # short row
     "1,0.1,0.2,0.3,5,4,2,9",      # long row
@@ -826,6 +874,18 @@ class TestSvg:
         assert text == " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(values, values[::-1]))
         assert "48.01," in text and " 82.12," in text and " 10.00," in text
 
+    # x and y are rounded at once: exact half-hundredths (odd multiples of
+    # 1/8) in both, rounding up and down to even, beside values that are
+    # not halves, in one chunk.
+    def test_ties_in_x_and_y_of_one_chunk(self):
+        odd = np.arange(1, 8000, 2) / 8.0
+        xs = np.where(np.arange(len(odd)) % 3 == 0, odd + 0.001, odd)
+        ys = np.where(np.arange(len(odd)) % 5 == 0, odd[::-1] - 0.001, odd[::-1])
+        assert np.count_nonzero(xs * 100 % 1 == 0.5) > 2000
+        assert np.count_nonzero(ys * 100 % 1 == 0.5) > 2000
+        text = svgplot._points_text(xs, ys)
+        assert text == " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+
     # Each chunk of points is formatted on its own and joined to the one
     # before by one space; a missing or doubled space changes the points.
     @pytest.mark.parametrize("n", SEAM_LENGTHS + [svgplot._POINTS_ROWS + 1])
@@ -994,14 +1054,21 @@ class TestMemoryDoesNotGrowWithRows:
     that grows by less than 1 byte per added row keeps nothing per row.
     The bounds on one chunk, per row of the chunk:
 
-    * writer: the chunk's 7 values, stacked a run of columns of one kind
-      at a time (56), and its table of bytes and their keep mask (2 x 155
-      places: 20 for the bin, 25 per float and 20 per count: 310), beside,
-      at most, the float run's temporaries while its 17 digits are rounded
-      (3 floats of ~13 doubles: <= 312) or the kept text and its str (<= 2
-      x 155); <= 678, within 896 bytes per row for numpy's and the file's
-      buffers.  Floats in fixed and in exponent notation take the same
-      table;
+    * writer: the chunk's 7 values, stacked a kind of column at a time
+      (56), and the integers' magnitudes (32); then every digit, before
+      the tables: the integers' (4 x 20 places: 80), the floats' (3 x 21:
+      63) and their exponents (24), while they are made beside, at most,
+      the floats' 17-digit rounding (3 floats of ~11 doubles: <= 264) or
+      the 4-digit limbs and their lookup (<= 4 fields x 5 limbs x 12:
+      240); then the table of bytes and their keep mask (2 x 155 places:
+      20 for the bin, 25 per float and 20 per count: 310) beside the
+      digits (255); last the table beside the kept text and its str (<= 2
+      x 155); <= 620.  Classical rows (a bin and five floats) hold less
+      table (2 x 145) but more of the floats' rounding, limbs and digits:
+      <= 680.  Both lie within 896 bytes per row for numpy's and the
+      file's buffers.  Floats in fixed and in exponent notation take the
+      same table, and exponent notation's text is made a field at a time
+      once the digits are let go;
     * reader: the chunk's table (56), the checks' masks (48), one block
       of text of 16 characters per row, held at most three times while
       the next block is read and joined to the rest of its last line
@@ -1011,9 +1078,10 @@ class TestMemoryDoesNotGrowWithRows:
     * plot: one chunk of ``svgplot._POINTS_ROWS`` (2 x CHUNK_ROWS) points,
       counts and floats alike: x and y as floats (16) and the fixed-width
       rows and their keep mask (36) beside, at most, the hundredths of
-      both with their tens (24) and the kept text and its str (36); the
-      rounding's temporaries (<= 30) come and go before the rows; <= 112,
-      within 128 bytes per point of the chunk, 256 per CHUNK_ROWS.
+      both with their tens (24) and the kept text and its str (36); x and
+      y stacked and the rounding's temporaries for both at once (<= 66)
+      come and go before the rows; <= 112, within 128 bytes per point of
+      the chunk, 256 per CHUNK_ROWS.
     """
 
     SMALL, LARGE = 20_000, 200_000
@@ -1029,10 +1097,10 @@ class TestMemoryDoesNotGrowWithRows:
         assert large <= bound
         assert large - small < self.LARGE - self.SMALL
 
-    # Photon rows are the widest in text and peak the highest in the
-    # writer (classical rows, with two floats more and no 19-digit counts,
-    # peak lower); classical rows take the same code.  The writer's traced
-    # runs write the files that the reader's tests read.
+    # Photon rows are the widest in text.  Classical rows, with two floats
+    # more and no 19-digit counts, peak ~6% higher in the writer (~0.67
+    # against ~0.63 KB per row), so they are traced too.  The writer's
+    # traced runs write the files that the reader's tests read.
     @pytest.fixture(scope="class")
     def written(self, tmp_path_factory):
         """Per row count, a trace of the widest photon rows, written while
@@ -1054,6 +1122,14 @@ class TestMemoryDoesNotGrowWithRows:
         def make(n):
             return (wide_trace(SourceMode.PHOTON_COUNTING, n, floats=fixed_notation_doubles),
                     tmp_path / "t.csv")
+
+        self.assert_flat(self.peaks(write_trace_csv, make), self.WRITE_BOUND)
+
+    def test_writer_of_classical_rows(self, tmp_path):
+        # Five float columns in one run: the writer's highest peak per row.
+        def make(n):
+            return (wide_trace(SourceMode.CLASSICAL_INTENSITY, n, counts=float,
+                               floats=fixed_notation_doubles), tmp_path / "t.csv")
 
         self.assert_flat(self.peaks(write_trace_csv, make), self.WRITE_BOUND)
 
