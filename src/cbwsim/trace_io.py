@@ -33,7 +33,6 @@ field; the writer, the reader, the headers and :func:`measured_columns`
 from __future__ import annotations
 
 import json
-import math
 import re
 from itertools import chain, groupby
 from pathlib import Path
@@ -95,41 +94,16 @@ _PREFIX_EXPONENTS = np.array([-1, -1, -2, -3, -4], dtype=np.int8)[:, None]
 # The powers of ten 10**0 .. 10**22, exact doubles, and their splits.
 _POW10 = np.array([float(10**k) for k in range(23)])
 _POW10_HI, _POW10_LO = halves(_POW10)
-
-
-def _decimal_exponent(x: float) -> int:
-    """The decimal exponent X of ``x`` after rounding to 17 significant
-    digits, clamped to -5..17: -5 and 17 stand for every X of exponent
-    notation."""
-    return min(max(int(f"{x:.16e}".partition("e")[2]), -5), 17)
-
-
-def _exponent_tables():
-    """Per binary exponent E of ``np.frexp`` (the binade ``[2**(E-1),
-    2**E)``; a negative E indexes from the end): the clamped decimal
-    exponent of the binade's least double, and the least double of the
-    binade whose clamped decimal exponent is one more, or inf.  A decade is
-    wider than a binade, so no binade spans more than two."""
-    # frexp's exponents of finite doubles run from -1073 to 1024.  Binades
-    # below 2**-21 hold X <= -7 and those from 2**60 up X >= 18, so only
-    # the binades between are worked out.
-    exponent, step = np.full(2100, -5, dtype=np.intp), np.full(2100, np.inf)
-    exponent[61:1025] = 17
-    for binary in range(-20, 61):
-        low = math.ldexp(0.5, binary)
-        exponent[binary] = _decimal_exponent(low)
-        if _decimal_exponent(math.nextafter(2 * low, 0.0)) > exponent[binary]:
-            # The double nearest the next power of ten, or a neighbour.
-            first = float(f"1e{exponent[binary] + 1}")
-            while _decimal_exponent(first) <= exponent[binary]:
-                first = math.nextafter(first, math.inf)
-            while _decimal_exponent(math.nextafter(first, 0.0)) > exponent[binary]:
-                first = math.nextafter(first, 0.0)
-            step[binary] = first
-    return exponent, step
-
-
-_BINADE_EXPONENT, _BINADE_STEP = _exponent_tables()
+# The least double of each decimal exponent X from -4 to 17, X being the
+# exponent after rounding to 17 digits.  X does not fall as a double grows,
+# so a double's X, clamped to -5..17, is the number of these at or below
+# it, less 5.  Each is the double nearest its power of ten: from 10**0 up,
+# the power itself; the doubles nearest 1e-4 .. 1e-1 each lie above their
+# power, so each rounds to it at 17 digits, and the double below each
+# rounds below it.  That is a fact of these doubles, not a bound: a
+# double's own rounding error can reach ~1.1e-16 of it, far more than the
+# 17th digit.
+_DECADES = np.concatenate([[1e-4, 1e-3, 1e-2, 1e-1], _POW10[:18]])
 # Per clamped decimal exponent X (a negative X indexes from the end): the
 # power of ten that scales a double of X to 17 digits, ``16 - X`` within the
 # exact powers (a value of exponent notation is scaled as X = -5 or 16);
@@ -147,22 +121,19 @@ def _seventeen_digits(values: np.ndarray):
     value's decimal exponent X after rounding to 17 digits, clamped to
     -5..17.
 
-    X is exact: the binade of ``|v|`` gives it or one less, and one
-    comparison with the least double of the binade that rounds to a higher
-    decade tells which.  D is ``|v| * 10**(16 - X)`` rounded half to even,
-    from the rounded product and its exact error (Dekker's product of the
-    halves of ``|v|`` and of the power of ten); it lies in
-    ``[10**16, 10**17)``, as X is the exponent after rounding.  Values of
-    exponent notation get a D of at most ``10**17`` that is never written.
+    X is exact: it is the number of doubles in ``_DECADES`` at or below
+    ``|v|``, less 5, as each of them is the least double of its X.  D is
+    ``|v| * 10**(16 - X)`` rounded half to even, from the rounded product
+    and its exact error (Dekker's product of the halves of ``|v|`` and of
+    the power of ten); it lies in ``[10**16, 10**17)``, as X is the
+    exponent after rounding.  Values of exponent notation get a D of at
+    most ``10**17`` that is never written.
     """
     a = np.abs(values)
-    # A table lookup by intp is several times faster than by int32.
-    binary = np.frexp(a)[1].astype(np.intp)
-    exponent = _BINADE_EXPONENT[binary]
-    # 0 shares the binade of [0.5, 1), X = -1, and is written as X = 0.
-    up = a >= _BINADE_STEP[binary]
-    up |= a == 0
-    exponent += up
+    exponent = np.searchsorted(_DECADES, a, side="right")
+    exponent -= 5
+    # 0 lies below every threshold, and is written as X = 0.
+    exponent[a == 0] = 0
     np.minimum(a, 1e17, out=a)
     power = _SCALE[exponent]
     p = a * _POW10[power]

@@ -157,6 +157,12 @@ class TestFindExtrema:
         with pytest.raises(InsufficientFringesError):
             find_extrema(np.full(100, 3.3), 0.2)
 
+    def test_monotonic_trace_raises(self):
+        message = "^fewer than one maximum and one minimum found$"
+        for ramp in (np.linspace(0.0, 1.0, 100), np.linspace(1.0, 0.0, 100)):
+            with pytest.raises(InsufficientFringesError, match=message):
+                find_extrema(ramp, 0.2)
+
     def test_noisy_sinusoid_same_extrema_count(self):
         psi = np.linspace(-1.0, 8 * np.pi - 1.0, 2000)
         noise = np.random.default_rng(0).normal(0.0, 0.01, psi.size)

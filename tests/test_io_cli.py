@@ -163,6 +163,18 @@ def make_trace(mode, time, voltage, psi, d1, d2, coinc=None):
     )
 
 
+def near_powers_of_ten(count=8) -> np.ndarray:
+    """The doubles nearest 1e-4 .. 1e17, where the decimal exponent of a
+    double after rounding to 17 digits changes or %.17g switches notation,
+    and the ``count`` doubles either side of each."""
+    powers = np.array([float(f"1e{k}") for k in range(-4, 18)])
+    values, below, above = [powers], powers, powers
+    for _ in range(count):
+        below, above = np.nextafter(below, 0), np.nextafter(above, np.inf)
+        values += [below, above]
+    return np.concatenate(values)
+
+
 def assert_bits_equal(a, b):
     """Equal values and dtypes, with -0.0 told apart from 0.0."""
     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -388,11 +400,17 @@ class TestBatchedWriterMatchesOracle:
         self.assert_floats_match_oracle(tmp_path, 1.0 + k * 2.0**-17)
 
     def test_powers_of_ten_and_their_neighbours(self, tmp_path):
-        # Where floor(log10) of the value may be one off its exponent.
-        powers = 10.0 ** np.arange(-4, 17)
-        below, above = np.nextafter(powers, 0), np.nextafter(powers, np.inf)
-        self.assert_floats_match_oracle(tmp_path, np.concatenate(
-            [powers, below, above, np.nextafter(below, 0), np.nextafter(above, np.inf)]))
+        # Where the decimal exponent of a value changes.
+        self.assert_floats_match_oracle(tmp_path, near_powers_of_ten())
+
+    def test_decimal_exponents_where_they_change(self):
+        # A value filed under exponent notation by mistake still gets the
+        # bytes of %.17g, which writes it, so the bytes do not show a wrong
+        # exponent; it is checked here against that of %.16e.
+        values = np.concatenate([[0.0, -0.0], near_powers_of_ten(), -near_powers_of_ten()])
+        expected = [0 if v == 0 else min(max(int(f"{v:.16e}".partition("e")[2]), -5), 17)
+                    for v in values]
+        np.testing.assert_array_equal(trace_io._seventeen_digits(values[None])[1], [expected])
 
     def test_both_switches_of_notation(self, tmp_path):
         # The doubles just below 1e-4 keep exponent notation (none rounds
@@ -789,6 +807,15 @@ class TestReaderMatchesLineFilter:
         assert outcome[0] is UnicodeDecodeError and f"position {at}" in outcome[1]
         assert outcome == read_outcome(line_filter_read, path)
 
+    @pytest.mark.parametrize("data", [b"", b"\n\n", b" \t\r\n"],
+                             ids=["zero-bytes", "blank-lines", "whitespace"])
+    def test_a_file_without_a_header_raises_as_before(self, tmp_path, data):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(data)
+        outcome = read_outcome(read_trace_csv, path)
+        assert outcome == (ValueError, f"{path}: empty trace file")
+        assert outcome == read_outcome(line_filter_read, path)
+
     def test_a_missing_file_raises_as_before(self, tmp_path):
         path = tmp_path / "absent.csv"
         outcome = read_outcome(read_trace_csv, path)
@@ -815,6 +842,15 @@ class TestSvg:
     def test_mismatched_lengths_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_plot_svg(np.linspace(0, 1, 5), [("a", np.zeros(4))], tmp_path / "p.svg")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, tmp_path, bad):
+        y = np.linspace(0, 1, 5)
+        y[2] = bad
+        path = tmp_path / "p.svg"
+        with pytest.raises(ValueError, match="^plot data must be finite$"):
+            emit_plot_svg(np.linspace(0, 1, 5), [("a", np.zeros(5)), ("b", y)], path)
+        assert not path.exists()
 
     def test_byte_identical_for_identical_input(self, tmp_path):
         x = np.linspace(0, 2, 64)
@@ -1560,6 +1596,15 @@ class TestDispatch:
         assert code == 2
         assert "analysis error" in capsys.readouterr().err
 
+    def test_analyze_monotonic_trace_exits_two(self, tmp_path, capsys):
+        ramp = np.linspace(0.0, 1.0, 100)
+        trace_csv = tmp_path / "ramp.csv"
+        write_trace_csv(make_trace(SourceMode.CLASSICAL_INTENSITY, ramp, ramp, ramp,
+                                   ramp, ramp[::-1]), trace_csv)
+        assert cli.dispatch(["analyze", "--in", str(trace_csv)]) == 2
+        assert capsys.readouterr() == (
+            "", "cbwsim: analysis error: fewer than one maximum and one minimum found\n")
+
     def test_analyze_json_validates_against_schema(self, tmp_path):
         trace_csv = tmp_path / "trace.csv"
         cli.dispatch(["analytic", "--modules", "2", "--phi", "0", "--points", "4096",
@@ -2221,6 +2266,24 @@ class TestFileErrorsNameTheFile:
         assert out == ""
         assert err == (f"cbwsim: error: cannot read trace CSV {trace_csv}: 'utf-8' codec can't "
                        f"decode byte 0xff in position {position}: invalid start byte\n")
+
+    def test_trace_that_is_empty(self, tmp_path, capsys):
+        trace_csv = tmp_path / "empty.csv"
+        trace_csv.write_bytes(b"")
+        assert cli.dispatch(["analyze", "--in", str(trace_csv)]) == 1
+        assert capsys.readouterr() == ("", f"cbwsim: error: {trace_csv}: empty trace file\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("points 5", "expected key=value, got 'points 5'"),
+        ("points=", "empty value for key 'points'"),
+    ])
+    def test_config_line_that_is_not_a_setting(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "sweep.csv"
+        assert cli.dispatch(["analytic", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"cbwsim: error: {cfg}:1: {message}\n")
+        assert not out.exists()
 
     def test_output_directory_that_cannot_be_created(self, tmp_path, capsys):
         blocker = tmp_path / "file"
