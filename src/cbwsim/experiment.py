@@ -94,10 +94,12 @@ def find_extrema(values, prominence: float = 0.2):
     """Alternating local maxima and minima of a trace, endpoints excluded.
 
     A turning point is committed once the trace has moved away from it by
-    at least ``prominence * (global max - global min)``, which suppresses
-    counting noise while keeping genuine fringe extrema; maxima and minima
-    therefore strictly alternate.  Returns ``(maxima, minima)`` as lists of
-    ``(bin_index, value)``.
+    at least ``prominence * (global max - global min)``, so maxima and
+    minima strictly alternate.  That threshold is a share of the raw
+    trace's range, not of its counting noise: on a low-count photon trace
+    the noise crosses it many times within one fringe (10668 maxima on a
+    coincidence column of ~2 counts a bin; ROADMAP item 12).  Returns
+    ``(maxima, minima)`` as lists of ``(bin_index, value)``.
 
     Raises :class:`InsufficientFringesError` when fewer than one maximum
     plus one minimum survive (e.g. constant traces).
@@ -233,9 +235,13 @@ def estimate_sensitivity(
     ``eta = max |d(dI)/dpsi|`` and ``delta_phi = 1/eta``.  The maximum-slope
     location is reported rather than assumed: it is the first grid point
     whose ``|slope|`` reaches ``(1 - 1e-9) * eta``, so peaks of equal height
-    are not told apart by rounding noise.  The slope is ``np.gradient`` of
-    ``dI`` with the grid's uniform step ``2*pi/grid_points``, bit for bit:
-    central differences inside, one-sided ones at the grid's two ends.
+    are not told apart by rounding noise.  The slope at every grid point
+    ``k`` is the central difference ``(dI[k+1] - dI[k-1]) / (2*step)`` with
+    the grid's uniform step ``step = 2*pi/grid_points``; the grid's two ends
+    take the points ``-step`` and ``2*pi`` beyond them.  Inside, that is
+    ``np.gradient`` bit for bit.  Its one-sided ends would change no report:
+    ``dI = +-cos(m psi)`` is flat at ``psi = 0``, and at the last point its
+    slope, ~``m**2 * step``, is at most 6.3e-4 of ``eta``.
 
     The grid ``k * step`` (the points ``linspace`` gives) is cut once by
     ``_chunks.fold_blocks``, as a scan's bins are, and folded by one
@@ -243,11 +249,11 @@ def estimate_sensitivity(
     generator: the call binds the chain's control phases once for the
     sweep, and each block builds only its ``psi`` stack.  Each block is
     reduced as it is folded, so the sweep holds one (the widest) block and
-    no full-grid array.  The last two ``dI`` of each order carry into the
-    next block for its central differences.  Each order keeps a running ``eta`` and the
-    points within the tolerance of it; as the running ``eta`` never exceeds
-    the final one, the first of those points that reaches the final
-    tolerance is the first on the whole grid.
+    no full-grid array.  Each block is folded with the grid point on either
+    side of it, so its central differences need no other block.  Each order
+    keeps a running ``eta`` and the points within the tolerance of it; as
+    the running ``eta`` never exceeds the final one, the first of those
+    points that reaches the final tolerance is the first on the whole grid.
 
     Every bound is checked before any order is evaluated: ``max_m`` and
     ``grid_points`` are integers, ``max_m >= 1``,
@@ -266,32 +272,23 @@ def estimate_sensitivity(
     chain = circuit_mod.build_cbw_chain(max_m, phi=0.0)
     blocks = fold_blocks(grid_points)
     widest = max(rows.stop - rows.start for rows in blocks)
-    # Each order's dI over one block, after the last two of the block before.
+    # Each order's dI over one block and the grid point on either side.
     differences = np.empty((max_m, widest + 2))
     central = np.empty((max_m, widest))
     eta = np.zeros(max_m)
     kept: list = [[] for _ in range(max_m)]
-    held = 0
-    psi = (np.arange(rows.start, rows.stop) * step for rows in blocks)
+    psi = (np.arange(rows.start - 1, rows.stop + 1) * step for rows in blocks)
     folds = circuit_mod.output_intensities(chain, {"psi": psi}, stages=True)
     for rows, pairs in zip(blocks, folds):
-        start, stop = rows.start, rows.stop
-        width = held + stop - start
+        width = rows.stop - rows.start
         # The fold leads the zip, so it runs out and frees its stacks
         # before the next block builds its own.
         for (upper, lower), row in zip(pairs, differences):
-            np.subtract(upper, lower, out=row[held:width])
-        if not held:  # the grid's first point: a forward difference
-            _keep_peaks((differences[:, 1:2] - differences[:, :1]) / step, 0, eta, kept)
-        # Central differences at the points start - held + 1 .. stop - 2.
-        block = central[:, :width - 2]
-        np.subtract(differences[:, 2:width], differences[:, :width - 2], out=block)
+            np.subtract(upper, lower, out=row[:width + 2])
+        block = central[:, :width]
+        np.subtract(differences[:, 2:width + 2], differences[:, :width], out=block)
         block /= 2.0 * step
-        _keep_peaks(block, start - held + 1, eta, kept)
-        differences[:, :2] = differences[:, width - 2:width]
-        held = 2
-    # The grid's last point: a backward difference.
-    _keep_peaks((differences[:, 1:2] - differences[:, :1]) / step, grid_points - 1, eta, kept)
+        _keep_peaks(block, rows.start, eta, kept)
     floor = (1.0 - _PEAK_TIE_RTOL) * eta
     reports: list = []
     for m, (peak, near) in enumerate(zip(eta.tolist(), kept), start=1):
@@ -315,11 +312,7 @@ def _keep_peaks(slopes: np.ndarray, offset: int, eta: np.ndarray, kept: list) ->
     and the order keeps the indices and slopes of the row's points within
     ``_PEAK_TIE_RTOL`` of its running ``eta``.  That never exceeds the final
     ``eta``, so every point within the tolerance of the final one is kept.
-    An empty run, the central differences of a first block of two points,
-    changes nothing.
     """
-    if not slopes.shape[1]:
-        return
     np.abs(slopes, out=slopes)
     peaks = np.max(slopes, axis=1)
     np.maximum(eta, peaks, out=eta)

@@ -358,6 +358,9 @@ class TestCoincidenceFraction:
             expected_coincidence_fraction(0.0, 0.5, 0.5)
         with pytest.raises(ValueError):
             expected_coincidence_fraction(0.1, 0.6, 0.5)
+        # These sum to 1, so only the range check can refuse them.
+        with pytest.raises(ValueError, match=r"^routing probabilities must lie in \[0, 1\]$"):
+            expected_coincidence_fraction(0.04, 1.5, -0.5)
 
     @pytest.mark.parametrize("p_upper", [1e-9, 0.3, 0.5])
     @pytest.mark.parametrize("lam", [1e-6, 1e-3, 0.04, 3.0, 745.0, 1e4])

@@ -100,6 +100,29 @@ class TestParse:
         assert (info.value.line, info.value.column) == position
         assert info.value.message == message
 
+    @pytest.mark.parametrize("text, message", [
+        ("mzi C arm=lower phase=psi extra\ndetect a b\n",
+         "line 1, column 27: unexpected trailing token 'extra'"),
+        ("mzi C lower phase=psi\ndetect a b\n",
+         "line 1, column 7: expected arm=<value>, got 'lower' (expected arm=...)"),
+        ("mzi C side=lower phase=psi\ndetect a b\n",
+         "line 1, column 7: expected key 'arm', got 'side' (expected arm=...)"),
+        ("mzi C arm= phase=psi\ndetect a b\n",
+         "line 1, column 11: empty value for 'arm' (expected upper | lower)"),
+        ("mzi C arm=lower phase=1.2.3\ndetect a b\n",
+         "line 1, column 23: malformed number or parameter name '1.2.3' "
+         "(expected <number> | <parameter name>)"),
+        ("mzi 1C arm=lower phase=psi\ndetect a b\n",
+         "line 1, column 5: invalid stage name '1C' (expected <name>)"),
+        ("mzi C arm=lower phase=psi\ndetect a 2b\n",
+         "line 2, column 10: invalid detector label '2b' (expected <name>)"),
+    ], ids=["trailing-token", "no-equals", "wrong-key", "empty-value", "malformed-phase",
+            "bad-stage-name", "bad-detector-label"])
+    def test_malformed_tokens_report_their_position(self, text, message):
+        with pytest.raises(CircuitParseError) as info:
+            parse_circuit(text)
+        assert str(info.value) == message
+
     def test_negative_zero_intensity_is_accepted(self):
         assert parse_circuit("source intensity=-0\nmzi C arm=lower phase=0\ndetect a b\n")
 
@@ -121,6 +144,19 @@ class TestParse:
     def test_non_finite_intensity_rejected_on_construction(self, intensity):
         with pytest.raises(ValueError, match="source intensity must be finite"):
             CircuitAst(intensity, build_cbw_chain(1).elements, ("a", "b"))
+
+    def test_nan_literal_phase_rejected_on_construction(self):
+        with pytest.raises(ValueError, match="^literal element phase must be finite$"):
+            ElementNode(ElementKind.MZI, Arm.LOWER, math.nan, "C")
+
+    @pytest.mark.parametrize("intensity, elements, detectors, message", [
+        (1.0, (), ("a", "b"), "a circuit needs at least one element"),
+        (1.0, build_cbw_chain(1).elements, ("a", "a"), "detector labels must be distinct"),
+        (-1.0, build_cbw_chain(1).elements, ("a", "b"), "source intensity must be >= 0"),
+    ], ids=["no-elements", "equal-detectors", "negative-intensity"])
+    def test_invalid_ast_rejected_on_construction(self, intensity, elements, detectors, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CircuitAst(intensity, elements, detectors)
 
     def test_duplicate_source(self):
         with pytest.raises(CircuitParseError) as info:

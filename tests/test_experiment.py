@@ -114,6 +114,10 @@ class TestPztPhase:
         out = pzt_phase(np.array([0.0, 50.0, 100.0]), DEFAULT_CYCLES_PER_RAMP, 100.0)
         np.testing.assert_allclose(out / np.pi, [0.0, 10.5, 21.0], atol=1e-13)
 
+    def test_ramp_span_must_be_positive(self):
+        with pytest.raises(ConfigError, match="^ramp_span must be positive$"):
+            pzt_phase(1.0, 10.5, 0.0)
+
 
 class TestScanSimulators:
     def test_classical_trace_records_powers(self):
@@ -277,6 +281,11 @@ class TestDominantPeriod:
         with pytest.raises(ValueError):
             dominant_period(np.cos(psi), psi)
 
+    def test_fewer_than_eight_bins_rejected(self):
+        psi = np.arange(7.0)
+        with pytest.raises(ValueError, match=r"^need matching 1-D trace and phase arrays \(>= 8 bins\)$"):
+            dominant_period(np.cos(psi), psi)
+
 
 class TestCountFringes:
     def test_singles_cycles_on_full_default_ramp(self):
@@ -366,6 +375,10 @@ class TestSensitivity:
         for m, report in enumerate(reports, start=1):
             expected = np.sin(m * h) / h * np.max(np.abs(np.sin(m * psi)))
             assert abs(report.eta - expected) < 1e-10
+
+    def test_delta_phi_must_be_positive(self):
+        with pytest.raises(ValueError, match="^delta_phi must be positive$"):
+            experiment.SensitivityReport(1, 1.0, 0.0, 1.0, 0.0)
 
     def test_grid_must_resolve_each_period(self, monkeypatch):
         calls = []
@@ -513,7 +526,7 @@ class TestSlopeKernel:
     # and the first block of 12501 ends on order 2's.  Blocks of 6250 leave
     # one point of 100001 past the last, which joins the block before it.
     # The last two cases fold the smallest block, two points (a block of 1
-    # is cut as 2), whose first block has no central difference.
+    # is cut as 2), with the grid point on either side of it.
     @pytest.mark.parametrize("block, grid_points, max_m", [
         (20_000, 10_000, 1),
         (BLOCK, 3 * BLOCK, 2),
@@ -549,19 +562,20 @@ class TestSlopeKernel:
 def crafted_rows(grid_points, rows):
     """Rows of dI whose slopes peak where asked, one row per list of peaks.
 
-    A row is the running sum of quarter-integer increments, so its
-    differences are exact.  A peak ``(k, v)`` sets the two increments
-    around an interior point ``k`` to ``v``, so the central difference there
-    is ``v / step``, and its neighbours' at most ``(|v| + 0.5) / (2 step)``;
-    at the grid's first or last point it sets the one increment the edge
-    difference takes.  Peaks must be at least four points apart.
+    A row holds the grid's points and one more on either side, so grid
+    point ``k`` is its entry ``k + 1``.  It is the running sum of
+    quarter-integer increments, so its differences are exact.  A peak
+    ``(k, v)`` sets the two increments around grid point ``k`` to ``v``, so
+    the central difference there is ``v / step``, and its neighbours' at
+    most ``(|v| + 0.5) / (2 step)``.  Peaks must be at least four points
+    apart.
     """
-    background = ((np.arange(grid_points - 1) * 7) % 5 - 2) * 0.25
+    background = ((np.arange(grid_points + 1) * 7) % 5 - 2) * 0.25
     out = []
     for peaks in rows:
         increments = background.copy()
         for k, v in peaks:
-            increments[max(k - 1, 0):min(k + 1, grid_points - 1)] = v
+            increments[k:k + 2] = v
         out.append(np.concatenate([[0.0], np.cumsum(increments)]))
     return out
 
@@ -603,20 +617,22 @@ class TestPeakReduction:
         psi, step = np.linspace(0.0, 2.0 * np.pi, self.GRID, endpoint=False, retstep=True)
         folded = [0]
 
+        # Each block's psi reaches one point past it on either side.
         def output_intensities(chain, bindings, stages):
             assert stages
             for block_psi in bindings["psi"]:
                 start = folded[0]
-                folded[0] += len(block_psi)
-                assert np.array_equal(block_psi, psi[start:folded[0]])
-                yield iter([(row[start:folded[0]], np.zeros(len(block_psi))) for row in rows])
+                folded[0] += len(block_psi) - 2
+                assert np.array_equal(block_psi[1:-1], psi[start:folded[0]])
+                assert (block_psi[0], block_psi[-1]) == ((start - 1) * step, folded[0] * step)
+                yield iter([(row[start:folded[0] + 2], np.zeros(len(block_psi))) for row in rows])
 
         monkeypatch.setattr(_chunks, "FOLD_POINTS", block)
         monkeypatch.setattr(experiment.circuit_mod, "output_intensities", output_intensities)
         reports = estimate_sensitivity(len(rows), self.GRID)
         assert folded[0] == self.GRID
         for report, row, index in zip(reports, rows, expected):
-            slope = np.abs(np.gradient(row, step))
+            slope = np.abs(np.gradient(row[1:-1], step))
             eta = float(np.max(slope))
             first = int(np.argmax(slope >= (1.0 - 1e-9) * eta))
             assert first == index

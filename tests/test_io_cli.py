@@ -960,6 +960,7 @@ class TestSvg:
     @pytest.mark.parametrize("lo, hi", [
         (0.0, 5e-324),            # the step underflows to 0
         (0.0, 1e-323),
+        (0.0, 2.5e-323),          # the step is 5e-324, its decade underflows to 0
         (-1e308, 1e308),          # the span overflows to inf
         (0.0, np.inf),
         (1.0, 1.0),               # empty span
@@ -2008,6 +2009,16 @@ class TestDispatch:
         assert capsys.readouterr().err == ""
         assert sorted(p.name for p in out.iterdir()) == ["trace.csv", "trace.svg"]
         assert len(read_trace_csv(out / "trace.csv")) == 3
+
+    def test_a_subnormal_tick_step_draws_one_x_tick(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = cli.dispatch(["scan", "--mode", "classical", "--noise", "none", "--points", "2",
+                             "--bin-duration", "2.5e-323", "--scan-duration", "5e-323",
+                             "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        svg = (out / "trace.svg").read_text()
+        assert re.findall(r'font-size="12" text-anchor="middle">([^<]*)</text>', svg) == ["0"]
 
     @pytest.mark.parametrize("mode", ["photon", "classical"])
     def test_failed_plot_leaves_no_partial_output(self, tmp_path, capsys, monkeypatch, mode):
