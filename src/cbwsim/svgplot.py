@@ -92,11 +92,11 @@ def _points_text(xs: np.ndarray, ys: np.ndarray) -> str:
     return str(rows[keep], "ascii")
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> np.ndarray:
-    """Round-number ticks across ``[lo, hi]``; just ``lo`` when the span is
-    empty or when the tick step underflows to 0 or is not finite (a
+def _ticks(lo: float, hi: float) -> np.ndarray:
+    """About six round-number ticks across ``[lo, hi]``; just ``lo`` when the
+    span is empty or when the tick step underflows to 0 or is not finite (a
     subnormal or overflowing span)."""
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / 5  # six ticks span five steps
     if not 0.0 < raw < np.inf:
         return np.array([lo])
     magnitude = 10.0 ** np.floor(np.log10(raw))
@@ -106,7 +106,7 @@ def _ticks(lo: float, hi: float, n: int = 6) -> np.ndarray:
             break
     if not 0.0 < step < np.inf:
         return np.array([lo])
-    first = np.ceil(lo / step) * step
+    first = np.ceil(lo / step) * step + 0.0  # 0.0 for -0.0, which prints as "-0"
     ticks = np.arange(first, hi + step * 1e-9, step)
     return ticks[(ticks >= lo - step * 1e-9) & (ticks <= hi + step * 1e-9)]
 

@@ -975,6 +975,13 @@ class TestSvg:
         np.testing.assert_allclose(svgplot._ticks(0.0, 1e-310), np.arange(6) * 2e-311, rtol=1e-12)
         assert len(svgplot._ticks(0.0, 3e-322)) > 1
 
+    # A lo just below 0 (the 4% pad of data from 0 to 1) rounds up to a
+    # first tick of -0.0, which must still be labelled "0".
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.04, 1.04)])
+    def test_no_tick_is_labelled_minus_zero(self, lo, hi):
+        labels = [f"{tick:.6g}" for tick in svgplot._ticks(lo, hi)]
+        assert labels[0] == "0" and "-0" not in labels
+
     @pytest.mark.parametrize("x, y", [
         ([-1e308, 1e308], [1.0, 2.0]),      # the x span overflows
         ([0.0, 1.0], [-1e308, 1e308]),      # the y span overflows
@@ -1259,7 +1266,7 @@ class TestDashValues:
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("value", ["pi/2", "3pi/4", "1e-3", "2.5e1", "inf", ".5", "1_000",
-                                       "nan", "Inf", "PI/2"])
+                                       "nan", "Inf", "PI/2", "3PI/4"])
     @pytest.mark.parametrize("key", list(DASH_KEYS))
     def test_separate_and_attached_values_give_the_same_run(self, tmp_path, capsys, trace,
                                                             key, value):
@@ -1547,6 +1554,10 @@ class TestOneParserMatchesTheTree:
             one = self.run(monkeypatch, capsys, argv, tree=False)
             through_tree = self.run(monkeypatch, capsys, argv, tree=True)
             assert one[:4] == through_tree[:4], argv
+            # An unknown flag ends the run before the handler, so no --out
+            # path is made.
+            if "--bogus" in argv:
+                assert one[0] == 1 and one[3] == [], argv
             # One tree a run, of the named subcommand alone.
             assert one[4] == [[command]] and through_tree[4] == [list(cli._COMMANDS)], argv
 
@@ -1638,16 +1649,25 @@ class TestDispatch:
             jsonschema.validate(payload, schema)
             assert abs(payload["dominant_period_rad"] - period) <= tolerance
 
-    def test_sensitivity_json_validates_against_schema(self, tmp_path):
+    # Every order m keeps the 1/m law: |m * ratio_to_classical - 1| <=
+    # 1.2e-7.  That bound is derived, not tuned: eta_m = sin(m h)/h * max_k
+    # |sin(m k h)| on a grid of step h, so |m * ratio - 1| <= (m h)^2 (1/6 +
+    # 1/8) <= (2 pi/1e4)^2 * 0.29, ~1.15e-7, as every grid holds 1e4 points
+    # per period of its top order.  The grids: the default, one that is not
+    # a whole number of fold blocks, one whose last point joins the block
+    # before it (24577 = 3 * 8192 + 1) and one over 50 orders.
+    @pytest.mark.parametrize("max_m, grid", [(5, 100000), (3, 33333), (2, 24577), (50, 500000)])
+    def test_sensitivity_json_validates_against_schema(self, tmp_path, max_m, grid):
         report = tmp_path / "sens.json"
-        code = cli.dispatch(["sensitivity", "--max-m", "3", "--grid", "40000",
+        code = cli.dispatch(["sensitivity", "--max-m", str(max_m), "--grid", str(grid),
                              "--out", str(report)])
         assert code == 0
         payload = json.loads(report.read_text())
         schema = json.loads((SCHEMA_DIR / "sensitivity_report.schema.json").read_text())
         jsonschema.validate(payload, schema)
-        ratios = [r["ratio_to_classical"] for r in payload["reports"]]
-        np.testing.assert_allclose(ratios, [1.0, 0.5, 1 / 3], rtol=0.01)
+        assert [r["m"] for r in payload["reports"]] == list(range(1, max_m + 1))
+        worst = max(abs(r["m"] * r["ratio_to_classical"] - 1) for r in payload["reports"])
+        assert worst <= 1.2e-7
 
     # The first two committed reports were written before the sweep was
     # folded in blocks, the third before each block's slopes were reduced as
