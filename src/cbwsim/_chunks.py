@@ -1,10 +1,10 @@
 """Fixed chunks of rows, the blocks of the column fold, and what the two
 text writers share.
 
-A trace is checked, written and read one chunk of rows at a time, and a
-plot's points are formatted a chunk at a time, so what these steps hold
-beside their inputs and results does not grow with the number of rows;
-the column fold takes its points in the blocks of :func:`fold_blocks`.
+A trace is checked and written a chunk of rows at a time, its text read
+in blocks, and a plot's points formatted a chunk at a time, so what these
+steps hold beside their inputs and results does not grow with the number
+of rows; the column fold takes its points in the blocks of :func:`fold_blocks`.
 The CSV and SVG writers round with the exact products that
 :func:`halves` gives, cut their integers into digits (the CSV writer
 into limbs of 4 digits) with :func:`put_digits` and write their files

@@ -396,8 +396,7 @@ def dispatch(argv) -> int:
     except (experiment.InsufficientFringesError, experiment.AmbiguousPeriodError) as exc:
         print(f"cbwsim: analysis error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, circuit.CircuitParseError, circuit.UnboundParameterError,
-            OSError, ValueError) as exc:
+    except (ValueError, OSError, circuit.UnboundParameterError) as exc:
         print(f"cbwsim: error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,8 +19,8 @@ about 1e-4, subnormals too, or from 1e17 up) takes exponent notation,
 which ``%.17g`` itself writes, only in the fields of a chunk that hold
 such values.  The reader opens the file once, as UTF-8 text without
 newline translation, and goes through it twice a block of text at a time:
-it counts the lines, then parses a chunk of rows at a time with numpy's C
-parser (``np.loadtxt``) into preallocated integer and float columns.
+it counts the lines, then parses every row with one call of numpy's C
+parser (``np.loadtxt``) into a table of that many rows, a field per column.
 Lines are split as ``str.splitlines`` splits them, and blank and
 whitespace-only lines are dropped, so a CRLF copy of a trace, or one with
 blank lines added, reads as the trace does.
@@ -33,7 +33,7 @@ field; the writer, the reader, the headers and :func:`measured_columns`
 from __future__ import annotations
 
 import json
-import re
+from functools import cache
 from itertools import chain, groupby
 from pathlib import Path
 
@@ -73,17 +73,18 @@ _INTEGER_COLUMNS = frozenset({"bin", "d1", "d2", "coinc"})
 _POW10_INT = np.array([10**k for k in range(19)], dtype=np.uint64)
 
 
+@cache
 def _digit_table() -> np.ndarray:
     """The ASCII digits of 0 .. 9999, four places wide, each as the uint32
-    that holds those four bytes in order; no temporary outgrows the 40 kB
-    table, and the digits take the uint32 loops the SVG writer runs."""
+    that holds those four bytes in order, built on the first write; no
+    temporary outgrows the 40 kB table, and the digits take the uint32
+    loops the SVG writer runs."""
     table = np.empty((10_000, 4), dtype=np.uint8)
     put_digits(np.arange(10_000, dtype=np.uint32), table)
     table += ord("0")
     return table.view(np.uint32).ravel()
 
 
-_DIGITS = _digit_table()
 # The places 0-17 of a float's digits and point (places 6-23 of its field),
 # as a column that broadcasts against values by field and row.
 _DIGIT_PLACES = np.arange(18, dtype=np.int8)[:, None]
@@ -158,11 +159,11 @@ def _put_ascii(q: np.ndarray, out: np.ndarray) -> None:
     """Write the lowest ``out.shape[1]`` (a multiple of 4) decimal digits of
     the unsigned integers ``q`` (fields by rows) into ``out`` as ASCII, by
     field, place and row: the places are cut into limbs of 4 digits, and one
-    lookup in ``_DIGITS`` gives the four bytes of every limb."""
+    lookup in :func:`_digit_table` gives the four bytes of every limb."""
     limbs = np.empty((len(q), out.shape[1] // 4, q.shape[1]), dtype=np.intp)
     # The highest limb takes what is left above the others, which fits.
     limbs[:, 0] = put_digits(q, limbs[:, 1:].transpose(0, 2, 1), base=10_000)
-    ascii = _DIGITS[limbs].view(np.uint8).reshape(limbs.shape + (4,))
+    ascii = _digit_table()[limbs].view(np.uint8).reshape(limbs.shape + (4,))
     out.reshape(limbs.shape[:2] + (4, -1))[...] = ascii.transpose(0, 1, 3, 2)
 
 
@@ -354,11 +355,12 @@ def read_trace_csv(path) -> CountTrace:
     Every row must have the header's column count, and the
     ``bin``/``d1``/``d2``/``coinc`` columns must hold integer literals; a
     malformed row raises ``ValueError`` naming the file and the row.  A
-    header-only file reads as an empty trace.
+    header-only file reads as an empty trace.  The trace's columns are the
+    fields (strided views) of one table.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            mode, columns = _read_columns(fh, path)
+            mode, table = _read_columns(fh, path)
     except UnicodeDecodeError:
         # The decoder counts bytes within its own buffer; decoding the whole
         # file names the place of the bad byte in the file.
@@ -366,9 +368,9 @@ def read_trace_csv(path) -> CountTrace:
         raise
     except OSError as exc:
         raise OSError(f"cannot read trace CSV {path}: {exc}") from exc
-    fields = {field: columns[name] for name, field in _COLUMNS[mode].items()}
+    fields = {field: table[name] for name, field in _COLUMNS[mode].items()}
     if "coincidences" not in fields:
-        fields["coincidences"] = np.zeros(len(columns["bin"]))
+        fields["coincidences"] = np.zeros(len(table))
     trace = CountTrace(mode=mode, **fields)
     trace.validate()
     return trace
@@ -386,9 +388,9 @@ def _blocks(fh):
 
 
 def _read_columns(fh, path):
-    """``(mode, columns)`` of the trace file open as ``fh``: its lines counted
-    in one pass, then parsed a chunk of rows at a time into preallocated
-    columns."""
+    """``(mode, table)`` of the trace file open as ``fh``: its lines counted
+    in one pass, then parsed in one ``np.loadtxt`` call into a table of
+    exactly that many rows, a field per column."""
     rows = sum(map(len, _blocks(fh))) - 1
     if rows < 0:
         raise ValueError(f"{path}: empty trace file")
@@ -401,20 +403,17 @@ def _read_columns(fh, path):
         raise ValueError(f"{path}: unrecognised trace header {first!r}")
 
     dtype = _dtype(header)
-    columns = {name: np.empty(rows, dtype[name]) for name in header}
-    for chunk in row_chunks(rows):
-        try:
-            table = np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None, ndmin=1,
-                               max_rows=chunk.stop - chunk.start)
-        except ValueError as exc:
-            # numpy counts rows from the chunk's first and may append advice
-            # on ``usecols``.
-            reason = re.sub(r"(?<=at row )\d+", lambda row: str(int(row[0]) + chunk.start),
-                            str(exc).split("; use `usecols`")[0], count=1)
-            raise ValueError(f"{path}: malformed trace data: {reason}") from None
-        for name, column in columns.items():
-            column[chunk] = table[name]
-    return mode, columns
+    if not rows:
+        # ``np.loadtxt`` warns of an input without data.
+        return mode, np.empty(0, dtype)
+    try:
+        table = np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None, ndmin=1,
+                           max_rows=rows)
+    except ValueError as exc:
+        # numpy may append advice on ``usecols``.
+        reason = str(exc).split("; use `usecols`")[0]
+        raise ValueError(f"{path}: malformed trace data: {reason}") from None
+    return mode, table
 
 
 def write_json_report(payload: dict, path) -> None:

@@ -3,7 +3,7 @@
 Every run goes in-process through ``cli.dispatch``, in one scratch directory
 shared by the class, as the README's relative paths need: the README block
 verbatim, ``analyze`` of its photon and cw scans, a 200000-row noiseless cw
-scan (the chunked CSV/SVG writers and reader at scale), scans that cut their
+scan (the CSV/SVG writers and the reader at scale), scans that cut their
 bins into several fold blocks, and analytic traces of extreme intensity.
 The plot and CSV checks read the files with the standard library alone, so
 they share no code with the writers.  One last test runs ``main()`` in a

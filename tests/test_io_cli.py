@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -35,7 +37,8 @@ from cbwsim.trace_io import (
     write_trace_csv,
 )
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "cbwsim" / "schemas"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+SCHEMA_DIR = SRC_DIR / "cbwsim" / "schemas"
 DATA_DIR = Path(__file__).resolve().parent / "data"
 # sha256 of each output file, keyed by the command line that writes it.
 OUTPUT_DIGESTS = json.loads((DATA_DIR / "output_sha256.json").read_text())
@@ -101,6 +104,24 @@ class TestTraceCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_trace_csv(path)
+
+    # In a fresh process: importing the CLI builds no digit table, and one
+    # write builds it once.
+    def test_the_digit_table_is_built_on_the_first_write(self, tmp_path):
+        script = (
+            "import cbwsim.cli\n"
+            "from cbwsim import trace_io\n"
+            "from cbwsim.config import NoiseModel, ScanConfig\n"
+            "from cbwsim.montecarlo import simulate_classical_trace\n"
+            "print(trace_io._digit_table.cache_info().misses)\n"
+            "scan = ScanConfig(points=4, bin_duration=0.1, scan_duration=0.4)\n"
+            "trace_io.write_trace_csv(simulate_classical_trace(scan, NoiseModel(), seed=0), 't.csv')\n"
+            "print(trace_io._digit_table.cache_info().misses)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0\n1\n", "")
 
 
 def oracle_csv(trace) -> bytes:
@@ -537,9 +558,10 @@ class TestReaderRejects:
 
 
 def line_filter_read(path) -> CountTrace:
-    """The reader as it was before chunked reading: the whole text split into
-    lines, blank and whitespace-only lines dropped, the rest parsed at once.
-    The oracle of :func:`read_trace_csv` on any file."""
+    """The reader of a whole text: the text read at once and split into
+    lines, blank and whitespace-only lines dropped, the rest parsed at once,
+    with no blocks of text and no count of lines first.  The oracle of
+    :func:`read_trace_csv` on any file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -603,9 +625,9 @@ def valid_rows(draw, columns) -> list:
     return [str(v) if isinstance(v, int) else format(v, ".17g") for v in values]
 
 
-# The edits where the chunked read could differ (whitespace next to a comma
-# that splits the row for ``str.splitlines``, a line end that a file read
-# by lines does not split on) are drawn three times as often.
+# The edits where the read in blocks of text could differ (whitespace next
+# to a comma that splits the row for ``str.splitlines``, a line end that a
+# file read by lines does not split on) are drawn three times as often.
 EDITS = ["field", "short", "long", "char", "blank line", "header", "no last line end", "bytes",
          *["char at an edge", "line end"] * 3]
 
@@ -781,7 +803,8 @@ class TestReaderMatchesLineFilter:
                                     "2,1,1,1,3,3,1"]) + "\n")
         assert read_outcome(read_trace_csv, path) == read_outcome(line_filter_read, path)
 
-    # Rows past the first chunk: numpy counts rows within the chunk it reads.
+    # Rows around CHUNK_ROWS and past the first block of text: the error
+    # names the row of the file.
     @pytest.mark.parametrize("row", MALFORMED_ROWS)
     @pytest.mark.parametrize("at", [CHUNK_ROWS - 1, CHUNK_ROWS, 1500, 4999])
     def test_a_malformed_row_far_into_the_file_is_named_as_before(self, tmp_path, row, at):
@@ -1113,12 +1136,14 @@ class TestMemoryDoesNotGrowWithRows:
       file's buffers.  Floats in fixed and in exponent notation take the
       same table, and exponent notation's text is made a field at a time
       once the digits are let go;
-    * reader: the chunk's table (56), the checks' masks (48), one block
-      of text of 16 characters per row, held at most three times while
-      the next block is read and joined to the rest of its last line
-      (48), and the block's line list, the same characters again and 65
-      bytes per line of at least 100 characters (<= 27); <= 179, within
-      232, plus 64 KiB for numpy's parser and the file buffers;
+    * reader: the checks' masks (48), one block of text of 16 characters
+      per row, held at most three times while the next block is read and
+      joined to the rest of its last line (48), and the block's line list,
+      the same characters again and 65 bytes per line of at least 100
+      characters (<= 27); <= 123, within 128, plus 64 KiB for numpy's
+      parser and the file buffers.  The table that ``np.loadtxt`` fills is
+      the trace's columns, made at its exact row count, so it is not
+      counted;
     * plot: one chunk of ``svgplot._POINTS_ROWS`` (2 x CHUNK_ROWS) points,
       counts and floats alike: x and y as floats (16) and the fixed-width
       rows and their keep mask (36) beside, at most, the hundredths of
@@ -1130,7 +1155,7 @@ class TestMemoryDoesNotGrowWithRows:
 
     SMALL, LARGE = 20_000, 200_000
     WRITE_BOUND = CHUNK_ROWS * 896
-    READ_BOUND = CHUNK_ROWS * 232 + 64 * 1024
+    READ_BOUND = CHUNK_ROWS * 128 + 64 * 1024
     PLOT_BOUND = CHUNK_ROWS * 256
 
     def peaks(self, function, make):
