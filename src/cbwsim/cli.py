@@ -318,7 +318,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_analyze(args) -> int:
     try:
-        trace = trace_io.read_trace_csv(args.input)
+        # The scan's derived time and voltage axes are not read.
+        trace = trace_io.read_trace_csv(args.input, axes=False)
     except UnicodeDecodeError as exc:
         # Named as the reader names a file it cannot open.
         raise OSError(f"cannot read trace CSV {args.input}: {exc}") from exc

@@ -70,13 +70,15 @@ class CountTrace:
     are integer window counts; in classical mode the singles fields hold
     continuous output powers and coincidences are zero.  ``psi`` is the
     nominal (commanded) phase per bin -- phase jitter is applied to the
-    physics but is not observable, exactly as in the lab.
+    physics but is not observable, exactly as in the lab.  ``time`` and
+    ``voltage`` are None in a trace read without them
+    (``read_trace_csv(path, axes=False)``).
     """
 
     mode: SourceMode
     bin_index: np.ndarray
-    time: np.ndarray
-    voltage: np.ndarray
+    time: np.ndarray | None
+    voltage: np.ndarray | None
     psi: np.ndarray
     singles_d1: np.ndarray
     singles_d2: np.ndarray
@@ -88,18 +90,20 @@ class CountTrace:
         return len(self.bin_index)
 
     def validate(self) -> None:
-        """Raise ``ValueError`` unless the fields have one length and hold
-        finite values, non-negative counts, whole-number bin indices (and,
-        in photon mode, whole-number counts, no more coincidences than
-        either singles count) that int64 holds exactly.
+        """Raise ``ValueError`` unless the fields that are present (``time``
+        and ``voltage`` may be None) have one length and hold finite values,
+        non-negative counts, whole-number bin indices (and, in photon mode,
+        whole-number counts, no more coincidences than either singles
+        count) that int64 holds exactly.
 
         Each check runs on 16 chunks of rows at a time, so checking
         allocates nothing that grows with the trace.  A check holds at most
         ~20 bytes per row (a float and two masks), so 16 chunks' rows take
         less than one chunk of CSV text, in a sixteenth of the numpy calls.
         """
-        arrays = (self.bin_index, self.time, self.voltage, self.psi,
-                  self.singles_d1, self.singles_d2, self.coincidences)
+        arrays = [a for a in (self.bin_index, self.time, self.voltage, self.psi,
+                              self.singles_d1, self.singles_d2, self.coincidences)
+                  if a is not None]
         if len({len(a) for a in arrays}) > 1:
             raise ValueError("trace arrays have mismatched lengths")
 

@@ -23,7 +23,11 @@ it counts the lines, then parses every row with one call of numpy's C
 parser (``np.loadtxt``) into a table of that many rows, a field per column.
 Lines are split as ``str.splitlines`` splits them, and blank and
 whitespace-only lines are dropped, so a CRLF copy of a trace, or one with
-blank lines added, reads as the trace does.
+blank lines added, reads as the trace does.  ``analyze`` reads with
+``axes=False``: the parse converts and checks ``bin``, ``psi_rad`` and the
+measured columns but not ``time_s`` and ``voltage_V`` (``_DERIVED``), and
+the first pass counts the commas that hold every row to the header's
+field count.
 
 ``_COLUMNS`` says, per source mode, which column holds which ``CountTrace``
 field; the writer, the reader, the headers and :func:`measured_columns`
@@ -60,6 +64,10 @@ _COLUMNS = {
                                  "coinc": "coincidences"},
     SourceMode.CLASSICAL_INTENSITY: {**_AXES, "i_gamma": "singles_d1", "i_delta": "singles_d2"},
 }
+
+# The axes that ``ScanConfig`` derives from the bin and that no reduction
+# reads: ``read_trace_csv(path, axes=False)`` leaves them unconverted.
+_DERIVED = ("time_s", "voltage_V")
 
 PHOTON_HEADER = tuple(_COLUMNS[SourceMode.PHOTON_COUNTING])
 CLASSICAL_HEADER = tuple(_COLUMNS[SourceMode.CLASSICAL_INTENSITY])
@@ -246,8 +254,8 @@ def _header_mode(header: tuple):
     return next((mode for mode, columns in _COLUMNS.items() if tuple(columns) == header), None)
 
 
-def _dtype(header: tuple) -> np.dtype:
-    return np.dtype([(name, np.int64 if name in _INTEGER_COLUMNS else float) for name in header])
+def _dtype(names) -> np.dtype:
+    return np.dtype([(name, np.int64 if name in _INTEGER_COLUMNS else float) for name in names])
 
 
 def measured_columns(trace: CountTrace) -> dict:
@@ -261,9 +269,11 @@ def write_trace_csv(trace: CountTrace, path) -> None:
 
     The columns are ``PHOTON_HEADER`` (integer counts) or
     ``CLASSICAL_HEADER``.  The trace is validated first, so a trace that
-    would not read back is never written; a write that fails part way
-    leaves no file behind.
+    would not read back is never written, nor one read without its axes;
+    a write that fails part way leaves no file behind.
     """
+    if trace.time is None or trace.voltage is None:
+        raise ValueError("cannot write a trace without its time and voltage axes")
     trace.validate()
     fields = _COLUMNS[trace.mode]
     arrays = [getattr(trace, field) for field in fields.values()]
@@ -347,20 +357,38 @@ def _rows_table(names, columns):
     return chars, keep
 
 
-def read_trace_csv(path) -> CountTrace:
+def read_trace_csv(path, *, axes: bool = True) -> CountTrace:
     """Read a trace CSV: a file that :func:`write_trace_csv` writes, or any
     UTF-8 text whose lines, split as ``str.splitlines`` splits them and with
     blank and whitespace-only lines dropped, are a trace header and its rows.
 
     Every row must have the header's column count, and the
     ``bin``/``d1``/``d2``/``coinc`` columns must hold integer literals; a
-    malformed row raises ``ValueError`` naming the file and the row.  A
-    header-only file reads as an empty trace.  The trace's columns are the
-    fields (strided views) of one table.
+    malformed row raises ``ValueError`` naming the file and the row, and a
+    trace that fails :meth:`CountTrace.validate` raises its message after
+    the file's name.  A header-only file reads as an empty trace.  The
+    trace's columns are the fields (strided views) of one table.
+
+    With ``axes=False`` (what ``analyze`` reads) the ``time_s`` and
+    ``voltage_V`` columns, which the scan derives and no reduction reads,
+    are neither converted nor checked, and the trace's ``time`` and
+    ``voltage`` are None; every other column and every row's field count
+    are checked as before.  A file that this read refuses is read again
+    with every column, so it raises what ``read_trace_csv(path)`` raises.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            mode, table = _read_columns(fh, path)
+            mode, table = _read_columns(fh, path, axes)
+        fields = {field: table[name] for name, field in _COLUMNS[mode].items()
+                  if name in table.dtype.names}
+        if "coincidences" not in fields:
+            fields["coincidences"] = np.zeros(len(table))
+        trace = CountTrace(mode=mode, **{"time": None, "voltage": None, **fields})
+        try:
+            trace.validate()
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return trace
     except UnicodeDecodeError:
         # The decoder counts bytes within its own buffer; decoding the whole
         # file names the place of the bad byte in the file.
@@ -368,12 +396,11 @@ def read_trace_csv(path) -> CountTrace:
         raise
     except OSError as exc:
         raise OSError(f"cannot read trace CSV {path}: {exc}") from exc
-    fields = {field: table[name] for name, field in _COLUMNS[mode].items()}
-    if "coincidences" not in fields:
-        fields["coincidences"] = np.zeros(len(table))
-    trace = CountTrace(mode=mode, **fields)
-    trace.validate()
-    return trace
+    except ValueError:
+        if axes:
+            raise
+    # The read of every column names the first fault in the file.
+    return read_trace_csv(path)
 
 
 def _blocks(fh):
@@ -387,11 +414,24 @@ def _blocks(fh):
         yield list(filter(str.strip, text.splitlines()))
 
 
-def _read_columns(fh, path):
-    """``(mode, table)`` of the trace file open as ``fh``: its lines counted
-    in one pass, then parsed in one ``np.loadtxt`` call into a table of
-    exactly that many rows, a field per column."""
-    rows = sum(map(len, _blocks(fh))) - 1
+def _read_columns(fh, path, axes: bool):
+    """``(mode, table)`` of the trace file open as ``fh``: its lines and
+    commas counted in one pass, then parsed in one ``np.loadtxt`` call into
+    a table of exactly that many rows, a field per column converted (all
+    but ``_DERIVED`` unless ``axes``).
+
+    ``np.loadtxt`` takes a row of more fields than its ``usecols`` need, so
+    without the axes every row is held to the header's field count by the
+    commas: the last column is converted, so no row has fewer fields than
+    the header, and then the rows' commas add up to the header's per row
+    only if none has more.
+    """
+    rows = commas = 0
+    for block in _blocks(fh):
+        rows += len(block)
+        if not axes:
+            commas += "".join(block).count(",")
+    rows -= 1
     if rows < 0:
         raise ValueError(f"{path}: empty trace file")
     fh.seek(0)
@@ -402,13 +442,17 @@ def _read_columns(fh, path):
     if mode is None:
         raise ValueError(f"{path}: unrecognised trace header {first!r}")
 
-    dtype = _dtype(header)
+    names = [name for name in header if axes or name not in _DERIVED]
+    dtype = _dtype(names)
     if not rows:
         # ``np.loadtxt`` warns of an input without data.
         return mode, np.empty(0, dtype)
+    if not axes and commas != (len(header) - 1) * (rows + 1):
+        raise ValueError(f"{path}: a row does not have the header's {len(header)} fields")
     try:
         table = np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None, ndmin=1,
-                           max_rows=rows)
+                           max_rows=rows,
+                           usecols=None if axes else [header.index(name) for name in names])
     except ValueError as exc:
         # numpy may append advice on ``usecols``.
         reason = str(exc).split("; use `usecols`")[0]

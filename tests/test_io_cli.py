@@ -587,21 +587,26 @@ def line_filter_read(path) -> CountTrace:
     photon = header == PHOTON_HEADER
     trace = CountTrace(mode=SourceMode.PHOTON_COUNTING if photon else SourceMode.CLASSICAL_INTENSITY,
                        **fields)
-    trace.validate()
+    try:
+        trace.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return trace
 
 
 TRACE_FIELDS = ("bin_index", "time", "voltage", "psi", "singles_d1", "singles_d2", "coincidences")
+# The fields of a trace read without its time and voltage axes.
+REDUCED_FIELDS = tuple(f for f in TRACE_FIELDS if f not in ("time", "voltage"))
 
 
-def read_outcome(read, path):
-    """The trace ``read(path)`` gives, as mode, dtypes and bytes, or the
-    type and message of what it raises."""
+def read_outcome(read, path, fields=TRACE_FIELDS):
+    """The trace ``read(path)`` gives, as mode, dtypes and bytes of
+    ``fields``, or the type and message of what it raises."""
     try:
         trace = read(path)
     except Exception as exc:
         return type(exc), str(exc)
-    return trace.mode, [(getattr(trace, f).dtype, getattr(trace, f).tobytes()) for f in TRACE_FIELDS]
+    return trace.mode, [(getattr(trace, f).dtype, getattr(trace, f).tobytes()) for f in fields]
 
 
 # Characters that ``str.splitlines`` takes as line ends but a file read by
@@ -844,6 +849,126 @@ class TestReaderMatchesLineFilter:
         outcome = read_outcome(read_trace_csv, path)
         assert outcome == read_outcome(line_filter_read, path)
         assert outcome[0] is OSError and outcome[1].startswith(f"cannot read trace CSV {path}: ")
+
+
+def read_without_axes(path) -> CountTrace:
+    return read_trace_csv(path, axes=False)
+
+
+def assert_reads_as_every_column(path):
+    """``read_trace_csv(path, axes=False)`` against the read of every column:
+    the same error, or the same columns but the axes, and the axes absent.
+    Where it reads a file that the read of every column refuses, the fault
+    lies in the axes: with both set to 0 in every row, the file reads in
+    full to the same columns.  Returns the outcome."""
+    outcome = read_outcome(read_without_axes, path, REDUCED_FIELDS)
+    full = read_outcome(read_trace_csv, path, REDUCED_FIELDS)
+    if not isinstance(outcome[0], SourceMode) or isinstance(full[0], SourceMode):
+        assert outcome == full
+        if isinstance(full[0], SourceMode):
+            trace = read_without_axes(path)
+            assert trace.time is None and trace.voltage is None
+        return outcome
+    lines = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()
+             if line.strip()]
+    zeroed = path.with_name("zeroed-" + path.name)
+    zeroed.write_text("\n".join(",".join(lines[0]) if not i else
+                                ",".join([row[0], "0", "0", *row[3:]])
+                                for i, row in enumerate(lines)) + "\n")
+    assert read_outcome(read_trace_csv, zeroed, REDUCED_FIELDS) == outcome
+    return outcome
+
+
+class TestReadWithoutAxes:
+    """``read_trace_csv(path, axes=False)``, the read of ``analyze``: the
+    ``time_s`` and ``voltage_V`` columns are left unconverted, every other
+    column and every row's field count are checked as by the read of every
+    column, and a file it refuses raises that read's error."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=trace_files())
+    def test_same_columns_or_same_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz-axes.csv"
+        path.write_bytes(data)
+        assert_reads_as_every_column(path)
+
+    # A row of the wrong field count is refused wherever it lies, and so is
+    # a bad value in any column but the axes.
+    @pytest.mark.parametrize("row", [
+        "0,0,0,0,5,4",                                  # short row
+        "0,0,0,0,5,4,2,9",                              # long row
+        "0,0,0,0,5,4,2,",                               # trailing comma
+        *[",".join("x" if i == column else field
+                   for i, field in enumerate(TestReaderRejects.GOOD.split(",")))
+          for column in range(len(PHOTON_HEADER))],     # a bad value in each column
+    ])
+    @pytest.mark.parametrize("at", [CHUNK_ROWS - 1, CHUNK_ROWS, 1500, 4999])
+    def test_a_fault_far_into_the_file_raises_as_the_full_read(self, tmp_path, row, at):
+        rows = [TestReaderRejects.GOOD] * 5000
+        rows[at] = row
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([",".join(PHOTON_HEADER), *rows]) + "\n")
+        outcome = assert_reads_as_every_column(path)
+        assert (outcome[0] is SourceMode.PHOTON_COUNTING) == ("x" in row.split(",")[1:3])
+
+    # Each odd field in each axis, which the fuzz above seldom draws alone.
+    @pytest.mark.parametrize("field", ODD_FIELDS)
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_odd_fields_in_an_axis(self, tmp_path, field, column):
+        row = TestReaderRejects.GOOD.split(",")
+        row[column] = field
+        path = tmp_path / "odd.csv"
+        path.write_text("\n".join([",".join(PHOTON_HEADER), TestReaderRejects.GOOD, ",".join(row)])
+                        + "\n")
+        assert assert_reads_as_every_column(path)[0] is SourceMode.PHOTON_COUNTING
+
+    @pytest.mark.parametrize("n", SEAM_LENGTHS)
+    @pytest.mark.parametrize("mode", list(SourceMode))
+    def test_written_files_read_as_in_full(self, tmp_path, n, mode):
+        path = tmp_path / "t.csv"
+        write_trace_csv(wide_trace(mode, n, seed=n), path)
+        assert assert_reads_as_every_column(path)[0] is mode
+
+    # The one contract change: bad text in an axis is not read.
+    def test_analyze_reads_past_bad_text_in_the_time_axis(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        assert cli.dispatch(["analytic", "--modules", "2", "--phi", "0", "--points", "4096",
+                             "--cycles-per-ramp", "10", "--out", str(path)]) == 0
+        assert cli.dispatch(["analyze", "--in", str(path)]) == 0
+        report = capsys.readouterr().out
+        lines = path.read_text().splitlines()
+        fields = lines[100].split(",")
+        lines[100] = ",".join([fields[0], "x", *fields[2:]])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="could not convert string 'x' to float64 at row 99, column 2"):
+            read_trace_csv(path)
+        assert cli.dispatch(["analyze", "--in", str(path)]) == 0
+        assert capsys.readouterr() == (report, "")
+
+    @pytest.mark.parametrize("mode, usecols", [("photon", [0, 3, 4, 5, 6]),
+                                               ("classical", [0, 3, 4, 5])])
+    def test_analyze_parses_a_valid_trace_once_without_the_axes(self, tmp_path, monkeypatch,
+                                                                capsys, mode, usecols):
+        path = tmp_path / "t.csv"
+        write_trace_csv(MODES[mode][1](), path)
+        calls, loadtxt = [], np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("usecols"))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        # Exit 2 is a trace read and analysed that holds too few fringes.
+        assert cli.dispatch(["analyze", "--in", str(path)]) in (0, 2)
+        capsys.readouterr()
+        assert calls == [usecols]
+
+    def test_a_trace_without_axes_is_not_written(self, tmp_path):
+        path, out = tmp_path / "t.csv", tmp_path / "again.csv"
+        write_trace_csv(photon_trace(), path)
+        with pytest.raises(ValueError, match="^cannot write a trace without its time and voltage axes$"):
+            write_trace_csv(read_without_axes(path), out)
+        assert not out.exists()
 
 
 class TestSvg:
@@ -1109,7 +1234,8 @@ def traced_peak_above(function, *args) -> int:
     finally:
         tracemalloc.stop()
     if isinstance(result, CountTrace):
-        peak -= sum(getattr(result, field).nbytes for field in TRACE_FIELDS)
+        peak -= sum(getattr(result, field).nbytes for field in TRACE_FIELDS
+                    if getattr(result, field) is not None)
     return peak
 
 
@@ -1143,7 +1269,10 @@ class TestMemoryDoesNotGrowWithRows:
       characters (<= 27); <= 123, within 128, plus 64 KiB for numpy's
       parser and the file buffers.  The table that ``np.loadtxt`` fills is
       the trace's columns, made at its exact row count, so it is not
-      counted;
+      counted.  Read without its axes, the first pass also joins each
+      block's lines to count their commas (16, beside the block's 75,
+      before any check's mask is made), and the table is ``REDUCED_ROW``
+      (40) bytes per photon row, not 56;
     * plot: one chunk of ``svgplot._POINTS_ROWS`` (2 x CHUNK_ROWS) points,
       counts and floats alike: x and y as floats (16) and the fixed-width
       rows and their keep mask (36) beside, at most, the hundredths of
@@ -1154,6 +1283,9 @@ class TestMemoryDoesNotGrowWithRows:
     """
 
     SMALL, LARGE = 20_000, 200_000
+    # Bytes per row of the table of a photon trace read without its axes:
+    # five 8-byte columns, where the read of every column takes seven (56).
+    REDUCED_ROW = 40
     WRITE_BOUND = CHUNK_ROWS * 896
     READ_BOUND = CHUNK_ROWS * 128 + 64 * 1024
     PLOT_BOUND = CHUNK_ROWS * 256
@@ -1211,6 +1343,13 @@ class TestMemoryDoesNotGrowWithRows:
         for lf, crlf in files.values():
             assert read_outcome(read_trace_csv, crlf) == read_outcome(read_trace_csv, lf)
         self.assert_flat(self.peaks(read_trace_csv, lambda n: files[n][1:]), self.READ_BOUND)
+
+    def test_reader_without_axes(self, written):
+        files, _ = written
+        for n, (lf, _) in files.items():
+            trace = read_without_axes(lf)
+            assert sum(getattr(trace, f).nbytes for f in REDUCED_FIELDS) == self.REDUCED_ROW * n
+        self.assert_flat(self.peaks(read_without_axes, lambda n: files[n][:1]), self.READ_BOUND)
 
     def test_plot_of_float_series(self, tmp_path):
         def plot(n):
@@ -1714,13 +1853,20 @@ class TestDispatch:
     # Digests of outputs that draw no random numbers, written before the
     # empty scan was checked like any other scan; every later route must
     # keep their bytes.  They depend on libm, as the sensitivity goldens do.
-    # A command other than scan writes the one file its digest names.
+    # An entry runs its commands (joined by `` && ``) in turn in one
+    # directory, so an ``analyze`` reads a trace that a ``scan`` before it
+    # wrote, by the relative path that its report's ``source`` names.  A
+    # scan writes into that directory, any other command the one file its
+    # entry's digest names.
     @pytest.mark.parametrize("command, digests", list(OUTPUT_DIGESTS.items()),
                              ids=list(OUTPUT_DIGESTS))
-    def test_deterministic_outputs_keep_the_golden_bytes(self, tmp_path, command, digests):
-        argv = command.split()
-        out = tmp_path if argv[0] == "scan" else tmp_path / next(iter(digests))
-        assert cli.dispatch([*argv, "--out", str(out)]) == 0
+    def test_deterministic_outputs_keep_the_golden_bytes(self, tmp_path, monkeypatch, command,
+                                                          digests):
+        monkeypatch.chdir(tmp_path)
+        for step in command.split(" && "):
+            argv = step.split()
+            out = "." if argv[0] == "scan" else next(iter(digests))
+            assert cli.dispatch([*argv, "--out", out]) == 0
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in digests} == digests
 
@@ -2322,6 +2468,21 @@ class TestFileErrorsNameTheFile:
         assert out == ""
         assert err == (f"cbwsim: error: cannot read trace CSV {trace_csv}: 'utf-8' codec can't "
                        f"decode byte 0xff in position {position}: invalid start byte\n")
+
+    # A trace that parses but fails its checks, in a column that analyze reads.
+    @pytest.mark.parametrize("column, value, message", [
+        ("psi_rad", "1e400", "non-finite values in trace"),
+        ("d1", "-1", "negative counts in trace"),
+        ("coinc", "9", "coincidences exceed singles in some bin"),
+    ])
+    def test_trace_that_fails_its_checks(self, tmp_path, capsys, column, value, message):
+        row = TestReaderRejects.GOOD.split(",")
+        row[PHOTON_HEADER.index(column)] = value
+        trace_csv = tmp_path / "bad.csv"
+        trace_csv.write_text("\n".join([",".join(PHOTON_HEADER), TestReaderRejects.GOOD,
+                                        ",".join(row)]) + "\n")
+        assert cli.dispatch(["analyze", "--in", str(trace_csv)]) == 1
+        assert capsys.readouterr() == ("", f"cbwsim: error: {trace_csv}: {message}\n")
 
     def test_trace_that_is_empty(self, tmp_path, capsys):
         trace_csv = tmp_path / "empty.csv"
